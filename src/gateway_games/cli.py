@@ -98,11 +98,25 @@ def _roles_path(path: Path) -> Path:
 
 def _load_roles(args) -> dict | None:
     if getattr(args, "roles", None):
-        return json.loads(Path(args.roles).read_text())
-    candidate = _roles_path(Path(args.graph))
-    if candidate.exists():
-        return json.loads(candidate.read_text())
-    return None
+        path = Path(args.roles)
+    else:
+        path = _roles_path(Path(args.graph))
+        if not path.exists():
+            return None
+    try:
+        doc = json.loads(path.read_text())
+    except RecursionError:
+        raise GatewayGameError(f"roles sidecar {path} nests too deeply") from None
+    if not isinstance(doc, dict):
+        raise GatewayGameError(f"roles sidecar {path} must be a JSON object")
+    if not isinstance(doc.get("roles") or {}, dict):
+        raise GatewayGameError(f'roles sidecar {path}: "roles" must be an object')
+    initial = doc.get("initial") or []
+    if not isinstance(initial, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in initial
+    ):
+        raise GatewayGameError(f'roles sidecar {path}: "initial" must be a list of node ids')
+    return doc
 
 
 def _flatten(value) -> list[int]:

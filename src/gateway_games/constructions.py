@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from .errors import (
     ConstructionNotEquilibrium,
     ElementUncovered,
@@ -26,11 +28,10 @@ from .game import (
     GameConfig,
     StrategyProfile,
     Variant,
+    _scan_toggles,
     ceil_div,
-    evaluate_move,
     floor_div,
     floor_sqrt,
-    improving_moves,
     is_nash_equilibrium,
 )
 from .graphs import Graph, all_pairs_distances, build_graph, metrics, multi_source_levels
@@ -320,15 +321,14 @@ def _cover_profile(g: Graph, dist, radius: int, root: int) -> StrategyProfile:
 
 
 def _close_repair(g: Graph, dist, cfg: GameConfig, s: StrategyProfile) -> StrategyProfile:
-    # Shed gateways that would rather close.  Every applied move shrinks the
-    # set, so the loop terminates; opens are the caller's problem.
+    # Shed gateways that would rather close, smallest id first.  Every applied
+    # move shrinks the set, so the loop terminates; opens are the caller's problem.
     while len(s) > 1:
-        for v in s.ids:
-            if evaluate_move(g, dist, cfg, s, v).is_improving:
-                s = s.toggled(v)
-                break
-        else:
+        toggles = _scan_toggles(dist.dist, cfg, s)
+        closers = np.flatnonzero(toggles.improving & toggles.member)
+        if not closers.size:
             return s
+        s = s.toggled(int(closers[0]))
     return s
 
 
@@ -338,7 +338,7 @@ def _descent(g: Graph, dist, cfg: GameConfig, start: StrategyProfile, max_steps:
     s = start
     seen = {s.ids}
     for _ in range(max_steps):
-        unhappy = improving_moves(g, dist, cfg, s)
+        unhappy = _scan_toggles(dist.dist, cfg, s).moves()
         if not unhappy:
             return s
         unhappy.sort(key=lambda m: (m.cost_delta, m.node))
@@ -347,7 +347,8 @@ def _descent(g: Graph, dist, cfg: GameConfig, start: StrategyProfile, max_steps:
             t = s.toggled(mv.node)
             if t.ids in seen:
                 continue
-            score = (len(improving_moves(g, dist, cfg, t)), mv.cost_delta, mv.node)
+            unhappy_after = int(_scan_toggles(dist.dist, cfg, t).improving.sum())
+            score = (unhappy_after, mv.cost_delta, mv.node)
             if best is None or score < best[0]:
                 best = (score, t)
         if best is None:
@@ -445,6 +446,8 @@ def parse_set_cover(text: str) -> SetCoverInstance:
     if len(parts) != 2:
         raise ValueError(f"expected 'm n_sets' header, got {lines[head]!r}")
     m, n_sets = int(parts[0]), int(parts[1])
+    if m < 0 or n_sets < 0:
+        raise ValueError(f"'m n_sets' must be non-negative, got {lines[head]!r}")
     body = lines[head + 1 : head + 1 + n_sets]
     if len(body) < n_sets:
         raise ValueError(f"expected {n_sets} set lines, found {len(body)}")
@@ -545,6 +548,8 @@ def _reduce_sum(inst: SetCoverInstance) -> ReductionArtifact:
 def _reduce_max(inst: SetCoverInstance) -> ReductionArtifact:
     m, n_sets = inst.m, inst.n_sets
     target_m = 2 * n_sets
+    if m < 1:
+        raise ParameterOutOfRange(f"MAX reduction needs m >= 1 element; got {m}")
     if m > target_m:
         raise ParameterOutOfRange(
             f"MAX reduction needs m <= 2 * n_sets = {target_m}; got m = {m}"

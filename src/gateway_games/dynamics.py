@@ -29,6 +29,8 @@ from .game import (
     MoveKind,
     StrategyProfile,
     Variant,
+    _check_node,
+    _scan_toggles,
     evaluate_move,
     floor_div,
     improving_moves,
@@ -152,39 +154,46 @@ class _Picker:
 
     def pick(self, s: StrategyProfile) -> Move | None:
         sched = self.scheduler
-        if isinstance(sched, RoundRobin):
-            for offset in range(self.g.n):
-                v = (self.cursor + offset) % self.g.n
-                m = evaluate_move(self.g, self.d, self.cfg, s, v)
-                if m.is_improving:
-                    self.cursor = (v + 1) % self.g.n
-                    return m
-            return None
+        toggles = _scan_toggles(self.d.dist, self.cfg, s)
+        improving = toggles.improving
         if isinstance(sched, FixedSequence):
             length = len(sched.nodes)
             for offset in range(length):
                 i = (self.cursor + offset) % length
-                m = evaluate_move(self.g, self.d, self.cfg, s, sched.nodes[i])
-                if m.is_improving:
+                v = sched.nodes[i]
+                _check_node(self.g, v)
+                if improving[v]:
                     self.cursor = (i + 1) % length
-                    return m
+                    return toggles.move(v)
             return None
         if isinstance(sched, OpensOnly):
             for v in sorted(sched.nodes):
                 if v in s:
                     continue
-                m = evaluate_move(self.g, self.d, self.cfg, s, v)
-                if m.is_improving:
-                    return m
+                _check_node(self.g, v)
+                if improving[v]:
+                    return toggles.move(v)
             return None
-        moves = improving_moves(self.g, self.d, self.cfg, s)
-        if not moves:
+        hits = np.flatnonzero(improving)
+        if not hits.size:
             return None
+        if isinstance(sched, RoundRobin):
+            later = hits[hits >= self.cursor]
+            v = int(later[0] if later.size else hits[0])
+            self.cursor = (v + 1) % self.g.n
+            return toggles.move(v)
         if isinstance(sched, RandomSeeded):
-            return self.rng.choice(moves)
-        # BestGain: largest strict gain wins.
+            return toggles.move(self.rng.choice(hits.tolist()))
+        # BestGain: largest strict gain wins.  Within opens, and within
+        # closes, the price is common, so the smallest dv (first id on ties)
+        # is that side's best; only the two winners meet as Fractions.
+        best = []
+        for side in (~toggles.member, toggles.member):
+            cand = hits[side[hits]]
+            if cand.size:
+                best.append(toggles.move(int(cand[toggles.dv[cand].argmin()])))
         return min(
-            moves,
+            best,
             key=lambda m: (m.cost_delta, 0 if m.kind is MoveKind.OPEN else 1, m.node),
         )
 

@@ -6,10 +6,11 @@ distance perceived by ``u`` towards ``v`` is
 
     delta(u, v) = min(d(u, v), d(u, S) + d(S, v))
 
-with plain hop distances ``d``.  Every quantity here is exact: distances are
-integers and prices are ``fractions.Fraction``.  No float is ever produced,
-which makes strict-improvement comparisons reliable at the knife-edge ties
-the dynamics depend on.
+with plain hop distances ``d``.  Every quantity here is exact and no float is
+ever produced.  A toggle changes the mover's distance term by an integer
+``dv``, so whether it improves is decided in integers against ``floor`` and
+``ceil`` of ``alpha``; ``Fraction`` appears only in the returned costs and
+deltas.  That keeps the knife-edge ties the dynamics depend on exact.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, unique
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
+import numpy as np
+
 from .errors import NodeIdOutOfRange
-from .graphs import DistanceOracle, Graph, multi_source_levels
+from .graphs import DistanceOracle, Graph, _check_oracle
 
 
 @unique
@@ -41,12 +43,9 @@ class GameConfig:
     alpha: Fraction
 
     def __post_init__(self) -> None:
-        alpha = self.alpha
-        if not isinstance(alpha, Fraction):
-            alpha = Fraction(alpha)
-            object.__setattr__(self, "alpha", alpha)
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,7 @@ class StrategyProfile:
     gateways: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.gateways, frozenset):
-            object.__setattr__(self, "gateways", frozenset(self.gateways))
+        object.__setattr__(self, "gateways", frozenset(self.gateways))
         if not self.gateways:
             raise ValueError("a strategy profile must contain at least one gateway")
 
@@ -74,10 +72,7 @@ class StrategyProfile:
         return tuple(sorted(self.gateways))
 
     def mask(self) -> int:
-        m = 0
-        for v in self.gateways:
-            m |= 1 << v
-        return m
+        return sum(1 << v for v in self.gateways)
 
     @classmethod
     def from_mask(cls, mask: int) -> "StrategyProfile":
@@ -86,9 +81,7 @@ class StrategyProfile:
         return cls(frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
 
     def toggled(self, v: int) -> "StrategyProfile":
-        if v in self.gateways:
-            return StrategyProfile(self.gateways - {v})
-        return StrategyProfile(self.gateways | {v})
+        return StrategyProfile(self.gateways ^ {v})
 
     def __contains__(self, v: int) -> bool:
         return v in self.gateways
@@ -133,74 +126,96 @@ class CostReport:
     social: Fraction = Fraction(0)
 
 
-@lru_cache(maxsize=4096)
-def _levels_to_set(g: Graph, sources: frozenset[int]) -> tuple[int, ...]:
-    return multi_source_levels(g, sorted(sources))
-
-
 def _check_node(g: Graph, v: int) -> None:
     if not (0 <= v < g.n):
         raise NodeIdOutOfRange(f"node {v} outside [0, {g.n})")
 
 
-def _check_profile(g: Graph, s: StrategyProfile) -> None:
-    for v in s.gateways:
+def _check(g: Graph, d: DistanceOracle, s: StrategyProfile, *nodes: int) -> None:
+    _check_oracle(g, d)
+    for v in (*s.gateways, *nodes):
         _check_node(g, v)
+
+
+def _terms(dist: np.ndarray, a: np.ndarray, base: np.ndarray, cfg: GameConfig, rows=slice(None)):
+    """agg_u min(d(v, u), base(v) + a(u)) per ``v`` in ``rows``, where ``a(u)`` is
+    the distance to the nearest gateway; ``base = a[rows]`` gives the terms now."""
+    through = base[:, None] + a
+    np.minimum(through, dist[rows], out=through)
+    return through.max(axis=1) if cfg.variant is Variant.MAX else through.sum(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Toggles:
+    """Every node's toggle; ``dv[v]`` is v's distance term after minus before."""
+
+    alpha: Fraction
+    sole: bool
+    member: np.ndarray
+    dv: np.ndarray
+    improving: np.ndarray
+
+    def move(self, v: int) -> Move:
+        dv = int(self.dv[v])
+        if self.member[v]:
+            return Move(v, MoveKind.CLOSE, dv - self.alpha, forbidden=self.sole)
+        return Move(v, MoveKind.OPEN, self.alpha + dv)
+
+    def moves(self) -> list[Move]:
+        return [self.move(int(v)) for v in np.flatnonzero(self.improving)]
+
+
+def _scan_toggles(dist: np.ndarray, cfg: GameConfig, s: StrategyProfile) -> _Toggles:
+    """Score all n toggles in one numpy pass and decide them in integers.
+
+    A toggle only moves the mover's own base: 0 once it opens, its distance
+    to the nearest other gateway once it closes (``a(u) = d(u, v)`` wherever
+    v held u's nearest gateway, so that hub route never wins), and ``n``,
+    above every distance, for the sole gateway's close.
+    """
+    n = dist.shape[0]
+    gates = np.fromiter(s.gateways, dtype=np.intp, count=len(s))
+    a = dist[:, gates].min(axis=1)
+    member = np.zeros(n, dtype=bool)
+    member[gates] = True
+    sole = len(gates) == 1
+    base = np.zeros(n, dtype=dist.dtype)
+    base[gates] = n if sole else np.partition(dist[np.ix_(gates, gates)], 1, axis=1)[:, 1]
+    dv = _terms(dist, a, base, cfg) - _terms(dist, a, a, cfg)
+    # alpha + dv < 0 opens, dv - alpha < 0 closes; clamped to int64 (|dv| <= n * diameter).
+    open_at = max(-(floor_div(cfg.alpha) + 1), -(1 << 62))
+    close_at = min(ceil_div(cfg.alpha) - 1, 1 << 62)
+    improving = np.where(member, (dv <= close_at) & (not sole), dv <= open_at)
+    return _Toggles(cfg.alpha, sole, member, dv, improving)
 
 
 def comm_distance(g: Graph, d: DistanceOracle, s: StrategyProfile, u: int, v: int) -> int:
     """delta(u, v) under profile ``s``: plain distance or a hop through the gateway set."""
-    _check_profile(g, s)
-    _check_node(g, u)
-    _check_node(g, v)
-    to_set = _levels_to_set(g, s.gateways)
-    return min(d.dist_between(u, v), to_set[u] + to_set[v])
-
-
-def _distance_term(
-    g: Graph, d: DistanceOracle, s: StrategyProfile, v: int, *, maximum: bool
-) -> int:
-    to_set = _levels_to_set(g, s.gateways)
-    row = d.row(v)
-    base = to_set[v]
-    best = 0
-    total = 0
-    for u in range(g.n):
-        delta = min(int(row[u]), base + to_set[u])
-        if maximum:
-            if delta > best:
-                best = delta
-        else:
-            total += delta
-    return best if maximum else total
-
-
-def _plain_term(g: Graph, d: DistanceOracle, v: int, *, maximum: bool) -> int:
-    row = d.row(v)
-    return int(row.max()) if maximum else int(row.sum())
+    _check(g, d, s, u, v)
+    a = d.dist[:, list(s.gateways)].min(axis=1)
+    return min(d.dist_between(u, v), int(a[u] + a[v]))
 
 
 def private_cost(
     g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int
 ) -> Fraction:
     """Gateway fee (if ``v`` pays one) plus ``v``'s aggregated distances."""
-    _check_profile(g, s)
-    _check_node(g, v)
-    maximum = cfg.variant is Variant.MAX
-    term = _distance_term(g, d, s, v, maximum=maximum)
-    fee = cfg.alpha if v in s else Fraction(0)
-    return fee + term
+    _check(g, d, s, v)
+    a = d.dist[:, list(s.gateways)].min(axis=1)
+    return (cfg.alpha if v in s else Fraction(0)) + int(_terms(d.dist, a, a[[v]], cfg, [v])[0])
 
 
 def social_cost(g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> Fraction:
-    _check_profile(g, s)
-    maximum = cfg.variant is Variant.MAX
-    total = sum(_distance_term(g, d, s, v, maximum=maximum) for v in range(g.n))
-    return cfg.alpha * len(s) + total
+    _check(g, d, s)
+    a = d.dist[:, list(s.gateways)].min(axis=1)
+    return cfg.alpha * len(s) + int(_terms(d.dist, a, a, cfg).sum())
 
 
 def cost_report(g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> CostReport:
-    private = {v: private_cost(g, d, cfg, s, v) for v in range(g.n)}
+    _check(g, d, s)
+    a = d.dist[:, list(s.gateways)].min(axis=1)
+    terms = _terms(d.dist, a, a, cfg)
+    private = {v: (cfg.alpha if v in s else Fraction(0)) + int(terms[v]) for v in range(g.n)}
     return CostReport(private=private, social=sum(private.values(), Fraction(0)))
 
 
@@ -208,34 +223,21 @@ def evaluate_move(
     g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int
 ) -> Move:
     """Cost delta of toggling ``v``, from ``v``'s own point of view."""
-    _check_profile(g, s)
-    _check_node(g, v)
-    maximum = cfg.variant is Variant.MAX
-    before = private_cost(g, d, cfg, s, v)
-    if v in s:
-        if len(s) == 1:
-            # The hypothetical world with no gateways at all: plain distances.
-            after = Fraction(_plain_term(g, d, v, maximum=maximum))
-            return Move(v, MoveKind.CLOSE, after - before, forbidden=True)
-        after = private_cost(g, d, cfg, s.toggled(v), v)
-        return Move(v, MoveKind.CLOSE, after - before)
-    after = private_cost(g, d, cfg, s.toggled(v), v)
-    return Move(v, MoveKind.OPEN, after - before)
+    _check(g, d, s, v)
+    return _scan_toggles(d.dist, cfg, s).move(v)
 
 
 def improving_moves(
     g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile
 ) -> list[Move]:
     """All strictly improving, permitted toggles, sorted by node id."""
-    return [
-        m
-        for m in (evaluate_move(g, d, cfg, s, v) for v in range(g.n))
-        if m.is_improving
-    ]
+    _check(g, d, s)
+    return _scan_toggles(d.dist, cfg, s).moves()
 
 
 def is_nash_equilibrium(g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> bool:
-    return not improving_moves(g, d, cfg, s)
+    _check(g, d, s)
+    return not _scan_toggles(d.dist, cfg, s).improving.any()
 
 
 def frac_str(x: Fraction | int) -> str:
@@ -250,13 +252,11 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def floor_div(x: Fraction | int) -> int:
-    f = Fraction(x)
-    return f.numerator // f.denominator
+    return math.floor(Fraction(x))
 
 
 def ceil_div(x: Fraction | int) -> int:
-    f = Fraction(x)
-    return -((-f.numerator) // f.denominator)
+    return math.ceil(Fraction(x))
 
 
 def floor_sqrt(x: Fraction | int) -> int:

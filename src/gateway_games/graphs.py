@@ -62,6 +62,9 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise NodeIdOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
         seen.add((min(u, v), max(u, v)))
+    if len(seen) < n - 1:
+        # Too few edges to connect n nodes: refuse before allocating n lists.
+        raise DisconnectedGraph(f"graph on {n} nodes is not connected")
     neighbours: list[set[int]] = [set() for _ in range(n)]
     for u, v in seen:
         neighbours[u].add(v)
@@ -144,6 +147,12 @@ def all_pairs_distances(g: Graph) -> DistanceOracle:
     return DistanceOracle(g, dist)
 
 
+def _check_oracle(g: Graph, d: DistanceOracle) -> None:
+    # Identity first: comparing two distinct equal graphs walks every adjacency.
+    if d.graph is not g and d.graph != g:
+        raise ValueError("distance oracle belongs to a different graph")
+
+
 @dataclass(frozen=True)
 class GraphMetrics:
     diameter: int
@@ -158,8 +167,7 @@ def metrics(g: Graph, d: DistanceOracle) -> GraphMetrics:
     is the lexicographically smallest ``(u, v)`` with ``dist(u, v)`` equal to
     the diameter.
     """
-    if d.graph != g:
-        raise ValueError("distance oracle belongs to a different graph")
+    _check_oracle(g, d)
     diameter = int(d.dist.max())
     pair = (0, 0)
     if g.n > 1:
@@ -252,6 +260,10 @@ def graph_to_edge_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse either the JSON format or the plain edge-list format.
 
@@ -260,8 +272,18 @@ def parse_graph(text: str) -> Graph:
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(stripped)
-        return build_graph(int(payload["n"]), payload["edges"])
+        try:
+            payload = json.loads(stripped)
+        except RecursionError:
+            raise ValueError("graph document nests too deeply") from None
+        if not isinstance(payload, dict) or not _is_int(payload.get("n")):
+            raise ValueError('graph document needs an integer "n"')
+        edges = payload.get("edges")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
+        ):
+            raise ValueError('graph "edges" must be a list of [u, v] integer pairs')
+        return build_graph(payload["n"], edges)
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty graph document")

@@ -180,3 +180,35 @@ def graph_profile_pairs(draw, min_n: int = 2, max_n: int = 8):
 
 def alphas() -> st.SearchStrategy[Fraction]:
     return st.fractions(min_value=Fraction(1, 8), max_value=Fraction(40))
+
+
+def oracle_move(
+    g: Graph, variant: Variant, alpha: Fraction, s: StrategyProfile, v: int
+) -> tuple[str, Fraction, bool]:
+    """``(kind, cost delta, forbidden)`` of toggling ``v``, from the hub oracle.
+
+    The sole gateway's close is priced against plain distances: the hub
+    oracle with no gateways at all.
+    """
+    before = oracle_private_cost(g, variant, alpha, s, v)
+    if v in s and len(s) == 1:
+        row = hub_distances(g, frozenset())[v]
+        after = Fraction(max(row) if variant is Variant.MAX else sum(row))
+        return "close", after - before, True
+    after = oracle_private_cost(g, variant, alpha, s.toggled(v), v)
+    return ("close" if v in s else "open"), after - before, False
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Count calls of the package function ``name`` through every module binding it."""
+    calls: list = []
+    real = getattr(gateway_games.graphs, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("gateway_games") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gateway_games import build_graph, graph_to_edge_text, graph_to_json
+from gateway_games import build_graph, cli, graph_to_edge_text, graph_to_json
 
 from conftest import run_cli
 
@@ -225,6 +231,135 @@ def test_error_exit_for_missing_file(tmp_path):
     proc = run_cli("optimum", "--graph", tmp_path / "nope.json", "--alpha", 1)
     assert proc.returncode == 2
     assert proc.stderr.splitlines()[-1].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "graph, sidecar",
+    [
+        ('{"n":3}', None),
+        ('{"n":3,"edges":[[0]]}', None),
+        ('{"n":3,"edges":[[0,1],[1,2]]}', "[1, 2]"),
+        ('{"n":2,"edges":' + "[" * 5000 + "]" * 5000 + "}", None),
+        ('{"n":3,"edges":[[0,1],[1,2]]}', '{"roles":' + "[" * 5000 + "]" * 5000 + "}"),
+    ],
+    ids=["edges-missing", "edge-too-short", "sidecar-is-a-list", "graph-nests-deeply",
+         "sidecar-nests-deeply"],
+)
+def test_malformed_document_exits_2(tmp_path, graph, sidecar):
+    path = tmp_path / "g.json"
+    path.write_text(graph)
+    argv = ["optimum", "--graph", path, "--alpha", 1]
+    if sidecar is not None:
+        (tmp_path / "g.roles.json").write_text(sidecar)
+        argv[0] = "dynamics"
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error:")
+
+
+def run_main(*argv) -> tuple[int, str]:
+    """In-process ``cli.main``; returns the exit code and the captured stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 7)
+    | st.sampled_from([10**9, 1.5, "0", "u", ""]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "edges", "roles", "initial", "u", "v"]), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def graph_documents(draw) -> str:
+    n = draw(st.integers(1, 6))
+    doc = {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(["n", "edges", "edge", "drop"]))
+        if key == "drop":
+            doc.pop(draw(st.sampled_from(["n", "edges"])), None)
+        elif key == "edge" and isinstance(doc.get("edges"), list):
+            doc["edges"].append(draw(json_values))
+        else:
+            doc[key if key != "edge" else "edges"] = draw(json_values)
+    if draw(st.booleans()):
+        return json.dumps(doc)
+    # Edge-list form, from whatever the mutated document still holds.
+    lines = [str(doc.get("n", ""))]
+    edges = doc.get("edges")
+    for e in edges if isinstance(edges, list) else [edges]:
+        lines.append(" ".join(map(str, e)) if isinstance(e, list) else str(e))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def sidecar_documents(draw):
+    doc = {"roles": {"u": 1, "v": [2, 3]}, "initial": [0]}
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(["top", "roles", "whole"]))
+        if where == "whole":
+            doc = draw(json_values)
+        elif where == "roles" and isinstance(doc, dict) and isinstance(doc.get("roles"), dict):
+            doc["roles"][draw(st.sampled_from(["u", "v"]))] = draw(json_values)
+        elif isinstance(doc, dict):
+            doc[draw(st.sampled_from(["roles", "initial", "u"]))] = draw(json_values)
+    return json.dumps(doc)
+
+
+@st.composite
+def set_cover_documents(draw) -> str:
+    m = draw(st.integers(2, 5))
+    n_sets = draw(st.integers(1, 4))
+    tokens = [[str(m), str(n_sets)]]
+    for _ in range(n_sets):
+        tokens.append([str(e) for e in draw(st.lists(st.integers(0, m - 1), max_size=m))])
+    junk = st.sampled_from(["-1", "0", "1", "3", "7", "x", "1.5", ""])
+    for _ in range(draw(st.integers(1, 3))):
+        line = draw(st.integers(0, len(tokens) - 1))
+        action = draw(st.sampled_from(["replace", "append", "drop-line"]))
+        if action == "drop-line":
+            tokens.pop(line)
+            if not tokens:
+                break
+        elif action == "append" or not tokens[line]:
+            tokens[line].append(draw(junk))
+        else:
+            tokens[line][draw(st.integers(0, len(tokens[line]) - 1))] = draw(junk)
+    return "\n".join(" ".join(t) for t in tokens) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:cost separation")
+@given(graph_documents(), sidecar_documents(), set_cover_documents(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_mutated_documents_exit_0_or_2(graph, sidecar, cover, use_init):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "g.json").write_text(graph)
+        code, err = run_main("optimum", "--graph", tmp / "g.json", "--alpha", 1)
+        assert code in (0, 2) and "Traceback" not in err, (graph, err)
+
+        # At alpha < 1 every improving path ends with all nodes open.
+        path = tmp / "p4.json"
+        path.write_text(graph_to_json(build_graph(4, [(0, 1), (1, 2), (2, 3)])))
+        (tmp / "p4.roles.json").write_text(sidecar)
+        init = ("--init", "u,v") if use_init else ()
+        code, err = run_main("dynamics", "--graph", path, "--alpha", "1/2", *init)
+        assert code in (0, 2) and "Traceback" not in err, (sidecar, err)
+
+        (tmp / "cover.txt").write_text(cover)
+        for variant in ("sum", "max"):
+            code, err = run_main(
+                "reduce", "--setcover", tmp / "cover.txt", "--variant", variant,
+                "--out", tmp / "red.json",
+            )
+            assert code in (0, 2) and "Traceback" not in err, (cover, err)
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, gadget, k4_file, p5_file):

@@ -15,6 +15,7 @@ from gateway_games import (
     GameConfig,
     IrCycleParams,
     MoveKind,
+    NodeIdOutOfRange,
     OpensOnly,
     RandomSeeded,
     RoundRobin,
@@ -35,7 +36,15 @@ from gateway_games import (
     verify_max_line_conditions,
 )
 
-from conftest import connected_graphs, path_graph
+from conftest import (
+    alphas,
+    connected_graphs,
+    count_calls,
+    graph_profile_pairs,
+    oracle_move,
+    path_graph,
+    random_connected_graph,
+)
 
 SUM = Variant.SUM
 MAX = Variant.MAX
@@ -233,3 +242,88 @@ def test_random_walks_replay(seed):
     start = StrategyProfile.of([rnd.randrange(g.n)])
     trace = run_dynamics(g, cfg, start, RandomSeeded(seed))
     replay_trace(g, cfg, trace)
+
+
+def _oracle_improving(g, cfg, state, cache):
+    """Per node ``(kind, delta)`` of the hub oracle, and the improving node ids."""
+    key = state.mask()
+    if key not in cache:
+        row = [oracle_move(g, cfg.variant, cfg.alpha, state, v) for v in range(g.n)]
+        good = [v for v, (_, delta, forbidden) in enumerate(row) if delta < 0 and not forbidden]
+        cache[key] = row, good
+    return cache[key]
+
+
+def _cyclic_first(seq, start, good):
+    """Index into ``seq`` of the first entry in ``good``, scanning from ``start``."""
+    for offset in range(len(seq)):
+        i = (start + offset) % len(seq)
+        if seq[i] in good:
+            return i
+    return None
+
+
+@given(graph_profile_pairs(max_n=6), alphas(), st.sampled_from([SUM, MAX]), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_dynamics_traces_match_hub_oracle(pair, alpha, variant, seed):
+    """Every recorded move, and the node each scheduler picks, agrees with
+    the 0-1 BFS hub oracle."""
+    g, start = pair
+    cfg = GameConfig(variant, alpha)
+    rnd = random.Random(seed)
+    order = rnd.sample(range(g.n), g.n)
+    allowed = frozenset(order[: rnd.randint(1, g.n)])
+    cache: dict = {}
+    for sched in (RoundRobin(), RandomSeeded(seed), BestGain(), FixedSequence(tuple(order)), OpensOnly(allowed)):
+        trace = run_dynamics(g, cfg, start, sched)
+        cursor = 0
+        for state, move in trace.steps:
+            row, good = _oracle_improving(g, cfg, state, cache)
+            assert (move.kind.value, move.cost_delta, move.forbidden) == row[move.node]
+            assert move.node in good
+            if isinstance(sched, RoundRobin):
+                assert move.node == _cyclic_first(range(g.n), cursor, good)
+                cursor = (move.node + 1) % g.n
+            elif isinstance(sched, FixedSequence):
+                i = _cyclic_first(sched.nodes, cursor, good)
+                assert move.node == sched.nodes[i]
+                cursor = (i + 1) % len(sched.nodes)
+            elif isinstance(sched, OpensOnly):
+                assert move.node == min(v for v in good if v in allowed and v not in state)
+            elif isinstance(sched, BestGain):
+                assert move.node == min(
+                    good, key=lambda v: (row[v][1], row[v][0] != "open", v)
+                )
+        _, good = _oracle_improving(g, cfg, trace.final, cache)
+        if isinstance(trace.outcome, ConvergedToNE):
+            assert not good
+        elif isinstance(trace.outcome, Stalled):
+            assert good
+            assert not [v for v in good if v in allowed and v not in trace.final]
+
+
+@pytest.mark.parametrize(
+    "scheduler",
+    [
+        FixedSequence((-1,)),
+        FixedSequence((5,)),
+        FixedSequence((1, 5)),
+        OpensOnly(frozenset({-1})),
+        OpensOnly(frozenset({5})),
+    ],
+    ids=["fixed-negative", "fixed-n", "fixed-after-a-move", "opens-negative", "opens-n"],
+)
+def test_restricted_scheduler_rejects_out_of_range_node(p5, scheduler):
+    cfg = GameConfig(SUM, Fraction(1, 2))
+    with pytest.raises(NodeIdOutOfRange):
+        run_dynamics(p5, cfg, StrategyProfile.of([0]), scheduler)
+
+
+def test_run_dynamics_builds_one_oracle(monkeypatch):
+    g = random_connected_graph(random.Random(5), 40)
+    oracles = count_calls(monkeypatch, "all_pairs_distances")
+    bfs = count_calls(monkeypatch, "multi_source_levels")
+    trace = run_dynamics(g, GameConfig(SUM, Fraction(10)), StrategyProfile.of([0]), BestGain())
+    assert trace.steps
+    assert len(oracles) == 1
+    assert len(bfs) == g.n

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from gateway_games import (
     StrategyProfile,
     Variant,
     all_pairs_distances,
+    build_graph,
     comm_distance,
     cost_report,
     evaluate_move,
@@ -22,7 +24,15 @@ from gateway_games import (
 )
 from gateway_games.game import ceil_div, ceil_sqrt, floor_div, floor_sqrt
 
-from conftest import alphas, graph_profile_pairs, hub_distances, oracle_private_cost
+from conftest import (
+    alphas,
+    count_calls,
+    graph_profile_pairs,
+    hub_distances,
+    oracle_move,
+    oracle_private_cost,
+    random_connected_graph,
+)
 
 SUM = Variant.SUM
 MAX = Variant.MAX
@@ -131,6 +141,86 @@ def test_move_delta_matches_recomputation(pair, alpha, variant):
         before = private_cost(g, d, cfg, s, v)
         after = private_cost(g, d, cfg, s.toggled(v), v)
         assert move.cost_delta == after - before
+
+
+@given(graph_profile_pairs(max_n=8), alphas(), st.sampled_from([SUM, MAX]))
+@settings(max_examples=120, deadline=None)
+def test_every_toggle_matches_hub_oracle(pair, alpha, variant):
+    g, s = pair
+    d = all_pairs_distances(g)
+    cfg = GameConfig(variant, alpha)
+    for v in range(g.n):
+        kind, delta, forbidden = oracle_move(g, variant, alpha, s, v)
+        move = evaluate_move(g, d, cfg, s, v)
+        assert move.kind.value == kind
+        assert move.cost_delta == delta
+        assert move.forbidden == forbidden
+        assert move.is_improving == (delta < 0 and not forbidden)
+
+
+KNIFE = Fraction(1, 2**41)
+
+
+@given(graph_profile_pairs(max_n=7), st.sampled_from([SUM, MAX]))
+@settings(max_examples=60, deadline=None)
+def test_integer_thresholds_hold_at_knife_edge_prices(pair, variant):
+    """Prices a hair either side of every distance change the profile offers,
+    and a huge non-dyadic one: the integer decision must equal the exact
+    Fraction comparison."""
+    g, s = pair
+    d = all_pairs_distances(g)
+    plain = {v: oracle_move(g, variant, Fraction(1), s, v) for v in range(g.n)}
+    # With alpha = 1 the oracle delta is dv + 1 (open) or dv - 1 (close).
+    dvs = {
+        abs(delta - 1 if kind == "open" else delta + 1)
+        for kind, delta, _ in plain.values()
+    }
+    prices = {Fraction(2**70 + 1, 3)}
+    for k in dvs:
+        prices |= {k + KNIFE, k, k - KNIFE} if k >= 1 else {KNIFE}
+    for alpha in prices:
+        cfg = GameConfig(variant, alpha)
+        expected = []
+        for v in range(g.n):
+            kind, delta, forbidden = oracle_move(g, variant, alpha, s, v)
+            if delta < 0 and not forbidden:
+                expected.append(v)
+        assert [m.node for m in improving_moves(g, d, cfg, s)] == expected
+        assert is_nash_equilibrium(g, d, cfg, s) == (not expected)
+
+
+def test_oracle_of_another_graph_is_rejected(p4, c4):
+    cfg = GameConfig(SUM, Fraction(2))
+    s = StrategyProfile.of([0])
+    wrong = all_pairs_distances(c4)
+    calls = [
+        lambda: comm_distance(p4, wrong, s, 0, 1),
+        lambda: private_cost(p4, wrong, cfg, s, 0),
+        lambda: social_cost(p4, wrong, cfg, s),
+        lambda: cost_report(p4, wrong, cfg, s),
+        lambda: evaluate_move(p4, wrong, cfg, s, 1),
+        lambda: improving_moves(p4, wrong, cfg, s),
+        lambda: is_nash_equilibrium(p4, wrong, cfg, s),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="different graph"):
+            call()
+    # An oracle of an equal graph built separately is accepted.
+    twin = all_pairs_distances(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
+    assert social_cost(p4, twin, cfg, s) == social_cost(p4, all_pairs_distances(p4), cfg, s)
+
+
+def test_cost_queries_run_no_bfs(monkeypatch):
+    g = random_connected_graph(random.Random(3), 40)
+    d = all_pairs_distances(g)
+    bfs = count_calls(monkeypatch, "multi_source_levels")
+    s = StrategyProfile.of(range(0, 40, 3))
+    for variant in (SUM, MAX):
+        cfg = GameConfig(variant, Fraction(7, 2))
+        improving_moves(g, d, cfg, s)
+        is_nash_equilibrium(g, d, cfg, s)
+        social_cost(g, d, cfg, s)
+    assert bfs == []
 
 
 @given(graph_profile_pairs(max_n=7), alphas(), st.sampled_from([SUM, MAX]))
