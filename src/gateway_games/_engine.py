@@ -1,65 +1,74 @@
-"""Vectorised cost kernels shared by the sweep layers.
+"""The cost formula and the improvement rule, vectorised for every layer.
 
-Distances are small non-negative integers, so per-profile cost terms are
-computed in integer numpy arrays and rational comparisons are done on the
-scaled form q*term vs p (alpha = p/q).  Whenever p or q is too large for
-safe int64 scaling the callers fall back to exact Fraction arithmetic.
+Gateways are mutually at distance zero, so with ``a(u)`` the hop distance
+from ``u`` to the nearest gateway, node ``v``'s distance term is
+``agg_u min(d(v, u), a(v) + a(u))``.  ``_terms`` computes it in integer numpy
+arrays, for one profile or a batch of them.
+
+A toggle changes only its mover's term, by an integer ``dv``, so ``alpha``
+is only ever compared with integers: an open improves iff ``alpha + dv < 0``,
+that is ``dv <= -(floor(alpha) + 1)``, and a close iff ``dv - alpha < 0``,
+that is ``dv <= ceil(alpha) - 1``.  ``_thresholds`` states that rule once for
+the per-profile move kernel in ``game`` and for the exhaustive tables here.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 BIG = 1 << 28
+# Read only by perfbench/tracer.py (its fraction_calls counter); nothing in the package uses it.
 SCALE_LIMIT = 1 << 40
+_CHUNK = 4096
+_CLAMP = 1 << 62
 
 
-def member_matrix(masks: np.ndarray, n: int) -> np.ndarray:
-    bits = np.arange(n, dtype=np.int64)
-    return (masks[:, None] >> bits[None, :]) & 1 == 1
+def _thresholds(alpha: Fraction) -> tuple[int, int]:
+    """``(open_at, close_at)``: an open improves iff ``dv <= open_at``, a close
+    iff ``dv <= close_at``.  Clamped to int64 (``|dv|`` is at most n * diameter)."""
+    return max(-(math.floor(alpha) + 1), -_CLAMP), min(math.ceil(alpha) - 1, _CLAMP)
 
 
-def _batched(total: int, chunk: int):
-    for start in range(0, total, chunk):
-        yield start, min(total, start + chunk)
+def _terms(dist: np.ndarray, a: np.ndarray, base: np.ndarray, maximum: bool) -> np.ndarray:
+    """``agg_u min(d(v, u), base(v) + a(u))`` for each ``v``; ``base = a`` gives
+    the profile's own terms.  Leading axes of ``a`` and ``base`` batch profiles;
+    ``dist`` may be cut to the rows ``base`` covers."""
+    through = base[..., :, None] + a[..., None, :]
+    np.minimum(through, dist, out=through)
+    return through.max(axis=-1) if maximum else through.sum(axis=-1, dtype=through.dtype)
 
 
-def term_table(dist: np.ndarray, *, maximum: bool, chunk: int = 8192) -> np.ndarray:
+def _term_rows(dist: np.ndarray, masks: np.ndarray, maximum: bool):
+    """``(rows, terms)`` per chunk of ``masks``: the per-node terms of each mask."""
+    d32 = dist.astype(np.int32)
+    bits = np.arange(dist.shape[0], dtype=np.int64)
+    for start in range(0, masks.shape[0], _CHUNK):
+        member = (masks[start : start + _CHUNK, None] >> bits) & 1 == 1
+        a = np.where(member[:, None, :], d32, BIG).min(axis=2)
+        yield slice(start, start + member.shape[0]), _terms(d32, a, a, maximum)
+
+
+def term_table(dist: np.ndarray, *, maximum: bool) -> np.ndarray:
     """Per-node distance terms for every profile mask, shape (2^n, n).
 
     Row 0 is the gateway-free world: plain distance sums (or maxima).  It is
     the reference point for the forbidden sole-gateway close.
     """
     n = dist.shape[0]
-    total = 1 << n
-    d32 = dist.astype(np.int32)
-    out = np.empty((total, n), dtype=np.int32)
-    for start, stop in _batched(total, chunk):
-        masks = np.arange(start, stop, dtype=np.int64)
-        member = member_matrix(masks, n)
-        a = np.where(member[:, None, :], d32[None, :, :], BIG).min(axis=2)
-        delta = np.minimum(d32[None, :, :], a[:, :, None] + a[:, None, :])
-        out[start:stop] = delta.max(axis=2) if maximum else delta.sum(axis=2, dtype=np.int32)
+    out = np.empty((1 << n, n), dtype=np.int32)
+    for rows, terms in _term_rows(dist, np.arange(1 << n, dtype=np.int64), maximum):
+        out[rows] = terms
     return out
 
 
-def term_sums_for_masks(
-    dist: np.ndarray, masks: np.ndarray, *, maximum: bool, chunk: int = 4096
-) -> np.ndarray:
+def term_sums_for_masks(dist: np.ndarray, masks: np.ndarray, *, maximum: bool) -> np.ndarray:
     """Total distance part of the social cost for each mask, shape (P,)."""
-    n = dist.shape[0]
-    d32 = dist.astype(np.int32)
     out = np.empty(masks.shape[0], dtype=np.int64)
-    for start, stop in _batched(masks.shape[0], chunk):
-        member = member_matrix(masks[start:stop], n)
-        a = np.where(member[:, None, :], d32[None, :, :], BIG).min(axis=2)
-        delta = np.minimum(d32[None, :, :], a[:, :, None] + a[:, None, :])
-        if maximum:
-            out[start:stop] = delta.max(axis=2).sum(axis=1, dtype=np.int64)
-        else:
-            out[start:stop] = delta.sum(axis=(1, 2), dtype=np.int64)
+    for rows, terms in _term_rows(dist, masks, maximum):
+        out[rows] = terms.sum(axis=1, dtype=np.int64)
     return out
 
 
@@ -71,27 +80,17 @@ def improving_tables(
     Sole-gateway closes are excluded (forbidden), mask 0 rows are all False.
     """
     total, n = table.shape
-    p, q = alpha.numerator, alpha.denominator
+    open_at, close_at = _thresholds(alpha)
     masks = np.arange(total, dtype=np.int64)
+    valid = masks != 0
     open_ok = np.zeros((total, n), dtype=bool)
     close_ok = np.zeros((total, n), dtype=bool)
-    use_ints = p < SCALE_LIMIT and q < SCALE_LIMIT
     for v in range(n):
         bit = 1 << v
-        partner = masks ^ bit
-        dv = table[partner, v].astype(np.int64) - table[:, v].astype(np.int64)
+        dv = table[masks ^ bit, v].astype(np.int64) - table[:, v]
         member = (masks & bit) != 0
-        valid = masks != 0
-        if use_ints:
-            open_ok[:, v] = valid & ~member & (q * dv + p < 0)
-            close_ok[:, v] = valid & member & (masks != bit) & (q * dv < p)
-        else:
-            for s in range(1, total):
-                if member[s]:
-                    if s != bit:
-                        close_ok[s, v] = Fraction(int(dv[s])) < alpha
-                else:
-                    open_ok[s, v] = alpha + int(dv[s]) < 0
+        open_ok[:, v] = valid & ~member & (dv <= open_at)
+        close_ok[:, v] = member & (masks != bit) & (dv <= close_at)
     return open_ok, close_ok
 
 

@@ -5,6 +5,8 @@ map (which node plays which part), and a suggested initial profile.  The
 object unpacks like the ``(graph, roles, initial)`` tuple it replaces.
 Validity checks raise :class:`ParameterOutOfRange` with the violated
 inequality spelled out, so CLI users see exactly which bound they missed.
+The ``verify_*`` functions check the inequalities behind the two cycling
+gadgets against direct cost evaluation on the generated graphs.
 """
 
 from __future__ import annotations
@@ -26,15 +28,18 @@ from .errors import (
 )
 from .game import (
     GameConfig,
+    MoveKind,
     StrategyProfile,
     Variant,
     _scan_toggles,
     ceil_div,
+    evaluate_move,
     floor_div,
     floor_sqrt,
     is_nash_equilibrium,
+    private_cost,
 )
-from .graphs import Graph, all_pairs_distances, build_graph, metrics, multi_source_levels
+from .graphs import Graph, _bfs_tree, all_pairs_distances, build_graph, metrics, multi_source_levels
 
 
 @dataclass(frozen=True)
@@ -252,26 +257,153 @@ def gen_max_poa_star(n: int) -> GeneratedGame:
     return GeneratedGame(graph, roles, StrategyProfile.of([gateway]))
 
 
+@dataclass(frozen=True)
+class ConditionReport:
+    """One inequality governing a step of the four-move gadget cycle.
+
+    ``threshold`` is the closed-form distance change for the move (savings
+    for an open, regained distance for a close); ``simulated_threshold`` is
+    the same quantity recovered from a direct cost evaluation on the
+    generated graph.  ``holds`` compares alpha against the closed form,
+    ``agrees`` confirms the direct evaluation reaches the same verdict.
+    """
+
+    label: str
+    node: int
+    kind: MoveKind
+    sense: str
+    threshold: Fraction
+    holds: bool
+    simulated_threshold: Fraction
+    agrees: bool
+
+    @property
+    def exact(self) -> bool:
+        return self.threshold == self.simulated_threshold
+
+    @property
+    def inequality(self) -> str:
+        return f"alpha {self.sense} {self.threshold}"
+
+
+def verify_cycle_conditions(params: IrCycleParams) -> list[ConditionReport]:
+    """Check the four strict inequalities that drive the gadget's toggle cycle.
+
+    The thresholds are derived from the gadget geometry: pairs of interior
+    detour terms plus pendant contributions.  Each is cross-checked against
+    ``evaluate_move`` on the generated graph; ``exact`` reports whether the
+    closed form matches the simulation to the last integer.
+    """
+    game = gen_ir_cycle(params, validate=False)
+    g, roles = game.graph, game.roles
+    n, c, r, alpha = params.n, params.c, params.r, params.alpha
+    u, v, w = roles["u"], roles["v"], roles["w"]
+    interior = ((c - 1) // 2) * (c // 2)
+    t_open_u = Fraction(c * (c + 1) + 2 * r * c)
+    t_open_v = Fraction(2 * interior + 2 * c + (n - 2 * c - 1) * c)
+    t_close_u = Fraction(interior + c * (c + 1) + r * c)
+    t_close_v = Fraction(interior + (r + 1) * c)
+    plan = [
+        ("I", u, MoveKind.OPEN, "<", t_open_u),
+        ("II", v, MoveKind.OPEN, "<", t_open_v),
+        ("III", u, MoveKind.CLOSE, ">", t_close_u),
+        ("IV", v, MoveKind.CLOSE, ">", t_close_v),
+    ]
+    d = all_pairs_distances(g)
+    cfg = GameConfig(Variant.SUM, alpha)
+    state = StrategyProfile.of([w])
+    reports = []
+    for label, node, kind, sense, threshold in plan:
+        move = evaluate_move(g, d, cfg, state, node)
+        if move.kind is not kind:
+            raise AssertionError(f"step {label}: expected {kind}, got {move.kind}")
+        if kind is MoveKind.OPEN:
+            simulated = alpha - move.cost_delta
+            holds = alpha < threshold
+        else:
+            simulated = alpha + move.cost_delta
+            holds = alpha > threshold
+        reports.append(
+            ConditionReport(
+                label=label,
+                node=node,
+                kind=kind,
+                sense=sense,
+                threshold=threshold,
+                holds=holds,
+                simulated_threshold=simulated,
+                agrees=holds == (move.cost_delta < 0),
+            )
+        )
+        state = state.toggled(node)
+    return reports
+
+
+@dataclass(frozen=True)
+class LineConditionReport:
+    """Before/after private cost for one step of the MAX line cycle."""
+
+    label: str
+    node: int
+    kind: MoveKind
+    before: Fraction
+    after: Fraction
+    holds: bool
+    simulated_before: Fraction
+    simulated_after: Fraction
+    agrees: bool
+
+    @property
+    def exact(self) -> bool:
+        return self.before == self.simulated_before and self.after == self.simulated_after
+
+
+def verify_max_line_conditions(alpha: Fraction | int) -> list[LineConditionReport]:
+    """The four strict inequalities behind the MAX line's endless toggling."""
+    alpha = Fraction(alpha)
+    game = gen_max_line(alpha)
+    g, roles = game.graph, game.roles
+    u, v, w = roles["u"], roles["v"], roles["w"]
+    f = floor_div(alpha)
+    plan = [
+        ("I", w, MoveKind.OPEN, Fraction(2 * f + 2), alpha + f + 1),
+        ("II", v, MoveKind.OPEN, Fraction(2 * f + 2), alpha + f + 1),
+        # After w closes, the worst-off target is the midpoint between the
+        # remaining gateways u and v, not the line's far end.
+        ("III", w, MoveKind.CLOSE, alpha + f + 1, Fraction(f + 1 + (f + 1) // 2)),
+        ("IV", v, MoveKind.CLOSE, alpha + 2 * f + 2, Fraction(2 * f + 2)),
+    ]
+    d = all_pairs_distances(g)
+    cfg = GameConfig(Variant.MAX, alpha)
+    state = StrategyProfile.of([u])
+    reports = []
+    for label, node, kind, before, after in plan:
+        move = evaluate_move(g, d, cfg, state, node)
+        if move.kind is not kind:
+            raise AssertionError(f"step {label}: expected {kind}, got {move.kind}")
+        sim_before = private_cost(g, d, cfg, state, node)
+        sim_after = sim_before + move.cost_delta
+        holds = after < before
+        reports.append(
+            LineConditionReport(
+                label=label,
+                node=node,
+                kind=kind,
+                before=before,
+                after=after,
+                holds=holds,
+                simulated_before=sim_before,
+                simulated_after=sim_after,
+                agrees=holds == (move.cost_delta < 0),
+            )
+        )
+        state = state.toggled(node)
+    return reports
+
+
 def _min_eccentricity_singleton(g: Graph, dist) -> StrategyProfile:
     best = min(range(g.n), key=lambda v: (int(dist.dist[v].max()), v))
     return StrategyProfile.of([best])
-
-
-def _bfs_order(g: Graph, root: int) -> list[int]:
-    from collections import deque
-
-    order = [root]
-    seen = bytearray(g.n)
-    seen[root] = 1
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                order.append(v)
-                queue.append(v)
-    return order
 
 
 def _spaced_profile(g: Graph, dist, alpha: Fraction, x1: int, x2: int, diameter: int) -> StrategyProfile:
@@ -281,8 +413,8 @@ def _spaced_profile(g: Graph, dist, alpha: Fraction, x1: int, x2: int, diameter:
     radius = max(floor_div(min(alpha - 1, (Fraction(diameter) - alpha) / 2)), 0)
     chosen: list[int] = []
     for root in (x1, x2):
-        levels = multi_source_levels(g, (root,))
-        for v in _bfs_order(g, root):
+        order, levels, _ = _bfs_tree(g, root)
+        for v in order:
             if levels[v] != radius or v in chosen:
                 continue
             if all(dist.dist_between(v, s) >= radius for s in chosen):
@@ -427,7 +559,6 @@ class SetCoverInstance:
 
     m: int
     sets: tuple[frozenset[int], ...]
-    cover_size_opt: int | None = None
 
     @property
     def n_sets(self) -> int:
@@ -463,11 +594,8 @@ def parse_set_cover(text: str) -> SetCoverInstance:
 
 def min_cover_size(inst: SetCoverInstance) -> int:
     """Exhaustive minimum cover size; only intended for small instances."""
+    _check_covered(inst)
     universe = frozenset(range(inst.m))
-    covered = frozenset().union(*inst.sets) if inst.sets else frozenset()
-    if covered != universe:
-        missing = sorted(universe - covered)
-        raise ElementUncovered(f"elements {missing} appear in no set")
     for size in range(0, inst.n_sets + 1):
         for combo in itertools.combinations(range(inst.n_sets), size):
             if frozenset().union(*(inst.sets[i] for i in combo), frozenset()) == universe:

@@ -15,13 +15,11 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum, unique
-from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
 from . import _engine
-from .constructions import IrCycleParams, gen_ir_cycle, gen_max_line
 from .errors import NodeIdOutOfRange, StateSpaceTooLarge
 from .game import (
     GameConfig,
@@ -32,10 +30,8 @@ from .game import (
     _check_node,
     _scan_toggles,
     evaluate_move,
-    floor_div,
     improving_moves,
     is_nash_equilibrium,
-    private_cost,
 )
 from .graphs import Graph, all_pairs_distances
 
@@ -417,147 +413,3 @@ def reaches_ne_from(
                 parent[nxt] = mask
                 dq.append(nxt)
     return False, None
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """One inequality governing a step of the four-move gadget cycle.
-
-    ``threshold`` is the closed-form distance change for the move (savings
-    for an open, regained distance for a close); ``simulated_threshold`` is
-    the same quantity recovered from a direct cost evaluation on the
-    generated graph.  ``holds`` compares alpha against the closed form,
-    ``agrees`` confirms the direct evaluation reaches the same verdict.
-    """
-
-    label: str
-    node: int
-    kind: MoveKind
-    sense: str
-    threshold: Fraction
-    holds: bool
-    simulated_threshold: Fraction
-    agrees: bool
-
-    @property
-    def exact(self) -> bool:
-        return self.threshold == self.simulated_threshold
-
-    @property
-    def inequality(self) -> str:
-        return f"alpha {self.sense} {self.threshold}"
-
-
-def verify_cycle_conditions(params: IrCycleParams) -> list[ConditionReport]:
-    """Check the four strict inequalities that drive the gadget's toggle cycle.
-
-    The thresholds are derived from the gadget geometry: pairs of interior
-    detour terms plus pendant contributions.  Each is cross-checked against
-    ``evaluate_move`` on the generated graph; ``exact`` reports whether the
-    closed form matches the simulation to the last integer.
-    """
-    game = gen_ir_cycle(params, validate=False)
-    g, roles = game.graph, game.roles
-    n, c, r, alpha = params.n, params.c, params.r, params.alpha
-    u, v, w = roles["u"], roles["v"], roles["w"]
-    interior = ((c - 1) // 2) * (c // 2)
-    t_open_u = Fraction(c * (c + 1) + 2 * r * c)
-    t_open_v = Fraction(2 * interior + 2 * c + (n - 2 * c - 1) * c)
-    t_close_u = Fraction(interior + c * (c + 1) + r * c)
-    t_close_v = Fraction(interior + (r + 1) * c)
-    plan = [
-        ("I", u, MoveKind.OPEN, "<", t_open_u),
-        ("II", v, MoveKind.OPEN, "<", t_open_v),
-        ("III", u, MoveKind.CLOSE, ">", t_close_u),
-        ("IV", v, MoveKind.CLOSE, ">", t_close_v),
-    ]
-    d = all_pairs_distances(g)
-    cfg = GameConfig(Variant.SUM, alpha)
-    state = StrategyProfile.of([w])
-    reports = []
-    for label, node, kind, sense, threshold in plan:
-        move = evaluate_move(g, d, cfg, state, node)
-        if move.kind is not kind:
-            raise AssertionError(f"step {label}: expected {kind}, got {move.kind}")
-        if kind is MoveKind.OPEN:
-            simulated = alpha - move.cost_delta
-            holds = alpha < threshold
-        else:
-            simulated = alpha + move.cost_delta
-            holds = alpha > threshold
-        reports.append(
-            ConditionReport(
-                label=label,
-                node=node,
-                kind=kind,
-                sense=sense,
-                threshold=threshold,
-                holds=holds,
-                simulated_threshold=simulated,
-                agrees=holds == (move.cost_delta < 0),
-            )
-        )
-        state = state.toggled(node)
-    return reports
-
-
-@dataclass(frozen=True)
-class LineConditionReport:
-    """Before/after private cost for one step of the MAX line cycle."""
-
-    label: str
-    node: int
-    kind: MoveKind
-    before: Fraction
-    after: Fraction
-    holds: bool
-    simulated_before: Fraction
-    simulated_after: Fraction
-    agrees: bool
-
-    @property
-    def exact(self) -> bool:
-        return self.before == self.simulated_before and self.after == self.simulated_after
-
-
-def verify_max_line_conditions(alpha: Fraction | int) -> list[LineConditionReport]:
-    """The four strict inequalities behind the MAX line's endless toggling."""
-    alpha = Fraction(alpha)
-    game = gen_max_line(alpha)
-    g, roles = game.graph, game.roles
-    u, v, w = roles["u"], roles["v"], roles["w"]
-    f = floor_div(alpha)
-    plan = [
-        ("I", w, MoveKind.OPEN, Fraction(2 * f + 2), alpha + f + 1),
-        ("II", v, MoveKind.OPEN, Fraction(2 * f + 2), alpha + f + 1),
-        # After w closes, the worst-off target is the midpoint between the
-        # remaining gateways u and v, not the line's far end.
-        ("III", w, MoveKind.CLOSE, alpha + f + 1, Fraction(f + 1 + (f + 1) // 2)),
-        ("IV", v, MoveKind.CLOSE, alpha + 2 * f + 2, Fraction(2 * f + 2)),
-    ]
-    d = all_pairs_distances(g)
-    cfg = GameConfig(Variant.MAX, alpha)
-    state = StrategyProfile.of([u])
-    reports = []
-    for label, node, kind, before, after in plan:
-        move = evaluate_move(g, d, cfg, state, node)
-        if move.kind is not kind:
-            raise AssertionError(f"step {label}: expected {kind}, got {move.kind}")
-        sim_before = private_cost(g, d, cfg, state, node)
-        sim_after = sim_before + move.cost_delta
-        holds = after < before
-        reports.append(
-            LineConditionReport(
-                label=label,
-                node=node,
-                kind=kind,
-                before=before,
-                after=after,
-                holds=holds,
-                simulated_before=sim_before,
-                simulated_after=sim_after,
-                agrees=holds == (move.cost_delta < 0),
-            )
-        )
-        state = state.toggled(node)
-    return reports

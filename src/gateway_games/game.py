@@ -23,6 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._engine import _terms, _thresholds
 from .errors import NodeIdOutOfRange
 from .graphs import DistanceOracle, Graph, _check_oracle
 
@@ -137,14 +138,6 @@ def _check(g: Graph, d: DistanceOracle, s: StrategyProfile, *nodes: int) -> None
         _check_node(g, v)
 
 
-def _terms(dist: np.ndarray, a: np.ndarray, base: np.ndarray, cfg: GameConfig, rows=slice(None)):
-    """agg_u min(d(v, u), base(v) + a(u)) per ``v`` in ``rows``, where ``a(u)`` is
-    the distance to the nearest gateway; ``base = a[rows]`` gives the terms now."""
-    through = base[:, None] + a
-    np.minimum(through, dist[rows], out=through)
-    return through.max(axis=1) if cfg.variant is Variant.MAX else through.sum(axis=1)
-
-
 @dataclass(frozen=True, eq=False)
 class _Toggles:
     """Every node's toggle; ``dv[v]`` is v's distance term after minus before."""
@@ -181,10 +174,9 @@ def _scan_toggles(dist: np.ndarray, cfg: GameConfig, s: StrategyProfile) -> _Tog
     sole = len(gates) == 1
     base = np.zeros(n, dtype=dist.dtype)
     base[gates] = n if sole else np.partition(dist[np.ix_(gates, gates)], 1, axis=1)[:, 1]
-    dv = _terms(dist, a, base, cfg) - _terms(dist, a, a, cfg)
-    # alpha + dv < 0 opens, dv - alpha < 0 closes; clamped to int64 (|dv| <= n * diameter).
-    open_at = max(-(floor_div(cfg.alpha) + 1), -(1 << 62))
-    close_at = min(ceil_div(cfg.alpha) - 1, 1 << 62)
+    maximum = cfg.variant is Variant.MAX
+    dv = _terms(dist, a, base, maximum) - _terms(dist, a, a, maximum)
+    open_at, close_at = _thresholds(cfg.alpha)
     improving = np.where(member, (dv <= close_at) & (not sole), dv <= open_at)
     return _Toggles(cfg.alpha, sole, member, dv, improving)
 
@@ -202,19 +194,20 @@ def private_cost(
     """Gateway fee (if ``v`` pays one) plus ``v``'s aggregated distances."""
     _check(g, d, s, v)
     a = d.dist[:, list(s.gateways)].min(axis=1)
-    return (cfg.alpha if v in s else Fraction(0)) + int(_terms(d.dist, a, a[[v]], cfg, [v])[0])
+    term = _terms(d.dist[[v]], a, a[[v]], cfg.variant is Variant.MAX)[0]
+    return (cfg.alpha if v in s else Fraction(0)) + int(term)
 
 
 def social_cost(g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> Fraction:
     _check(g, d, s)
     a = d.dist[:, list(s.gateways)].min(axis=1)
-    return cfg.alpha * len(s) + int(_terms(d.dist, a, a, cfg).sum())
+    return cfg.alpha * len(s) + int(_terms(d.dist, a, a, cfg.variant is Variant.MAX).sum())
 
 
 def cost_report(g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> CostReport:
     _check(g, d, s)
     a = d.dist[:, list(s.gateways)].min(axis=1)
-    terms = _terms(d.dist, a, a, cfg)
+    terms = _terms(d.dist, a, a, cfg.variant is Variant.MAX)
     private = {v: (cfg.alpha if v in s else Fraction(0)) + int(terms[v]) for v in range(g.n)}
     return CostReport(private=private, social=sum(private.values(), Fraction(0)))
 

@@ -70,24 +70,28 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
         neighbours[u].add(v)
         neighbours[v].add(u)
     g = Graph(n, tuple(tuple(sorted(a)) for a in neighbours))
-    if _bfs_reach_count(g, 0) != n:
+    if len(_bfs_tree(g, 0)[0]) != n:
         raise DisconnectedGraph(f"graph on {n} nodes is not connected")
     return g
 
 
-def _bfs_reach_count(g: Graph, source: int) -> int:
-    seen = bytearray(g.n)
-    seen[source] = 1
-    queue = deque([source])
-    count = 1
-    while queue:
-        u = queue.popleft()
+def _bfs_tree(g: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
+    """Visit order, hop levels and BFS-tree parents from ``root``.
+
+    Neighbours are taken first in, first out in sorted adjacency order.
+    Unreached nodes, and the root's parent, stay ``-1``.
+    """
+    order = [root]
+    level = [-1] * g.n
+    parent = [-1] * g.n
+    level[root] = 0
+    for u in order:  # the list grows while it is walked: a FIFO queue
         for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                queue.append(v)
-    return count
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                parent[v] = u
+                order.append(v)
+    return order, level, parent
 
 
 def bfs_levels(g: Graph, source: int) -> tuple[int, ...]:
@@ -134,9 +138,6 @@ class DistanceOracle:
     def row(self, u: int) -> np.ndarray:
         return self.dist[u]
 
-    def eccentricity(self, v: int) -> int:
-        return int(self.dist[v].max())
-
 
 def all_pairs_distances(g: Graph) -> DistanceOracle:
     """BFS from every node; returns a read-only distance matrix."""
@@ -182,20 +183,7 @@ def _girth(g: Graph) -> int | float:
         return UNBOUNDED
     best: int | float = UNBOUNDED
     for root in range(g.n):
-        level = multi_source_levels(g, (root,))
-        parent = [-1] * g.n
-        queue = deque([root])
-        order = [root]
-        seen = bytearray(g.n)
-        seen[root] = 1
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    parent[v] = u
-                    order.append(v)
-                    queue.append(v)
+        _, level, parent = _bfs_tree(g, root)
         for u in range(g.n):
             for v in g.adj[u]:
                 if u < v and parent[u] != v and parent[v] != u:
@@ -203,49 +191,6 @@ def _girth(g: Graph) -> int | float:
                     # length bounds some cycle from above.
                     best = min(best, level[u] + level[v] + 1)
     return int(best)
-
-
-@dataclass(frozen=True)
-class ComponentSet:
-    """Partition of a vertex subset into connected components.
-
-    ``assignment[v]`` is the component index of ``v``, or ``-1`` for removed
-    nodes.  Components are indexed in order of their smallest member.
-    """
-
-    assignment: tuple[int, ...]
-    sizes: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.sizes)
-
-
-def components_without(g: Graph, removed: Iterable[int]) -> ComponentSet:
-    """Connected components of the subgraph induced on ``V minus removed``."""
-    gone = set()
-    for v in removed:
-        if not (0 <= v < g.n):
-            raise NodeIdOutOfRange(f"removed node {v} outside [0, {g.n})")
-        gone.add(v)
-    assignment = [-1] * g.n
-    sizes: list[int] = []
-    for start in range(g.n):
-        if start in gone or assignment[start] >= 0:
-            continue
-        index = len(sizes)
-        assignment[start] = index
-        queue = deque([start])
-        size = 1
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if v not in gone and assignment[v] < 0:
-                    assignment[v] = index
-                    size += 1
-                    queue.append(v)
-        sizes.append(size)
-    return ComponentSet(tuple(assignment), tuple(sizes))
 
 
 def graph_to_json(g: Graph) -> str:

@@ -85,31 +85,26 @@ def _mask_ids(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _scaled_costs(sums: np.ndarray, counts: np.ndarray, alpha: Fraction) -> np.ndarray:
-    """Costs as comparable integers: denominator * distance part + numerator * |S|."""
-    p, q = alpha.numerator, alpha.denominator
-    if p < _engine.SCALE_LIMIT and q < _engine.SCALE_LIMIT:
-        return sums * np.int64(q) + counts.astype(np.int64) * np.int64(p)
-    return sums.astype(object) * q + counts.astype(object) * p
+def _cheapest(
+    masks: np.ndarray, sums: np.ndarray, counts: np.ndarray, alpha: Fraction
+) -> tuple[int, Fraction]:
+    """The least-cost mask and its cost ``alpha * |S| + distance sum``.
 
-
-def _pick_best_mask(masks: np.ndarray, scaled: np.ndarray, counts: np.ndarray) -> int:
-    lo = scaled.min()
-    idx = np.flatnonzero(scaled == lo)
-    sizes = counts[idx]
-    idx = idx[sizes == sizes.min()]
-    return min((int(masks[i]) for i in idx), key=_mask_ids)
+    Per gateway count k only the least distance sum ``D_k`` can win, so the
+    candidates ``alpha * k + D_k`` are compared exactly as Fractions.  Ties go
+    to the smaller k, then to the smallest id tuple.
+    """
+    lows = {int(k): int(sums[counts == k].min()) for k in np.flatnonzero(np.bincount(counts))}
+    k = min(lows, key=lambda k: (alpha * k + lows[k], k))
+    at_best = masks[(counts == k) & (sums == lows[k])]
+    return min((int(m) for m in at_best), key=_mask_ids), alpha * k + lows[k]
 
 
 def _full_enumeration(g: Graph, d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
     total = 1 << g.n
     masks = np.arange(1, total, dtype=np.int64)
-    maximum = cfg.variant is Variant.MAX
-    sums = _engine.term_sums_for_masks(d.dist, masks, maximum=maximum)
-    counts = _engine.popcounts(total)[1:]
-    best = _pick_best_mask(masks, _scaled_costs(sums, counts, cfg.alpha), counts)
-    i = best - 1
-    cost = cfg.alpha * int(counts[i]) + Fraction(int(sums[i]))
+    sums = _engine.term_sums_for_masks(d.dist, masks, maximum=cfg.variant is Variant.MAX)
+    best, cost = _cheapest(masks, sums, _engine.popcounts(total)[1:], cfg.alpha)
     return OptimumResult(StrategyProfile.from_mask(best), cost, FullEnumeration(), True)
 
 
@@ -234,10 +229,8 @@ def _bounded_search(
             continue
         masks = np.array(level, dtype=np.int64)
         sums = _engine.term_sums_for_masks(d.dist, masks, maximum=maximum)
-        lo = int(sums.min())
-        cand = masks[sums == lo]
-        mask = min((int(m) for m in cand), key=_mask_ids)
-        key = (alpha * k + lo, k, _mask_ids(mask))
+        mask, cost = _cheapest(masks, sums, np.full(len(masks), k), alpha)
+        key = (cost, k, _mask_ids(mask))
         if key < best_key:
             best_key = key
             best_profile = StrategyProfile.from_mask(mask)
@@ -320,9 +313,7 @@ def enumerate_equilibria(
     counts = _engine.popcounts(total)
 
     masks = np.arange(1, total, dtype=np.int64)
-    scaled = _scaled_costs(rowsums[1:], counts[1:], cfg.alpha)
-    best = _pick_best_mask(masks, scaled, counts[1:])
-    best_cost = cfg.alpha * int(counts[best]) + Fraction(int(rowsums[best]))
+    best, best_cost = _cheapest(masks, rowsums[1:], counts[1:], cfg.alpha)
     optimum = OptimumResult(
         StrategyProfile.from_mask(best), best_cost, FullEnumeration(), True
     )

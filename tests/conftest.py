@@ -182,6 +182,18 @@ def alphas() -> st.SearchStrategy[Fraction]:
     return st.fractions(min_value=Fraction(1, 8), max_value=Fraction(40))
 
 
+KNIFE = Fraction(1, 2**41)
+
+
+def knife_prices(dvs) -> set[Fraction]:
+    """Integers k and k +- KNIFE around every distance change in ``dvs`` (or
+    KNIFE alone for k = 0), plus a huge non-dyadic price."""
+    prices = {Fraction(2**70 + 1, 3)}
+    for k in map(abs, dvs):
+        prices |= {k + KNIFE, Fraction(k), k - KNIFE} if k >= 1 else {KNIFE}
+    return prices
+
+
 def oracle_move(
     g: Graph, variant: Variant, alpha: Fraction, s: StrategyProfile, v: int
 ) -> tuple[str, Fraction, bool]:

@@ -22,13 +22,16 @@ from gateway_games import (
     private_cost,
     social_cost,
 )
-from gateway_games.game import ceil_div, ceil_sqrt, floor_div, floor_sqrt
+from gateway_games import _engine
+from gateway_games.game import _scan_toggles, ceil_div, ceil_sqrt, floor_div, floor_sqrt
 
 from conftest import (
     alphas,
+    connected_graphs,
     count_calls,
     graph_profile_pairs,
     hub_distances,
+    knife_prices,
     oracle_move,
     oracle_private_cost,
     random_connected_graph,
@@ -158,9 +161,6 @@ def test_every_toggle_matches_hub_oracle(pair, alpha, variant):
         assert move.is_improving == (delta < 0 and not forbidden)
 
 
-KNIFE = Fraction(1, 2**41)
-
-
 @given(graph_profile_pairs(max_n=7), st.sampled_from([SUM, MAX]))
 @settings(max_examples=60, deadline=None)
 def test_integer_thresholds_hold_at_knife_edge_prices(pair, variant):
@@ -171,14 +171,8 @@ def test_integer_thresholds_hold_at_knife_edge_prices(pair, variant):
     d = all_pairs_distances(g)
     plain = {v: oracle_move(g, variant, Fraction(1), s, v) for v in range(g.n)}
     # With alpha = 1 the oracle delta is dv + 1 (open) or dv - 1 (close).
-    dvs = {
-        abs(delta - 1 if kind == "open" else delta + 1)
-        for kind, delta, _ in plain.values()
-    }
-    prices = {Fraction(2**70 + 1, 3)}
-    for k in dvs:
-        prices |= {k + KNIFE, k, k - KNIFE} if k >= 1 else {KNIFE}
-    for alpha in prices:
+    dvs = {delta - 1 if kind == "open" else delta + 1 for kind, delta, _ in plain.values()}
+    for alpha in knife_prices(dvs):
         cfg = GameConfig(variant, alpha)
         expected = []
         for v in range(g.n):
@@ -187,6 +181,31 @@ def test_integer_thresholds_hold_at_knife_edge_prices(pair, variant):
                 expected.append(v)
         assert [m.node for m in improving_moves(g, d, cfg, s)] == expected
         assert is_nash_equilibrium(g, d, cfg, s) == (not expected)
+
+
+@given(connected_graphs(max_n=7), st.sampled_from([SUM, MAX]))
+@settings(max_examples=30, deadline=None)
+def test_sweep_tables_and_move_kernel_share_one_rule(g, variant):
+    """Every row of the exhaustive tables equals the per-profile kernel's
+    verdict, at knife-edge prices around every distance change the graph has."""
+    d = all_pairs_distances(g)
+    table = _engine.term_table(d.dist, maximum=variant is MAX)
+    masks = range(1, 1 << g.n)
+    dvs = set()
+    for mask in masks:
+        toggles = _scan_toggles(d.dist, GameConfig(variant, 1), StrategyProfile.from_mask(mask))
+        dv = [int(table[mask ^ (1 << v), v]) - int(table[mask, v]) for v in range(g.n)]
+        assert toggles.dv.tolist() == dv
+        dvs.update(dv)
+    for alpha in knife_prices(dvs):
+        cfg = GameConfig(variant, alpha)
+        open_ok, close_ok = _engine.improving_tables(table, alpha)
+        assert not open_ok[0].any() and not close_ok[0].any()
+        for mask in masks:
+            toggles = _scan_toggles(d.dist, cfg, StrategyProfile.from_mask(mask))
+            assert (open_ok[mask] | close_ok[mask]).tolist() == toggles.improving.tolist()
+            assert not (open_ok[mask] & toggles.member).any()
+            assert not (close_ok[mask] & ~toggles.member).any()
 
 
 def test_oracle_of_another_graph_is_rejected(p4, c4):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from gateway_games import (
     all_pairs_distances,
     bfs_levels,
     build_graph,
-    components_without,
     graph_to_edge_text,
     graph_to_json,
     metrics,
     multi_source_levels,
     parse_graph,
 )
+from gateway_games.graphs import _bfs_tree
 
 from conftest import connected_graphs, random_connected_graph, tree_from_prufer
 
@@ -83,16 +84,6 @@ def test_peripheral_pair_is_lex_smallest(star5):
     assert m.peripheral_pair == (1, 2)
 
 
-def test_components_without(p5):
-    comp = components_without(p5, [2])
-    assert comp.sizes == (2, 2)
-    assert comp.count == 2
-    assert comp.assignment[2] == -1
-    assert comp.assignment[0] == comp.assignment[1]
-    assert comp.assignment[3] == comp.assignment[4]
-    assert comp.assignment[0] != comp.assignment[3]
-
-
 def test_json_round_trip(petersen):
     text = graph_to_json(petersen)
     again = parse_graph(text)
@@ -127,6 +118,29 @@ def test_distance_matrix_properties(g):
     assert m.diameter == int(mat.max())
     u, v = m.peripheral_pair
     assert d.dist_between(u, v) == m.diameter
+
+
+@given(connected_graphs(min_n=1, max_n=12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bfs_tree_is_first_in_first_out_over_sorted_neighbours(g, data):
+    """Construction results depend on this visit order, so it is pinned
+    against a plain queue-based BFS."""
+    root = data.draw(st.integers(0, g.n - 1))
+    order, level, parent = _bfs_tree(g, root)
+    expected, queue, seen = [], deque([root]), {root}
+    while queue:
+        u = queue.popleft()
+        expected.append(u)
+        for v in sorted(g.adj[u]):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    assert order == expected
+    assert tuple(level) == bfs_levels(g, root)
+    assert parent[root] == -1
+    for v in order[1:]:
+        closer = [u for u in g.adj[v] if level[u] == level[v] - 1]
+        assert parent[v] == min(closer, key=order.index)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(4, 24))

@@ -22,7 +22,7 @@ from gateway_games import (
     twin_classes,
 )
 
-from conftest import alphas, connected_graphs, path_graph
+from conftest import KNIFE, alphas, connected_graphs, path_graph
 
 SUM = Variant.SUM
 MAX = Variant.MAX
@@ -59,14 +59,50 @@ def test_unknown_mode_rejected(p3):
         brute_force_optimum(p3, GameConfig(SUM, 1), mode="fast")
 
 
-@given(connected_graphs(min_n=2, max_n=9), alphas(), st.sampled_from([SUM, MAX]))
-@settings(max_examples=50, deadline=None)
+KNIFE_PRICES = st.one_of(
+    st.sampled_from([Fraction(2**70 + 1, 3), KNIFE / 16]),
+    st.builds(
+        Fraction.__add__, st.integers(1, 80).map(Fraction), st.sampled_from([-KNIFE, 0, KNIFE])
+    ),
+)
+
+
+@given(
+    connected_graphs(min_n=2, max_n=9),
+    st.one_of(alphas(), KNIFE_PRICES),
+    st.sampled_from([SUM, MAX]),
+)
+@settings(max_examples=80, deadline=None)
 def test_bounded_equals_full(g, alpha, variant):
+    """Full, bounded and the catalog's optimum agree on cost and witness with
+    the canonical minimum over every profile, knife-edge prices included."""
     cfg = GameConfig(variant, alpha)
-    full = brute_force_optimum(g, cfg, mode="full")
-    bounded = brute_force_optimum(g, cfg, mode="bounded")
-    assert full.best_cost == bounded.best_cost
-    assert full.best_profile == bounded.best_profile
+    d = all_pairs_distances(g)
+    profiles = [StrategyProfile.from_mask(m) for m in range(1, 1 << g.n)]
+    costs = {s: social_cost(g, d, cfg, s) for s in profiles}
+    best = min(profiles, key=lambda s: (costs[s], len(s), s.ids))
+    for res in (
+        brute_force_optimum(g, cfg, mode="full"),
+        brute_force_optimum(g, cfg, mode="bounded"),
+        enumerate_equilibria(g, cfg).optimum,
+    ):
+        assert res.best_cost == costs[best]
+        assert res.best_profile == best
+
+
+def test_optimum_ties_across_gateway_counts_go_to_fewer_gateways(p3):
+    """On P3 at alpha = 4, each singleton, {0, 2} and all three nodes cost 12:
+    the fewest gateways win.  A hair below 4, all three nodes win."""
+    d = all_pairs_distances(p3)
+    for alpha, ids in ((4 - KNIFE, (0, 1, 2)), (Fraction(4), (0,)), (4 + KNIFE, (0,))):
+        cfg = GameConfig(SUM, alpha)
+        lowest = min(social_cost(p3, d, cfg, StrategyProfile.from_mask(m)) for m in range(1, 8))
+        for res in (
+            brute_force_optimum(p3, cfg, mode="full"),
+            brute_force_optimum(p3, cfg, mode="bounded"),
+            enumerate_equilibria(p3, cfg).optimum,
+        ):
+            assert (res.best_profile.ids, res.best_cost) == (ids, lowest)
 
 
 @given(connected_graphs(min_n=2, max_n=9), st.integers(1, 64))
