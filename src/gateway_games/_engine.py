@@ -15,15 +15,51 @@ the per-profile move kernel in ``game`` and for the exhaustive tables here.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 
+from .errors import StateSpaceTooLarge
+
+EXHAUSTIVE_LIMIT_ENV = "GATEWAY_GAMES_EXHAUSTIVE_LIMIT"
+DEFAULT_EXHAUSTIVE_LIMIT = 20
+# Bytes per node per profile: the int32 term table plus the two boolean move tables.
+_TABLE_BYTES = 6
 BIG = 1 << 28
 # Read only by perfbench/tracer.py (its fraction_calls counter); nothing in the package uses it.
 SCALE_LIMIT = 1 << 40
 _CHUNK = 4096
 _CLAMP = 1 << 62
+
+
+def resolve_exhaustive_limit(explicit: int | None) -> int:
+    """Explicit argument, else the environment override, else the default."""
+    if explicit is not None:
+        return explicit
+    raw = os.environ.get(EXHAUSTIVE_LIMIT_ENV)
+    return int(raw) if raw else DEFAULT_EXHAUSTIVE_LIMIT
+
+
+def check_sweep_size(n: int, exhaustive_limit: int | None, what: str) -> None:
+    """Refuse a sweep over all ``2^n`` profiles before anything is allocated.
+
+    The node count must be within the resolved limit, and the tables, about
+    ``2^n * n * 6`` bytes, must fit in physical memory.
+    """
+    limit = resolve_exhaustive_limit(exhaustive_limit)
+    if n > limit:
+        raise StateSpaceTooLarge(f"{what} needs n <= {limit}, got n = {n}")
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: the limit alone decides
+        return
+    need = (1 << n) * n * _TABLE_BYTES
+    if need > have:
+        raise StateSpaceTooLarge(
+            f"{what} at n = {n} needs about {need} bytes of tables, "
+            f"more than the {have} bytes of physical memory"
+        )
 
 
 def _thresholds(alpha: Fraction) -> tuple[int, int]:

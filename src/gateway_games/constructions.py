@@ -12,6 +12,7 @@ gadgets against direct cost evaluation on the generated graphs.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -32,14 +33,20 @@ from .game import (
     StrategyProfile,
     Variant,
     _scan_toggles,
-    ceil_div,
     evaluate_move,
-    floor_div,
     floor_sqrt,
     is_nash_equilibrium,
     private_cost,
 )
-from .graphs import Graph, _bfs_tree, all_pairs_distances, build_graph, metrics, multi_source_levels
+from .graphs import (
+    DistanceOracle,
+    Graph,
+    _bfs_tree,
+    all_pairs_distances,
+    build_graph,
+    metrics,
+    multi_source_levels,
+)
 
 
 @dataclass(frozen=True)
@@ -153,8 +160,8 @@ def gen_non_wag(alpha: Fraction | int = 7, *, experimental: bool = False) -> Gen
         )
     if alpha < 2:
         raise ParameterOutOfRange(f"alpha must satisfy alpha >= 2; got {alpha}")
-    x_size = ceil_div(alpha / 2)
-    y_size = floor_div(alpha / 2)
+    x_size = math.ceil(alpha / 2)
+    y_size = math.floor(alpha / 2)
     u, v, w = 0, 1, 2
     x_nodes = list(range(3, 3 + x_size))
     y_nodes = list(range(3 + x_size, 3 + x_size + y_size))
@@ -229,7 +236,7 @@ def gen_max_line(alpha: Fraction | int) -> GeneratedGame:
     alpha = Fraction(alpha)
     if alpha <= 1:
         raise ParameterOutOfRange(f"alpha must satisfy alpha > 1; got {alpha}")
-    f = floor_div(alpha)
+    f = math.floor(alpha)
     n = 3 * f + 4
     graph = build_graph(n, [(i, i + 1) for i in range(n - 1)])
     roles = {"u": 0, "v": f + 1, "w": 2 * f + 2}
@@ -314,7 +321,7 @@ def verify_cycle_conditions(params: IrCycleParams) -> list[ConditionReport]:
     state = StrategyProfile.of([w])
     reports = []
     for label, node, kind, sense, threshold in plan:
-        move = evaluate_move(g, d, cfg, state, node)
+        move = evaluate_move(d, cfg, state, node)
         if move.kind is not kind:
             raise AssertionError(f"step {label}: expected {kind}, got {move.kind}")
         if kind is MoveKind.OPEN:
@@ -364,7 +371,7 @@ def verify_max_line_conditions(alpha: Fraction | int) -> list[LineConditionRepor
     game = gen_max_line(alpha)
     g, roles = game.graph, game.roles
     u, v, w = roles["u"], roles["v"], roles["w"]
-    f = floor_div(alpha)
+    f = math.floor(alpha)
     plan = [
         ("I", w, MoveKind.OPEN, Fraction(2 * f + 2), alpha + f + 1),
         ("II", v, MoveKind.OPEN, Fraction(2 * f + 2), alpha + f + 1),
@@ -378,10 +385,10 @@ def verify_max_line_conditions(alpha: Fraction | int) -> list[LineConditionRepor
     state = StrategyProfile.of([u])
     reports = []
     for label, node, kind, before, after in plan:
-        move = evaluate_move(g, d, cfg, state, node)
+        move = evaluate_move(d, cfg, state, node)
         if move.kind is not kind:
             raise AssertionError(f"step {label}: expected {kind}, got {move.kind}")
-        sim_before = private_cost(g, d, cfg, state, node)
+        sim_before = private_cost(d, cfg, state, node)
         sim_after = sim_before + move.cost_delta
         holds = after < before
         reports.append(
@@ -401,25 +408,28 @@ def verify_max_line_conditions(alpha: Fraction | int) -> list[LineConditionRepor
     return reports
 
 
-def _min_eccentricity_singleton(g: Graph, dist) -> StrategyProfile:
-    best = min(range(g.n), key=lambda v: (int(dist.dist[v].max()), v))
+def _min_eccentricity_singleton(d: DistanceOracle) -> StrategyProfile:
+    best = min(range(d.graph.n), key=lambda v: (int(d.dist[v].max()), v))
     return StrategyProfile.of([best])
 
 
-def _spaced_profile(g: Graph, dist, alpha: Fraction, x1: int, x2: int, diameter: int) -> StrategyProfile:
+def _spaced_profile(
+    d: DistanceOracle, alpha: Fraction, x1: int, x2: int, diameter: int
+) -> StrategyProfile:
     # Seed gateways on the radius-R rings around a peripheral pair, keeping
     # them pairwise at distance >= R, then fill distance gaps at exactly
     # ceil(alpha) until every node sits within floor(alpha) of the set.
-    radius = max(floor_div(min(alpha - 1, (Fraction(diameter) - alpha) / 2)), 0)
+    g = d.graph
+    radius = max(math.floor(min(alpha - 1, (Fraction(diameter) - alpha) / 2)), 0)
     chosen: list[int] = []
     for root in (x1, x2):
         order, levels, _ = _bfs_tree(g, root)
         for v in order:
             if levels[v] != radius or v in chosen:
                 continue
-            if all(dist.dist_between(v, s) >= radius for s in chosen):
+            if all(d.dist[v, s] >= radius for s in chosen):
                 chosen.append(v)
-    gap = ceil_div(alpha)
+    gap = math.ceil(alpha)
     while True:
         levels = multi_source_levels(g, chosen)
         candidates = [v for v in range(g.n) if levels[v] == gap]
@@ -429,10 +439,11 @@ def _spaced_profile(g: Graph, dist, alpha: Fraction, x1: int, x2: int, diameter:
     return StrategyProfile.of(chosen)
 
 
-def _cover_profile(g: Graph, dist, radius: int, root: int) -> StrategyProfile:
+def _cover_profile(d: DistanceOracle, radius: int, root: int) -> StrategyProfile:
     # Walk nodes outside-in from `root`; each node still uncovered promotes
     # its ancestor `radius` steps rootward, covering the ball around it.
-    row = dist.dist[root]
+    g = d.graph
+    row = d.dist[root]
     order = sorted(range(g.n), key=lambda v: (-int(row[v]), v))
     chosen: list[int] = []
     covered = bytearray(g.n)
@@ -447,16 +458,16 @@ def _cover_profile(g: Graph, dist, radius: int, root: int) -> StrategyProfile:
             cur = min(closer)
         chosen.append(cur)
         for u in range(g.n):
-            if dist.dist_between(cur, u) <= radius:
+            if d.dist[cur, u] <= radius:
                 covered[u] = 1
     return StrategyProfile.of(chosen)
 
 
-def _close_repair(g: Graph, dist, cfg: GameConfig, s: StrategyProfile) -> StrategyProfile:
+def _close_repair(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> StrategyProfile:
     # Shed gateways that would rather close, smallest id first.  Every applied
     # move shrinks the set, so the loop terminates; opens are the caller's problem.
     while len(s) > 1:
-        toggles = _scan_toggles(dist.dist, cfg, s)
+        toggles = _scan_toggles(d.dist, cfg, s)
         closers = np.flatnonzero(toggles.improving & toggles.member)
         if not closers.size:
             return s
@@ -464,13 +475,13 @@ def _close_repair(g: Graph, dist, cfg: GameConfig, s: StrategyProfile) -> Strate
     return s
 
 
-def _descent(g: Graph, dist, cfg: GameConfig, start: StrategyProfile, max_steps: int):
+def _descent(d: DistanceOracle, cfg: GameConfig, start: StrategyProfile, max_steps: int):
     # Steepest descent on the count of improving moves, tie-broken by the
     # mover's own gain.  Profiles are never revisited within one run.
     s = start
     seen = {s.ids}
     for _ in range(max_steps):
-        unhappy = _scan_toggles(dist.dist, cfg, s).moves()
+        unhappy = _scan_toggles(d.dist, cfg, s).moves()
         if not unhappy:
             return s
         unhappy.sort(key=lambda m: (m.cost_delta, m.node))
@@ -479,7 +490,7 @@ def _descent(g: Graph, dist, cfg: GameConfig, start: StrategyProfile, max_steps:
             t = s.toggled(mv.node)
             if t.ids in seen:
                 continue
-            unhappy_after = int(_scan_toggles(dist.dist, cfg, t).improving.sum())
+            unhappy_after = int(_scan_toggles(d.dist, cfg, t).improving.sum())
             score = (unhappy_after, mv.cost_delta, mv.node)
             if best is None or score < best[0]:
                 best = (score, t)
@@ -505,7 +516,7 @@ def construct_max_ne(g: Graph, alpha: Fraction | int) -> StrategyProfile:
     """
     alpha = Fraction(alpha)
     d = all_pairs_distances(g)
-    met = metrics(g, d)
+    met = metrics(d)
     if not 1 <= alpha < met.diameter:
         raise ParameterOutOfRange(
             f"alpha must satisfy 1 <= alpha < diameter = {met.diameter}; got {alpha}"
@@ -514,12 +525,12 @@ def construct_max_ne(g: Graph, alpha: Fraction | int) -> StrategyProfile:
         raise GirthTooSmall(f"girth {met.girth} is below 4*alpha = {4 * alpha}")
     cfg = GameConfig(Variant.MAX, alpha)
     x1, x2 = met.peripheral_pair
-    fa = floor_div(alpha)
+    fa = math.floor(alpha)
 
     def candidates() -> Iterator[StrategyProfile]:
         first = [
-            _min_eccentricity_singleton(g, d),
-            _spaced_profile(g, d, alpha, x1, x2, met.diameter),
+            _min_eccentricity_singleton(d),
+            _spaced_profile(d, alpha, x1, x2, met.diameter),
         ]
         if met.diameter >= 2 * alpha:
             first.reverse()
@@ -528,16 +539,16 @@ def construct_max_ne(g: Graph, alpha: Fraction | int) -> StrategyProfile:
             yield StrategyProfile.of([v])
         for radius in dict.fromkeys((fa, max(fa - 1, 1), max(fa // 2, 1))):
             for root in (x1, x2):
-                cover = _cover_profile(g, d, radius, root)
+                cover = _cover_profile(d, radius, root)
                 yield cover
-                yield _close_repair(g, d, cfg, cover)
-        yield _close_repair(g, d, cfg, first[0])
-        yield _close_repair(g, d, cfg, first[1])
+                yield _close_repair(d, cfg, cover)
+        yield _close_repair(d, cfg, first[0])
+        yield _close_repair(d, cfg, first[1])
         rng = random.Random(0x5EED)
         for _ in range(12):
             size = rng.randrange(1, g.n + 1)
             start = StrategyProfile.of(rng.sample(range(g.n), size))
-            found = _descent(g, d, cfg, start, 150)
+            found = _descent(d, cfg, start, 150)
             if found is not None:
                 yield found
 
@@ -546,7 +557,7 @@ def construct_max_ne(g: Graph, alpha: Fraction | int) -> StrategyProfile:
         if s.ids in tried:
             continue
         tried.add(s.ids)
-        if is_nash_equilibrium(g, d, cfg, s):
+        if is_nash_equilibrium(d, cfg, s):
             return s
     raise ConstructionNotEquilibrium(
         f"no candidate profile is stable at alpha = {alpha}"

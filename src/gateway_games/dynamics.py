@@ -10,7 +10,6 @@ with no equilibrium reachable at all (``NOT_WEAKLY_ACYCLIC``).
 
 from __future__ import annotations
 
-import os
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from . import _engine
-from .errors import NodeIdOutOfRange, StateSpaceTooLarge
+from .errors import NodeIdOutOfRange
 from .game import (
     GameConfig,
     Move,
@@ -33,18 +32,7 @@ from .game import (
     improving_moves,
     is_nash_equilibrium,
 )
-from .graphs import Graph, all_pairs_distances
-
-EXHAUSTIVE_LIMIT_ENV = "GATEWAY_GAMES_EXHAUSTIVE_LIMIT"
-DEFAULT_EXHAUSTIVE_LIMIT = 20
-
-
-def resolve_exhaustive_limit(explicit: int | None) -> int:
-    """Explicit argument, else the environment override, else the default."""
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(EXHAUSTIVE_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_EXHAUSTIVE_LIMIT
+from .graphs import DistanceOracle, Graph, all_pairs_distances
 
 
 @dataclass(frozen=True)
@@ -142,8 +130,8 @@ def default_step_budget(n: int) -> int:
 
 
 class _Picker:
-    def __init__(self, g: Graph, d, cfg: GameConfig, scheduler: Scheduler):
-        self.g, self.d, self.cfg = g, d, cfg
+    def __init__(self, d: DistanceOracle, cfg: GameConfig, scheduler: Scheduler):
+        self.d, self.cfg = d, cfg
         self.scheduler = scheduler
         self.cursor = 0
         self.rng = random.Random(scheduler.seed) if isinstance(scheduler, RandomSeeded) else None
@@ -157,7 +145,7 @@ class _Picker:
             for offset in range(length):
                 i = (self.cursor + offset) % length
                 v = sched.nodes[i]
-                _check_node(self.g, v)
+                _check_node(self.d.graph.n, v)
                 if improving[v]:
                     self.cursor = (i + 1) % length
                     return toggles.move(v)
@@ -166,7 +154,7 @@ class _Picker:
             for v in sorted(sched.nodes):
                 if v in s:
                     continue
-                _check_node(self.g, v)
+                _check_node(self.d.graph.n, v)
                 if improving[v]:
                     return toggles.move(v)
             return None
@@ -176,7 +164,7 @@ class _Picker:
         if isinstance(sched, RoundRobin):
             later = hits[hits >= self.cursor]
             v = int(later[0] if later.size else hits[0])
-            self.cursor = (v + 1) % self.g.n
+            self.cursor = (v + 1) % self.d.graph.n
             return toggles.move(v)
         if isinstance(sched, RandomSeeded):
             return toggles.move(self.rng.choice(hits.tolist()))
@@ -213,7 +201,7 @@ def run_dynamics(
             raise NodeIdOutOfRange(f"initial gateway {v} outside [0, {g.n})")
     d = all_pairs_distances(g)
     budget = default_step_budget(g.n) if max_steps is None else max_steps
-    picker = _Picker(g, d, cfg, scheduler)
+    picker = _Picker(d, cfg, scheduler)
     restricted = isinstance(scheduler, (FixedSequence, OpensOnly))
     seen = {s0.mask(): 0}
     steps: list[tuple[StrategyProfile, Move]] = []
@@ -221,7 +209,7 @@ def run_dynamics(
     while True:
         move = picker.pick(state)
         if move is None:
-            if restricted and not is_nash_equilibrium(g, d, cfg, state):
+            if restricted and not is_nash_equilibrium(d, cfg, state):
                 outcome: Outcome = Stalled(state)
             else:
                 outcome = ConvergedToNE(state)
@@ -246,12 +234,12 @@ def replay_trace(g: Graph, cfg: GameConfig, trace: DynamicsTrace) -> list[Strate
     for recorded_state, move in trace.steps:
         if recorded_state != state:
             raise ValueError("trace states out of order")
-        fresh = evaluate_move(g, d, cfg, state, move.node)
+        fresh = evaluate_move(d, cfg, state, move.node)
         if fresh != move or not fresh.is_improving:
             raise ValueError(f"recorded move {move} does not replay")
         state = state.toggled(move.node)
     if isinstance(trace.outcome, ConvergedToNE):
-        if trace.outcome.profile != state or not is_nash_equilibrium(g, d, cfg, state):
+        if trace.outcome.profile != state or not is_nash_equilibrium(d, cfg, state):
             raise ValueError("claimed equilibrium does not verify")
     if isinstance(trace.outcome, CycleDetected):
         states = trace.states()
@@ -302,19 +290,16 @@ def build_ir_state_graph(
     comes with a non-empty ``trapped`` witness: profiles from which no
     equilibrium is reachable at all.  The sweep is exponential in ``n`` and
     refuses to run past the configured limit
-    (``GATEWAY_GAMES_EXHAUSTIVE_LIMIT``, default 20).
+    (``GATEWAY_GAMES_EXHAUSTIVE_LIMIT``, default 20) or when its tables would
+    not fit in physical memory.
     """
-    limit = resolve_exhaustive_limit(exhaustive_limit)
-    if g.n > limit:
-        raise StateSpaceTooLarge(
-            f"profile sweep needs n <= {limit}, got n = {g.n}"
-        )
+    _engine.check_sweep_size(g.n, exhaustive_limit, "profile sweep")
     d = all_pairs_distances(g)
     table = _engine.term_table(d.dist, maximum=cfg.variant is Variant.MAX)
     open_ok, close_ok = _engine.improving_tables(table, cfg.alpha)
     total = 1 << g.n
     out_deg = (open_ok | close_ok).sum(axis=1).astype(np.int64)
-    sinks = [s for s in range(1, total) if out_deg[s] == 0]
+    sinks = np.flatnonzero(_engine.ne_vector(open_ok, close_ok)).tolist()
 
     # Peel states whose every move chain already terminates; leftovers carry cycles.
     alive = bytearray([1]) * total
@@ -333,6 +318,7 @@ def build_ir_state_graph(
 
     # Reverse reachability: which states can still reach some equilibrium?
     reached = bytearray(total)
+    reached[0] = 1  # the empty mask is no profile, so never trapped
     dq = deque(sinks)
     for s in sinks:
         reached[s] = 1
@@ -342,7 +328,7 @@ def build_ir_state_graph(
             if not reached[s]:
                 reached[s] = 1
                 dq.append(s)
-    trapped = [s for s in range(1, total) if not reached[s]]
+    trapped = np.flatnonzero(np.frombuffer(reached, dtype=np.uint8) == 0).tolist()
 
     cycle = None
     if not acyclic:
@@ -391,9 +377,7 @@ def reaches_ne_from(
     Returns the verdict and, when reachable, a shortest improving path
     (initial profile included).
     """
-    limit = resolve_exhaustive_limit(exhaustive_limit)
-    if g.n > limit:
-        raise StateSpaceTooLarge(f"reachable sweep needs n <= {limit}, got n = {g.n}")
+    _engine.check_sweep_size(g.n, exhaustive_limit, "reachable sweep")
     d = all_pairs_distances(g)
     start = s0.mask()
     parent: dict[int, int] = {start: 0}
@@ -401,7 +385,7 @@ def reaches_ne_from(
     while dq:
         mask = dq.popleft()
         state = StrategyProfile.from_mask(mask)
-        moves = improving_moves(g, d, cfg, state)
+        moves = improving_moves(d, cfg, state)
         if not moves:
             path = [mask]
             while path[-1] != start:

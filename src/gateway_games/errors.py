@@ -20,7 +20,8 @@ class NodeIdOutOfRange(GatewayGameError):
 
 
 class StateSpaceTooLarge(GatewayGameError):
-    """An exhaustive sweep over all profiles was requested for too many nodes."""
+    """An exhaustive sweep over all profiles was requested for too many nodes,
+    or its tables would not fit in physical memory."""
 
 
 class ParameterOutOfRange(GatewayGameError):

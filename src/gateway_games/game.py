@@ -25,7 +25,7 @@ import numpy as np
 
 from ._engine import _terms, _thresholds
 from .errors import NodeIdOutOfRange
-from .graphs import DistanceOracle, Graph, _check_oracle
+from .graphs import DistanceOracle
 
 
 @unique
@@ -127,15 +127,14 @@ class CostReport:
     social: Fraction = Fraction(0)
 
 
-def _check_node(g: Graph, v: int) -> None:
-    if not (0 <= v < g.n):
-        raise NodeIdOutOfRange(f"node {v} outside [0, {g.n})")
+def _check_node(n: int, v: int) -> None:
+    if not (0 <= v < n):
+        raise NodeIdOutOfRange(f"node {v} outside [0, {n})")
 
 
-def _check(g: Graph, d: DistanceOracle, s: StrategyProfile, *nodes: int) -> None:
-    _check_oracle(g, d)
+def _check(d: DistanceOracle, s: StrategyProfile, *nodes: int) -> None:
     for v in (*s.gateways, *nodes):
-        _check_node(g, v)
+        _check_node(d.graph.n, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,55 +180,49 @@ def _scan_toggles(dist: np.ndarray, cfg: GameConfig, s: StrategyProfile) -> _Tog
     return _Toggles(cfg.alpha, sole, member, dv, improving)
 
 
-def comm_distance(g: Graph, d: DistanceOracle, s: StrategyProfile, u: int, v: int) -> int:
+def comm_distance(d: DistanceOracle, s: StrategyProfile, u: int, v: int) -> int:
     """delta(u, v) under profile ``s``: plain distance or a hop through the gateway set."""
-    _check(g, d, s, u, v)
+    _check(d, s, u, v)
     a = d.dist[:, list(s.gateways)].min(axis=1)
-    return min(d.dist_between(u, v), int(a[u] + a[v]))
+    return int(min(d.dist[u, v], a[u] + a[v]))
 
 
-def private_cost(
-    g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int
-) -> Fraction:
+def private_cost(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int) -> Fraction:
     """Gateway fee (if ``v`` pays one) plus ``v``'s aggregated distances."""
-    _check(g, d, s, v)
+    _check(d, s, v)
     a = d.dist[:, list(s.gateways)].min(axis=1)
     term = _terms(d.dist[[v]], a, a[[v]], cfg.variant is Variant.MAX)[0]
     return (cfg.alpha if v in s else Fraction(0)) + int(term)
 
 
-def social_cost(g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> Fraction:
-    _check(g, d, s)
+def social_cost(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> Fraction:
+    _check(d, s)
     a = d.dist[:, list(s.gateways)].min(axis=1)
     return cfg.alpha * len(s) + int(_terms(d.dist, a, a, cfg.variant is Variant.MAX).sum())
 
 
-def cost_report(g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> CostReport:
-    _check(g, d, s)
+def cost_report(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> CostReport:
+    _check(d, s)
     a = d.dist[:, list(s.gateways)].min(axis=1)
     terms = _terms(d.dist, a, a, cfg.variant is Variant.MAX)
-    private = {v: (cfg.alpha if v in s else Fraction(0)) + int(terms[v]) for v in range(g.n)}
+    private = {v: (cfg.alpha if v in s else Fraction(0)) + int(t) for v, t in enumerate(terms)}
     return CostReport(private=private, social=sum(private.values(), Fraction(0)))
 
 
-def evaluate_move(
-    g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int
-) -> Move:
+def evaluate_move(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int) -> Move:
     """Cost delta of toggling ``v``, from ``v``'s own point of view."""
-    _check(g, d, s, v)
+    _check(d, s, v)
     return _scan_toggles(d.dist, cfg, s).move(v)
 
 
-def improving_moves(
-    g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile
-) -> list[Move]:
+def improving_moves(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> list[Move]:
     """All strictly improving, permitted toggles, sorted by node id."""
-    _check(g, d, s)
+    _check(d, s)
     return _scan_toggles(d.dist, cfg, s).moves()
 
 
-def is_nash_equilibrium(g: Graph, d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> bool:
-    _check(g, d, s)
+def is_nash_equilibrium(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> bool:
+    _check(d, s)
     return not _scan_toggles(d.dist, cfg, s).improving.any()
 
 
@@ -244,24 +237,9 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def floor_div(x: Fraction | int) -> int:
-    return math.floor(Fraction(x))
-
-
-def ceil_div(x: Fraction | int) -> int:
-    return math.ceil(Fraction(x))
-
-
 def floor_sqrt(x: Fraction | int) -> int:
     """Largest integer ``k`` with ``k*k <= x``, exact for rationals."""
     f = Fraction(x)
     if f < 0:
         raise ValueError("square root of a negative value")
     return math.isqrt(f.numerator // f.denominator)
-
-
-def ceil_sqrt(x: Fraction | int) -> int:
-    """Smallest integer ``k`` with ``k*k >= x``."""
-    f = Fraction(x)
-    k = floor_sqrt(f)
-    return k if Fraction(k * k) == f else k + 1

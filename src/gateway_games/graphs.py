@@ -124,19 +124,13 @@ def multi_source_levels(g: Graph, sources: Iterable[int]) -> tuple[int, ...]:
 class DistanceOracle:
     """All-pairs hop distances for one graph.
 
-    The matrix is a read-only ``n x n`` integer array; ``dist_between`` is the
-    scalar accessor.  The owning graph is kept so consumers can verify the
-    oracle matches the graph they were handed.
+    ``dist`` is a read-only ``n x n`` integer array.  Cost queries take the
+    oracle alone: the graph enters costs only through these distances, and
+    helpers that need adjacency read ``graph``.
     """
 
     graph: Graph
     dist: np.ndarray
-
-    def dist_between(self, u: int, v: int) -> int:
-        return int(self.dist[u, v])
-
-    def row(self, u: int) -> np.ndarray:
-        return self.dist[u]
 
 
 def all_pairs_distances(g: Graph) -> DistanceOracle:
@@ -148,12 +142,6 @@ def all_pairs_distances(g: Graph) -> DistanceOracle:
     return DistanceOracle(g, dist)
 
 
-def _check_oracle(g: Graph, d: DistanceOracle) -> None:
-    # Identity first: comparing two distinct equal graphs walks every adjacency.
-    if d.graph is not g and d.graph != g:
-        raise ValueError("distance oracle belongs to a different graph")
-
-
 @dataclass(frozen=True)
 class GraphMetrics:
     diameter: int
@@ -161,14 +149,14 @@ class GraphMetrics:
     peripheral_pair: tuple[int, int]
 
 
-def metrics(g: Graph, d: DistanceOracle) -> GraphMetrics:
+def metrics(d: DistanceOracle) -> GraphMetrics:
     """Diameter, girth, and one diameter-attaining pair.
 
     The girth of an acyclic graph is :data:`UNBOUNDED`.  The peripheral pair
     is the lexicographically smallest ``(u, v)`` with ``dist(u, v)`` equal to
     the diameter.
     """
-    _check_oracle(g, d)
+    g = d.graph
     diameter = int(d.dist.max())
     pair = (0, 0)
     if g.n > 1:

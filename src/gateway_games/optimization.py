@@ -12,22 +12,15 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _engine
-from .dynamics import resolve_exhaustive_limit
 from .errors import StateSpaceTooLarge
-from .game import (
-    GameConfig,
-    StrategyProfile,
-    Variant,
-    floor_div,
-    frac_str,
-    social_cost,
-)
+from .game import GameConfig, StrategyProfile, Variant, frac_str, social_cost
 from .graphs import DistanceOracle, Graph, all_pairs_distances
 
 # Canonical-profile count above which the bounded method refuses to start.
@@ -100,8 +93,8 @@ def _cheapest(
     return min((int(m) for m in at_best), key=_mask_ids), alpha * k + lows[k]
 
 
-def _full_enumeration(g: Graph, d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
-    total = 1 << g.n
+def _full_enumeration(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
+    total = 1 << d.graph.n
     masks = np.arange(1, total, dtype=np.int64)
     sums = _engine.term_sums_for_masks(d.dist, masks, maximum=cfg.variant is Variant.MAX)
     best, cost = _cheapest(masks, sums, _engine.popcounts(total)[1:], cfg.alpha)
@@ -180,27 +173,24 @@ def _sum_level_floor(n: int, k: int, d2: int) -> int:
 
 
 def _bounded_search(
-    g: Graph,
-    d: DistanceOracle,
-    cfg: GameConfig,
-    upper_bound_profile: StrategyProfile | None,
+    d: DistanceOracle, cfg: GameConfig, upper_bound_profile: StrategyProfile | None
 ) -> OptimumResult:
-    n = g.n
+    n = d.graph.n
     maximum = cfg.variant is Variant.MAX
     alpha = cfg.alpha
 
     seeds = [StrategyProfile.of(range(n)), StrategyProfile.of([0])]
-    seeds.append(greedy_gateways(g, cfg, d))
+    seeds.append(greedy_gateways(d, cfg))
     if upper_bound_profile is not None:
         seeds.append(upper_bound_profile)
     best_profile = min(
-        seeds, key=lambda s: (social_cost(g, d, cfg, s), len(s), s.ids)
+        seeds, key=lambda s: (social_cost(d, cfg, s), len(s), s.ids)
     )
-    best_cost = social_cost(g, d, cfg, best_profile)
+    best_cost = social_cost(d, cfg, best_profile)
     best_key = (best_cost, len(best_profile), best_profile.ids)
 
-    kmax = min(floor_div(best_cost / alpha), n)
-    classes = twin_classes(g)
+    kmax = min(math.floor(best_cost / alpha), n)
+    classes = twin_classes(d.graph)
     sizes = [len(c) for c in classes]
     counts = _level_counts(sizes, kmax)
     space = sum(counts[1 : kmax + 1])
@@ -253,38 +243,30 @@ def brute_force_optimum(
     """
     if mode not in ("auto", "full", "bounded"):
         raise ValueError(f"unknown search mode: {mode!r}")
-    limit = resolve_exhaustive_limit(exhaustive_limit)
-    d = all_pairs_distances(g)
+    limit = _engine.resolve_exhaustive_limit(exhaustive_limit)
     if mode == "full" or (mode == "auto" and g.n <= limit):
-        if g.n > limit:
-            raise StateSpaceTooLarge(
-                f"full enumeration over 2^{g.n} profiles exceeds the limit of "
-                f"2^{limit}; use the bounded method"
-            )
-        return _full_enumeration(g, d, cfg)
-    return _bounded_search(g, d, cfg, upper_bound_profile)
+        _engine.check_sweep_size(g.n, limit, "full enumeration")
+        return _full_enumeration(all_pairs_distances(g), cfg)
+    return _bounded_search(all_pairs_distances(g), cfg, upper_bound_profile)
 
 
-def greedy_gateways(
-    g: Graph, cfg: GameConfig, d: DistanceOracle | None = None
-) -> StrategyProfile:
+def greedy_gateways(d: DistanceOracle, cfg: GameConfig) -> StrategyProfile:
     """Open the node with the largest social-cost drop until none helps.
 
     Starts from a single gateway; with one gateway every choice costs the
     same (one gateway creates no shortcuts), so node 0 is taken.  Ties on
     the drop go to the smallest node id.
     """
-    if d is None:
-        d = all_pairs_distances(g)
+    n = d.graph.n
     current = StrategyProfile.of([0])
-    cost = social_cost(g, d, cfg, current)
-    while len(current) < g.n:
+    cost = social_cost(d, cfg, current)
+    while len(current) < n:
         best_v = -1
         best_cost = cost
-        for v in range(g.n):
+        for v in range(n):
             if v in current:
                 continue
-            trial = social_cost(g, d, cfg, current.toggled(v))
+            trial = social_cost(d, cfg, current.toggled(v))
             if trial < best_cost:
                 best_v, best_cost = v, trial
         if best_v < 0:
@@ -298,11 +280,7 @@ def enumerate_equilibria(
     g: Graph, cfg: GameConfig, *, exhaustive_limit: int | None = None
 ) -> EquilibriumCatalog:
     """Every pure Nash equilibrium, with price of anarchy and of stability."""
-    limit = resolve_exhaustive_limit(exhaustive_limit)
-    if g.n > limit:
-        raise StateSpaceTooLarge(
-            f"equilibrium enumeration needs 2^{g.n} states, above the 2^{limit} cap"
-        )
+    _engine.check_sweep_size(g.n, exhaustive_limit, "equilibrium enumeration")
     d = all_pairs_distances(g)
     maximum = cfg.variant is Variant.MAX
     table = _engine.term_table(d.dist, maximum=maximum)

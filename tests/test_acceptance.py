@@ -84,7 +84,7 @@ def test_criterion_01_private_cost_matches_shortest_path_oracle():
         for variant in (SUM, MAX):
             cfg = GameConfig(variant, alpha)
             for v in range(n):
-                assert private_cost(g, d, cfg, s, v) == oracle_private_cost(
+                assert private_cost(d, cfg, s, v) == oracle_private_cost(
                     g, variant, alpha, s, v
                 )
 
@@ -99,7 +99,7 @@ def test_criterion_02_everyone_profile_stable_and_optimal_for_cheap_sum():
         cfg = GameConfig(SUM, alpha)
         d = all_pairs_distances(g)
         everyone = StrategyProfile.of(range(n))
-        assert is_nash_equilibrium(g, d, cfg, everyone)
+        assert is_nash_equilibrium(d, cfg, everyone)
         assert brute_force_optimum(g, cfg).best_cost == n * alpha
 
 
@@ -134,7 +134,7 @@ def test_criterion_04_unique_improving_moves_trap_the_gadget():
     state = initial
     seen_after = []
     for _ in range(4):
-        moves = improving_moves(g, d, cfg, state)
+        moves = improving_moves(d, cfg, state)
         assert len(moves) == 1
         state = state.toggled(moves[0].node)
         seen_after.append(state.ids)
@@ -170,11 +170,11 @@ def test_criterion_06_tree_equilibrium_constructor_never_misses():
     for _ in range(200):
         n = rnd.randrange(4, 41)
         g = tree_from_prufer([rnd.randrange(n) for _ in range(n - 2)], n)
-        diameter = metrics(g, all_pairs_distances(g)).diameter
+        diameter = metrics(all_pairs_distances(g)).diameter
         alpha = 1 + Fraction(rnd.randrange(4 * (diameter - 1)), 4)
         prof = construct_max_ne(g, alpha)
         d = all_pairs_distances(g)
-        assert is_nash_equilibrium(g, d, GameConfig(MAX, alpha), prof)
+        assert is_nash_equilibrium(d, GameConfig(MAX, alpha), prof)
         hits += 1
     assert hits == 200
 
@@ -185,8 +185,8 @@ def test_criterion_07_star_families_realize_high_anarchy():
     g, roles, initial = gen_sum_poa_star(13, 9)
     cfg = GameConfig(SUM, Fraction(9))
     d = all_pairs_distances(g)
-    assert is_nash_equilibrium(g, d, cfg, initial)
-    assert social_cost(g, d, cfg, initial) == 417
+    assert is_nash_equilibrium(d, cfg, initial)
+    assert social_cost(d, cfg, initial) == 417
     catalog = enumerate_equilibria(g, cfg)
     assert catalog.optimum.best_cost == 117
     assert catalog.poa == Fraction(139, 39)
@@ -196,11 +196,11 @@ def test_criterion_07_star_families_realize_high_anarchy():
     g, roles, initial = gen_max_poa_star(10)
     cfg = GameConfig(MAX, Fraction(4))
     d = all_pairs_distances(g)
-    assert is_nash_equilibrium(g, d, cfg, initial)
+    assert is_nash_equilibrium(d, cfg, initial)
     k = 3
     bound = Fraction(3 * k * k) + Fraction(3, 2) * (k + 1) * k
-    assert social_cost(g, d, cfg, initial) == 52
-    assert social_cost(g, d, cfg, initial) >= bound
+    assert social_cost(d, cfg, initial) == 52
+    assert social_cost(d, cfg, initial) >= bound
 
 
 @criterion(8)
@@ -275,7 +275,7 @@ def test_criterion_10_extreme_prices_always_terminate():
             cheap = build_ir_state_graph(g, GameConfig(SUM, Fraction(1, 2)))
             assert cheap.classification is Classification.FIP
             assert [p.ids for p in cheap.ne_states] == [everyone]
-            diameter = metrics(g, all_pairs_distances(g)).diameter
+            diameter = metrics(all_pairs_distances(g)).diameter
             pricey = build_ir_state_graph(
                 g, GameConfig(SUM, Fraction(n * diameter + 1))
             )

@@ -124,7 +124,7 @@ def test_max_ne_path(p4):
     prof = construct_max_ne(p4, Fraction(7, 4))
     assert prof.ids == (0, 3)
     d = all_pairs_distances(p4)
-    assert is_nash_equilibrium(p4, d, GameConfig(Variant.MAX, Fraction(7, 4)), prof)
+    assert is_nash_equilibrium(d, GameConfig(Variant.MAX, Fraction(7, 4)), prof)
 
 
 def test_max_ne_rejects_bad_inputs(p4, c4):
@@ -143,11 +143,11 @@ def test_max_ne_on_random_trees(seed):
     n = rnd.randrange(4, 24)
     seq = [rnd.randrange(n) for _ in range(n - 2)]
     g = tree_from_prufer(seq, n)
-    diameter = metrics(g, all_pairs_distances(g)).diameter
+    diameter = metrics(all_pairs_distances(g)).diameter
     alpha = 1 + Fraction(rnd.randrange(4 * (diameter - 1)), 4)
     prof = construct_max_ne(g, alpha)
     d = all_pairs_distances(g)
-    assert is_nash_equilibrium(g, d, GameConfig(Variant.MAX, alpha), prof)
+    assert is_nash_equilibrium(d, GameConfig(Variant.MAX, alpha), prof)
 
 
 def test_parse_set_cover_round_trip():

@@ -23,11 +23,14 @@ from gateway_games import (
     StateSpaceTooLarge,
     StrategyProfile,
     Variant,
+    brute_force_optimum,
     build_graph,
     build_ir_state_graph,
     default_step_budget,
+    enumerate_equilibria,
     gen_ir_cycle,
     gen_non_wag,
+    graph_to_json,
     reaches_ne_from,
     replay_trace,
     resolve_exhaustive_limit,
@@ -35,6 +38,7 @@ from gateway_games import (
     verify_cycle_conditions,
     verify_max_line_conditions,
 )
+from gateway_games import _engine, cli
 
 from conftest import (
     alphas,
@@ -198,6 +202,38 @@ def test_exhaustive_limit_env(monkeypatch):
     assert resolve_exhaustive_limit(11) == 11
     monkeypatch.setenv("GATEWAY_GAMES_EXHAUSTIVE_LIMIT", "6")
     assert resolve_exhaustive_limit(None) == 6
+
+
+def test_sweeps_beyond_physical_memory_are_refused_before_allocating(
+    monkeypatch, tmp_path, capsys
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused sweep allocated its tables")
+
+    monkeypatch.setattr(_engine, "term_table", unreachable)
+    monkeypatch.setattr(_engine, "term_sums_for_masks", unreachable)
+    # 2^40 profiles of 40 nodes: hundreds of terabytes of tables, within the limit.
+    g = path_graph(40)
+    cfg = GameConfig(SUM, 2)
+    sweeps = [
+        lambda: build_ir_state_graph(g, cfg, exhaustive_limit=40),
+        lambda: reaches_ne_from(g, cfg, StrategyProfile.of([0]), exhaustive_limit=40),
+        lambda: enumerate_equilibria(g, cfg, exhaustive_limit=40),
+        lambda: brute_force_optimum(g, cfg, exhaustive_limit=40),
+        lambda: brute_force_optimum(g, cfg, mode="full", exhaustive_limit=40),
+    ]
+    for sweep in sweeps:
+        with pytest.raises(StateSpaceTooLarge, match="physical memory"):
+            sweep()
+    graph_file = tmp_path / "p40.json"
+    graph_file.write_text(graph_to_json(g))
+    for cmd in ("classify", "equilibria", "poa", "optimum"):
+        argv = [cmd, "--graph", str(graph_file), "--alpha", "2", "--limit", "40"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert out == "" and len(errors) == 1 and "physical memory" in errors[0]
+        assert "Traceback" not in err
 
 
 def test_cycle_conditions_small_gadget():

@@ -11,7 +11,6 @@ from gateway_games import (
     StrategyProfile,
     Variant,
     all_pairs_distances,
-    build_graph,
     comm_distance,
     cost_report,
     evaluate_move,
@@ -23,7 +22,7 @@ from gateway_games import (
     social_cost,
 )
 from gateway_games import _engine
-from gateway_games.game import _scan_toggles, ceil_div, ceil_sqrt, floor_div, floor_sqrt
+from gateway_games.game import _scan_toggles, floor_sqrt
 
 from conftest import (
     alphas,
@@ -66,21 +65,21 @@ def test_path_costs_by_hand(p3):
     d = all_pairs_distances(p3)
     cfg = GameConfig(SUM, Fraction(2))
     s = StrategyProfile.of([1])
-    assert private_cost(p3, d, cfg, s, 0) == 3
-    assert private_cost(p3, d, cfg, s, 1) == 4
-    assert private_cost(p3, d, cfg, s, 2) == 3
-    assert social_cost(p3, d, cfg, s) == 10
+    assert private_cost(d, cfg, s, 0) == 3
+    assert private_cost(d, cfg, s, 1) == 4
+    assert private_cost(d, cfg, s, 2) == 3
+    assert social_cost(d, cfg, s) == 10
     cfg_max = GameConfig(MAX, Fraction(2))
-    assert private_cost(p3, d, cfg_max, s, 0) == 2
-    assert private_cost(p3, d, cfg_max, s, 1) == 3
-    assert social_cost(p3, d, cfg_max, s) == 7
+    assert private_cost(d, cfg_max, s, 0) == 2
+    assert private_cost(d, cfg_max, s, 1) == 3
+    assert social_cost(d, cfg_max, s) == 7
 
 
 def test_cost_report_totals(p4):
     d = all_pairs_distances(p4)
     cfg = GameConfig(SUM, Fraction(5, 2))
     s = StrategyProfile.of([0, 2])
-    rep = cost_report(p4, d, cfg, s)
+    rep = cost_report(d, cfg, s)
     assert rep.social == sum(rep.private.values())
     assert set(rep.private) == {0, 1, 2, 3}
 
@@ -88,7 +87,7 @@ def test_cost_report_totals(p4):
 def test_sole_close_is_forbidden(p3):
     d = all_pairs_distances(p3)
     cfg = GameConfig(SUM, Fraction(2))
-    move = evaluate_move(p3, d, cfg, StrategyProfile.of([1]), 1)
+    move = evaluate_move(d, cfg, StrategyProfile.of([1]), 1)
     assert move.kind is MoveKind.CLOSE
     assert move.forbidden
     assert move.cost_delta == -2
@@ -102,7 +101,7 @@ def test_private_cost_matches_independent_oracle(pair, alpha, variant):
     d = all_pairs_distances(g)
     cfg = GameConfig(variant, alpha)
     for v in range(g.n):
-        assert private_cost(g, d, cfg, s, v) == oracle_private_cost(
+        assert private_cost(d, cfg, s, v) == oracle_private_cost(
             g, variant, alpha, s, v
         )
 
@@ -115,9 +114,9 @@ def test_comm_distance_matches_oracle(pair):
     rows = hub_distances(g, s.gateways)
     for u in range(g.n):
         for v in range(g.n):
-            got = comm_distance(g, d, s, u, v)
+            got = comm_distance(d, s, u, v)
             assert got == rows[u][v]
-            assert got <= d.dist_between(u, v)
+            assert got <= int(d.dist[u, v])
 
 
 @given(graph_profile_pairs(max_n=7))
@@ -128,7 +127,7 @@ def test_single_gateway_creates_no_shortcuts(pair):
     s = StrategyProfile.of([g.n - 1])
     for u in range(g.n):
         for v in range(g.n):
-            assert comm_distance(g, d, s, u, v) == d.dist_between(u, v)
+            assert comm_distance(d, s, u, v) == int(d.dist[u, v])
 
 
 @given(graph_profile_pairs(max_n=7), alphas(), st.sampled_from([SUM, MAX]))
@@ -138,11 +137,11 @@ def test_move_delta_matches_recomputation(pair, alpha, variant):
     d = all_pairs_distances(g)
     cfg = GameConfig(variant, alpha)
     for v in range(g.n):
-        move = evaluate_move(g, d, cfg, s, v)
+        move = evaluate_move(d, cfg, s, v)
         if move.forbidden:
             continue
-        before = private_cost(g, d, cfg, s, v)
-        after = private_cost(g, d, cfg, s.toggled(v), v)
+        before = private_cost(d, cfg, s, v)
+        after = private_cost(d, cfg, s.toggled(v), v)
         assert move.cost_delta == after - before
 
 
@@ -154,7 +153,7 @@ def test_every_toggle_matches_hub_oracle(pair, alpha, variant):
     cfg = GameConfig(variant, alpha)
     for v in range(g.n):
         kind, delta, forbidden = oracle_move(g, variant, alpha, s, v)
-        move = evaluate_move(g, d, cfg, s, v)
+        move = evaluate_move(d, cfg, s, v)
         assert move.kind.value == kind
         assert move.cost_delta == delta
         assert move.forbidden == forbidden
@@ -179,8 +178,8 @@ def test_integer_thresholds_hold_at_knife_edge_prices(pair, variant):
             kind, delta, forbidden = oracle_move(g, variant, alpha, s, v)
             if delta < 0 and not forbidden:
                 expected.append(v)
-        assert [m.node for m in improving_moves(g, d, cfg, s)] == expected
-        assert is_nash_equilibrium(g, d, cfg, s) == (not expected)
+        assert [m.node for m in improving_moves(d, cfg, s)] == expected
+        assert is_nash_equilibrium(d, cfg, s) == (not expected)
 
 
 @given(connected_graphs(max_n=7), st.sampled_from([SUM, MAX]))
@@ -208,27 +207,6 @@ def test_sweep_tables_and_move_kernel_share_one_rule(g, variant):
             assert not (close_ok[mask] & ~toggles.member).any()
 
 
-def test_oracle_of_another_graph_is_rejected(p4, c4):
-    cfg = GameConfig(SUM, Fraction(2))
-    s = StrategyProfile.of([0])
-    wrong = all_pairs_distances(c4)
-    calls = [
-        lambda: comm_distance(p4, wrong, s, 0, 1),
-        lambda: private_cost(p4, wrong, cfg, s, 0),
-        lambda: social_cost(p4, wrong, cfg, s),
-        lambda: cost_report(p4, wrong, cfg, s),
-        lambda: evaluate_move(p4, wrong, cfg, s, 1),
-        lambda: improving_moves(p4, wrong, cfg, s),
-        lambda: is_nash_equilibrium(p4, wrong, cfg, s),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="different graph"):
-            call()
-    # An oracle of an equal graph built separately is accepted.
-    twin = all_pairs_distances(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
-    assert social_cost(p4, twin, cfg, s) == social_cost(p4, all_pairs_distances(p4), cfg, s)
-
-
 def test_cost_queries_run_no_bfs(monkeypatch):
     g = random_connected_graph(random.Random(3), 40)
     d = all_pairs_distances(g)
@@ -236,9 +214,9 @@ def test_cost_queries_run_no_bfs(monkeypatch):
     s = StrategyProfile.of(range(0, 40, 3))
     for variant in (SUM, MAX):
         cfg = GameConfig(variant, Fraction(7, 2))
-        improving_moves(g, d, cfg, s)
-        is_nash_equilibrium(g, d, cfg, s)
-        social_cost(g, d, cfg, s)
+        improving_moves(d, cfg, s)
+        is_nash_equilibrium(d, cfg, s)
+        social_cost(d, cfg, s)
     assert bfs == []
 
 
@@ -248,9 +226,9 @@ def test_equilibrium_iff_no_improving_moves(pair, alpha, variant):
     g, s = pair
     d = all_pairs_distances(g)
     cfg = GameConfig(variant, alpha)
-    moves = improving_moves(g, d, cfg, s)
+    moves = improving_moves(d, cfg, s)
     assert [m.node for m in moves] == sorted(m.node for m in moves)
-    assert is_nash_equilibrium(g, d, cfg, s) == (not moves)
+    assert is_nash_equilibrium(d, cfg, s) == (not moves)
     assert all(m.is_improving for m in moves)
 
 
@@ -263,8 +241,8 @@ def test_all_gateways_equilibrium_thresholds(pair, alpha):
     g, _ = pair
     d = all_pairs_distances(g)
     full = StrategyProfile.of(range(g.n))
-    assert is_nash_equilibrium(g, d, GameConfig(SUM, alpha), full) == (alpha <= g.n - 1)
-    assert is_nash_equilibrium(g, d, GameConfig(MAX, alpha), full) == (alpha <= 1)
+    assert is_nash_equilibrium(d, GameConfig(SUM, alpha), full) == (alpha <= g.n - 1)
+    assert is_nash_equilibrium(d, GameConfig(MAX, alpha), full) == (alpha <= 1)
 
 
 def test_frac_str_always_has_denominator():
@@ -285,13 +263,5 @@ def test_parse_fraction_accepts_common_forms():
 @settings(max_examples=200, deadline=None)
 def test_sqrt_helpers(x):
     f = floor_sqrt(x)
-    c = ceil_sqrt(x)
     assert Fraction(f * f) <= x < Fraction((f + 1) * (f + 1))
-    assert c == f + (0 if Fraction(f * f) == x else 1)
 
-
-@given(st.fractions(min_value=Fraction(-100), max_value=Fraction(100)))
-@settings(max_examples=200, deadline=None)
-def test_floor_ceil_div(x):
-    assert Fraction(floor_div(x)) <= x < Fraction(floor_div(x) + 1)
-    assert Fraction(ceil_div(x) - 1) < x <= Fraction(ceil_div(x))

@@ -52,7 +52,7 @@ def test_duplicate_edges_collapse():
 def test_bfs_levels_match_oracle(p5):
     d = all_pairs_distances(p5)
     for s in range(5):
-        assert bfs_levels(p5, s) == tuple(int(x) for x in d.row(s))
+        assert bfs_levels(p5, s) == tuple(int(x) for x in d.dist[s])
 
 
 def test_multi_source_levels(p5):
@@ -61,7 +61,7 @@ def test_multi_source_levels(p5):
 
 
 def test_metrics_path_is_tree(p3):
-    m = metrics(p3, all_pairs_distances(p3))
+    m = metrics(all_pairs_distances(p3))
     assert m.diameter == 2
     assert m.girth == UNBOUNDED
     assert math.isinf(m.girth)
@@ -69,18 +69,18 @@ def test_metrics_path_is_tree(p3):
 
 
 def test_metrics_cycle_and_clique(c4, k4):
-    assert metrics(c4, all_pairs_distances(c4)).girth == 4
-    assert metrics(k4, all_pairs_distances(k4)).girth == 3
+    assert metrics(all_pairs_distances(c4)).girth == 4
+    assert metrics(all_pairs_distances(k4)).girth == 3
 
 
 def test_metrics_petersen(petersen):
-    m = metrics(petersen, all_pairs_distances(petersen))
+    m = metrics(all_pairs_distances(petersen))
     assert m.diameter == 2
     assert m.girth == 5
 
 
 def test_peripheral_pair_is_lex_smallest(star5):
-    m = metrics(star5, all_pairs_distances(star5))
+    m = metrics(all_pairs_distances(star5))
     assert m.peripheral_pair == (1, 2)
 
 
@@ -114,10 +114,10 @@ def test_distance_matrix_properties(g):
     mat = d.dist
     assert np.array_equal(mat, mat.T)
     assert np.all(np.diag(mat) == 0)
-    m = metrics(g, d)
+    m = metrics(d)
     assert m.diameter == int(mat.max())
     u, v = m.peripheral_pair
-    assert d.dist_between(u, v) == m.diameter
+    assert int(d.dist[u, v]) == m.diameter
 
 
 @given(connected_graphs(min_n=1, max_n=12), st.data())
@@ -150,7 +150,7 @@ def test_random_trees_have_unbounded_girth(seed, n):
     seq = [rnd.randrange(n) for _ in range(n - 2)]
     g = tree_from_prufer(seq, n)
     assert g.edge_count() == n - 1
-    assert metrics(g, all_pairs_distances(g)).girth == UNBOUNDED
+    assert metrics(all_pairs_distances(g)).girth == UNBOUNDED
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -158,7 +158,7 @@ def test_random_trees_have_unbounded_girth(seed, n):
 def test_extra_edge_bounds_girth(seed):
     rnd = random.Random(seed)
     g = random_connected_graph(rnd, 8, extra=3)
-    girth = metrics(g, all_pairs_distances(g)).girth
+    girth = metrics(all_pairs_distances(g)).girth
     if g.edge_count() > g.n - 1:
         assert 3 <= girth <= g.n
     else:

@@ -79,7 +79,7 @@ def test_bounded_equals_full(g, alpha, variant):
     cfg = GameConfig(variant, alpha)
     d = all_pairs_distances(g)
     profiles = [StrategyProfile.from_mask(m) for m in range(1, 1 << g.n)]
-    costs = {s: social_cost(g, d, cfg, s) for s in profiles}
+    costs = {s: social_cost(d, cfg, s) for s in profiles}
     best = min(profiles, key=lambda s: (costs[s], len(s), s.ids))
     for res in (
         brute_force_optimum(g, cfg, mode="full"),
@@ -96,7 +96,7 @@ def test_optimum_ties_across_gateway_counts_go_to_fewer_gateways(p3):
     d = all_pairs_distances(p3)
     for alpha, ids in ((4 - KNIFE, (0, 1, 2)), (Fraction(4), (0,)), (4 + KNIFE, (0,))):
         cfg = GameConfig(SUM, alpha)
-        lowest = min(social_cost(p3, d, cfg, StrategyProfile.from_mask(m)) for m in range(1, 8))
+        lowest = min(social_cost(d, cfg, StrategyProfile.from_mask(m)) for m in range(1, 8))
         for res in (
             brute_force_optimum(p3, cfg, mode="full"),
             brute_force_optimum(p3, cfg, mode="bounded"),
@@ -117,12 +117,12 @@ def test_sum_optimum_small_alpha_is_everyone(g, num):
 
 
 def test_greedy_star(star5):
-    prof = greedy_gateways(star5, GameConfig(SUM, Fraction(10)))
+    prof = greedy_gateways(all_pairs_distances(star5), GameConfig(SUM, Fraction(10)))
     assert prof.ids == (0,)
 
 
 def test_greedy_path_huge_alpha(p5):
-    prof = greedy_gateways(p5, GameConfig(SUM, Fraction(100)))
+    prof = greedy_gateways(all_pairs_distances(p5), GameConfig(SUM, Fraction(100)))
     assert prof.ids == (0,)
 
 
@@ -130,9 +130,9 @@ def test_greedy_path_huge_alpha(p5):
 @settings(max_examples=40, deadline=None)
 def test_greedy_never_beats_optimum(g, alpha, variant):
     cfg = GameConfig(variant, alpha)
-    prof = greedy_gateways(g, cfg)
     d = all_pairs_distances(g)
-    assert social_cost(g, d, cfg, prof) >= brute_force_optimum(g, cfg).best_cost
+    prof = greedy_gateways(d, cfg)
+    assert social_cost(d, cfg, prof) >= brute_force_optimum(g, cfg).best_cost
 
 
 def test_twin_classes_shapes(star5, k4, c4, p4):
@@ -197,7 +197,7 @@ def test_max_small_alpha_admits_sparse_equilibria(p4):
     assert cat.pos == 1
     assert cat.poa == Fraction(5, 2)
     d = all_pairs_distances(p4)
-    assert is_nash_equilibrium(p4, d, cfg, StrategyProfile.of([0, 3]))
+    assert is_nash_equilibrium(d, cfg, StrategyProfile.of([0, 3]))
 
 
 def test_enumerate_respects_limit(p5):
@@ -213,8 +213,8 @@ def test_price_ratios_ordered(g, alpha, variant):
         assert cat.poa >= cat.pos >= 1
     d = all_pairs_distances(g)
     for profile, cost in cat.equilibria:
-        assert is_nash_equilibrium(g, d, GameConfig(variant, alpha), profile)
-        assert social_cost(g, d, GameConfig(variant, alpha), profile) == cost
+        assert is_nash_equilibrium(d, GameConfig(variant, alpha), profile)
+        assert social_cost(d, GameConfig(variant, alpha), profile) == cost
 
 
 @given(connected_graphs(min_n=2, max_n=7), st.integers(1, 32))
@@ -246,7 +246,7 @@ def test_exact_arithmetic_survives_huge_prices(p3):
     d = all_pairs_distances(p3)
     best = min(
         (
-            social_cost(p3, d, cfg, StrategyProfile.from_mask(m))
+            social_cost(d, cfg, StrategyProfile.from_mask(m))
             for m in range(1, 8)
         ),
     )
