@@ -26,6 +26,11 @@ EXHAUSTIVE_LIMIT_ENV = "GATEWAY_GAMES_EXHAUSTIVE_LIMIT"
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 # Bytes per node per profile: the int32 term table plus the two boolean move tables.
 _TABLE_BYTES = 6
+# Bytes per profile beside those tables: the int64 masks, toggled masks and
+# dv that improving_tables builds its columns from, plus the one-byte column
+# temporaries.  term_table's masks and the classifier's int8 deg and bool
+# reached come and go before or after them, and take less.
+_PROFILE_BYTES = 32
 BIG = 1 << 28
 # Read only by perfbench/tracer.py (its fraction_calls counter); nothing in the package uses it.
 SCALE_LIMIT = 1 << 40
@@ -44,8 +49,8 @@ def resolve_exhaustive_limit(explicit: int | None) -> int:
 def check_sweep_size(n: int, exhaustive_limit: int | None, what: str) -> None:
     """Refuse a sweep over all ``2^n`` profiles before anything is allocated.
 
-    The node count must be within the resolved limit, and the tables, about
-    ``2^n * n * 6`` bytes, must fit in physical memory.
+    The node count must be within the resolved limit, and the sweep's
+    arrays, about ``2^n * (6n + 32)`` bytes, must fit in physical memory.
     """
     limit = resolve_exhaustive_limit(exhaustive_limit)
     if n > limit:
@@ -54,10 +59,10 @@ def check_sweep_size(n: int, exhaustive_limit: int | None, what: str) -> None:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf: the limit alone decides
         return
-    need = (1 << n) * n * _TABLE_BYTES
+    need = (1 << n) * (n * _TABLE_BYTES + _PROFILE_BYTES)
     if need > have:
         raise StateSpaceTooLarge(
-            f"{what} at n = {n} needs about {need} bytes of tables, "
+            f"{what} at n = {n} needs about {need} bytes, "
             f"more than the {have} bytes of physical memory"
         )
 
@@ -136,11 +141,3 @@ def ne_vector(open_ok: np.ndarray, close_ok: np.ndarray) -> np.ndarray:
     valid = np.arange(total, dtype=np.int64) != 0
     return valid & ~any_move
 
-
-def popcounts(total: int) -> np.ndarray:
-    masks = np.arange(total, dtype=np.int64)
-    counts = np.zeros(total, dtype=np.int64)
-    while masks.any():
-        counts += masks & 1
-        masks = masks >> 1
-    return counts

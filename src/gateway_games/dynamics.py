@@ -5,13 +5,15 @@ the profile before each move together with the move itself, so a run can be
 replayed and re-audited move by move.  The classifier sweeps all ``2^n - 1``
 profiles to decide whether improving paths always terminate (``FIP``), can
 always be steered to an equilibrium (``WEAKLY_ACYCLIC``), or can get trapped
-with no equilibrium reachable at all (``NOT_WEAKLY_ACYCLIC``).
+with no equilibrium reachable at all (``NOT_WEAKLY_ACYCLIC``).  It answers
+both questions by searching backwards from the equilibria over the table of
+improving moves, one frontier of states at a time: a Kahn peel of the states
+whose every path halts, and a reachability pass for the trapped ones.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Union
@@ -29,7 +31,6 @@ from .game import (
     _check_node,
     _scan_toggles,
     evaluate_move,
-    improving_moves,
     is_nash_equilibrium,
 )
 from .graphs import DistanceOracle, Graph, all_pairs_distances
@@ -265,18 +266,20 @@ class StateGraphReport:
     trapped: tuple[StrategyProfile, ...] | None
 
 
-def _predecessors(t: int, n: int, open_ok: np.ndarray, close_ok: np.ndarray):
-    """States with an improving toggle landing on ``t``."""
-    for b in range(n):
-        bit = 1 << b
-        if t & bit:
-            s = t ^ bit
-            if s and open_ok[s, b]:
-                yield s
-        else:
-            s = t | bit
-            if close_ok[s, b]:
-                yield s
+def _backward_bfs(moves: np.ndarray, frontier: np.ndarray, visit) -> None:
+    """Walk the improving moves backwards from ``frontier``, a frontier at a time.
+
+    Every move toggles one bit, so the predecessors of a frontier ``F``
+    through bit ``b`` are the states ``F ^ (1 << b)`` whose toggle of ``b``
+    improves, and for a fixed ``b`` they are distinct.  ``visit`` gets each
+    bit's batch and returns the states that join the next frontier.
+    """
+    while frontier.size:
+        found = []
+        for b, column in enumerate(moves.T):
+            pred = frontier ^ (1 << b)
+            found.append(visit(pred[column[pred]]))
+        frontier = np.concatenate(found)
 
 
 def build_ir_state_graph(
@@ -288,64 +291,61 @@ def build_ir_state_graph(
     ``WEAKLY_ACYCLIC`` means cycles exist, yet from every profile some
     improving path still reaches an equilibrium.  ``NOT_WEAKLY_ACYCLIC``
     comes with a non-empty ``trapped`` witness: profiles from which no
-    equilibrium is reachable at all.  The sweep is exponential in ``n`` and
-    refuses to run past the configured limit
-    (``GATEWAY_GAMES_EXHAUSTIVE_LIMIT``, default 20) or when its tables would
-    not fit in physical memory.
+    equilibrium is reachable at all.
+
+    Both verdicts are backward searches from the equilibria over the move
+    table, one numpy pass per frontier and bit.  The peel counts down each
+    state's improving moves and drops it once every move leads to a peeled
+    state; what stays unpeeled reaches a cycle.  The reach marks every state
+    with a move into the reached set; what stays unreached is trapped.  The
+    sample cycle starts at the smallest unpeeled mask and follows each
+    state's lowest-bit improving move to an unpeeled state until a state
+    repeats.  The sweep is exponential in ``n`` and refuses to run past the
+    configured limit (``GATEWAY_GAMES_EXHAUSTIVE_LIMIT``, default 20) or when
+    its arrays would not fit in physical memory.
     """
     _engine.check_sweep_size(g.n, exhaustive_limit, "profile sweep")
     d = all_pairs_distances(g)
-    table = _engine.term_table(d.dist, maximum=cfg.variant is Variant.MAX)
-    open_ok, close_ok = _engine.improving_tables(table, cfg.alpha)
+    open_ok, close_ok = _engine.improving_tables(
+        _engine.term_table(d.dist, maximum=cfg.variant is Variant.MAX), cfg.alpha
+    )
     total = 1 << g.n
-    out_deg = (open_ok | close_ok).sum(axis=1).astype(np.int64)
-    sinks = np.flatnonzero(_engine.ne_vector(open_ok, close_ok)).tolist()
+    sinks = np.flatnonzero(_engine.ne_vector(open_ok, close_ok))
+    moves = open_ok | close_ok
+    del open_ok, close_ok
 
-    # Peel states whose every move chain already terminates; leftovers carry cycles.
-    alive = bytearray([1]) * total
-    alive[0] = 0
-    deg = out_deg.copy()
-    dq = deque(sinks)
-    while dq:
-        t = dq.popleft()
-        alive[t] = 0
-        for s in _predecessors(t, g.n, open_ok, close_ok):
-            if alive[s]:
-                deg[s] -= 1
-                if deg[s] == 0:
-                    dq.append(s)
-    acyclic = not any(alive)
+    deg = moves.sum(axis=1, dtype=np.int8)
 
-    # Reverse reachability: which states can still reach some equilibrium?
-    reached = bytearray(total)
-    reached[0] = 1  # the empty mask is no profile, so never trapped
-    dq = deque(sinks)
-    for s in sinks:
-        reached[s] = 1
-    while dq:
-        t = dq.popleft()
-        for s in _predecessors(t, g.n, open_ok, close_ok):
-            if not reached[s]:
-                reached[s] = 1
-                dq.append(s)
-    trapped = np.flatnonzero(np.frombuffer(reached, dtype=np.uint8) == 0).tolist()
+    def peel(pred: np.ndarray) -> np.ndarray:
+        deg[pred] -= 1
+        return pred[deg[pred] == 0]
+
+    _backward_bfs(moves, sinks, peel)
+    alive = deg > 0  # the unpeeled states: each has a move path into a cycle
+
+    reached = np.zeros(total, dtype=bool)
+    reached[0] = True  # the empty mask is no profile, so never trapped
+    reached[sinks] = True
+
+    def reach(pred: np.ndarray) -> np.ndarray:
+        pred = pred[~reached[pred]]
+        reached[pred] = True
+        return pred
+
+    _backward_bfs(moves, sinks, reach)
+    trapped = np.flatnonzero(~reached).tolist()
 
     cycle = None
-    if not acyclic:
-        start = next(s for s in range(1, total) if alive[s])
-        path = [start]
-        positions = {start: 0}
+    if alive.any():
+        bits = 1 << np.arange(g.n, dtype=np.int64)
+        path = [int(alive.argmax())]
+        positions = {path[0]: 0}
         while True:
             s = path[-1]
-            nxt = None
-            for b in range(g.n):
-                t = s ^ (1 << b)
-                improving = open_ok[s, b] if not s & (1 << b) else close_ok[s, b]
-                if improving and alive[t]:
-                    nxt = t
-                    break
-            if nxt is None:
+            onward = moves[s] & alive[s ^ bits]
+            if not onward.any():
                 raise AssertionError("unpeeled state must keep an unpeeled successor")
+            nxt = s ^ (1 << int(onward.argmax()))
             if nxt in positions:
                 cycle = tuple(
                     StrategyProfile.from_mask(m) for m in path[positions[nxt]:]
@@ -354,7 +354,7 @@ def build_ir_state_graph(
             positions[nxt] = len(path)
             path.append(nxt)
 
-    if acyclic:
+    if cycle is None:
         classification = Classification.FIP
     elif not trapped:
         classification = Classification.WEAKLY_ACYCLIC
@@ -362,38 +362,8 @@ def build_ir_state_graph(
         classification = Classification.NOT_WEAKLY_ACYCLIC
     return StateGraphReport(
         state_count=total - 1,
-        ne_states=tuple(StrategyProfile.from_mask(s) for s in sinks),
+        ne_states=tuple(StrategyProfile.from_mask(s) for s in sinks.tolist()),
         classification=classification,
         cycle=cycle,
         trapped=tuple(StrategyProfile.from_mask(s) for s in trapped) or None,
     )
-
-
-def reaches_ne_from(
-    g: Graph, cfg: GameConfig, s0: StrategyProfile, exhaustive_limit: int | None = None
-) -> tuple[bool, tuple[StrategyProfile, ...] | None]:
-    """Breadth-first hunt for an equilibrium reachable from ``s0``.
-
-    Returns the verdict and, when reachable, a shortest improving path
-    (initial profile included).
-    """
-    _engine.check_sweep_size(g.n, exhaustive_limit, "reachable sweep")
-    d = all_pairs_distances(g)
-    start = s0.mask()
-    parent: dict[int, int] = {start: 0}
-    dq = deque([start])
-    while dq:
-        mask = dq.popleft()
-        state = StrategyProfile.from_mask(mask)
-        moves = improving_moves(d, cfg, state)
-        if not moves:
-            path = [mask]
-            while path[-1] != start:
-                path.append(parent[path[-1]])
-            return True, tuple(StrategyProfile.from_mask(m) for m in reversed(path))
-        for m in moves:
-            nxt = mask ^ (1 << m.node)
-            if nxt not in parent:
-                parent[nxt] = mask
-                dq.append(nxt)
-    return False, None

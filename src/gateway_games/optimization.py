@@ -97,7 +97,7 @@ def _full_enumeration(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
     total = 1 << d.graph.n
     masks = np.arange(1, total, dtype=np.int64)
     sums = _engine.term_sums_for_masks(d.dist, masks, maximum=cfg.variant is Variant.MAX)
-    best, cost = _cheapest(masks, sums, _engine.popcounts(total)[1:], cfg.alpha)
+    best, cost = _cheapest(masks, sums, np.bitwise_count(masks), cfg.alpha)
     return OptimumResult(StrategyProfile.from_mask(best), cost, FullEnumeration(), True)
 
 
@@ -288,10 +288,8 @@ def enumerate_equilibria(
     ne = _engine.ne_vector(open_ok, close_ok)
     total = 1 << g.n
     rowsums = table.sum(axis=1, dtype=np.int64)
-    counts = _engine.popcounts(total)
-
     masks = np.arange(1, total, dtype=np.int64)
-    best, best_cost = _cheapest(masks, rowsums[1:], counts[1:], cfg.alpha)
+    best, best_cost = _cheapest(masks, rowsums[1:], np.bitwise_count(masks), cfg.alpha)
     optimum = OptimumResult(
         StrategyProfile.from_mask(best), best_cost, FullEnumeration(), True
     )
@@ -299,7 +297,7 @@ def enumerate_equilibria(
     found: list[tuple[StrategyProfile, Fraction]] = []
     for m in np.flatnonzero(ne):
         mask = int(m)
-        cost = cfg.alpha * int(counts[mask]) + Fraction(int(rowsums[mask]))
+        cost = cfg.alpha * mask.bit_count() + Fraction(int(rowsums[mask]))
         found.append((StrategyProfile.from_mask(mask), cost))
     found.sort(key=lambda pair: (pair[1], len(pair[0]), pair[0].ids))
     poa = found[-1][1] / best_cost if found else None

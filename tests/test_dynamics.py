@@ -23,15 +23,16 @@ from gateway_games import (
     StateSpaceTooLarge,
     StrategyProfile,
     Variant,
+    all_pairs_distances,
     brute_force_optimum,
     build_graph,
     build_ir_state_graph,
     default_step_budget,
     enumerate_equilibria,
+    evaluate_move,
     gen_ir_cycle,
     gen_non_wag,
     graph_to_json,
-    reaches_ne_from,
     replay_trace,
     resolve_exhaustive_limit,
     run_dynamics,
@@ -45,6 +46,7 @@ from conftest import (
     connected_graphs,
     count_calls,
     graph_profile_pairs,
+    knife_prices,
     oracle_move,
     path_graph,
     random_connected_graph,
@@ -165,9 +167,14 @@ def test_state_graph_huge_alpha_sinks_are_singletons(p3):
 
 def test_state_graph_ir_cycle_gadget_keeps_a_cycle():
     game = gen_ir_cycle(IrCycleParams(10, 1, 2, Fraction(5)))
-    report = build_ir_state_graph(game.graph, GameConfig(SUM, Fraction(5)))
+    cfg = GameConfig(SUM, Fraction(5))
+    report = build_ir_state_graph(game.graph, cfg)
     assert report.classification is not Classification.FIP
     assert report.cycle is not None and len(report.cycle) >= 2
+    d = all_pairs_distances(game.graph)
+    for s, t in zip(report.cycle, report.cycle[1:] + report.cycle[:1]):
+        (v,) = s.gateways ^ t.gateways
+        assert evaluate_move(d, cfg, s, v).is_improving
 
 
 def test_non_wag_gadget_traps_initial_state():
@@ -176,24 +183,11 @@ def test_non_wag_gadget_traps_initial_state():
     report = build_ir_state_graph(game.graph, cfg)
     assert report.classification is Classification.NOT_WEAKLY_ACYCLIC
     assert game.initial in report.trapped
-    ok, path = reaches_ne_from(game.graph, cfg, game.initial)
-    assert not ok and path is None
-
-
-def test_reaches_ne_returns_shortest_witness(triangle):
-    cfg = GameConfig(SUM, Fraction(1, 2))
-    ok, path = reaches_ne_from(triangle, cfg, StrategyProfile.of([0]))
-    assert ok
-    assert path[0] == StrategyProfile.of([0])
-    assert path[-1] == StrategyProfile.of([0, 1, 2])
-    assert len(path) == 3
 
 
 def test_state_space_cap(p5):
     with pytest.raises(StateSpaceTooLarge):
         build_ir_state_graph(p5, GameConfig(SUM, 1), exhaustive_limit=4)
-    with pytest.raises(StateSpaceTooLarge):
-        reaches_ne_from(p5, GameConfig(SUM, 1), StrategyProfile.of([0]), exhaustive_limit=4)
 
 
 def test_exhaustive_limit_env(monkeypatch):
@@ -217,7 +211,6 @@ def test_sweeps_beyond_physical_memory_are_refused_before_allocating(
     cfg = GameConfig(SUM, 2)
     sweeps = [
         lambda: build_ir_state_graph(g, cfg, exhaustive_limit=40),
-        lambda: reaches_ne_from(g, cfg, StrategyProfile.of([0]), exhaustive_limit=40),
         lambda: enumerate_equilibria(g, cfg, exhaustive_limit=40),
         lambda: brute_force_optimum(g, cfg, exhaustive_limit=40),
         lambda: brute_force_optimum(g, cfg, mode="full", exhaustive_limit=40),
@@ -336,6 +329,69 @@ def test_dynamics_traces_match_hub_oracle(pair, alpha, variant, seed):
         elif isinstance(trace.outcome, Stalled):
             assert good
             assert not [v for v in good if v in allowed and v not in trace.final]
+
+
+def _plain_verdicts(succ):
+    """Sinks, states whose every improving path halts, and states that reach
+    no sink, as fixed points over Python sets.  ``succ`` maps each state to
+    the set of states one improving move away."""
+    sinks = {s for s, out in succ.items() if not out}
+    halting, reaching = set(sinks), set(sinks)
+    changed = True
+    while changed:
+        changed = False
+        for s, out in succ.items():
+            if s not in halting and out <= halting:
+                halting.add(s)
+                changed = True
+            if s not in reaching and out & reaching:
+                reaching.add(s)
+                changed = True
+    return sinks, halting, set(succ) - reaching
+
+
+@given(connected_graphs(max_n=7), st.sampled_from([SUM, MAX]), alphas())
+@settings(max_examples=30, deadline=None)
+def test_classifier_matches_plain_search_over_hub_oracle(g, variant, alpha):
+    """Equilibria, verdict, trapped states and sample cycle agree with plain
+    set searches over the hub oracle's move graph, at a drawn price and at
+    knife-edge prices around every distance change the graph has."""
+    states = [StrategyProfile.from_mask(m) for m in range(1, 1 << g.n)]
+    # At alpha = 1 an open's delta is dv + 1 and a close's is dv - 1, so each
+    # price p shifts them by p - 1 and 1 - p.
+    unit = {(s, v): oracle_move(g, variant, Fraction(1), s, v) for s in states for v in range(g.n)}
+    dvs = {delta - 1 if kind == "open" else delta + 1 for kind, delta, _ in unit.values()}
+    for price in {alpha} | knife_prices(dvs):
+        shift = {"open": price - 1, "close": 1 - price}
+
+        def improves(s, v):
+            kind, delta, forbidden = unit[s, v]
+            return not forbidden and delta + shift[kind] < 0
+
+        succ = {s: {s.toggled(v) for v in range(g.n) if improves(s, v)} for s in states}
+        sinks, halting, trapped = _plain_verdicts(succ)
+        report = build_ir_state_graph(g, GameConfig(variant, price))
+        assert report.state_count == len(states)
+        assert report.ne_states == tuple(s for s in states if s in sinks)
+        assert report.trapped == (tuple(s for s in states if s in trapped) or None)
+        if len(halting) == len(states):
+            assert report.classification is Classification.FIP
+            assert report.cycle is None
+            continue
+        expected = Classification.NOT_WEAKLY_ACYCLIC if trapped else Classification.WEAKLY_ACYCLIC
+        assert report.classification is expected
+        # The witness: smallest non-halting state, then the move with the
+        # lowest toggled bit to a non-halting state, until a state repeats.
+        path = [next(s for s in states if s not in halting)]
+        while True:
+            s = path[-1]
+            nxt = min(
+                (t for t in succ[s] if t not in halting), key=lambda t: t.mask() ^ s.mask()
+            )
+            if nxt in path:
+                assert report.cycle == tuple(path[path.index(nxt):])
+                break
+            path.append(nxt)
 
 
 @pytest.mark.parametrize(
