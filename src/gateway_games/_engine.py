@@ -10,6 +10,11 @@ is only ever compared with integers: an open improves iff ``alpha + dv < 0``,
 that is ``dv <= -(floor(alpha) + 1)``, and a close iff ``dv - alpha < 0``,
 that is ``dv <= ceil(alpha) - 1``.  ``_thresholds`` states that rule once for
 the per-profile move kernel in ``game`` and for the exhaustive tables here.
+
+The sweeps take ``a`` from one ``(256, n)`` table per byte of node ids, built
+by a DP over the highest set bit, ``T[2^b : 2^(b+1)] = min(T[:2^b], d(8g+b, .))``
+with ``n`` for an empty byte, and form the terms in int16: every value is at
+most ``2n`` and a SUM term at most ``n(n-1)``, exact for n <= 181 (callers: n <= 63).
 """
 
 from __future__ import annotations
@@ -26,12 +31,11 @@ EXHAUSTIVE_LIMIT_ENV = "GATEWAY_GAMES_EXHAUSTIVE_LIMIT"
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 # Bytes per node per profile: the int32 term table plus the two boolean move tables.
 _TABLE_BYTES = 6
-# Bytes per profile beside those tables: the int64 masks, toggled masks and
-# dv that improving_tables builds its columns from, plus the one-byte column
-# temporaries.  term_table's masks and the classifier's int8 deg and bool
-# reached come and go before or after them, and take less.
-_PROFILE_BYTES = 32
-BIG = 1 << 28
+# Bytes per profile beside those tables: the int64 masks and toggled masks and
+# the int32 gather and dv that improving_tables builds its columns from, plus
+# one-byte column temporaries (tracemalloc: 6n + 26 for classify at n = 20).
+# term_table's masks and the classifier's deg and reached take less.
+_PROFILE_BYTES = 28
 # Read only by perfbench/tracer.py (its fraction_calls counter); nothing in the package uses it.
 SCALE_LIMIT = 1 << 40
 _CHUNK = 4096
@@ -50,7 +54,7 @@ def check_sweep_size(n: int, exhaustive_limit: int | None, what: str) -> None:
     """Refuse a sweep over all ``2^n`` profiles before anything is allocated.
 
     The node count must be within the resolved limit, and the sweep's
-    arrays, about ``2^n * (6n + 32)`` bytes, must fit in physical memory.
+    arrays, about ``2^n * (6n + 28)`` bytes, must fit in physical memory.
     """
     limit = resolve_exhaustive_limit(exhaustive_limit)
     if n > limit:
@@ -84,12 +88,18 @@ def _terms(dist: np.ndarray, a: np.ndarray, base: np.ndarray, maximum: bool) -> 
 
 def _term_rows(dist: np.ndarray, masks: np.ndarray, maximum: bool):
     """``(rows, terms)`` per chunk of ``masks``: the per-node terms of each mask."""
-    d32 = dist.astype(np.int32)
-    bits = np.arange(dist.shape[0], dtype=np.int64)
+    n = dist.shape[0]
+    d16 = dist.astype(np.int16)
+    tables = np.full((-(-n // 8), 256, n), n, dtype=np.int16)
+    for v in range(n):
+        g, b = divmod(v, 8)
+        np.minimum(tables[g, : 1 << b], d16[v], out=tables[g, 1 << b : 2 << b])
     for start in range(0, masks.shape[0], _CHUNK):
-        member = (masks[start : start + _CHUNK, None] >> bits) & 1 == 1
-        a = np.where(member[:, None, :], d32, BIG).min(axis=2)
-        yield slice(start, start + member.shape[0]), _terms(d32, a, a, maximum)
+        chunk = masks[start : start + _CHUNK]
+        a = tables[0, chunk & 255]
+        for g in range(1, tables.shape[0]):
+            np.minimum(a, tables[g, (chunk >> 8 * g) & 255], out=a)
+        yield slice(start, start + chunk.shape[0]), _terms(d16, a, a, maximum)
 
 
 def term_table(dist: np.ndarray, *, maximum: bool) -> np.ndarray:
@@ -128,7 +138,7 @@ def improving_tables(
     close_ok = np.zeros((total, n), dtype=bool)
     for v in range(n):
         bit = 1 << v
-        dv = table[masks ^ bit, v].astype(np.int64) - table[:, v]
+        dv = table[masks ^ bit, v] - table[:, v]
         member = (masks & bit) != 0
         open_ok[:, v] = valid & ~member & (dv <= open_at)
         close_ok[:, v] = member & (masks != bit) & (dv <= close_at)

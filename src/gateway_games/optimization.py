@@ -176,6 +176,8 @@ def _bounded_search(
     d: DistanceOracle, cfg: GameConfig, upper_bound_profile: StrategyProfile | None
 ) -> OptimumResult:
     n = d.graph.n
+    if n > 63:  # masks are int64
+        raise StateSpaceTooLarge(f"bounded search needs n <= 63, got n = {n}")
     maximum = cfg.variant is Variant.MAX
     alpha = cfg.alpha
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from conftest import (
     knife_prices,
     oracle_move,
     oracle_private_cost,
+    path_graph,
     random_connected_graph,
 )
 
@@ -205,6 +207,41 @@ def test_sweep_tables_and_move_kernel_share_one_rule(g, variant):
             assert (open_ok[mask] | close_ok[mask]).tolist() == toggles.improving.tolist()
             assert not (open_ok[mask] & toggles.member).any()
             assert not (close_ok[mask] & ~toggles.member).any()
+
+
+def hub_terms(g, variant, mask):
+    rows = hub_distances(g, frozenset(v for v in range(g.n) if mask >> v & 1))
+    return [max(row) if variant is MAX else sum(row) for row in rows]
+
+
+@given(connected_graphs(min_n=9, max_n=18), st.sampled_from([SUM, MAX]), st.randoms())
+@settings(max_examples=12, deadline=None)
+def test_sweep_terms_across_byte_groups_match_hub_oracle(g, variant, rnd):
+    """Masks over two or three lookup-table bytes: the empty one, the top node
+    alone, everyone, everyone outside the low byte, and random ones."""
+    n = g.n
+    full = (1 << n) - 1
+    masks = [0, 1 << (n - 1), full, full & ~0xFF] + [rnd.randrange(1 << n) for _ in range(8)]
+    d = all_pairs_distances(g)
+    table = _engine.term_table(d.dist, maximum=variant is MAX)
+    sums = _engine.term_sums_for_masks(
+        d.dist, np.array(masks, dtype=np.int64), maximum=variant is MAX
+    )
+    for mask, total in zip(masks, sums.tolist()):
+        terms = hub_terms(g, variant, mask)
+        assert table[mask].tolist() == terms
+        assert total == sum(terms)
+
+
+@pytest.mark.parametrize("variant", [SUM, MAX])
+def test_term_sums_keep_headroom_at_63_nodes(variant):
+    """A 63-node path has the largest terms the bounded search can reach."""
+    g = path_graph(63)
+    masks = [0, 1, 1 << 62, 1 | 1 << 62]
+    sums = _engine.term_sums_for_masks(
+        all_pairs_distances(g).dist, np.array(masks, dtype=np.int64), maximum=variant is MAX
+    )
+    assert sums.tolist() == [sum(hub_terms(g, variant, mask)) for mask in masks]
 
 
 def test_cost_queries_run_no_bfs(monkeypatch):

@@ -13,8 +13,10 @@ from gateway_games import (
     Variant,
     all_pairs_distances,
     brute_force_optimum,
+    build_graph,
     catalog_to_csv,
     enumerate_equilibria,
+    graph_to_json,
     greedy_gateways,
     is_nash_equilibrium,
     poa_regime_report,
@@ -22,7 +24,7 @@ from gateway_games import (
     twin_classes,
 )
 
-from conftest import KNIFE, alphas, connected_graphs, path_graph
+from conftest import KNIFE, alphas, connected_graphs, path_graph, run_cli
 
 SUM = Variant.SUM
 MAX = Variant.MAX
@@ -88,6 +90,34 @@ def test_bounded_equals_full(g, alpha, variant):
     ):
         assert res.best_cost == costs[best]
         assert res.best_profile == best
+
+
+def star(n):
+    return build_graph(n, [(0, v) for v in range(1, n)])
+
+
+@pytest.mark.parametrize("flags", [("--bounded",), ()])
+def test_bounded_search_refuses_64_nodes(tmp_path, flags):
+    path = tmp_path / "star64.json"
+    path.write_text(graph_to_json(star(64)))
+    proc = run_cli("optimum", "--graph", path, "--alpha", 3, *flags)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: bounded search needs n <= 63, got n = 64"]
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3), Fraction(500)])
+def test_bounded_search_solves_63_node_star(alpha):
+    """A star's optimum is the centre or not, plus some number of leaves."""
+    g = star(63)
+    d = all_pairs_distances(g)
+    cfg = GameConfig(SUM, alpha)
+    candidates = [StrategyProfile.of(range(1, k + 1)) for k in range(1, 63)]
+    candidates += [StrategyProfile.of(range(k + 1)) for k in range(63)]
+    result = brute_force_optimum(g, cfg, mode="bounded")
+    assert result.best_cost == min(social_cost(d, cfg, s) for s in candidates)
+    assert social_cost(d, cfg, result.best_profile) == result.best_cost
 
 
 def test_optimum_ties_across_gateway_counts_go_to_fewer_gateways(p3):
