@@ -11,8 +11,15 @@ that is ``dv <= -(floor(alpha) + 1)``, and a close iff ``dv - alpha < 0``,
 that is ``dv <= ceil(alpha) - 1``.  ``_thresholds`` states that rule once for
 the per-profile move kernel in ``game`` and for the exhaustive tables here.
 
-The sweeps take ``a`` from one ``(256, n)`` table per byte of node ids, built
-by a DP over the highest set bit, ``T[2^b : 2^(b+1)] = min(T[:2^b], d(8g+b, .))``
+The exhaustive tables are node-major: row ``v`` holds node ``v``'s value for
+every mask, shape ``(n, 2^n)``, so every add, min and reduction runs along a
+contiguous row of masks rather than along a node axis of length n.  Toggling
+``v`` swaps the two halves of each block of ``2^(v+1)`` consecutive masks, so
+``improving_tables`` reads ``dv`` off row ``v`` by that block swap, with no
+mask vector and no gather.
+
+The sweeps take ``a`` from one ``(n, 256)`` table per byte of node ids, built
+by a DP over the highest set bit, ``T[:, 2^b : 2^(b+1)] = min(T[:, :2^b], d(., 8g+b))``
 with ``n`` for an empty byte, and form the terms in int16: every value is at
 most ``2n`` and a SUM term at most ``n(n-1)``, exact for n <= 181 (callers: n <= 63).
 """
@@ -31,14 +38,18 @@ EXHAUSTIVE_LIMIT_ENV = "GATEWAY_GAMES_EXHAUSTIVE_LIMIT"
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 # Bytes per node per profile: the int32 term table plus the two boolean move tables.
 _TABLE_BYTES = 6
-# Bytes per profile beside those tables: the int64 masks and toggled masks and
-# the int32 gather and dv that improving_tables builds its columns from, plus
-# one-byte column temporaries (tracemalloc: 6n + 26 for classify at n = 20).
-# term_table's masks and the classifier's deg and reached take less.
-_PROFILE_BYTES = 28
+# Bytes per profile beside those tables: improving_tables' int32 differences of
+# half a row and its one-byte temporaries (tracemalloc peaks of classify and
+# equilibria: 6n + 4.1 at n = 20, 6n + 5.1 at n = 16).  term_table's int64
+# masks, while only the term table exists, and the classifier's deg and
+# reached take less.
+_PROFILE_BYTES = 6
 # Read only by perfbench/tracer.py (its fraction_calls counter); nothing in the package uses it.
 SCALE_LIMIT = 1 << 40
-_CHUNK = 4096
+# Bytes of _terms' (n, n, chunk) int16 temporary in a sweep.  It should stay
+# in a core's L2 cache: on a 2 MB-L2 Xeon, term_table at n = 18 and 20 ran
+# about twice as fast with 1 MB as with 4 MB.
+_BATCH_BYTES = 1 << 20
 _CLAMP = 1 << 62
 
 
@@ -54,7 +65,7 @@ def check_sweep_size(n: int, exhaustive_limit: int | None, what: str) -> None:
     """Refuse a sweep over all ``2^n`` profiles before anything is allocated.
 
     The node count must be within the resolved limit, and the sweep's
-    arrays, about ``2^n * (6n + 28)`` bytes, must fit in physical memory.
+    arrays, about ``2^n * (6n + 6)`` bytes, must fit in physical memory.
     """
     limit = resolve_exhaustive_limit(exhaustive_limit)
     if n > limit:
@@ -79,75 +90,81 @@ def _thresholds(alpha: Fraction) -> tuple[int, int]:
 
 def _terms(dist: np.ndarray, a: np.ndarray, base: np.ndarray, maximum: bool) -> np.ndarray:
     """``agg_u min(d(v, u), base(v) + a(u))`` for each ``v``; ``base = a`` gives
-    the profile's own terms.  Leading axes of ``a`` and ``base`` batch profiles;
-    ``dist`` may be cut to the rows ``base`` covers."""
-    through = base[..., :, None] + a[..., None, :]
+    the profile's own terms.  A trailing axis of ``a`` and ``base`` batches
+    profiles, with ``dist`` then shaped ``(n, n, 1)``; ``dist`` may be cut to
+    the rows ``base`` covers."""
+    through = base[:, None] + a[None, :]
     np.minimum(through, dist, out=through)
-    return through.max(axis=-1) if maximum else through.sum(axis=-1, dtype=through.dtype)
+    return through.max(axis=1) if maximum else through.sum(axis=1, dtype=through.dtype)
 
 
 def _term_rows(dist: np.ndarray, masks: np.ndarray, maximum: bool):
-    """``(rows, terms)`` per chunk of ``masks``: the per-node terms of each mask."""
+    """``(columns, terms)`` per chunk of ``masks``: the ``(n, chunk)`` node terms."""
     n = dist.shape[0]
-    d16 = dist.astype(np.int16)
-    tables = np.full((-(-n // 8), 256, n), n, dtype=np.int16)
+    d16 = dist.astype(np.int16)[:, :, None]
+    tables = np.full((-(-n // 8), n, 256), n, dtype=np.int16)
     for v in range(n):
         g, b = divmod(v, 8)
-        np.minimum(tables[g, : 1 << b], d16[v], out=tables[g, 1 << b : 2 << b])
-    for start in range(0, masks.shape[0], _CHUNK):
-        chunk = masks[start : start + _CHUNK]
-        a = tables[0, chunk & 255]
+        np.minimum(tables[g, :, : 1 << b], d16[:, v], out=tables[g, :, 1 << b : 2 << b])
+    step = max(1, _BATCH_BYTES // (2 * n * n))
+    for start in range(0, masks.shape[0], step):
+        chunk = masks[start : start + step]
+        # take() keeps ``a`` C-contiguous; fancy indexing along axis 1 would not.
+        a = tables[0].take(chunk & 255, axis=1)
         for g in range(1, tables.shape[0]):
-            np.minimum(a, tables[g, (chunk >> 8 * g) & 255], out=a)
+            np.minimum(a, tables[g].take((chunk >> 8 * g) & 255, axis=1), out=a)
         yield slice(start, start + chunk.shape[0]), _terms(d16, a, a, maximum)
 
 
 def term_table(dist: np.ndarray, *, maximum: bool) -> np.ndarray:
-    """Per-node distance terms for every profile mask, shape (2^n, n).
+    """Per-node distance terms for every profile mask, shape (n, 2^n).
 
-    Row 0 is the gateway-free world: plain distance sums (or maxima).  It is
-    the reference point for the forbidden sole-gateway close.
+    Column 0 is the gateway-free world: plain distance sums (or maxima).  It
+    is the reference point for the forbidden sole-gateway close.
     """
     n = dist.shape[0]
-    out = np.empty((1 << n, n), dtype=np.int32)
-    for rows, terms in _term_rows(dist, np.arange(1 << n, dtype=np.int64), maximum):
-        out[rows] = terms
+    out = np.empty((n, 1 << n), dtype=np.int32)
+    for columns, terms in _term_rows(dist, np.arange(1 << n, dtype=np.int64), maximum):
+        out[:, columns] = terms
     return out
 
 
 def term_sums_for_masks(dist: np.ndarray, masks: np.ndarray, *, maximum: bool) -> np.ndarray:
     """Total distance part of the social cost for each mask, shape (P,)."""
     out = np.empty(masks.shape[0], dtype=np.int64)
-    for rows, terms in _term_rows(dist, masks, maximum):
-        out[rows] = terms.sum(axis=1, dtype=np.int64)
+    for columns, terms in _term_rows(dist, masks, maximum):
+        out[columns] = terms.sum(axis=0, dtype=np.int64)
     return out
 
 
 def improving_tables(
     table: np.ndarray, alpha: Fraction
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (2^n, n) tables of strictly improving opens and closes.
+    """Boolean (n, 2^n) tables of strictly improving opens and closes.
 
-    Sole-gateway closes are excluded (forbidden), mask 0 rows are all False.
+    Sole-gateway closes are excluded (forbidden).  Mask 0 columns are all
+    False: it has nothing to close, and opening ``v`` there leaves ``v``'s
+    term as it was, so at a positive price it never improves.  In each block
+    of ``2^(v+1)`` masks the first half lacks ``v`` and the second half is
+    the first with ``v`` added, so one difference of the halves is ``dv`` for
+    the open and, negated, for the close.
     """
-    total, n = table.shape
+    n, total = table.shape
     open_at, close_at = _thresholds(alpha)
-    masks = np.arange(total, dtype=np.int64)
-    valid = masks != 0
-    open_ok = np.zeros((total, n), dtype=bool)
-    close_ok = np.zeros((total, n), dtype=bool)
+    open_ok = np.zeros((n, total), dtype=bool)
+    close_ok = np.zeros((n, total), dtype=bool)
     for v in range(n):
-        bit = 1 << v
-        dv = table[masks ^ bit, v] - table[:, v]
-        member = (masks & bit) != 0
-        open_ok[:, v] = valid & ~member & (dv <= open_at)
-        close_ok[:, v] = member & (masks != bit) & (dv <= close_at)
+        halves = table[v].reshape(-1, 2, 1 << v)
+        dv = halves[:, 1] - halves[:, 0]  # opening v changes its term by dv, closing by -dv
+        np.less_equal(dv, open_at, out=open_ok[v].reshape(-1, 2, 1 << v)[:, 0])
+        np.greater_equal(dv, -close_at, out=close_ok[v].reshape(-1, 2, 1 << v)[:, 1])
+        close_ok[v, 1 << v] = False  # v alone: the sole gateway may not close
     return open_ok, close_ok
 
 
 def ne_vector(open_ok: np.ndarray, close_ok: np.ndarray) -> np.ndarray:
-    total = open_ok.shape[0]
-    any_move = open_ok.any(axis=1) | close_ok.any(axis=1)
-    valid = np.arange(total, dtype=np.int64) != 0
-    return valid & ~any_move
+    """Per mask: non-empty and no improving move, shape (2^n,)."""
+    ne = ~(open_ok.any(axis=0) | close_ok.any(axis=0))
+    ne[0] = False
+    return ne
 

@@ -276,9 +276,9 @@ def _backward_bfs(moves: np.ndarray, frontier: np.ndarray, visit) -> None:
     """
     while frontier.size:
         found = []
-        for b, column in enumerate(moves.T):
+        for b, row in enumerate(moves):
             pred = frontier ^ (1 << b)
-            found.append(visit(pred[column[pred]]))
+            found.append(visit(pred[row[pred]]))
         frontier = np.concatenate(found)
 
 
@@ -314,7 +314,7 @@ def build_ir_state_graph(
     moves = open_ok | close_ok
     del open_ok, close_ok
 
-    deg = moves.sum(axis=1, dtype=np.int8)
+    deg = moves.sum(axis=0, dtype=np.int8)
 
     def peel(pred: np.ndarray) -> np.ndarray:
         deg[pred] -= 1
@@ -342,7 +342,7 @@ def build_ir_state_graph(
         positions = {path[0]: 0}
         while True:
             s = path[-1]
-            onward = moves[s] & alive[s ^ bits]
+            onward = moves[:, s] & alive[s ^ bits]
             if not onward.any():
                 raise AssertionError("unpeeled state must keep an unpeeled successor")
             nxt = s ^ (1 << int(onward.argmax()))

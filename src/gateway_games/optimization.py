@@ -142,30 +142,24 @@ def _level_counts(sizes: list[int], kmax: int) -> list[int]:
     return coeffs + [0] * (kmax + 1 - len(coeffs))
 
 
-def _canonical_masks(prefixes: list[list[int]], k: int) -> list[int]:
-    """All canonical masks with exactly ``k`` gateways.
+def _canonical_masks(classes: tuple[tuple[int, ...], ...], k: int) -> np.ndarray:
+    """All canonical masks with exactly ``k`` gateways, as int64.
 
-    Each group contributes a prefix of its smallest ids; prefixes per group
-    are precomputed masks indexed by how many members are taken.
+    Each twin class contributes a prefix of its sorted members.  The masks
+    are built one class at a time, keeping a partial choice only while the
+    classes left can still bring its gateway count to ``k``.
     """
-    out: list[int] = []
-    caps = [len(p) - 1 for p in prefixes]
-    suffix = [0] * (len(prefixes) + 1)
-    for i in range(len(prefixes) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
-
-    def walk(i: int, remaining: int, acc: int) -> None:
-        if remaining == 0:
-            out.append(acc)
-            return
-        if i == len(prefixes) or remaining > suffix[i]:
-            return
-        group = prefixes[i]
-        for t in range(min(caps[i], remaining) + 1):
-            walk(i + 1, remaining - t, acc | group[t])
-
-    walk(0, k, 0)
-    return out
+    room = sum(map(len, classes))
+    acc = np.zeros(1, dtype=np.int64)
+    count = np.zeros(1, dtype=np.int64)
+    for members in classes:
+        room -= len(members)
+        prefixes = np.cumsum([0, *(1 << v for v in members)], dtype=np.int64)
+        acc = (acc[:, None] | prefixes).ravel()
+        count = (count[:, None] + np.arange(len(prefixes))).ravel()
+        keep = (count <= k) & (count + room >= k)
+        acc, count = acc[keep], count[keep]
+    return acc
 
 
 def _sum_level_floor(n: int, k: int, d2: int) -> int:
@@ -202,24 +196,12 @@ def _bounded_search(
             f"(cap {BOUNDED_ENUMERATION_CAP}); supply a tighter upper bound"
         )
 
-    prefixes = []
-    for members in classes:
-        row = [0]
-        acc = 0
-        for v in members:
-            acc |= 1 << v
-            row.append(acc)
-        prefixes.append(row)
-
     d2 = int(np.minimum(d.dist, 2).sum()) if not maximum else 0
     for k in range(1, kmax + 1):
         floor_part = max(0, n - k) if maximum else _sum_level_floor(n, k, d2)
         if alpha * k + floor_part > best_key[0]:
             continue
-        level = _canonical_masks(prefixes, k)
-        if not level:
-            continue
-        masks = np.array(level, dtype=np.int64)
+        masks = _canonical_masks(classes, k)
         sums = _engine.term_sums_for_masks(d.dist, masks, maximum=maximum)
         mask, cost = _cheapest(masks, sums, np.full(len(masks), k), alpha)
         key = (cost, k, _mask_ids(mask))
@@ -286,12 +268,11 @@ def enumerate_equilibria(
     d = all_pairs_distances(g)
     maximum = cfg.variant is Variant.MAX
     table = _engine.term_table(d.dist, maximum=maximum)
-    open_ok, close_ok = _engine.improving_tables(table, cfg.alpha)
-    ne = _engine.ne_vector(open_ok, close_ok)
+    ne = _engine.ne_vector(*_engine.improving_tables(table, cfg.alpha))
     total = 1 << g.n
-    rowsums = table.sum(axis=1, dtype=np.int64)
+    totals = table.sum(axis=0, dtype=np.int64)
     masks = np.arange(1, total, dtype=np.int64)
-    best, best_cost = _cheapest(masks, rowsums[1:], np.bitwise_count(masks), cfg.alpha)
+    best, best_cost = _cheapest(masks, totals[1:], np.bitwise_count(masks), cfg.alpha)
     optimum = OptimumResult(
         StrategyProfile.from_mask(best), best_cost, FullEnumeration(), True
     )
@@ -299,7 +280,7 @@ def enumerate_equilibria(
     found: list[tuple[StrategyProfile, Fraction]] = []
     for m in np.flatnonzero(ne):
         mask = int(m)
-        cost = cfg.alpha * mask.bit_count() + Fraction(int(rowsums[mask]))
+        cost = cfg.alpha * mask.bit_count() + Fraction(int(totals[mask]))
         found.append((StrategyProfile.from_mask(mask), cost))
     found.sort(key=lambda pair: (pair[1], len(pair[0]), pair[0].ids))
     poa = found[-1][1] / best_cost if found else None

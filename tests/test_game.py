@@ -195,18 +195,56 @@ def test_sweep_tables_and_move_kernel_share_one_rule(g, variant):
     dvs = set()
     for mask in masks:
         toggles = _scan_toggles(d.dist, GameConfig(variant, 1), StrategyProfile.from_mask(mask))
-        dv = [int(table[mask ^ (1 << v), v]) - int(table[mask, v]) for v in range(g.n)]
+        dv = [int(table[v, mask ^ (1 << v)]) - int(table[v, mask]) for v in range(g.n)]
         assert toggles.dv.tolist() == dv
         dvs.update(dv)
     for alpha in knife_prices(dvs):
         cfg = GameConfig(variant, alpha)
         open_ok, close_ok = _engine.improving_tables(table, alpha)
-        assert not open_ok[0].any() and not close_ok[0].any()
+        assert not open_ok[:, 0].any() and not close_ok[:, 0].any()
         for mask in masks:
             toggles = _scan_toggles(d.dist, cfg, StrategyProfile.from_mask(mask))
-            assert (open_ok[mask] | close_ok[mask]).tolist() == toggles.improving.tolist()
-            assert not (open_ok[mask] & toggles.member).any()
-            assert not (close_ok[mask] & ~toggles.member).any()
+            assert (open_ok[:, mask] | close_ok[:, mask]).tolist() == toggles.improving.tolist()
+            assert not (open_ok[:, mask] & toggles.member).any()
+            assert not (close_ok[:, mask] & ~toggles.member).any()
+
+
+@given(connected_graphs(min_n=9, max_n=13), st.sampled_from([SUM, MAX]))
+@settings(max_examples=8, deadline=None)
+def test_block_swap_tables_match_a_gather_per_node(g, variant):
+    """``improving_tables`` against the rule it replaced: gather each node's
+    toggled terms with ``masks ^ bit``, and decide each ``dv`` as a Fraction."""
+    n = g.n
+    table = _engine.term_table(all_pairs_distances(g).dist, maximum=variant is MAX)
+    masks = np.arange(1 << n)
+    dv = np.stack([table[v, masks ^ (1 << v)] - table[v] for v in range(n)])
+    member = (masks >> np.arange(n)[:, None] & 1) == 1
+    sole = masks == 1 << np.arange(n)[:, None]
+    values = np.unique(dv)
+    for alpha in knife_prices(values.tolist()):
+        opens = np.isin(dv, [x for x in values.tolist() if alpha + x < 0])
+        closes = np.isin(dv, [x for x in values.tolist() if x - alpha < 0])
+        open_ok, close_ok = _engine.improving_tables(table, alpha)
+        assert (open_ok == (opens & ~member & (masks != 0))).all()
+        assert (close_ok == (closes & member & ~sole)).all()
+
+
+@pytest.mark.parametrize("variant", [SUM, MAX])
+def test_batched_terms_equal_one_call_per_profile(variant):
+    """A trailing batch axis changes nothing: the sweep's int16 batches match
+    the move kernel's 1-D calls, for a profile's own base and for another."""
+    rnd = random.Random(5)
+    g = random_connected_graph(rnd, 17)
+    dist = all_pairs_distances(g).dist
+    profiles = [rnd.sample(range(17), rnd.randint(1, 17)) for _ in range(40)]
+    a = np.stack([dist[:, gates].min(axis=1) for gates in profiles], axis=1)
+    base = np.array([[rnd.randrange(2 * 17) for _ in profiles] for _ in range(17)])
+    maximum = variant is MAX
+    d16, a16 = dist.astype(np.int16)[:, :, None], a.astype(np.int16)
+    for b in (a, base):
+        batched = _engine._terms(d16, a16, b.astype(np.int16), maximum)
+        single = [_engine._terms(dist, a[:, p], b[:, p], maximum) for p in range(len(profiles))]
+        assert batched.tolist() == np.stack(single, axis=1).tolist()
 
 
 def hub_terms(g, variant, mask):
@@ -229,7 +267,7 @@ def test_sweep_terms_across_byte_groups_match_hub_oracle(g, variant, rnd):
     )
     for mask, total in zip(masks, sums.tolist()):
         terms = hub_terms(g, variant, mask)
-        assert table[mask].tolist() == terms
+        assert table[:, mask].tolist() == terms
         assert total == sum(terms)
 
 

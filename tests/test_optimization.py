@@ -1,4 +1,7 @@
+import itertools
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,8 @@ from gateway_games import (
     social_cost,
     twin_classes,
 )
+
+from gateway_games.optimization import _canonical_masks
 
 from conftest import KNIFE, alphas, connected_graphs, path_graph, run_cli
 
@@ -170,6 +175,29 @@ def test_twin_classes_shapes(star5, k4, c4, p4):
     assert twin_classes(k4) == ((0, 1, 2, 3),)
     assert twin_classes(c4) == ((0, 2), (1, 3))
     assert twin_classes(p4) == ((0,), (1,), (2,), (3,))
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.randoms())
+@settings(max_examples=40, deadline=None)
+def test_canonical_masks_are_the_prefix_sets_of_each_size(sizes, rnd):
+    """Against every k-subset of the nodes, kept when each class contributes
+    a prefix of its sorted members: the same sets, each once."""
+    n = sum(sizes)
+    ids = rnd.sample(range(n), n)
+    classes, start = [], 0
+    for size in sizes:
+        classes.append(tuple(sorted(ids[start : start + size])))
+        start += size
+    for k in range(n + 1):
+        expected = set()
+        for chosen in itertools.combinations(range(n), k):
+            taken = [tuple(v for v in members if v in chosen) for members in classes]
+            if all(members[: len(t)] == t for members, t in zip(classes, taken)):
+                expected.add(sum(1 << v for v in chosen))
+        masks = _canonical_masks(tuple(classes), k)
+        assert masks.dtype == np.int64
+        assert len(set(masks.tolist())) == len(masks)
+        assert set(masks.tolist()) == expected
 
 
 def test_clique_catalog(k4):
