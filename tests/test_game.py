@@ -212,8 +212,8 @@ def test_sweep_tables_and_move_kernel_share_one_rule(g, variant):
 @given(connected_graphs(min_n=9, max_n=13), st.sampled_from([SUM, MAX]))
 @settings(max_examples=8, deadline=None)
 def test_block_swap_tables_match_a_gather_per_node(g, variant):
-    """``improving_tables`` against the rule it replaced: gather each node's
-    toggled terms with ``masks ^ bit``, and decide each ``dv`` as a Fraction."""
+    """``improving_tables`` against a per-node gather: each node's toggled
+    terms taken with ``masks ^ bit``, and each ``dv`` decided as a Fraction."""
     n = g.n
     table = _engine.term_table(all_pairs_distances(g).dist, maximum=variant is MAX)
     masks = np.arange(1 << n)

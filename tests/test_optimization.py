@@ -2,7 +2,6 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
