@@ -45,7 +45,6 @@ from .graphs import (
     all_pairs_distances,
     build_graph,
     metrics,
-    multi_source_levels,
 )
 
 
@@ -431,11 +430,10 @@ def _spaced_profile(
                 chosen.append(v)
     gap = math.ceil(alpha)
     while True:
-        levels = multi_source_levels(g, chosen)
-        candidates = [v for v in range(g.n) if levels[v] == gap]
-        if not candidates:
+        candidates = np.flatnonzero(d.dist[:, chosen].min(axis=1) == gap)
+        if not candidates.size:
             break
-        chosen.append(candidates[0])
+        chosen.append(int(candidates[0]))
     return StrategyProfile.of(chosen)
 
 

@@ -148,13 +148,23 @@ class _Toggles:
     improving: np.ndarray
 
     def move(self, v: int) -> Move:
-        dv = int(self.dv[v])
-        if self.member[v]:
-            return Move(v, MoveKind.CLOSE, dv - self.alpha, forbidden=self.sole)
-        return Move(v, MoveKind.OPEN, self.alpha + dv)
+        return _move(self.alpha, self.sole, bool(self.member[v]), v, int(self.dv[v]))
 
     def moves(self) -> list[Move]:
         return [self.move(int(v)) for v in np.flatnonzero(self.improving)]
+
+
+def _move(alpha: Fraction, sole: bool, member: bool, v: int, dv: int) -> Move:
+    if member:
+        return Move(v, MoveKind.CLOSE, dv - alpha, forbidden=sole)
+    return Move(v, MoveKind.OPEN, alpha + dv)
+
+
+def _close_bases(dist: np.ndarray, gates: np.ndarray, closers: np.ndarray) -> np.ndarray:
+    """The bases of ``closers``, gateways all, once they close (see ``_scan_toggles``)."""
+    if len(gates) == 1:
+        return np.full(len(closers), dist.shape[0], dtype=dist.dtype)
+    return np.partition(dist[closers[:, None], gates], 1, axis=1)[:, 1]
 
 
 def _scan_toggles(dist: np.ndarray, cfg: GameConfig, s: StrategyProfile) -> _Toggles:
@@ -172,7 +182,7 @@ def _scan_toggles(dist: np.ndarray, cfg: GameConfig, s: StrategyProfile) -> _Tog
     member[gates] = True
     sole = len(gates) == 1
     base = np.zeros(n, dtype=dist.dtype)
-    base[gates] = n if sole else np.partition(dist[np.ix_(gates, gates)], 1, axis=1)[:, 1]
+    base[gates] = _close_bases(dist, gates, gates)
     maximum = cfg.variant is Variant.MAX
     dv = _terms(dist, a, base, maximum) - _terms(dist, a, a, maximum)
     open_at, close_at = _thresholds(cfg.alpha)
@@ -210,9 +220,21 @@ def cost_report(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> CostR
 
 
 def evaluate_move(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int) -> Move:
-    """Cost delta of toggling ``v``, from ``v``'s own point of view."""
+    """Cost delta of toggling ``v``, from ``v``'s own point of view.
+
+    Forms only ``v``'s terms before and after, with the formula and bases of
+    ``_scan_toggles``: one row of distances where the scan reads the whole
+    matrix twice.
+    """
     _check(d, s, v)
-    return _scan_toggles(d.dist, cfg, s).move(v)
+    gates = np.fromiter(s.gateways, dtype=np.intp, count=len(s))
+    a = d.dist[:, gates].min(axis=1)
+    member = v in s
+    base = _close_bases(d.dist, gates, np.array([v])) if member else np.zeros(1, dtype=a.dtype)
+    row = d.dist[[v]]
+    maximum = cfg.variant is Variant.MAX
+    dv = _terms(row, a, base, maximum)[0] - _terms(row, a, a[[v]], maximum)[0]
+    return _move(cfg.alpha, len(gates) == 1, member, v, int(dv))
 
 
 def improving_moves(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> list[Move]:

@@ -99,6 +99,11 @@ def random_connected_graph(rnd: random.Random, n: int, extra: int | None = None)
     return build_graph(n, sorted(edges))
 
 
+def deep_tree(rnd: random.Random, n: int) -> Graph:
+    """Each node attaches to one of the three most recent nodes: long, thin trees."""
+    return build_graph(n, [(max(0, v - 1 - rnd.randrange(3)), v) for v in range(1, n)])
+
+
 def tree_from_prufer(seq: list[int], n: int) -> Graph:
     """Standard decoding; n >= 2, entries in range(n), len(seq) == n - 2."""
     degree = [1] * n
@@ -211,10 +216,10 @@ def oracle_move(
     return ("close" if v in s else "open"), after - before, False
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Count calls of the package function ``name`` through every module binding it."""
+def count_calls(monkeypatch, name: str, module: str = "graphs") -> list:
+    """Count calls of ``gateway_games.<module>.<name>`` through every module binding it."""
     calls: list = []
-    real = getattr(gateway_games.graphs, name)
+    real = getattr(getattr(gateway_games, module), name)
 
     def counting(*args, **kwargs):
         calls.append(args)

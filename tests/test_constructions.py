@@ -28,7 +28,7 @@ from gateway_games import (
     reduce_set_cover,
 )
 
-from conftest import tree_from_prufer
+from conftest import deep_tree, tree_from_prufer
 
 INSTANCE_A = "6 3\n0 1\n2 3\n4 5\n"
 INSTANCE_B = "6 3\n0 1 2\n3 4 5\n0 3\n"
@@ -125,6 +125,15 @@ def test_max_ne_path(p4):
     assert prof.ids == (0, 3)
     d = all_pairs_distances(p4)
     assert is_nash_equilibrium(d, GameConfig(Variant.MAX, Fraction(7, 4)), prof)
+
+
+def test_max_ne_on_a_deep_tree_is_pinned():
+    """Recorded when the spaced profile's gap fill ran one multi-source BFS
+    per added gateway; on this tree its fill decides the profile."""
+    prof = construct_max_ne(deep_tree(random.Random(2), 70), Fraction(5, 2))
+    assert prof.ids == (
+        1, 5, 6, 9, 11, 16, 19, 21, 22, 27, 32, 33, 35, 38, 41, 43, 47, 53, 55, 56, 59, 62, 65, 67
+    )
 
 
 def test_max_ne_rejects_bad_inputs(p4, c4):

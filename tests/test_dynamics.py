@@ -40,6 +40,7 @@ from gateway_games import (
     verify_max_line_conditions,
 )
 from gateway_games import _engine, cli
+from gateway_games.graphs import _FRONTIER_MIN_N
 
 from conftest import (
     alphas,
@@ -419,3 +420,31 @@ def test_run_dynamics_builds_one_oracle(monkeypatch):
     assert trace.steps
     assert len(oracles) == 1
     assert len(bfs) == g.n
+
+
+def test_run_dynamics_above_the_cutover_builds_one_oracle_without_bfs(monkeypatch):
+    g = random_connected_graph(random.Random(5), _FRONTIER_MIN_N)
+    oracles = count_calls(monkeypatch, "all_pairs_distances")
+    bfs = count_calls(monkeypatch, "multi_source_levels")
+    trace = run_dynamics(g, GameConfig(SUM, Fraction(10)), StrategyProfile.of([0]), BestGain())
+    assert trace.steps
+    assert len(oracles) == 1
+    assert bfs == []
+
+
+def test_replay_scans_every_toggle_only_to_verify_the_equilibrium(monkeypatch):
+    g = random_connected_graph(random.Random(7), 30)
+    cfg = GameConfig(SUM, Fraction(10))
+    converged = run_dynamics(g, cfg, StrategyProfile.of([0]), BestGain())
+    assert isinstance(converged.outcome, ConvergedToNE) and len(converged.steps) > 1
+    params = IrCycleParams(10, 1, 2, Fraction(5))
+    game = gen_ir_cycle(params)
+    cycle_cfg = GameConfig(SUM, params.alpha)
+    cycling = run_dynamics(
+        game.graph, cycle_cfg, game.initial, FixedSequence((game.roles["u"], game.roles["v"]))
+    )
+    scans = count_calls(monkeypatch, "_scan_toggles", "game")
+    replay_trace(g, cfg, converged)
+    assert len(scans) == 1
+    replay_trace(game.graph, cycle_cfg, cycling)
+    assert len(scans) == 1

@@ -184,6 +184,28 @@ def test_integer_thresholds_hold_at_knife_edge_prices(pair, variant):
         assert is_nash_equilibrium(d, cfg, s) == (not expected)
 
 
+@given(graph_profile_pairs(max_n=8), st.sampled_from([SUM, MAX]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_single_move_equals_the_full_scan_at_knife_edge_prices(pair, variant, sole):
+    """``evaluate_move`` scores one row; it must give the scan's move for
+    every node, the sole gateway's forbidden close included."""
+    g, s = pair
+    if sole:
+        s = StrategyProfile.of(s.ids[:1])
+    d = all_pairs_distances(g)
+    plain = {v: oracle_move(g, variant, Fraction(1), s, v) for v in range(g.n)}
+    dvs = {delta - 1 if kind == "open" else delta + 1 for kind, delta, _ in plain.values()}
+    for alpha in knife_prices(dvs):
+        cfg = GameConfig(variant, alpha)
+        scan = _scan_toggles(d.dist, cfg, s)
+        for v in range(g.n):
+            move = evaluate_move(d, cfg, s, v)
+            assert move == scan.move(v)
+            assert (move.kind.value, move.cost_delta, move.forbidden) == oracle_move(
+                g, variant, alpha, s, v
+            )
+
+
 @given(connected_graphs(max_n=7), st.sampled_from([SUM, MAX]))
 @settings(max_examples=30, deadline=None)
 def test_sweep_tables_and_move_kernel_share_one_rule(g, variant):

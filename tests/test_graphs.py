@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import deque
@@ -21,9 +22,18 @@ from gateway_games import (
     multi_source_levels,
     parse_graph,
 )
+from gateway_games import graphs
 from gateway_games.graphs import _bfs_tree
 
-from conftest import connected_graphs, random_connected_graph, tree_from_prufer
+from conftest import (
+    connected_graphs,
+    count_calls,
+    deep_tree,
+    hub_distances,
+    path_graph,
+    random_connected_graph,
+    tree_from_prufer,
+)
 
 
 def test_build_graph_rejects_self_loop():
@@ -118,6 +128,63 @@ def test_distance_matrix_properties(g):
     assert m.diameter == int(mat.max())
     u, v = m.peripheral_pair
     assert int(d.dist[u, v]) == m.diameter
+
+
+def family_graph(kind: str, n: int, seed: int):
+    rnd = random.Random(seed)
+    if kind == "random":
+        return random_connected_graph(rnd, n)
+    if kind == "deep":
+        return deep_tree(rnd, n)
+    if n == 1:
+        return build_graph(1, [])
+    if kind == "path":
+        return path_graph(n)
+    if kind == "star":
+        return build_graph(n, [(0, v) for v in range(1, n)])
+    return build_graph(n, itertools.combinations(range(n), 2))
+
+
+FAMILIES = ("random", "path", "star", "complete", "deep")
+
+
+@given(st.data())
+@settings(max_examples=3, deadline=None)
+def test_both_distance_builds_match_per_source_bfs_and_hub_oracle(data):
+    """Both builds, called directly at every n up to 30 past the cutover."""
+    for n in range(1, graphs._FRONTIER_MIN_N + 31):
+        kind = data.draw(st.sampled_from(FAMILIES), label=f"family at n = {n}")
+        g = family_graph(kind, n, data.draw(st.integers(0, 2**32 - 1)))
+        expected = [list(multi_source_levels(g, (s,))) for s in range(n)]
+        assert expected == hub_distances(g, frozenset())
+        for build in (graphs._bfs_distances, graphs._frontier_distances):
+            dist = build(g)
+            assert dist.dtype == np.int64
+            assert dist.tolist() == expected
+        d = all_pairs_distances(g)
+        assert d.dist.dtype == np.int64 and not d.dist.flags.writeable
+
+
+@pytest.mark.parametrize("n", [graphs._FRONTIER_MIN_N - 1, graphs._FRONTIER_MIN_N])
+def test_all_pairs_distances_switches_build_at_the_cutover(monkeypatch, n):
+    g = random_connected_graph(random.Random(n), n)
+    frontier = count_calls(monkeypatch, "_frontier_distances")
+    per_source = count_calls(monkeypatch, "_bfs_distances")
+    bfs = count_calls(monkeypatch, "multi_source_levels")
+    all_pairs_distances(g)
+    if n < graphs._FRONTIER_MIN_N:
+        assert (len(frontier), len(per_source), len(bfs)) == (0, 1, n)
+    else:
+        assert (len(frontier), len(per_source), len(bfs)) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 64])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_frontier_build_in_small_source_blocks(monkeypatch, budget, kind):
+    g = family_graph(kind, 23, budget)
+    expected = graphs._bfs_distances(g)
+    monkeypatch.setattr(graphs, "_FRONTIER_BUDGET", budget)
+    assert np.array_equal(graphs._frontier_distances(g), expected)
 
 
 @given(connected_graphs(min_n=1, max_n=12), st.data())
