@@ -1,11 +1,24 @@
 """Exact social-optimum search, equilibrium enumeration, and price ratios.
 
 Two search methods share one tie-break order (cost, gateway count, sorted
-ids).  Full enumeration sweeps every non-empty profile; the bounded method
-exploits ``c(S) >= alpha * |S|`` to cap the gateway count at ``floor(U /
-alpha)`` for a feasible upper bound U, prunes whole cardinality levels with
-distance lower bounds, and collapses interchangeable nodes into canonical
-representatives.  Both certify an exact optimum.
+ids).  Full enumeration sweeps every non-empty profile.  The bounded method
+takes the cheapest of its seeds (all nodes open, node 0 alone, the greedy
+profile and any caller-supplied profile) as a feasible upper bound U, and
+exploits ``c(S) >= alpha * |S|`` to cap the gateway count at ``bound =
+floor(U / alpha)``.  It skips a whole cardinality level k when ``alpha * k``
+plus a lower bound on the distance part of every k-gateway profile exceeds
+the best cost so far (``_level_floor``):
+
+- SUM: ``max(n(n-1) - k(k-1), d2 - 2k(n-1))`` with ``d2`` the sum of
+  ``min(d, 2)`` over all ordered pairs;
+- MAX: 0 at ``k = n``, else ``n + max(0, #{v : far(v) > k} - k)`` with
+  ``far(v)`` the number of nodes two or more hops from ``v``: every node pays
+  at least 1, and a closed node with a closed node that far pays 2.
+
+It collapses interchangeable nodes into canonical representatives, and
+refuses to start when the levels the seed bound leaves hold more than
+``BOUNDED_ENUMERATION_CAP`` canonical profiles; the best cost only falls, so
+no other level is ever visited.  Both methods certify an exact optimum.
 """
 
 from __future__ import annotations
@@ -85,12 +98,25 @@ def _cheapest(
 
     Per gateway count k only the least distance sum ``D_k`` can win, so the
     candidates ``alpha * k + D_k`` are compared exactly as Fractions.  Ties go
-    to the smaller k, then to the smallest id tuple.
+    to the smaller k, then to the smallest id tuple: among sets of one size,
+    walking the bits up from bit 0 and keeping the sets that hold each bit,
+    whenever any do, leaves exactly that set.
     """
-    lows = {int(k): int(sums[counts == k].min()) for k in np.flatnonzero(np.bincount(counts))}
-    k = min(lows, key=lambda k: (alpha * k + lows[k], k))
+    unseen = np.iinfo(np.int64).max
+    lows = np.full(int(counts.max()) + 1, unseen, dtype=np.int64)
+    np.minimum.at(lows, counts, sums)
+    k = min(
+        (int(k) for k in np.flatnonzero(lows != unseen)),
+        key=lambda k: (alpha * k + int(lows[k]), k),
+    )
     at_best = masks[(counts == k) & (sums == lows[k])]
-    return min((int(m) for m in at_best), key=_mask_ids), alpha * k + lows[k]
+    bit = 0
+    while len(at_best) > 1:
+        held = at_best[(at_best >> bit) & 1 == 1]
+        if len(held):
+            at_best = held
+        bit += 1
+    return int(at_best[0]), alpha * k + int(lows[k])
 
 
 def _full_enumeration(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
@@ -162,8 +188,28 @@ def _canonical_masks(classes: tuple[tuple[int, ...], ...], k: int) -> np.ndarray
     return acc
 
 
-def _sum_level_floor(n: int, k: int, d2: int) -> int:
-    return max(0, n * (n - 1) - k * (k - 1), d2 - 2 * k * (n - 1))
+def _level_floor(dist: np.ndarray, k: int, maximum: bool) -> int:
+    """A lower bound on the distance part of every profile with ``k`` gateways.
+
+    SUM: each ordered pair of distinct nodes, not both gateways, is at least
+    one apart.  A pair of closed nodes is at least ``min(d, 2)`` apart, so
+    ``d2``, the sum of ``min(d, 2)`` over all pairs, overstates a pair by at
+    most 1 per gateway in it, and a gateway is in ``2(n - 1)`` ordered pairs.
+    MAX: with a node closed, every node has a closed node at least one away,
+    so every node pays at least 1.  A closed node with a closed node two or
+    more hops away pays at least 2 (both reach the hub in one hop or more).
+    A node with more than ``k`` nodes two or more hops away has one of them
+    closed, and at most ``k`` such nodes are gateways, so at least
+    ``#{v : far(v) > k} - k`` nodes pay 2.
+    """
+    n = dist.shape[0]
+    if not maximum:
+        d2 = int(np.minimum(dist, 2).sum())
+        return max(0, n * (n - 1) - k * (k - 1), d2 - 2 * k * (n - 1))
+    if k == n:
+        return 0
+    far = np.count_nonzero(dist >= 2, axis=1)
+    return n + max(0, int(np.count_nonzero(far > k)) - k)
 
 
 def _bounded_search(
@@ -179,27 +225,24 @@ def _bounded_search(
     seeds.append(greedy_gateways(d, cfg))
     if upper_bound_profile is not None:
         seeds.append(upper_bound_profile)
-    best_profile = min(
-        seeds, key=lambda s: (social_cost(d, cfg, s), len(s), s.ids)
-    )
-    best_cost = social_cost(d, cfg, best_profile)
-    best_key = (best_cost, len(best_profile), best_profile.ids)
+    best_key = min((social_cost(d, cfg, s), len(s), s.ids) for s in seeds)
+    best_profile = StrategyProfile.of(best_key[2])
 
-    kmax = min(math.floor(best_cost / alpha), n)
+    kmax = min(math.floor(best_key[0] / alpha), n)
+    floors = [_level_floor(d.dist, k, maximum) for k in range(kmax + 1)]
+    # The best cost only falls, so a level the seed prunes stays pruned.
+    levels = [k for k in range(1, kmax + 1) if alpha * k + floors[k] <= best_key[0]]
     classes = twin_classes(d.graph)
-    sizes = [len(c) for c in classes]
-    counts = _level_counts(sizes, kmax)
-    space = sum(counts[1 : kmax + 1])
+    counts = _level_counts([len(c) for c in classes], kmax)
+    space = sum(counts[k] for k in levels)
     if space > BOUNDED_ENUMERATION_CAP:
         raise StateSpaceTooLarge(
             f"bounded search would visit {space} canonical profiles "
-            f"(cap {BOUNDED_ENUMERATION_CAP}); supply a tighter upper bound"
+            f"(cap {BOUNDED_ENUMERATION_CAP})"
         )
 
-    d2 = int(np.minimum(d.dist, 2).sum()) if not maximum else 0
-    for k in range(1, kmax + 1):
-        floor_part = max(0, n - k) if maximum else _sum_level_floor(n, k, d2)
-        if alpha * k + floor_part > best_key[0]:
+    for k in levels:
+        if alpha * k + floors[k] > best_key[0]:
             continue
         masks = _canonical_masks(classes, k)
         sums = _engine.term_sums_for_masks(d.dist, masks, maximum=maximum)
@@ -239,25 +282,34 @@ def greedy_gateways(d: DistanceOracle, cfg: GameConfig) -> StrategyProfile:
 
     Starts from a single gateway; with one gateway every choice costs the
     same (one gateway creates no shortcuts), so node 0 is taken.  Ties on
-    the drop go to the smallest node id.
+    the drop go to the smallest node id.  Each step forms the distance parts
+    of every one-node extension in one batch; they all pay one more ``alpha``,
+    so the least part wins, and it helps iff ``alpha`` plus its integer
+    change is negative, the rule of an improving open.
     """
     n = d.graph.n
-    current = StrategyProfile.of([0])
-    cost = social_cost(d, cfg, current)
-    while len(current) < n:
-        best_v = -1
-        best_cost = cost
-        for v in range(n):
-            if v in current:
-                continue
-            trial = social_cost(d, cfg, current.toggled(v))
-            if trial < best_cost:
-                best_v, best_cost = v, trial
-        if best_v < 0:
+    maximum = cfg.variant is Variant.MAX
+    open_at = _engine._thresholds(cfg.alpha)[0]
+    dist = d.dist[:, :, None]
+    a = d.dist[:, 0].copy()
+    part = int(_engine._terms(d.dist, a, a, maximum).sum())
+    gates = [0]
+    step = max(1, _engine._BATCH_BYTES // (d.dist.itemsize * n * n))
+    while len(gates) < n:
+        closed = np.setdiff1d(np.arange(n), gates)
+        parts = np.empty(len(closed), dtype=np.int64)
+        for start in range(0, len(closed), step):
+            batch = np.minimum(a[:, None], d.dist[:, closed[start : start + step]])
+            terms = _engine._terms(dist, batch, batch, maximum)
+            parts[start : start + step] = terms.sum(axis=0)
+        best = int(np.argmin(parts))
+        if int(parts[best]) - part > open_at:
             break
-        current = current.toggled(best_v)
-        cost = best_cost
-    return current
+        v = int(closed[best])
+        gates.append(v)
+        np.minimum(a, d.dist[:, v], out=a)
+        part = int(parts[best])
+    return StrategyProfile.of(gates)
 
 
 def enumerate_equilibria(

@@ -1,4 +1,6 @@
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,9 +28,18 @@ from gateway_games import (
     twin_classes,
 )
 
-from gateway_games.optimization import _canonical_masks
+from gateway_games import _engine
+from gateway_games.optimization import _canonical_masks, _cheapest, _level_floor, _mask_ids
 
-from conftest import KNIFE, alphas, connected_graphs, path_graph, run_cli
+from conftest import (
+    KNIFE,
+    alphas,
+    connected_graphs,
+    hub_distances,
+    path_graph,
+    random_connected_graph,
+    run_cli,
+)
 
 SUM = Variant.SUM
 MAX = Variant.MAX
@@ -111,6 +122,78 @@ def test_bounded_search_refuses_64_nodes(tmp_path, flags):
     assert errors == ["error: bounded search needs n <= 63, got n = 64"]
 
 
+def _written_graph(tmp_path, g):
+    path = tmp_path / "g.json"
+    path.write_text(graph_to_json(g))
+    return path
+
+
+def test_bounded_search_answers_40_nodes_when_the_floors_prune_the_levels(tmp_path):
+    """Below alpha = n - 1 every SUM level under n costs more than all open,
+    so only the one profile of level n is left to visit."""
+    path = _written_graph(tmp_path, random_connected_graph(random.Random(40), 40))
+    proc = run_cli("optimum", "--graph", path, "--alpha", "7/2", "--bounded")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["profile"] == list(range(40))
+    assert (result["cost"], result["bound"]) == ("140/1", 40)
+
+
+def test_bounded_search_refuses_40_node_max_once(tmp_path):
+    path = _written_graph(tmp_path, random_connected_graph(random.Random(40), 40))
+    proc = run_cli("optimum", "--graph", path, "--alpha", "7/2", "--variant", "max", "--bounded")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: bounded search would visit ")
+    assert errors[0].endswith(f"canonical profiles (cap {1 << 25})")
+
+
+@given(connected_graphs(min_n=2, max_n=8))
+@settings(max_examples=30, deadline=None)
+def test_level_floor_bounds_every_profile_of_its_size(g):
+    """Against the least distance part over each size, from the hub oracle."""
+    d = all_pairs_distances(g)
+    lowest = {}
+    for m in range(1, 1 << g.n):
+        rows = hub_distances(g, StrategyProfile.from_mask(m).gateways)
+        for maximum, part in ((False, sum(map(sum, rows))), (True, sum(map(max, rows)))):
+            key = (m.bit_count(), maximum)
+            lowest[key] = min(lowest.get(key, part), part)
+    assert len(lowest) == 2 * g.n
+    for (k, maximum), low in lowest.items():
+        assert _level_floor(d.dist, k, maximum) <= low
+
+
+def test_max_level_floor_is_tight_on_the_six_cycle():
+    """Every node is two or more hops from three others, so two gateways
+    leave four closed nodes paying 2 and the opposite pair attains it."""
+    g = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    d = all_pairs_distances(g)
+    rows = hub_distances(g, frozenset({0, 3}))
+    assert _level_floor(d.dist, 2, True) == sum(map(max, rows)) == 6 + (6 - 2)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cheapest_breaks_ties_by_smallest_id_tuple(seed):
+    """Few distinct sums over many masks of each size: ties everywhere."""
+    rng = np.random.default_rng(seed)
+    masks = rng.choice(np.arange(1, 1 << 12, dtype=np.int64), size=600, replace=False)
+    if seed % 2:
+        masks |= np.int64(1) << 62  # ids up to 62, as the bounded search allows
+    sums = rng.integers(0, 3, size=len(masks)).astype(np.int64)
+    counts = np.bitwise_count(masks)
+    alpha = Fraction(int(rng.integers(1, 5)), 2) + KNIFE * (seed % 3 - 1)
+    lows = {int(c): int(sums[counts == c].min()) for c in set(counts.tolist())}
+    k = min(lows, key=lambda c: (alpha * c + lows[c], c))
+    at_best = [int(m) for m, s, c in zip(masks, sums, counts) if c == k and s == lows[k]]
+    expected = (min(at_best, key=_mask_ids), alpha * k + lows[k])
+    assert _cheapest(masks, sums, counts, alpha) == expected
+    level = counts == k
+    assert _cheapest(masks[level], sums[level], np.full(int(level.sum()), k), alpha) == expected
+
+
 @pytest.mark.parametrize("alpha", [Fraction(3), Fraction(500)])
 def test_bounded_search_solves_63_node_star(alpha):
     """A star's optimum is the centre or not, plus some number of leaves."""
@@ -167,6 +250,43 @@ def test_greedy_never_beats_optimum(g, alpha, variant):
     d = all_pairs_distances(g)
     prof = greedy_gateways(d, cfg)
     assert social_cost(d, cfg, prof) >= brute_force_optimum(g, cfg).best_cost
+
+
+def scalar_greedy(d, cfg):
+    """The one-profile-at-a-time loop greedy_gateways batches."""
+    current = StrategyProfile.of([0])
+    cost = social_cost(d, cfg, current)
+    while len(current) < d.graph.n:
+        best_v, best_cost = -1, cost
+        for v in range(d.graph.n):
+            if v not in current:
+                trial = social_cost(d, cfg, current.toggled(v))
+                if trial < best_cost:
+                    best_v, best_cost = v, trial
+        if best_v < 0:
+            break
+        current = current.toggled(best_v)
+        cost = best_cost
+    return current
+
+
+@given(
+    connected_graphs(min_n=2, max_n=30),
+    st.one_of(alphas(), st.integers(1, 60).map(Fraction)),
+    st.sampled_from([SUM, MAX]),
+    st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_greedy_matches_the_scalar_loop(g, alpha, variant, per_batch):
+    """Integer prices make drops that equal alpha, which must not be taken;
+    a few candidates per batch exercise the batch boundaries."""
+    d = all_pairs_distances(g)
+    cfg = GameConfig(variant, alpha)
+    expected = scalar_greedy(d, cfg)
+    assert greedy_gateways(d, cfg) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_BATCH_BYTES", per_batch * 8 * g.n * g.n)
+        assert greedy_gateways(d, cfg) == expected
 
 
 def test_twin_classes_shapes(star5, k4, c4, p4):
