@@ -195,8 +195,11 @@ def run_dynamics(
     Stops at an equilibrium, at the first revisited profile (reporting where
     the loop was entered and its period), when the restricted scheduler has
     no move left on a non-equilibrium profile, or when the step budget runs
-    out.  The default budget is ``min(10 * 2^n, 10^6)``.
+    out.  The default budget is ``min(10 * 2^n, 10^6)``; a negative budget
+    raises ``ValueError``.
     """
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     for v in s0.gateways:
         if not 0 <= v < g.n:
             raise NodeIdOutOfRange(f"initial gateway {v} outside [0, {g.n})")

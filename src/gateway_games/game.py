@@ -16,7 +16,7 @@ deltas.  That keeps the knife-edge ties the dynamics depend on exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
 from typing import Iterable
@@ -121,12 +121,6 @@ class Move:
         return self.cost_delta < 0 and not self.forbidden
 
 
-@dataclass(frozen=True)
-class CostReport:
-    private: dict[int, Fraction] = field(compare=False)
-    social: Fraction = Fraction(0)
-
-
 def _check_node(n: int, v: int) -> None:
     if not (0 <= v < n):
         raise NodeIdOutOfRange(f"node {v} outside [0, {n})")
@@ -209,14 +203,6 @@ def social_cost(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> Fract
     _check(d, s)
     a = d.dist[:, list(s.gateways)].min(axis=1)
     return cfg.alpha * len(s) + int(_terms(d.dist, a, a, cfg.variant is Variant.MAX).sum())
-
-
-def cost_report(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> CostReport:
-    _check(d, s)
-    a = d.dist[:, list(s.gateways)].min(axis=1)
-    terms = _terms(d.dist, a, a, cfg.variant is Variant.MAX)
-    private = {v: (cfg.alpha if v in s else Fraction(0)) + int(t) for v, t in enumerate(terms)}
-    return CostReport(private=private, social=sum(private.values(), Fraction(0)))
 
 
 def evaluate_move(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int) -> Move:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,15 +21,9 @@ from .errors import DisconnectedGraph, NodeIdOutOfRange, SelfLoop
 UNBOUNDED = math.inf
 """Girth sentinel for acyclic graphs. Compares correctly against any rational."""
 
-# Node count from which all_pairs_distances takes the all-sources numpy build.
-# Per build on a 2-core x86 host, numpy against the loop: at n = 40, 0.38
-# against 0.53 ms on random graphs but 0.69 against 0.51 ms on deep trees; at
-# n = 48 random graphs and Pruefer trees gain.  Paths, one level per node,
-# lose up to about n = 120.
-_FRONTIER_MIN_N = 48
-# Candidate (source, node) pairs per block of sources in that build.  At
-# n = 1000 a star peaks at 2.3x the int64 result under tracemalloc (6.2x with
-# 1 << 20); at n = 2000, 1.3x.
+# Candidate (source, node) pairs per block of sources in the distance build.
+# At n = 1000 a star peaks at 2.3x the int64 result under tracemalloc (6.2x
+# with 1 << 20); at n = 2000, 1.3x.
 _FRONTIER_BUDGET = 1 << 18
 
 
@@ -38,9 +31,9 @@ _FRONTIER_BUDGET = 1 << 18
 class Graph:
     """A connected simple undirected graph.
 
-    ``adj[v]`` is the sorted tuple of neighbours of ``v``.  Instances are
-    hashable.  Nothing is memoised per graph: each ``all_pairs_distances``
-    call builds its oracle afresh.
+    ``adj[v]`` is the sorted tuple of neighbours of ``v``, so a node's
+    degree is ``len(adj[v])``.  Instances are hashable.  Nothing is memoised
+    per graph: each ``all_pairs_distances`` call builds its oracle afresh.
     """
 
     n: int
@@ -52,9 +45,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
@@ -109,28 +99,9 @@ def _bfs_tree(g: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
 
 def bfs_levels(g: Graph, source: int) -> tuple[int, ...]:
     """Hop distances from ``source`` to every node."""
-    return multi_source_levels(g, (source,))
-
-
-def multi_source_levels(g: Graph, sources: Iterable[int]) -> tuple[int, ...]:
-    """Hop distance from each node to the nearest of ``sources``."""
-    level = [-1] * g.n
-    queue: deque[int] = deque()
-    for s in sources:
-        if not (0 <= s < g.n):
-            raise NodeIdOutOfRange(f"source {s} outside [0, {g.n})")
-        if level[s] < 0:
-            level[s] = 0
-            queue.append(s)
-    if not queue:
-        raise NodeIdOutOfRange("at least one source required")
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
-    return tuple(level)
+    if not 0 <= source < g.n:
+        raise NodeIdOutOfRange(f"source {source} outside [0, {g.n})")
+    return tuple(_bfs_tree(g, source)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,23 +120,12 @@ class DistanceOracle:
 def all_pairs_distances(g: Graph) -> DistanceOracle:
     """All-pairs hop distances; returns a read-only ``n x n`` int64 matrix.
 
-    Graphs of fewer than ``_FRONTIER_MIN_N`` nodes take one Python BFS per
-    source (``_bfs_distances``).  Larger graphs take a BFS from every source
-    at once in numpy (``_frontier_distances``).  Its fixed cost of a few
-    dozen numpy calls per level loses to the plain loop on small graphs, so
-    the cutover keeps each build on the side where it is faster.
+    One BFS from every source at once in numpy (``_frontier_distances``)
+    builds the matrix at every graph size.
     """
-    build = _frontier_distances if g.n >= _FRONTIER_MIN_N else _bfs_distances
-    dist = build(g)
+    dist = _frontier_distances(g)
     dist.setflags(write=False)
     return DistanceOracle(g, dist)
-
-
-def _bfs_distances(g: Graph) -> np.ndarray:
-    dist = np.zeros((g.n, g.n), dtype=np.int64)
-    for s in range(g.n):
-        dist[s] = multi_source_levels(g, (s,))
-    return dist
 
 
 def _frontier_distances(g: Graph) -> np.ndarray:
@@ -262,12 +222,6 @@ def graph_to_json(g: Graph) -> str:
     """Canonical JSON serialisation: ``{"n": ..., "edges": [[u, v], ...]}``."""
     payload = {"n": g.n, "edges": [list(e) for e in g.edges()]}
     return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
-
-
-def graph_to_edge_text(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
 
 
 def _is_int(x) -> bool:

@@ -212,19 +212,14 @@ def _level_floor(dist: np.ndarray, k: int, maximum: bool) -> int:
     return n + max(0, int(np.count_nonzero(far > k)) - k)
 
 
-def _bounded_search(
-    d: DistanceOracle, cfg: GameConfig, upper_bound_profile: StrategyProfile | None
-) -> OptimumResult:
+def _bounded_search(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
     n = d.graph.n
     if n > 63:  # masks are int64
         raise StateSpaceTooLarge(f"bounded search needs n <= 63, got n = {n}")
     maximum = cfg.variant is Variant.MAX
     alpha = cfg.alpha
 
-    seeds = [StrategyProfile.of(range(n)), StrategyProfile.of([0])]
-    seeds.append(greedy_gateways(d, cfg))
-    if upper_bound_profile is not None:
-        seeds.append(upper_bound_profile)
+    seeds = [StrategyProfile.of(range(n)), StrategyProfile.of([0]), greedy_gateways(d, cfg)]
     best_key = min((social_cost(d, cfg, s), len(s), s.ids) for s in seeds)
     best_profile = StrategyProfile.of(best_key[2])
 
@@ -259,7 +254,6 @@ def brute_force_optimum(
     cfg: GameConfig,
     *,
     mode: str = "auto",
-    upper_bound_profile: StrategyProfile | None = None,
     exhaustive_limit: int | None = None,
 ) -> OptimumResult:
     """Exact minimum social cost with a canonical witness profile.
@@ -274,7 +268,7 @@ def brute_force_optimum(
     if mode == "full" or (mode == "auto" and g.n <= limit):
         _engine.check_sweep_size(g.n, limit, "full enumeration")
         return _full_enumeration(all_pairs_distances(g), cfg)
-    return _bounded_search(all_pairs_distances(g), cfg, upper_bound_profile)
+    return _bounded_search(all_pairs_distances(g), cfg)
 
 
 def greedy_gateways(d: DistanceOracle, cfg: GameConfig) -> StrategyProfile:

@@ -86,6 +86,12 @@ def path_graph(n: int) -> Graph:
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def edge_list_text(g: Graph) -> str:
+    """The plain edge-list format: ``n`` on the first line, then one ``u v`` per edge."""
+    lines = [str(g.n), *(f"{u} {v}" for u, v in g.edges())]
+    return "\n".join(lines) + "\n"
+
+
 def random_connected_graph(rnd: random.Random, n: int, extra: int | None = None) -> Graph:
     """Random spanning tree plus a few extra edges."""
     edges = {(min(v, p), max(v, p)) for v, p in

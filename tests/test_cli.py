@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gateway_games import build_graph, cli, graph_to_edge_text, graph_to_json
+from gateway_games import build_graph, cli, graph_to_json
 
-from conftest import run_cli
+from conftest import edge_list_text, run_cli
 
 
 def manifest_of(proc):
@@ -38,7 +38,7 @@ def k4_file(tmp_path):
 def p5_file(tmp_path):
     out = tmp_path / "p5.txt"
     g = build_graph(5, [(i, i + 1) for i in range(4)])
-    out.write_text(graph_to_edge_text(g))
+    out.write_text(edge_list_text(g))
     return out
 
 
@@ -148,6 +148,15 @@ def test_dynamics_budget(p5_file):
     assert proc.returncode == 4
     outcome = json.loads(proc.stdout.splitlines()[-1])
     assert outcome == {"outcome": "budget-exhausted", "steps": 1}
+
+
+def test_dynamics_rejects_negative_budget(p5_file):
+    proc = run_cli("dynamics", "--graph", p5_file, "--alpha", 1, "--max-steps", -1)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert [ln for ln in lines if ln.startswith("error:")] == lines[-1:]
+    assert "Traceback" not in proc.stderr
 
 
 def test_dynamics_rejects_unknown_role(gadget):

@@ -40,7 +40,6 @@ from gateway_games import (
     verify_max_line_conditions,
 )
 from gateway_games import _engine, cli
-from gateway_games.graphs import _FRONTIER_MIN_N
 
 from conftest import (
     alphas,
@@ -111,6 +110,10 @@ def test_budget_exhaustion_and_boundary(p5):
     assert len(short.steps) == 2
     exact = run_dynamics(p5, cfg, start, RoundRobin(), max_steps=4)
     assert isinstance(exact.outcome, ConvergedToNE)
+    none = run_dynamics(p5, cfg, start, RoundRobin(), max_steps=0)
+    assert isinstance(none.outcome, BudgetExhausted) and not none.steps
+    with pytest.raises(ValueError):
+        run_dynamics(p5, cfg, start, RoundRobin(), max_steps=-1)
 
 
 def test_restricted_scheduler_stalls(p3):
@@ -415,21 +418,10 @@ def test_restricted_scheduler_rejects_out_of_range_node(p5, scheduler):
 def test_run_dynamics_builds_one_oracle(monkeypatch):
     g = random_connected_graph(random.Random(5), 40)
     oracles = count_calls(monkeypatch, "all_pairs_distances")
-    bfs = count_calls(monkeypatch, "multi_source_levels")
+    builds = count_calls(monkeypatch, "_frontier_distances")
     trace = run_dynamics(g, GameConfig(SUM, Fraction(10)), StrategyProfile.of([0]), BestGain())
     assert trace.steps
-    assert len(oracles) == 1
-    assert len(bfs) == g.n
-
-
-def test_run_dynamics_above_the_cutover_builds_one_oracle_without_bfs(monkeypatch):
-    g = random_connected_graph(random.Random(5), _FRONTIER_MIN_N)
-    oracles = count_calls(monkeypatch, "all_pairs_distances")
-    bfs = count_calls(monkeypatch, "multi_source_levels")
-    trace = run_dynamics(g, GameConfig(SUM, Fraction(10)), StrategyProfile.of([0]), BestGain())
-    assert trace.steps
-    assert len(oracles) == 1
-    assert bfs == []
+    assert (len(oracles), len(builds)) == (1, 1)
 
 
 def test_replay_scans_every_toggle_only_to_verify_the_equilibrium(monkeypatch):

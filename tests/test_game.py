@@ -13,7 +13,6 @@ from gateway_games import (
     Variant,
     all_pairs_distances,
     comm_distance,
-    cost_report,
     evaluate_move,
     frac_str,
     improving_moves,
@@ -77,15 +76,6 @@ def test_path_costs_by_hand(p3):
     assert social_cost(d, cfg_max, s) == 7
 
 
-def test_cost_report_totals(p4):
-    d = all_pairs_distances(p4)
-    cfg = GameConfig(SUM, Fraction(5, 2))
-    s = StrategyProfile.of([0, 2])
-    rep = cost_report(d, cfg, s)
-    assert rep.social == sum(rep.private.values())
-    assert set(rep.private) == {0, 1, 2, 3}
-
-
 def test_sole_close_is_forbidden(p3):
     d = all_pairs_distances(p3)
     cfg = GameConfig(SUM, Fraction(2))
@@ -106,6 +96,7 @@ def test_private_cost_matches_independent_oracle(pair, alpha, variant):
         assert private_cost(d, cfg, s, v) == oracle_private_cost(
             g, variant, alpha, s, v
         )
+    assert social_cost(d, cfg, s) == sum(private_cost(d, cfg, s, v) for v in range(g.n))
 
 
 @given(graph_profile_pairs(max_n=7))
@@ -307,14 +298,15 @@ def test_term_sums_keep_headroom_at_63_nodes(variant):
 def test_cost_queries_run_no_bfs(monkeypatch):
     g = random_connected_graph(random.Random(3), 40)
     d = all_pairs_distances(g)
-    bfs = count_calls(monkeypatch, "multi_source_levels")
+    builds = count_calls(monkeypatch, "_frontier_distances")
+    bfs = count_calls(monkeypatch, "_bfs_tree")
     s = StrategyProfile.of(range(0, 40, 3))
     for variant in (SUM, MAX):
         cfg = GameConfig(variant, Fraction(7, 2))
         improving_moves(d, cfg, s)
         is_nash_equilibrium(d, cfg, s)
         social_cost(d, cfg, s)
-    assert bfs == []
+    assert builds == bfs == []
 
 
 @given(graph_profile_pairs(max_n=7), alphas(), st.sampled_from([SUM, MAX]))

@@ -16,10 +16,8 @@ from gateway_games import (
     all_pairs_distances,
     bfs_levels,
     build_graph,
-    graph_to_edge_text,
     graph_to_json,
     metrics,
-    multi_source_levels,
     parse_graph,
 )
 from gateway_games import graphs
@@ -27,8 +25,8 @@ from gateway_games.graphs import _bfs_tree
 
 from conftest import (
     connected_graphs,
-    count_calls,
     deep_tree,
+    edge_list_text,
     hub_distances,
     path_graph,
     random_connected_graph,
@@ -65,9 +63,10 @@ def test_bfs_levels_match_oracle(p5):
         assert bfs_levels(p5, s) == tuple(int(x) for x in d.dist[s])
 
 
-def test_multi_source_levels(p5):
-    levels = multi_source_levels(p5, (0, 4))
-    assert levels == (0, 1, 2, 1, 0)
+@pytest.mark.parametrize("source", [-1, 5])
+def test_bfs_levels_rejects_out_of_range_source(p5, source):
+    with pytest.raises(NodeIdOutOfRange):
+        bfs_levels(p5, source)
 
 
 def test_metrics_path_is_tree(p3):
@@ -102,12 +101,11 @@ def test_json_round_trip(petersen):
 
 
 def test_edge_text_round_trip(c4):
-    text = graph_to_edge_text(c4)
-    assert parse_graph(text) == c4
+    assert parse_graph(edge_list_text(c4)) == c4
 
 
 def test_parse_graph_detects_format(p3):
-    assert parse_graph(graph_to_json(p3)) == parse_graph(graph_to_edge_text(p3))
+    assert parse_graph(graph_to_json(p3)) == parse_graph(edge_list_text(p3))
 
 
 def test_graph_json_is_canonical():
@@ -151,40 +149,21 @@ FAMILIES = ("random", "path", "star", "complete", "deep")
 @given(st.data())
 @settings(max_examples=3, deadline=None)
 def test_both_distance_builds_match_per_source_bfs_and_hub_oracle(data):
-    """Both builds, called directly at every n up to 30 past the cutover."""
-    for n in range(1, graphs._FRONTIER_MIN_N + 31):
+    """The one build at every n from 1 to 78, against the independent hub oracle."""
+    for n in range(1, 79):
         kind = data.draw(st.sampled_from(FAMILIES), label=f"family at n = {n}")
         g = family_graph(kind, n, data.draw(st.integers(0, 2**32 - 1)))
-        expected = [list(multi_source_levels(g, (s,))) for s in range(n)]
-        assert expected == hub_distances(g, frozenset())
-        for build in (graphs._bfs_distances, graphs._frontier_distances):
-            dist = build(g)
-            assert dist.dtype == np.int64
-            assert dist.tolist() == expected
         d = all_pairs_distances(g)
         assert d.dist.dtype == np.int64 and not d.dist.flags.writeable
-
-
-@pytest.mark.parametrize("n", [graphs._FRONTIER_MIN_N - 1, graphs._FRONTIER_MIN_N])
-def test_all_pairs_distances_switches_build_at_the_cutover(monkeypatch, n):
-    g = random_connected_graph(random.Random(n), n)
-    frontier = count_calls(monkeypatch, "_frontier_distances")
-    per_source = count_calls(monkeypatch, "_bfs_distances")
-    bfs = count_calls(monkeypatch, "multi_source_levels")
-    all_pairs_distances(g)
-    if n < graphs._FRONTIER_MIN_N:
-        assert (len(frontier), len(per_source), len(bfs)) == (0, 1, n)
-    else:
-        assert (len(frontier), len(per_source), len(bfs)) == (1, 0, 0)
+        assert d.dist.tolist() == hub_distances(g, frozenset())
 
 
 @pytest.mark.parametrize("budget", [1, 5, 64])
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_frontier_build_in_small_source_blocks(monkeypatch, budget, kind):
     g = family_graph(kind, 23, budget)
-    expected = graphs._bfs_distances(g)
     monkeypatch.setattr(graphs, "_FRONTIER_BUDGET", budget)
-    assert np.array_equal(graphs._frontier_distances(g), expected)
+    assert graphs._frontier_distances(g).tolist() == hub_distances(g, frozenset())
 
 
 @given(connected_graphs(min_n=1, max_n=12), st.data())
