@@ -20,8 +20,13 @@ mask vector and no gather.
 
 The sweeps take ``a`` from one ``(n, 256)`` table per byte of node ids, built
 by a DP over the highest set bit, ``T[:, 2^b : 2^(b+1)] = min(T[:, :2^b], d(., 8g+b))``
-with ``n`` for an empty byte, and form the terms in int16: every value is at
-most ``2n`` and a SUM term at most ``n(n-1)``, exact for n <= 181 (callers: n <= 63).
+with ``n`` for an empty byte, and form the terms in the narrowest integer
+dtype that is exact for the graph.  Three bounds decide it: a table entry is
+at most the sentinel ``n``, so ``a(v) + a(u) <= 2n``; ``min(d, .) <= d``, so a
+SUM term never exceeds its node's plain distance row sum; and a MAX term is
+at most ``n - 1``.  So uint8 is exact when ``2n <= 255`` and, for SUM, every
+row sum of ``d`` is at most 255.  Otherwise int16 is, for n <= 181 (a SUM
+term is at most ``n(n-1)``; callers: n <= 63).
 """
 
 from __future__ import annotations
@@ -46,19 +51,33 @@ _TABLE_BYTES = 6
 _PROFILE_BYTES = 6
 # Read only by perfbench/tracer.py (its fraction_calls counter); nothing in the package uses it.
 SCALE_LIMIT = 1 << 40
-# Bytes of _terms' (n, n, chunk) int16 temporary in a sweep.  It should stay
-# in a core's L2 cache: on a 2 MB-L2 Xeon, term_table at n = 18 and 20 ran
-# about twice as fast with 1 MB as with 4 MB.
+# Bytes of _terms' (n, n, chunk) temporary in a sweep.  It should stay in a
+# core's L2 cache: on a 2 MB-L2 Xeon, term_table at n = 18 and 20 ran about
+# twice as fast with 1 MB as with 4 MB.
 _BATCH_BYTES = 1 << 20
+# Most masks per chunk.  With numpy 2.4.6 on that Xeon, the broadcast
+# np.minimum(through, dist[:, :, None]) took 0.080 ns per pair at 4096 masks
+# and 0.45 at 4097 in int16, 0.036 and 0.55 in uint8: the cliff is at a mask
+# count, not a byte count, so small graphs must not fill _BATCH_BYTES.
+_BATCH_MASKS = 1 << 12
 _CLAMP = 1 << 62
 
 
 def resolve_exhaustive_limit(explicit: int | None) -> int:
-    """Explicit argument, else the environment override, else the default."""
+    """Explicit argument, else the environment override, else the default.
+
+    Raises ``ValueError`` for a negative limit, from either source.
+    """
     if explicit is not None:
-        return explicit
-    raw = os.environ.get(EXHAUSTIVE_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_EXHAUSTIVE_LIMIT
+        limit, source = explicit, "exhaustive limit"
+    else:
+        raw = os.environ.get(EXHAUSTIVE_LIMIT_ENV)
+        if not raw:
+            return DEFAULT_EXHAUSTIVE_LIMIT
+        limit, source = int(raw), EXHAUSTIVE_LIMIT_ENV
+    if limit < 0:
+        raise ValueError(f"{source} must be non-negative, got {limit}")
+    return limit
 
 
 def check_sweep_size(n: int, exhaustive_limit: int | None, what: str) -> None:
@@ -99,21 +118,24 @@ def _terms(dist: np.ndarray, a: np.ndarray, base: np.ndarray, maximum: bool) -> 
 
 
 def _term_rows(dist: np.ndarray, masks: np.ndarray, maximum: bool):
-    """``(columns, terms)`` per chunk of ``masks``: the ``(n, chunk)`` node terms."""
+    """``(columns, terms)`` per chunk of ``masks``: the ``(n, chunk)`` node terms,
+    in uint8 where the module docstring's bounds allow it, else int16."""
     n = dist.shape[0]
-    d16 = dist.astype(np.int16)[:, :, None]
-    tables = np.full((-(-n // 8), n, 256), n, dtype=np.int16)
+    narrow = 2 * n <= 255 and (maximum or int(dist.sum(axis=1).max()) <= 255)
+    dtype = np.dtype(np.uint8 if narrow else np.int16)
+    dn = dist.astype(dtype)[:, :, None]
+    tables = np.full((-(-n // 8), n, 256), n, dtype=dtype)
     for v in range(n):
         g, b = divmod(v, 8)
-        np.minimum(tables[g, :, : 1 << b], d16[:, v], out=tables[g, :, 1 << b : 2 << b])
-    step = max(1, _BATCH_BYTES // (2 * n * n))
+        np.minimum(tables[g, :, : 1 << b], dn[:, v], out=tables[g, :, 1 << b : 2 << b])
+    step = min(_BATCH_MASKS, max(1, _BATCH_BYTES // (dtype.itemsize * n * n)))
     for start in range(0, masks.shape[0], step):
         chunk = masks[start : start + step]
         # take() keeps ``a`` C-contiguous; fancy indexing along axis 1 would not.
         a = tables[0].take(chunk & 255, axis=1)
         for g in range(1, tables.shape[0]):
             np.minimum(a, tables[g].take((chunk >> 8 * g) & 255, axis=1), out=a)
-        yield slice(start, start + chunk.shape[0]), _terms(d16, a, a, maximum)
+        yield slice(start, start + chunk.shape[0]), _terms(dn, a, a, maximum)
 
 
 def term_table(dist: np.ndarray, *, maximum: bool) -> np.ndarray:

@@ -150,13 +150,17 @@ def test_dynamics_budget(p5_file):
     assert outcome == {"outcome": "budget-exhausted", "steps": 1}
 
 
-def test_dynamics_rejects_negative_budget(p5_file):
-    proc = run_cli("dynamics", "--graph", p5_file, "--alpha", 1, "--max-steps", -1)
+def assert_one_error(proc):
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert [ln for ln in lines if ln.startswith("error:")] == lines[-1:]
     assert "Traceback" not in proc.stderr
+
+
+def test_dynamics_rejects_negative_budget(p5_file):
+    proc = run_cli("dynamics", "--graph", p5_file, "--alpha", 1, "--max-steps", -1)
+    assert_one_error(proc)
 
 
 def test_dynamics_rejects_unknown_role(gadget):
@@ -188,6 +192,21 @@ def test_classify_respects_limit(gadget):
     proc = run_cli("classify", "--graph", gadget, "--alpha", 7, "--limit", 4)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("cmd", [["classify"], ["optimum"], ["optimum", "--bounded"]])
+def test_negative_limit_flag_exits_2(p5_file, cmd):
+    proc = run_cli(*cmd, "--graph", p5_file, "--alpha", 1, "--limit", -1)
+    assert_one_error(proc)
+    assert "non-negative, got -1" in proc.stderr
+
+
+@pytest.mark.parametrize("cmd", ["classify", "optimum"])
+def test_negative_limit_env_exits_2(p5_file, monkeypatch, cmd):
+    monkeypatch.setenv("GATEWAY_GAMES_EXHAUSTIVE_LIMIT", "-1")
+    proc = run_cli(cmd, "--graph", p5_file, "--alpha", 1)
+    assert_one_error(proc)
+    assert "GATEWAY_GAMES_EXHAUSTIVE_LIMIT must be non-negative" in proc.stderr
 
 
 def test_optimum_path(p5_file):

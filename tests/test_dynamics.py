@@ -200,6 +200,12 @@ def test_exhaustive_limit_env(monkeypatch):
     assert resolve_exhaustive_limit(11) == 11
     monkeypatch.setenv("GATEWAY_GAMES_EXHAUSTIVE_LIMIT", "6")
     assert resolve_exhaustive_limit(None) == 6
+    assert resolve_exhaustive_limit(0) == 0
+    with pytest.raises(ValueError, match="non-negative"):
+        resolve_exhaustive_limit(-1)
+    monkeypatch.setenv("GATEWAY_GAMES_EXHAUSTIVE_LIMIT", "-1")
+    with pytest.raises(ValueError, match="GATEWAY_GAMES_EXHAUSTIVE_LIMIT"):
+        resolve_exhaustive_limit(None)
 
 
 def test_sweeps_beyond_physical_memory_are_refused_before_allocating(

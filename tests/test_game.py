@@ -12,6 +12,7 @@ from gateway_games import (
     StrategyProfile,
     Variant,
     all_pairs_distances,
+    build_graph,
     comm_distance,
     evaluate_move,
     frac_str,
@@ -244,20 +245,24 @@ def test_block_swap_tables_match_a_gather_per_node(g, variant):
 
 @pytest.mark.parametrize("variant", [SUM, MAX])
 def test_batched_terms_equal_one_call_per_profile(variant):
-    """A trailing batch axis changes nothing: the sweep's int16 batches match
-    the move kernel's 1-D calls, for a profile's own base and for another."""
+    """A trailing batch axis changes nothing: the sweep's uint8 and int16
+    batches match the move kernel's 1-D int64 calls, for a profile's own base
+    and for another."""
     rnd = random.Random(5)
     g = random_connected_graph(rnd, 17)
     dist = all_pairs_distances(g).dist
+    assert dist.sum(axis=1).max() <= 255  # within the uint8 bound
     profiles = [rnd.sample(range(17), rnd.randint(1, 17)) for _ in range(40)]
     a = np.stack([dist[:, gates].min(axis=1) for gates in profiles], axis=1)
     base = np.array([[rnd.randrange(2 * 17) for _ in profiles] for _ in range(17)])
     maximum = variant is MAX
-    d16, a16 = dist.astype(np.int16)[:, :, None], a.astype(np.int16)
     for b in (a, base):
-        batched = _engine._terms(d16, a16, b.astype(np.int16), maximum)
         single = [_engine._terms(dist, a[:, p], b[:, p], maximum) for p in range(len(profiles))]
-        assert batched.tolist() == np.stack(single, axis=1).tolist()
+        for dtype in (np.uint8, np.int16):
+            dn, an = dist.astype(dtype)[:, :, None], a.astype(dtype)
+            batched = _engine._terms(dn, an, b.astype(dtype), maximum)
+            assert batched.dtype == dtype
+            assert batched.tolist() == np.stack(single, axis=1).tolist()
 
 
 def hub_terms(g, variant, mask):
@@ -293,6 +298,124 @@ def test_term_sums_keep_headroom_at_63_nodes(variant):
         all_pairs_distances(g).dist, np.array(masks, dtype=np.int64), maximum=variant is MAX
     )
     assert sums.tolist() == [sum(hub_terms(g, variant, mask)) for mask in masks]
+
+
+def leafy_path(*leaf_at):
+    """A 22-node path with one pendant leaf on each node of ``leaf_at``."""
+    edges = [(i, i + 1) for i in range(21)]
+    return build_graph(22 + len(leaf_at), edges + [(v, 22 + k) for k, v in enumerate(leaf_at)])
+
+
+def plain_terms(dist, masks, maximum):
+    """Node terms per mask straight from the formula in int64, shape (n, P):
+    ``a`` is a masked minimum over the gateways' columns, ``n`` with none."""
+    n = dist.shape[0]
+    member = (masks[:, None] >> np.arange(n)) & 1 == 1
+    a = np.where(member[:, None, :], dist[None], n).min(axis=2)
+    through = np.minimum(dist[None], a[:, :, None] + a[:, None, :])
+    return (through.max(axis=2) if maximum else through.sum(axis=2)).T
+
+
+def term_chunks(dist, masks, maximum):
+    """``_term_rows``' chunks: their dtypes, widths, and the terms joined."""
+    chunks = [terms for _, terms in _engine._term_rows(dist, masks, maximum)]
+    widths = [terms.shape[1] for terms in chunks]
+    return {terms.dtype for terms in chunks}, widths, np.concatenate(chunks, axis=1)
+
+
+@pytest.mark.parametrize(
+    ("g", "row_sum", "dtype"),
+    [
+        pytest.param(leafy_path(10, 10), 255, np.uint8, id="row-sum-255"),
+        pytest.param(leafy_path(9, 10), 256, np.int16, id="row-sum-256"),
+        pytest.param(path_graph(23), 253, np.uint8, id="path-23"),
+        pytest.param(path_graph(24), 276, np.int16, id="path-24"),
+    ],
+)
+def test_sum_terms_at_the_uint8_boundary(g, row_sum, dtype):
+    """SUM terms go to uint8 while every distance row sums to at most 255, and
+    to int16 past it.  Mask 0 gives each node its whole row sum, so a uint8
+    kernel one past the bound wraps there.  ``term_table`` stores exactly
+    these per-node rows for every mask; at n >= 23 it would need 2^23
+    columns, so its rows are checked here through ``_term_rows``."""
+    dist = all_pairs_distances(g).dist
+    assert int(dist.sum(axis=1).max()) == row_sum
+    rnd = random.Random(row_sum)
+    masks = [0, 1, 1 << (g.n - 1), (1 << g.n) - 1] + [rnd.randrange(1 << g.n) for _ in range(12)]
+    expected = [hub_terms(g, SUM, mask) for mask in masks]
+    masks = np.array(masks, dtype=np.int64)
+    dtypes, _, rows = term_chunks(dist, masks, False)
+    assert dtypes == {np.dtype(dtype)}
+    assert rows.T.tolist() == expected
+    sums = _engine.term_sums_for_masks(dist, masks, maximum=False)
+    assert sums.tolist() == [sum(terms) for terms in expected]
+
+
+@pytest.mark.parametrize(("n", "dtype"), [(127, np.uint8), (128, np.int16)])
+def test_max_terms_at_the_uint8_boundary(n, dtype):
+    """MAX terms go to uint8 while the sentinel sum ``2n`` fits in a byte.
+    At mask 0 every ``a(v) + a(u)`` is ``2n``, which wraps to 0 at n = 128.
+    Masks are int64, so the gateways are among nodes 0..62."""
+    g = path_graph(n)
+    dist = all_pairs_distances(g).dist
+    masks = [0, 1, 1 << 31, 1 << 62, (1 << 63) - 1]
+    expected = [hub_terms(g, MAX, mask) for mask in masks]
+    masks = np.array(masks, dtype=np.int64)
+    dtypes, _, rows = term_chunks(dist, masks, True)
+    assert dtypes == {np.dtype(dtype)}
+    assert rows.T.tolist() == expected
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, "cap"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16])
+def test_chunk_boundaries_change_no_term(monkeypatch, per_chunk, dtype):
+    """Chunks of 1 mask, 3 masks and exactly the mask cap give the terms of
+    the plain formula, in both dtypes: ``term_table`` over all 2^13 masks of
+    a uint8 graph, both variants, and ``term_sums_for_masks`` over the cap
+    plus 5 random masks of the 24-node path, whose SUM terms need int16."""
+    cap = _engine._BATCH_MASKS
+    if dtype is np.uint8:
+        g = random_connected_graph(random.Random(13), 13)
+        masks = np.arange(1 << 13, dtype=np.int64)
+        variants = (SUM, MAX)
+    else:
+        g = path_graph(24)
+        rnd = np.random.default_rng(24)
+        masks = rnd.integers(0, 1 << 24, cap + 5, dtype=np.int64)
+        variants = (SUM,)
+    dist = all_pairs_distances(g).dist
+    width = cap if per_chunk == "cap" else per_chunk
+    # For the cap, a byte budget of twice the cap: the cap must bind.
+    budget = (2 * cap if per_chunk == "cap" else per_chunk) * np.dtype(dtype).itemsize * g.n**2
+    monkeypatch.setattr(_engine, "_BATCH_BYTES", budget)
+    for variant in variants:
+        maximum = variant is MAX
+        expected = plain_terms(dist, masks, maximum)
+        dtypes, widths, rows = term_chunks(dist, masks, maximum)
+        assert dtypes == {np.dtype(dtype)}
+        assert set(widths[:-1]) <= {width} and 0 < widths[-1] <= width
+        assert rows.tolist() == expected.tolist()
+        sums = _engine.term_sums_for_masks(dist, masks, maximum=maximum)
+        assert sums.tolist() == expected.sum(axis=0).tolist()
+        if dtype is np.uint8:
+            assert _engine.term_table(dist, maximum=maximum).tolist() == expected.tolist()
+        for p in (0, 1, len(masks) - 1):
+            assert expected[:, p].tolist() == hub_terms(g, variant, int(masks[p]))
+
+
+def test_no_chunk_exceeds_the_mask_cap():
+    """Every chunk holds at most 4096 masks, the most before numpy's broadcast
+    minimum slows about sixfold; below the cap the byte budget decides."""
+    cap = _engine._BATCH_MASKS
+    assert cap == 4096
+    for n in range(2, 21):
+        dist = all_pairs_distances(random_connected_graph(random.Random(n), n)).dist
+        masks = np.arange(3 * cap + 1, dtype=np.int64) & ((1 << n) - 1)
+        for maximum in (False, True):
+            dtypes, widths, _ = term_chunks(dist, masks, maximum)
+            assert dtypes == {np.dtype(np.uint8)}
+            assert max(widths) == min(cap, _engine._BATCH_BYTES // (n * n))
+            assert sum(widths) == masks.size
 
 
 def test_cost_queries_run_no_bfs(monkeypatch):
