@@ -13,10 +13,10 @@ the per-profile move kernel in ``game`` and for the exhaustive tables here.
 
 The exhaustive tables are node-major: row ``v`` holds node ``v``'s value for
 every mask, shape ``(n, 2^n)``, so every add, min and reduction runs along a
-contiguous row of masks rather than along a node axis of length n.  Toggling
-``v`` swaps the two halves of each block of ``2^(v+1)`` consecutive masks, so
-``improving_tables`` reads ``dv`` off row ``v`` by that block swap, with no
-mask vector and no gather.
+contiguous row of masks.  Toggling ``v`` swaps the two halves of each block of
+``2^(v+1)`` masks, so ``improving_tables`` reads ``dv`` off row ``v`` by that
+swap, with no gather, and writes the opens into the first halves and the
+closes into the second of one boolean row: the two never share a cell.
 
 The sweeps take ``a`` from one ``(n, 256)`` table per byte of node ids, built
 by a DP over the highest set bit, ``T[:, 2^b : 2^(b+1)] = min(T[:, :2^b], d(., 8g+b))``
@@ -41,13 +41,13 @@ from .errors import StateSpaceTooLarge
 
 EXHAUSTIVE_LIMIT_ENV = "GATEWAY_GAMES_EXHAUSTIVE_LIMIT"
 DEFAULT_EXHAUSTIVE_LIMIT = 20
-# Bytes per node per profile: the int32 term table plus the two boolean move tables.
-_TABLE_BYTES = 6
+# Bytes per node per profile: the int32 term table plus the boolean move table.
+_TABLE_BYTES = 5
 # Bytes per profile beside those tables: improving_tables' int32 differences of
 # half a row and its one-byte temporaries (tracemalloc peaks of classify and
-# equilibria: 6n + 4.1 at n = 20, 6n + 5.1 at n = 16).  term_table's int64
-# masks, while only the term table exists, and the classifier's deg and
-# reached take less.
+# equilibria: 5n + 5.1 at n = 18, 5n + 4.3 at n = 20, 5n + 4.1 at n = 22).
+# term_table's int64 masks, the classifier's deg and reached, and equilibria's
+# sums and masks once the move table is freed take less at these sizes.
 _PROFILE_BYTES = 6
 # Read only by perfbench/tracer.py (its fraction_calls counter); nothing in the package uses it.
 SCALE_LIMIT = 1 << 40
@@ -66,7 +66,7 @@ _CLAMP = 1 << 62
 def resolve_exhaustive_limit(explicit: int | None) -> int:
     """Explicit argument, else the environment override, else the default.
 
-    Raises ``ValueError`` for a negative limit, from either source.
+    Raises ``ValueError`` for a negative limit, or a variable that is not an integer.
     """
     if explicit is not None:
         limit, source = explicit, "exhaustive limit"
@@ -74,7 +74,11 @@ def resolve_exhaustive_limit(explicit: int | None) -> int:
         raw = os.environ.get(EXHAUSTIVE_LIMIT_ENV)
         if not raw:
             return DEFAULT_EXHAUSTIVE_LIMIT
-        limit, source = int(raw), EXHAUSTIVE_LIMIT_ENV
+        try:
+            limit, source = int(raw), EXHAUSTIVE_LIMIT_ENV
+        except ValueError:
+            msg = f"{EXHAUSTIVE_LIMIT_ENV} expects a non-negative integer, got {raw!r}"
+            raise ValueError(msg) from None
     if limit < 0:
         raise ValueError(f"{source} must be non-negative, got {limit}")
     return limit
@@ -84,7 +88,7 @@ def check_sweep_size(n: int, exhaustive_limit: int | None, what: str) -> None:
     """Refuse a sweep over all ``2^n`` profiles before anything is allocated.
 
     The node count must be within the resolved limit, and the sweep's
-    arrays, about ``2^n * (6n + 6)`` bytes, must fit in physical memory.
+    arrays, about ``2^n * (5n + 6)`` bytes, must fit in physical memory.
     """
     limit = resolve_exhaustive_limit(exhaustive_limit)
     if n > limit:
@@ -159,34 +163,30 @@ def term_sums_for_masks(dist: np.ndarray, masks: np.ndarray, *, maximum: bool) -
     return out
 
 
-def improving_tables(
-    table: np.ndarray, alpha: Fraction
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (n, 2^n) tables of strictly improving opens and closes.
+def improving_tables(table: np.ndarray, alpha: Fraction) -> np.ndarray:
+    """Boolean (n, 2^n) table: ``[v, m]`` iff toggling ``v`` at ``m`` strictly improves.
 
     Sole-gateway closes are excluded (forbidden).  Mask 0 columns are all
     False: it has nothing to close, and opening ``v`` there leaves ``v``'s
     term as it was, so at a positive price it never improves.  In each block
     of ``2^(v+1)`` masks the first half lacks ``v`` and the second half is
-    the first with ``v`` added, so one difference of the halves is ``dv`` for
-    the open and, negated, for the close.
+    the first with ``v`` added, so one difference of the halves decides the
+    open in the first half and, negated, the close in the second.
     """
     n, total = table.shape
     open_at, close_at = _thresholds(alpha)
-    open_ok = np.zeros((n, total), dtype=bool)
-    close_ok = np.zeros((n, total), dtype=bool)
+    moves = np.empty((n, total), dtype=bool)
     for v in range(n):
         halves = table[v].reshape(-1, 2, 1 << v)
         dv = halves[:, 1] - halves[:, 0]  # opening v changes its term by dv, closing by -dv
-        np.less_equal(dv, open_at, out=open_ok[v].reshape(-1, 2, 1 << v)[:, 0])
-        np.greater_equal(dv, -close_at, out=close_ok[v].reshape(-1, 2, 1 << v)[:, 1])
-        close_ok[v, 1 << v] = False  # v alone: the sole gateway may not close
-    return open_ok, close_ok
+        np.less_equal(dv, open_at, out=moves[v].reshape(-1, 2, 1 << v)[:, 0])
+        np.greater_equal(dv, -close_at, out=moves[v].reshape(-1, 2, 1 << v)[:, 1])
+        moves[v, 1 << v] = False  # v alone: the sole gateway may not close
+    return moves
 
 
-def ne_vector(open_ok: np.ndarray, close_ok: np.ndarray) -> np.ndarray:
+def ne_vector(moves: np.ndarray) -> np.ndarray:
     """Per mask: non-empty and no improving move, shape (2^n,)."""
-    ne = ~(open_ok.any(axis=0) | close_ok.any(axis=0))
+    ne = ~moves.any(axis=0)
     ne[0] = False
     return ne
-

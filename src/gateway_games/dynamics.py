@@ -242,13 +242,16 @@ def replay_trace(g: Graph, cfg: GameConfig, trace: DynamicsTrace) -> list[Strate
         if fresh != move or not fresh.is_improving:
             raise ValueError(f"recorded move {move} does not replay")
         state = state.toggled(move.node)
-    if isinstance(trace.outcome, ConvergedToNE):
-        if trace.outcome.profile != state or not is_nash_equilibrium(d, cfg, state):
-            raise ValueError("claimed equilibrium does not verify")
+    if isinstance(trace.outcome, (ConvergedToNE, Stalled)):
+        # A stall is claimed on the final state, like an equilibrium, but off one.
+        at_ne = isinstance(trace.outcome, ConvergedToNE)
+        if trace.outcome.profile != state or is_nash_equilibrium(d, cfg, state) != at_ne:
+            raise ValueError(f"claimed {trace.outcome} does not verify")
     if isinstance(trace.outcome, CycleDetected):
-        states = trace.states()
-        entry = trace.outcome.entry_index
-        if states[entry] != state:
+        entry, steps = trace.outcome.entry_index, len(trace.steps)
+        if not 0 <= entry < steps or trace.outcome.period != steps - entry:
+            raise ValueError(f"{trace.outcome} does not match a trace of {steps} steps")
+        if trace.states()[entry] != state:
             raise ValueError("cycle does not close on its entry state")
     return trace.states()
 
@@ -309,13 +312,11 @@ def build_ir_state_graph(
     """
     _engine.check_sweep_size(g.n, exhaustive_limit, "profile sweep")
     d = all_pairs_distances(g)
-    open_ok, close_ok = _engine.improving_tables(
+    moves = _engine.improving_tables(
         _engine.term_table(d.dist, maximum=cfg.variant is Variant.MAX), cfg.alpha
     )
     total = 1 << g.n
-    sinks = np.flatnonzero(_engine.ne_vector(open_ok, close_ok))
-    moves = open_ok | close_ok
-    del open_ok, close_ok
+    sinks = np.flatnonzero(_engine.ne_vector(moves))
 
     deg = moves.sum(axis=0, dtype=np.int8)
 

@@ -119,12 +119,16 @@ def _cheapest(
     return int(at_best[0]), alpha * k + int(lows[k])
 
 
-def _full_enumeration(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
-    total = 1 << d.graph.n
-    masks = np.arange(1, total, dtype=np.int64)
-    sums = _engine.term_sums_for_masks(d.dist, masks, maximum=cfg.variant is Variant.MAX)
-    best, cost = _cheapest(masks, sums, np.bitwise_count(masks), cfg.alpha)
+def _full_optimum(masks: np.ndarray, sums: np.ndarray, alpha: Fraction) -> OptimumResult:
+    """The full enumeration's result, from every non-empty mask and its distance sum."""
+    best, cost = _cheapest(masks, sums, np.bitwise_count(masks), alpha)
     return OptimumResult(StrategyProfile.from_mask(best), cost, FullEnumeration(), True)
+
+
+def _full_enumeration(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
+    masks = np.arange(1, 1 << d.graph.n, dtype=np.int64)
+    sums = _engine.term_sums_for_masks(d.dist, masks, maximum=cfg.variant is Variant.MAX)
+    return _full_optimum(masks, sums, cfg.alpha)
 
 
 def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -314,14 +318,9 @@ def enumerate_equilibria(
     d = all_pairs_distances(g)
     maximum = cfg.variant is Variant.MAX
     table = _engine.term_table(d.dist, maximum=maximum)
-    ne = _engine.ne_vector(*_engine.improving_tables(table, cfg.alpha))
-    total = 1 << g.n
+    ne = _engine.ne_vector(_engine.improving_tables(table, cfg.alpha))
     totals = table.sum(axis=0, dtype=np.int64)
-    masks = np.arange(1, total, dtype=np.int64)
-    best, best_cost = _cheapest(masks, totals[1:], np.bitwise_count(masks), cfg.alpha)
-    optimum = OptimumResult(
-        StrategyProfile.from_mask(best), best_cost, FullEnumeration(), True
-    )
+    optimum = _full_optimum(np.arange(1, 1 << g.n, dtype=np.int64), totals[1:], cfg.alpha)
 
     found: list[tuple[StrategyProfile, Fraction]] = []
     for m in np.flatnonzero(ne):
@@ -329,8 +328,8 @@ def enumerate_equilibria(
         cost = cfg.alpha * mask.bit_count() + Fraction(int(totals[mask]))
         found.append((StrategyProfile.from_mask(mask), cost))
     found.sort(key=lambda pair: (pair[1], len(pair[0]), pair[0].ids))
-    poa = found[-1][1] / best_cost if found else None
-    pos = found[0][1] / best_cost if found else None
+    poa = found[-1][1] / optimum.best_cost if found else None
+    pos = found[0][1] / optimum.best_cost if found else None
     return EquilibriumCatalog(tuple(found), poa, pos, optimum)
 
 

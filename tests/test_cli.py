@@ -209,6 +209,25 @@ def test_negative_limit_env_exits_2(p5_file, monkeypatch, cmd):
     assert "GATEWAY_GAMES_EXHAUSTIVE_LIMIT must be non-negative" in proc.stderr
 
 
+@pytest.mark.parametrize("cmd", ["classify", "optimum"])
+def test_non_integer_limit_env_exits_2(p5_file, monkeypatch, cmd):
+    monkeypatch.setenv("GATEWAY_GAMES_EXHAUSTIVE_LIMIT", "abc")
+    proc = run_cli(cmd, "--graph", p5_file, "--alpha", 1)
+    assert_one_error(proc)
+    assert "GATEWAY_GAMES_EXHAUSTIVE_LIMIT expects a non-negative integer" in proc.stderr
+
+
+def test_uncovered_elements_of_a_huge_universe_exit_2_briefly(tmp_path):
+    """The header's element count costs no memory: only the sets' elements are held."""
+    cover = tmp_path / "cover.txt"
+    cover.write_text("3000000 1\n0 1\n")
+    proc = run_cli("reduce", "--setcover", cover, "--variant", "sum", "--out", tmp_path / "r.json")
+    assert_one_error(proc)
+    error = proc.stderr.splitlines()[-1]
+    assert len(error) < 200
+    assert "2999998 of the 3000000 elements are in no set, first [2, 3, 4, 5, 6]" in error
+
+
 def test_optimum_path(p5_file):
     proc = run_cli("optimum", "--graph", p5_file, "--alpha", 3)
     assert proc.returncode == 0

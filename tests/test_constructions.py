@@ -180,7 +180,7 @@ def test_parse_set_cover_errors():
 def test_min_cover_size():
     assert min_cover_size(parse_set_cover(INSTANCE_A)) == 3
     assert min_cover_size(parse_set_cover(INSTANCE_B)) == 2
-    with pytest.raises(ElementUncovered):
+    with pytest.raises(ElementUncovered, match=r"2 of the 3 elements .* first \[1, 2\]"):
         min_cover_size(SetCoverInstance(3, (frozenset({0}),)))
 
 

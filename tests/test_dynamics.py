@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,37 @@ def test_replay_rejects_tampered_trace(p5):
         replay_trace(p5, cfg, tampered)
 
 
+def test_replay_rejects_forged_stall():
+    game = gen_non_wag()
+    cfg = GameConfig(SUM, Fraction(7))
+    trace = run_dynamics(game.graph, cfg, game.initial, OpensOnly(frozenset({game.roles["u"]})))
+    assert trace.outcome == Stalled(StrategyProfile.of([0, 2])) and len(trace.steps) == 1
+    replay_trace(game.graph, cfg, trace)
+    elsewhere = replace(trace, outcome=Stalled(StrategyProfile.of([0, 1, 2, 3])))
+    with pytest.raises(ValueError, match="Stalled"):
+        replay_trace(game.graph, cfg, elsewhere)
+
+
+def test_replay_rejects_a_stall_on_an_equilibrium(p5):
+    cfg = GameConfig(SUM, Fraction(1, 2))
+    trace = run_dynamics(p5, cfg, StrategyProfile.of([0]), RoundRobin())
+    assert isinstance(trace.outcome, ConvergedToNE)
+    with pytest.raises(ValueError, match="Stalled"):
+        replay_trace(p5, cfg, replace(trace, outcome=Stalled(trace.final)))
+
+
+def test_replay_rejects_forged_cycle_period_and_entry():
+    params = IrCycleParams(10, 1, 2, Fraction(5))
+    game = gen_ir_cycle(params)
+    cfg = GameConfig(SUM, params.alpha)
+    sched = FixedSequence((game.roles["u"], game.roles["v"]))
+    trace = run_dynamics(game.graph, cfg, game.initial, sched)
+    assert trace.outcome == CycleDetected(0, 4)
+    for forged in (CycleDetected(0, 3), CycleDetected(-1, 5)):
+        with pytest.raises(ValueError, match="does not match a trace of 4 steps"):
+            replay_trace(game.graph, cfg, replace(trace, outcome=forged))
+
+
 def test_state_graph_triangle_small_alpha(triangle):
     report = build_ir_state_graph(triangle, GameConfig(SUM, Fraction(1, 2)))
     assert report.classification is Classification.FIP
@@ -206,6 +238,9 @@ def test_exhaustive_limit_env(monkeypatch):
     monkeypatch.setenv("GATEWAY_GAMES_EXHAUSTIVE_LIMIT", "-1")
     with pytest.raises(ValueError, match="GATEWAY_GAMES_EXHAUSTIVE_LIMIT"):
         resolve_exhaustive_limit(None)
+    monkeypatch.setenv("GATEWAY_GAMES_EXHAUSTIVE_LIMIT", "abc")
+    with pytest.raises(ValueError, match="GATEWAY_GAMES_EXHAUSTIVE_LIMIT"):
+        resolve_exhaustive_limit(None)
 
 
 def test_sweeps_beyond_physical_memory_are_refused_before_allocating(
@@ -237,6 +272,24 @@ def test_sweeps_beyond_physical_memory_are_refused_before_allocating(
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert out == "" and len(errors) == 1 and "physical memory" in errors[0]
         assert "Traceback" not in err
+
+
+def test_memory_guard_admits_its_estimate_and_refuses_one_node_more(monkeypatch):
+    """Physical memory of exactly ``2^n * (5n + 6)`` bytes admits every sweep
+    at n and refuses it at n + 1."""
+    n = 10
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (1 << n) * (5 * n + 6)}
+    monkeypatch.setattr(_engine.os, "sysconf", memory.__getitem__)
+    cfg = GameConfig(SUM, 2)
+    sweeps = [
+        lambda g: build_ir_state_graph(g, cfg, exhaustive_limit=g.n),
+        lambda g: enumerate_equilibria(g, cfg, exhaustive_limit=g.n),
+        lambda g: brute_force_optimum(g, cfg, mode="full", exhaustive_limit=g.n),
+    ]
+    for sweep in sweeps:
+        sweep(path_graph(n))
+        with pytest.raises(StateSpaceTooLarge, match="physical memory"):
+            sweep(path_graph(n + 1))
 
 
 def test_cycle_conditions_small_gadget():
