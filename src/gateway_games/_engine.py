@@ -18,15 +18,25 @@ contiguous row of masks.  Toggling ``v`` swaps the two halves of each block of
 swap, with no gather, and writes the opens into the first halves and the
 closes into the second of one boolean row: the two never share a cell.
 
-The sweeps take ``a`` from one ``(n, 256)`` table per byte of node ids, built
-by a DP over the highest set bit, ``T[:, 2^b : 2^(b+1)] = min(T[:, :2^b], d(., 8g+b))``
-with ``n`` for an empty byte, and form the terms in the narrowest integer
-dtype that is exact for the graph.  Three bounds decide it: a table entry is
-at most the sentinel ``n``, so ``a(v) + a(u) <= 2n``; ``min(d, .) <= d``, so a
-SUM term never exceeds its node's plain distance row sum; and a MAX term is
-at most ``n - 1``.  So uint8 is exact when ``2n <= 255`` and, for SUM, every
-row sum of ``d`` is at most 255.  Otherwise int16 is, for n <= 181 (a SUM
-term is at most ``n(n-1)``; callers: n <= 63).
+The sweeps take ``a`` from subset-minimum tables, all built by
+``_subset_minima``: for a block of node ids, entry ``[v, m]`` is the least
+distance from ``v`` to a node of the subset ``m`` of the block, and the sentinel
+``n`` for the empty subset.  A full sweep (``term_table``, ``term_sums``) walks
+the masks in order, in chunks of ``2^lb`` consecutive masks: their low ``lb``
+bits run through every value, the same in every chunk, and their high bits
+hold one value ``h``.  So a chunk's ``a`` is ``min(low, high[:, h])``, with
+``low`` the table over the low ``lb`` nodes and ``high`` the one over the rest,
+each built once; no mask array exists and nothing is gathered.  A list of
+masks in any order (``term_sums_for_masks``, for the bounded search) gathers
+``a`` from one table per byte of node ids instead.
+
+Both form the terms in the narrowest integer dtype that is exact for the
+graph.  Three bounds decide it: a table entry is at most the sentinel ``n``,
+so ``a(v) + a(u) <= 2n``; ``min(d, .) <= d``, so a SUM term never exceeds its
+node's plain distance row sum; and a MAX term is at most ``n - 1``.  So uint8
+is exact when ``2n <= 255`` and, for SUM, every row sum of ``d`` is at most
+255.  Otherwise int16 is, for n <= 181 (a SUM term is at most ``n(n-1)``;
+callers: n <= 63).
 """
 
 from __future__ import annotations
@@ -45,9 +55,10 @@ DEFAULT_EXHAUSTIVE_LIMIT = 20
 _TABLE_BYTES = 5
 # Bytes per profile beside those tables: improving_tables' int32 differences of
 # half a row and its one-byte temporaries (tracemalloc peaks of classify and
-# equilibria: 5n + 5.1 at n = 18, 5n + 4.3 at n = 20, 5n + 4.1 at n = 22).
-# term_table's int64 masks, the classifier's deg and reached, and equilibria's
-# sums and masks once the move table is freed take less at these sizes.
+# equilibria: 5n + 4.3 at n = 18, 5n + 4.1 at n = 20, 5n + 4.0 at n = 22).
+# term_table's chunk temporaries, the classifier's deg and reached, and
+# equilibria's sums and masks once the move table is freed take less at these
+# sizes; full enumeration's int64 masks and sums, 16 bytes, stay within 5n + 6.
 _PROFILE_BYTES = 6
 # Read only by perfbench/tracer.py (its fraction_calls counter); nothing in the package uses it.
 SCALE_LIMIT = 1 << 40
@@ -121,25 +132,66 @@ def _terms(dist: np.ndarray, a: np.ndarray, base: np.ndarray, maximum: bool) -> 
     return through.max(axis=1) if maximum else through.sum(axis=1, dtype=through.dtype)
 
 
-def _term_rows(dist: np.ndarray, masks: np.ndarray, maximum: bool):
-    """``(columns, terms)`` per chunk of ``masks``: the ``(n, chunk)`` node terms,
-    in uint8 where the module docstring's bounds allow it, else int16."""
+def _narrow(dist: np.ndarray, maximum: bool) -> np.ndarray:
+    """The distances in uint8 where the module docstring's bounds allow it, else int16."""
     n = dist.shape[0]
     narrow = 2 * n <= 255 and (maximum or int(dist.sum(axis=1).max()) <= 255)
-    dtype = np.dtype(np.uint8 if narrow else np.int16)
-    dn = dist.astype(dtype)[:, :, None]
-    tables = np.full((-(-n // 8), n, 256), n, dtype=dtype)
-    for v in range(n):
-        g, b = divmod(v, 8)
-        np.minimum(tables[g, :, : 1 << b], dn[:, v], out=tables[g, :, 1 << b : 2 << b])
-    step = min(_BATCH_MASKS, max(1, _BATCH_BYTES // (dtype.itemsize * n * n)))
+    return dist.astype(np.uint8 if narrow else np.int16)
+
+
+def _chunk_masks(dn: np.ndarray) -> int:
+    """The most masks one chunk of ``_terms`` on ``dn`` may hold."""
+    return min(_BATCH_MASKS, max(1, _BATCH_BYTES // (dn.itemsize * dn.shape[0] ** 2)))
+
+
+def _subset_minima(columns: np.ndarray, sentinel: int) -> np.ndarray:
+    """``(rows, 2^k)`` table for ``k`` distance columns: entry ``[v, m]`` is the
+    least ``columns[v, j]`` over the set bits ``j`` of ``m``, ``sentinel`` at
+    ``m = 0``.  A DP over the highest set bit:
+    ``T[:, 2^b : 2^(b+1)] = min(T[:, :2^b], columns[:, b])``."""
+    rows, k = columns.shape
+    table = np.empty((rows, 1 << k), dtype=columns.dtype)
+    table[:, 0] = sentinel
+    for b in range(k):
+        np.minimum(table[:, : 1 << b], columns[:, b : b + 1], out=table[:, 1 << b : 2 << b])
+    return table
+
+
+def _term_rows(dist: np.ndarray, masks: np.ndarray, maximum: bool):
+    """``(columns, terms)`` per chunk of ``masks``, in any order: the ``(n, chunk)``
+    node terms, with ``a`` gathered from one lookup table per byte of node ids."""
+    n = dist.shape[0]
+    dn = _narrow(dist, maximum)
+    step = _chunk_masks(dn)
+    tables = [_subset_minima(dn[:, first : first + 8], n) for first in range(0, n, 8)]
     for start in range(0, masks.shape[0], step):
         chunk = masks[start : start + step]
         # take() keeps ``a`` C-contiguous; fancy indexing along axis 1 would not.
         a = tables[0].take(chunk & 255, axis=1)
-        for g in range(1, tables.shape[0]):
+        for g in range(1, len(tables)):
             np.minimum(a, tables[g].take((chunk >> 8 * g) & 255, axis=1), out=a)
-        yield slice(start, start + chunk.shape[0]), _terms(dn, a, a, maximum)
+        yield slice(start, start + chunk.shape[0]), _terms(dn[:, :, None], a, a, maximum)
+
+
+def _dense_term_rows(dist: np.ndarray, maximum: bool):
+    """``(columns, terms)`` for every mask in order, in chunks of ``2^lb``
+    consecutive masks, ``2^lb`` the largest power of two within ``_chunk_masks``
+    and ``2^n``: a chunk's low ``lb`` bits run through every value and its high
+    bits are one value ``h``, so its ``a`` is ``min(low, high[:, h])``."""
+    n = dist.shape[0]
+    dn = _narrow(dist, maximum)
+    lb = min(n, _chunk_masks(dn).bit_length() - 1)
+    low, high = _subset_minima(dn[:, :lb], n), _subset_minima(dn[:, lb:], n)
+    for h in range(high.shape[1]):
+        a = np.minimum(low, high[:, h : h + 1])
+        yield slice(h << lb, (h + 1) << lb), _terms(dn[:, :, None], a, a, maximum)
+
+
+def _sums(chunks, size: int) -> np.ndarray:
+    out = np.empty(size, dtype=np.int64)
+    for columns, terms in chunks:
+        out[columns] = terms.sum(axis=0, dtype=np.int64)
+    return out
 
 
 def term_table(dist: np.ndarray, *, maximum: bool) -> np.ndarray:
@@ -150,17 +202,19 @@ def term_table(dist: np.ndarray, *, maximum: bool) -> np.ndarray:
     """
     n = dist.shape[0]
     out = np.empty((n, 1 << n), dtype=np.int32)
-    for columns, terms in _term_rows(dist, np.arange(1 << n, dtype=np.int64), maximum):
+    for columns, terms in _dense_term_rows(dist, maximum):
         out[:, columns] = terms
     return out
 
 
+def term_sums(dist: np.ndarray, *, maximum: bool) -> np.ndarray:
+    """Total distance part of the social cost for every profile mask, shape (2^n,)."""
+    return _sums(_dense_term_rows(dist, maximum), 1 << dist.shape[0])
+
+
 def term_sums_for_masks(dist: np.ndarray, masks: np.ndarray, *, maximum: bool) -> np.ndarray:
     """Total distance part of the social cost for each mask, shape (P,)."""
-    out = np.empty(masks.shape[0], dtype=np.int64)
-    for columns, terms in _term_rows(dist, masks, maximum):
-        out[columns] = terms.sum(axis=0, dtype=np.int64)
-    return out
+    return _sums(_term_rows(dist, masks, maximum), masks.shape[0])
 
 
 def improving_tables(table: np.ndarray, alpha: Fraction) -> np.ndarray:

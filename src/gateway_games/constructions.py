@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import warnings
 from dataclasses import dataclass
@@ -622,6 +623,38 @@ class ReductionArtifact:
     instance: SetCoverInstance
 
 
+# Peak bytes per edge of ``reduce`` through the CLI, which also writes the graph
+# as JSON: tracemalloc read 246-451 on SUM and MAX instances of 8e3 to 3.2e5
+# edges, the most on sparse ones, where the element copies add nodes.
+_REDUCTION_EDGE_BYTES = 512
+
+
+def _check_reduction_size(inst: SetCoverInstance, variant: Variant) -> None:
+    """Refuse a reduction whose graph would not fit in physical memory, counting
+    its edges in O(n_sets + sum |S|) before any edge list exists.  Call it after
+    the variant's parameter checks: MAX needs ``1 <= m <= 2 * n_sets``."""
+    n_sets = inst.n_sets
+    if variant is Variant.SUM:
+        k = inst.m - 1
+        links = n_sets * sum(len(s) for s in inst.sets)  # n_sets copies of each element
+    else:
+        k, target_m = 3 * n_sets, 2 * n_sets
+        # Element i < m stands for itself and for the (target_m - 1 - i) // m
+        # padding elements e with e % m == i.
+        links = sum(1 + (target_m - 1 - i) // inst.m for s in inst.sets for i in s)
+    edges = k * (k - 1) // 2 + n_sets + links
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing is refused
+        return
+    need = edges * _REDUCTION_EDGE_BYTES
+    if need > have:
+        raise ParameterOutOfRange(
+            f"{variant.name} reduction builds {edges} edges, about {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
+
+
 def _check_covered(inst: SetCoverInstance) -> None:
     covered = set().union(*inst.sets)  # never all of [0, m): a header may claim millions
     missing = inst.m - sum(1 for e in covered if 0 <= e < inst.m)
@@ -638,7 +671,8 @@ def reduce_set_cover(inst: SetCoverInstance, variant: Variant) -> ReductionArtif
     contain it, at price ``4 * n_sets * (m-1)``.  MAX: a ``3*n_sets``-clique,
     single element nodes, price 3; the element count is padded up to
     ``2*n_sets`` by duplicating membership patterns, and instances with more
-    than ``2*n_sets`` elements are rejected.
+    than ``2*n_sets`` elements are rejected.  So is an instance whose graph
+    would not fit in physical memory, before its edges are listed.
     """
     _check_covered(inst)
     if variant is Variant.SUM:
@@ -656,6 +690,7 @@ def _reduce_sum(inst: SetCoverInstance) -> ReductionArtifact:
     k = m - 1
     if k < 1:
         raise ParameterOutOfRange(f"need m >= 2 elements; got {m}")
+    _check_reduction_size(inst, Variant.SUM)
     w = n_sets
     clique = list(range(k))
     c = 0
@@ -691,6 +726,7 @@ def _reduce_max(inst: SetCoverInstance) -> ReductionArtifact:
         raise ParameterOutOfRange(
             f"MAX reduction needs m <= 2 * n_sets = {target_m}; got m = {m}"
         )
+    _check_reduction_size(inst, Variant.MAX)
     padded_sets = [set(s) for s in inst.sets]
     for e in range(m, target_m):
         twin = e % m

@@ -127,7 +127,7 @@ def _full_optimum(masks: np.ndarray, sums: np.ndarray, alpha: Fraction) -> Optim
 
 def _full_enumeration(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
     masks = np.arange(1, 1 << d.graph.n, dtype=np.int64)
-    sums = _engine.term_sums_for_masks(d.dist, masks, maximum=cfg.variant is Variant.MAX)
+    sums = _engine.term_sums(d.dist, maximum=cfg.variant is Variant.MAX)[1:]
     return _full_optimum(masks, sums, cfg.alpha)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -156,6 +157,33 @@ def assert_one_error(proc):
     lines = proc.stderr.splitlines()
     assert [ln for ln in lines if ln.startswith("error:")] == lines[-1:]
     assert "Traceback" not in proc.stderr
+
+
+def cover_text(m, n_sets):
+    """``n_sets`` sets that each hold all ``m`` elements."""
+    return f"{m} {n_sets}\n" + (" ".join(map(str, range(m))) + "\n") * n_sets
+
+
+def test_reduce_beyond_physical_memory_exits_2(monkeypatch, tmp_path, capsys):
+    """Physical memory for 165 edges of 512 bytes admits the largest instances
+    of the benchmark's size class (6 elements, 5 sets) in both variants, each
+    set holding every element (SUM 165 edges, MAX 160), and refuses one more
+    element for SUM (195) and one more set for MAX (231), with one error line
+    and no file written."""
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 165 * 512}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    cases = [("sum", 6, 5, 0), ("max", 6, 5, 0), ("sum", 7, 5, 2), ("max", 6, 6, 2)]
+    for variant, m, n_sets, code in cases:
+        cover, out = tmp_path / "cover.txt", tmp_path / f"{variant}{m}.{n_sets}.json"
+        cover.write_text(cover_text(m, n_sets))
+        argv = ["reduce", "--setcover", str(cover), "--variant", variant, "--out", str(out)]
+        assert cli.main(argv) == code
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "Traceback" not in err
+        if code:
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert len(errors) == 1 and "physical memory" in errors[0]
+            assert not out.exists()
 
 
 def test_dynamics_rejects_negative_budget(p5_file):

@@ -1,4 +1,6 @@
+import os
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -252,3 +254,29 @@ def test_sum_reduction_layout_and_optimum():
 def test_sum_reduction_warns_when_small():
     with pytest.warns(UserWarning, match="separation"):
         reduce_set_cover(parse_set_cover(INSTANCE_A), Variant.SUM)
+
+
+def test_reduction_size_check_counts_the_edges_it_builds(monkeypatch):
+    """The refusal counts a reduction's edges before listing any.  On random
+    instances, padded MAX ones included, that count equals the built graph's,
+    and physical memory of exactly 512 bytes per edge admits the instance
+    while one byte less refuses it."""
+    rnd = random.Random(14)
+    for _ in range(30):
+        m = rnd.randint(2, 12)
+        n_sets = rnd.randint(-(-m // 2), 8)
+        sets = [set(rnd.sample(range(m), rnd.randint(0, m))) for _ in range(n_sets)]
+        for e in range(m):
+            sets[rnd.randrange(n_sets)].add(e)
+        inst = SetCoverInstance(m, tuple(map(frozenset, sets)))
+        for variant in (Variant.SUM, Variant.MAX):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                edges = reduce_set_cover(inst, variant).graph.edge_count()
+                with monkeypatch.context() as mp:
+                    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 512 * edges - 1}
+                    mp.setattr(os, "sysconf", memory.__getitem__)
+                    with pytest.raises(ParameterOutOfRange, match=rf"builds {edges} edges,"):
+                        reduce_set_cover(inst, variant)
+                    memory["SC_PHYS_PAGES"] += 1
+                    reduce_set_cover(inst, variant)

@@ -250,6 +250,7 @@ def test_sweeps_beyond_physical_memory_are_refused_before_allocating(
         raise AssertionError("a refused sweep allocated its tables")
 
     monkeypatch.setattr(_engine, "term_table", unreachable)
+    monkeypatch.setattr(_engine, "term_sums", unreachable)
     monkeypatch.setattr(_engine, "term_sums_for_masks", unreachable)
     # 2^40 profiles of 40 nodes: hundreds of terabytes of tables, within the limit.
     g = path_graph(40)

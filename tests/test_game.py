@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -322,6 +325,19 @@ def term_chunks(dist, masks, maximum):
     return {terms.dtype for terms in chunks}, widths, np.concatenate(chunks, axis=1)
 
 
+def dense_ends(monkeypatch, dist, maximum, count=2):
+    """The first and the last ``count`` chunks of the dense generator.  The
+    chunks between are drawn with ``_terms`` stubbed out, so the pass costs
+    only their ``a``; the generator looks ``_terms`` up at every chunk."""
+    chunks = _engine._dense_term_rows(dist, maximum)
+    first = list(itertools.islice(chunks, count))
+    between = (1 << dist.shape[0]) // first[0][0].stop - 2 * count
+    with monkeypatch.context() as mp:
+        mp.setattr(_engine, "_terms", lambda *args: None)
+        deque(itertools.islice(chunks, between), maxlen=0)
+    return first + list(chunks)
+
+
 @pytest.mark.parametrize(
     ("g", "row_sum", "dtype"),
     [
@@ -331,12 +347,13 @@ def term_chunks(dist, masks, maximum):
         pytest.param(path_graph(24), 276, np.int16, id="path-24"),
     ],
 )
-def test_sum_terms_at_the_uint8_boundary(g, row_sum, dtype):
+def test_sum_terms_at_the_uint8_boundary(monkeypatch, g, row_sum, dtype):
     """SUM terms go to uint8 while every distance row sums to at most 255, and
     to int16 past it.  Mask 0 gives each node its whole row sum, so a uint8
     kernel one past the bound wraps there.  ``term_table`` stores exactly
     these per-node rows for every mask; at n >= 23 it would need 2^23
-    columns, so its rows are checked here through ``_term_rows``."""
+    columns, so its rows are checked here through ``_term_rows`` and the
+    first and last chunks of ``_dense_term_rows``, mask 0 among them."""
     dist = all_pairs_distances(g).dist
     assert int(dist.sum(axis=1).max()) == row_sum
     rnd = random.Random(row_sum)
@@ -348,6 +365,13 @@ def test_sum_terms_at_the_uint8_boundary(g, row_sum, dtype):
     assert rows.T.tolist() == expected
     sums = _engine.term_sums_for_masks(dist, masks, maximum=False)
     assert sums.tolist() == [sum(terms) for terms in expected]
+    ends = dense_ends(monkeypatch, dist, False)
+    assert ends[0][0].start == 0 and ends[-1][0].stop == 1 << g.n
+    assert len(ends) == 4
+    for columns, terms in ends:
+        assert terms.dtype == dtype
+        span = np.arange(columns.start, columns.stop, dtype=np.int64)
+        assert terms.tolist() == plain_terms(dist, span, False).tolist()
 
 
 @pytest.mark.parametrize(("n", "dtype"), [(127, np.uint8), (128, np.int16)])
@@ -404,17 +428,48 @@ def test_chunk_boundaries_change_no_term(monkeypatch, per_chunk, dtype):
 
 def test_no_chunk_exceeds_the_mask_cap():
     """Every chunk holds at most 4096 masks, the most before numpy's broadcast
-    minimum slows about sixfold; below the cap the byte budget decides."""
+    minimum slows about sixfold; below the cap the byte budget decides.  A
+    sparse chunk takes all of that width; a dense one takes the largest power
+    of two within it, and at most all ``2^n`` masks."""
     cap = _engine._BATCH_MASKS
     assert cap == 4096
     for n in range(2, 21):
         dist = all_pairs_distances(random_connected_graph(random.Random(n), n)).dist
         masks = np.arange(3 * cap + 1, dtype=np.int64) & ((1 << n) - 1)
+        width = min(cap, _engine._BATCH_BYTES // (n * n))
+        dense = 2 ** min(n, math.floor(math.log2(width)))
         for maximum in (False, True):
             dtypes, widths, _ = term_chunks(dist, masks, maximum)
             assert dtypes == {np.dtype(np.uint8)}
-            assert max(widths) == min(cap, _engine._BATCH_BYTES // (n * n))
+            assert max(widths) == width
             assert sum(widths) == masks.size
+            chunks = [(cols, terms.shape) for cols, terms in _engine._dense_term_rows(dist, maximum)]
+            assert chunks == [(slice(s, s + dense), (n, dense)) for s in range(0, 1 << n, dense)]
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2, 8])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16])
+def test_dense_terms_match_plain_formula_and_sparse_path(monkeypatch, per_chunk, dtype):
+    """``term_table`` and ``term_sums`` on every mask of graphs up to n = 14,
+    both variants, in chunks of 1, 2 and 8 masks, so that the high-bit table
+    has up to 2^14 columns: against ``plain_terms`` and against
+    ``term_sums_for_masks`` over the same masks.  At n <= 14 a SUM row sums to
+    at most 91 and ``2n`` is 28, so uint8 always applies and int16 is forced."""
+    if dtype is np.int16:
+        monkeypatch.setattr(_engine, "_narrow", lambda dist, maximum: dist.astype(np.int16))
+    for n in (1, 2, 3, 6, 10, 14):
+        dist = all_pairs_distances(random_connected_graph(random.Random(n), n)).dist
+        masks = np.arange(1 << n, dtype=np.int64)
+        monkeypatch.setattr(_engine, "_BATCH_BYTES", per_chunk * np.dtype(dtype).itemsize * n * n)
+        for maximum in (False, True):
+            expected = plain_terms(dist, masks, maximum)
+            chunks = list(_engine._dense_term_rows(dist, maximum))
+            assert {terms.shape for _, terms in chunks} == {(n, min(per_chunk, 1 << n))}
+            assert {terms.dtype for _, terms in chunks} == {np.dtype(dtype)}
+            assert _engine.term_table(dist, maximum=maximum).tolist() == expected.tolist()
+            sums = _engine.term_sums(dist, maximum=maximum).tolist()
+            assert sums == expected.sum(axis=0).tolist()
+            assert sums == _engine.term_sums_for_masks(dist, masks, maximum=maximum).tolist()
 
 
 def test_cost_queries_run_no_bfs(monkeypatch):
