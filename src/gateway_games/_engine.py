@@ -47,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import StateSpaceTooLarge
+from .errors import StateSpaceTooLarge, check_memory
 
 EXHAUSTIVE_LIMIT_ENV = "GATEWAY_GAMES_EXHAUSTIVE_LIMIT"
 DEFAULT_EXHAUSTIVE_LIMIT = 20
@@ -57,8 +57,9 @@ _TABLE_BYTES = 5
 # half a row and its one-byte temporaries (tracemalloc peaks of classify and
 # equilibria: 5n + 4.3 at n = 18, 5n + 4.1 at n = 20, 5n + 4.0 at n = 22).
 # term_table's chunk temporaries, the classifier's deg and reached, and
-# equilibria's sums and masks once the move table is freed take less at these
-# sizes; full enumeration's int64 masks and sums, 16 bytes, stay within 5n + 6.
+# equilibria's sums and popcounts once the move table is freed take less at
+# these sizes; full enumeration's int64 sums, uint8 popcounts and boolean
+# selections, 11.0 bytes at n = 20 and 22, stay within 5n + 6.
 _PROFILE_BYTES = 6
 # Read only by perfbench/tracer.py (its fraction_calls counter); nothing in the package uses it.
 SCALE_LIMIT = 1 << 40
@@ -104,16 +105,8 @@ def check_sweep_size(n: int, exhaustive_limit: int | None, what: str) -> None:
     limit = resolve_exhaustive_limit(exhaustive_limit)
     if n > limit:
         raise StateSpaceTooLarge(f"{what} needs n <= {limit}, got n = {n}")
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf: the limit alone decides
-        return
     need = (1 << n) * (n * _TABLE_BYTES + _PROFILE_BYTES)
-    if need > have:
-        raise StateSpaceTooLarge(
-            f"{what} at n = {n} needs about {need} bytes, "
-            f"more than the {have} bytes of physical memory"
-        )
+    check_memory(need, StateSpaceTooLarge, f"{what} at n = {n} needs")
 
 
 def _thresholds(alpha: Fraction) -> tuple[int, int]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 import warnings
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from .errors import (
     ElementUncovered,
     GirthTooSmall,
     ParameterOutOfRange,
+    check_memory,
 )
 from .game import (
     GameConfig,
@@ -57,6 +57,18 @@ class GeneratedGame:
 
     def __iter__(self) -> Iterator:
         return iter((self.graph, self.roles, self.initial))
+
+
+# Peak bytes per edge of ``gen`` through the CLI, which also writes the graph as
+# JSON and its roles: tracemalloc read 559 on paths and stars of 3e5 nodes, and
+# 355 on non-wag --experimental at alpha = 800.
+_GEN_EDGE_BYTES = 560
+
+
+def _check_edges(edges: int, edge_bytes: int, what: str) -> None:
+    """Refuse a graph of ``edges`` edges, counted before any edge list exists,
+    at ``edge_bytes`` each, that would not fit in physical memory."""
+    check_memory(edges * edge_bytes, ParameterOutOfRange, f"{what} builds {edges} edges,")
 
 
 @dataclass(frozen=True)
@@ -128,6 +140,7 @@ def gen_ir_cycle(params: IrCycleParams, *, validate: bool = True) -> GeneratedGa
     if validate:
         _ir_cycle_validate(params)
     n, c, r = params.n, params.c, params.r
+    _check_edges(n - 1, _GEN_EDGE_BYTES, f"ir-cycle at n = {n}")
     edges = [(i, i + 1) for i in range(2 * c)]
     w = 2 * c
     w_pendants = list(range(w + 1, w + 1 + r))
@@ -167,6 +180,8 @@ def gen_non_wag(alpha: Fraction | int = 7, *, experimental: bool = False) -> Gen
     y_nodes = list(range(3 + x_size, 3 + x_size + y_size))
     c = 3 + x_size + y_size
     n = c + 1
+    edges = 3 + x_size * (x_size + 3) // 2 + y_size * (y_size + 3) // 2  # cliques, 2 links each
+    _check_edges(edges, _GEN_EDGE_BYTES, f"non-wag at alpha = {alpha}")
     edges = [(u, v), (v, w), (c, v)]
     edges.extend(itertools.combinations(x_nodes, 2))
     edges.extend(itertools.combinations(y_nodes, 2))
@@ -184,6 +199,19 @@ def gen_non_wag(alpha: Fraction | int = 7, *, experimental: bool = False) -> Gen
         "c": c,
     }
     return GeneratedGame(graph, roles, StrategyProfile.of([w]))
+
+
+def _star_of_paths(sizes: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Paths of the given sizes hung off a center 0 and numbered outward, one
+    path after another: the edges and each path's leaf.  Empty paths are skipped."""
+    edges, leaves = [], []
+    first = 1
+    for size in filter(None, sizes):
+        edges.append((0, first))
+        edges.extend((i, i + 1) for i in range(first, first + size - 1))
+        first += size
+        leaves.append(first - 1)
+    return edges, leaves
 
 
 def gen_sum_poa_star(n: int, alpha: Fraction | int) -> GeneratedGame:
@@ -204,19 +232,9 @@ def gen_sum_poa_star(n: int, alpha: Fraction | int) -> GeneratedGame:
         raise ParameterOutOfRange(
             f"need at least one full path: (n - 1) // {length} >= 1 fails for n = {n}"
         )
-    edges = []
-    next_id = 1
-    path_leaves = []
-    remaining = n - 1
-    while remaining > 0:
-        size = min(length, remaining)
-        first = next_id
-        edges.append((0, first))
-        for i in range(first, first + size - 1):
-            edges.append((i, i + 1))
-        next_id = first + size
-        remaining -= size
-        path_leaves.append(next_id - 1)
+    _check_edges(n - 1, _GEN_EDGE_BYTES, f"sum-poa-star at n = {n}")
+    sizes = [length] * full_paths + [(n - 1) % length]
+    edges, path_leaves = _star_of_paths(sizes)
     graph = build_graph(n, edges)
     gateway = path_leaves[0]
     roles = {
@@ -238,6 +256,7 @@ def gen_max_line(alpha: Fraction | int) -> GeneratedGame:
         raise ParameterOutOfRange(f"alpha must satisfy alpha > 1; got {alpha}")
     f = math.floor(alpha)
     n = 3 * f + 4
+    _check_edges(n - 1, _GEN_EDGE_BYTES, f"max-line at n = {n}")
     graph = build_graph(n, [(i, i + 1) for i in range(n - 1)])
     roles = {"u": 0, "v": f + 1, "w": 2 * f + 2}
     return GeneratedGame(graph, roles, StrategyProfile.of([0]))
@@ -247,17 +266,9 @@ def gen_max_poa_star(n: int) -> GeneratedGame:
     """Three paths off a center; the far leaf of the last path is the gateway."""
     if n < 7:
         raise ParameterOutOfRange(f"n must satisfy n >= 7; got {n}")
+    _check_edges(n - 1, _GEN_EDGE_BYTES, f"max-poa-star at n = {n}")
     k = (n - 1) // 3
-    edges = []
-    next_id = 1
-    leaves = []
-    for size in (k, k, n - 2 * k - 1):
-        first = next_id
-        edges.append((0, first))
-        for i in range(first, first + size - 1):
-            edges.append((i, i + 1))
-        next_id = first + size
-        leaves.append(next_id - 1)
+    edges, leaves = _star_of_paths([k, k, n - 2 * k - 1])
     graph = build_graph(n, edges)
     gateway = leaves[-1]
     roles = {"center": 0, "gateway": gateway, "path_leaves": tuple(leaves)}
@@ -643,16 +654,7 @@ def _check_reduction_size(inst: SetCoverInstance, variant: Variant) -> None:
         # padding elements e with e % m == i.
         links = sum(1 + (target_m - 1 - i) // inst.m for s in inst.sets for i in s)
     edges = k * (k - 1) // 2 + n_sets + links
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf: nothing is refused
-        return
-    need = edges * _REDUCTION_EDGE_BYTES
-    if need > have:
-        raise ParameterOutOfRange(
-            f"{variant.name} reduction builds {edges} edges, about {need} bytes, "
-            f"more than the {have} bytes of physical memory"
-        )
+    _check_edges(edges, _REDUCTION_EDGE_BYTES, f"{variant.name} reduction")
 
 
 def _check_covered(inst: SetCoverInstance) -> None:
@@ -675,50 +677,20 @@ def reduce_set_cover(inst: SetCoverInstance, variant: Variant) -> ReductionArtif
     would not fit in physical memory, before its edges are listed.
     """
     _check_covered(inst)
+    m, n_sets = inst.m, inst.n_sets
     if variant is Variant.SUM:
-        return _reduce_sum(inst)
-    return _reduce_max(inst)
-
-
-def _reduce_sum(inst: SetCoverInstance) -> ReductionArtifact:
-    m, n_sets = inst.m, inst.n_sets
-    if m <= 4 or n_sets <= 4:
-        warnings.warn(
-            "cost separation is only guaranteed for more than four sets and elements",
-            stacklevel=3,
-        )
-    k = m - 1
-    if k < 1:
-        raise ParameterOutOfRange(f"need m >= 2 elements; got {m}")
-    _check_reduction_size(inst, Variant.SUM)
-    w = n_sets
-    clique = list(range(k))
-    c = 0
-    set_nodes = list(range(k, k + n_sets))
-    element_nodes = [
-        [k + n_sets + i * w + j for j in range(w)] for i in range(m)
-    ]
-    n = k + n_sets + m * w
-    edges = list(itertools.combinations(clique, 2))
-    edges.extend((c, s) for s in set_nodes)
-    for l, members in enumerate(inst.sets):
-        for i in members:
-            edges.extend((set_nodes[l], copy) for copy in element_nodes[i])
-    graph = build_graph(n, edges)
-    role_map = {
-        "c": c,
-        "clique": tuple(clique),
-        "set_nodes": tuple(set_nodes),
-        "element_nodes": tuple(tuple(copies) for copies in element_nodes),
-    }
-    alpha = Fraction(4 * n_sets * (m - 1))
-    return ReductionArtifact(
-        graph, role_map, alpha, {"w": w, "k": k}, Variant.SUM, inst
-    )
-
-
-def _reduce_max(inst: SetCoverInstance) -> ReductionArtifact:
-    m, n_sets = inst.m, inst.n_sets
+        if m <= 4 or n_sets <= 4:
+            warnings.warn(
+                "cost separation is only guaranteed for more than four sets and elements",
+                stacklevel=2,
+            )
+        k = m - 1
+        if k < 1:
+            raise ParameterOutOfRange(f"need m >= 2 elements; got {m}")
+        _check_reduction_size(inst, variant)
+        graph, roles = _reduction_graph(k, inst.sets, m, n_sets)
+        alpha = Fraction(4 * n_sets * (m - 1))
+        return ReductionArtifact(graph, roles, alpha, {"w": n_sets, "k": k}, variant, inst)
     target_m = 2 * n_sets
     if m < 1:
         raise ParameterOutOfRange(f"MAX reduction needs m >= 1 element; got {m}")
@@ -726,36 +698,29 @@ def _reduce_max(inst: SetCoverInstance) -> ReductionArtifact:
         raise ParameterOutOfRange(
             f"MAX reduction needs m <= 2 * n_sets = {target_m}; got m = {m}"
         )
-    _check_reduction_size(inst, Variant.MAX)
-    padded_sets = [set(s) for s in inst.sets]
-    for e in range(m, target_m):
-        twin = e % m
-        for s in padded_sets:
-            if twin in s:
-                s.add(e)
-    k = 3 * n_sets
-    clique = list(range(k))
-    c = 0
-    set_nodes = list(range(k, k + n_sets))
-    element_nodes = [[k + n_sets + i] for i in range(target_m)]
-    n = k + n_sets + target_m
-    edges = list(itertools.combinations(clique, 2))
-    edges.extend((c, s) for s in set_nodes)
-    for l, members in enumerate(padded_sets):
+    _check_reduction_size(inst, variant)
+    # Element e >= m copies the memberships of element e % m.
+    padded = [s.union(*(range(i + m, target_m, m) for i in s)) for s in inst.sets]
+    graph, roles = _reduction_graph(3 * n_sets, padded, target_m, 1)
+    params = {"w": 1, "k": 3 * n_sets, "padded_m": target_m}
+    return ReductionArtifact(graph, roles, Fraction(3), params, variant, inst)
+
+
+def _reduction_graph(k: int, sets, m: int, copies: int) -> tuple[Graph, dict]:
+    """A ``k``-clique with marked node ``c = 0``, one node per set joined to
+    ``c``, and ``copies`` nodes per element joined to every set holding it."""
+    set_nodes = range(k, k + len(sets))
+    first = k + len(sets)
+    element_nodes = [tuple(range(first + i * copies, first + (i + 1) * copies)) for i in range(m)]
+    edges = list(itertools.combinations(range(k), 2))
+    edges.extend((0, s) for s in set_nodes)
+    for node, members in zip(set_nodes, sets):
         for i in members:
-            edges.append((set_nodes[l], element_nodes[i][0]))
-    graph = build_graph(n, edges)
+            edges.extend((node, copy) for copy in element_nodes[i])
     role_map = {
-        "c": c,
-        "clique": tuple(clique),
+        "c": 0,
+        "clique": tuple(range(k)),
         "set_nodes": tuple(set_nodes),
-        "element_nodes": tuple(tuple(copies) for copies in element_nodes),
+        "element_nodes": tuple(element_nodes),
     }
-    return ReductionArtifact(
-        graph,
-        role_map,
-        Fraction(3),
-        {"w": 1, "k": k, "padded_m": target_m},
-        Variant.MAX,
-        inst,
-    )
+    return build_graph(first + m * copies, edges), role_map

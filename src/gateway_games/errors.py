@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the physical-memory check
+that every layer's size guard goes through."""
 
 from __future__ import annotations
+
+import os
 
 
 class GatewayGameError(Exception):
@@ -38,3 +41,14 @@ class ConstructionNotEquilibrium(GatewayGameError):
 
 class ElementUncovered(GatewayGameError):
     """A set-cover instance leaves some element in no set."""
+
+
+def check_memory(need: int, error: type[GatewayGameError], claim: str) -> None:
+    """Raise ``error`` when ``need`` bytes exceed physical memory, with ``claim``
+    leading the message.  Without ``sysconf`` nothing is refused."""
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise error(f"{claim} about {need} bytes, more than the {have} bytes of physical memory")

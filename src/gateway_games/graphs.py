@@ -16,7 +16,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DisconnectedGraph, NodeIdOutOfRange, SelfLoop
+from .errors import (
+    DisconnectedGraph,
+    NodeIdOutOfRange,
+    SelfLoop,
+    StateSpaceTooLarge,
+    check_memory,
+)
 
 UNBOUNDED = math.inf
 """Girth sentinel for acyclic graphs. Compares correctly against any rational."""
@@ -25,6 +31,10 @@ UNBOUNDED = math.inf
 # At n = 1000 a star peaks at 2.3x the int64 result under tracemalloc (6.2x
 # with 1 << 20); at n = 2000, 1.3x.
 _FRONTIER_BUDGET = 1 << 18
+# Peak bytes per distance cell of a dynamics run: the int64 oracle plus one
+# (n, n) temporary of the move kernel (tracemalloc: 16.2 on a 1000-node path,
+# 16.0 on a 3000-node one).
+_ORACLE_CELL_BYTES = 17
 
 
 @dataclass(frozen=True)
@@ -121,8 +131,12 @@ def all_pairs_distances(g: Graph) -> DistanceOracle:
     """All-pairs hop distances; returns a read-only ``n x n`` int64 matrix.
 
     One BFS from every source at once in numpy (``_frontier_distances``)
-    builds the matrix at every graph size.
+    builds the matrix at every graph size.  Raises :class:`StateSpaceTooLarge`
+    before any of it exists when ``17 n^2`` bytes, the peak of the callers that
+    score moves on it, would not fit in physical memory.
     """
+    need = g.n * g.n * _ORACLE_CELL_BYTES
+    check_memory(need, StateSpaceTooLarge, f"distances on n = {g.n} need")
     dist = _frontier_distances(g)
     dist.setflags(write=False)
     return DistanceOracle(g, dist)

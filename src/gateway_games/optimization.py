@@ -91,44 +91,38 @@ def _mask_ids(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _cheapest(
-    masks: np.ndarray, sums: np.ndarray, counts: np.ndarray, alpha: Fraction
-) -> tuple[int, Fraction]:
-    """The least-cost mask and its cost ``alpha * |S| + distance sum``.
+def _least_ids(masks: np.ndarray) -> int:
+    """The mask with the smallest id tuple among masks of one gateway count:
+    walking the bits up from bit 0 and keeping the masks that hold each bit,
+    whenever any do, leaves exactly that one."""
+    bit = 0
+    while len(masks) > 1:
+        held = masks[(masks >> bit) & 1 == 1]
+        if len(held):
+            masks = held
+        bit += 1
+    return int(masks[0])
+
+
+def _full_optimum(sums: np.ndarray, alpha: Fraction) -> OptimumResult:
+    """The full enumeration's result from the distance sums of every mask, shape (2^n,).
 
     Per gateway count k only the least distance sum ``D_k`` can win, so the
-    candidates ``alpha * k + D_k`` are compared exactly as Fractions.  Ties go
-    to the smaller k, then to the smallest id tuple: among sets of one size,
-    walking the bits up from bit 0 and keeping the sets that hold each bit,
-    whenever any do, leaves exactly that set.
+    candidates ``alpha * k + D_k`` are compared exactly as Fractions; ties go
+    to the smaller k, then to the smallest id tuple.  The index is the mask,
+    and its gateway count comes from a uint8 popcount table.
     """
-    unseen = np.iinfo(np.int64).max
-    lows = np.full(int(counts.max()) + 1, unseen, dtype=np.int64)
+    n = sums.shape[0].bit_length() - 1
+    counts = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        counts = np.concatenate((counts, counts + 1))
+    lows = np.full(n + 1, np.iinfo(np.int64).max)
     np.minimum.at(lows, counts, sums)
-    k = min(
-        (int(k) for k in np.flatnonzero(lows != unseen)),
-        key=lambda k: (alpha * k + int(lows[k]), k),
-    )
-    at_best = masks[(counts == k) & (sums == lows[k])]
-    bit = 0
-    while len(at_best) > 1:
-        held = at_best[(at_best >> bit) & 1 == 1]
-        if len(held):
-            at_best = held
-        bit += 1
-    return int(at_best[0]), alpha * k + int(lows[k])
-
-
-def _full_optimum(masks: np.ndarray, sums: np.ndarray, alpha: Fraction) -> OptimumResult:
-    """The full enumeration's result, from every non-empty mask and its distance sum."""
-    best, cost = _cheapest(masks, sums, np.bitwise_count(masks), alpha)
-    return OptimumResult(StrategyProfile.from_mask(best), cost, FullEnumeration(), True)
-
-
-def _full_enumeration(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
-    masks = np.arange(1, 1 << d.graph.n, dtype=np.int64)
-    sums = _engine.term_sums(d.dist, maximum=cfg.variant is Variant.MAX)[1:]
-    return _full_optimum(masks, sums, cfg.alpha)
+    k = min(range(1, n + 1), key=lambda k: (alpha * k + int(lows[k]), k))
+    at_best = counts == k
+    at_best &= sums == lows[k]
+    best = StrategyProfile.from_mask(_least_ids(np.flatnonzero(at_best)))
+    return OptimumResult(best, alpha * k + int(lows[k]), FullEnumeration(), True)
 
 
 def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -245,8 +239,9 @@ def _bounded_search(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
             continue
         masks = _canonical_masks(classes, k)
         sums = _engine.term_sums_for_masks(d.dist, masks, maximum=maximum)
-        mask, cost = _cheapest(masks, sums, np.full(len(masks), k), alpha)
-        key = (cost, k, _mask_ids(mask))
+        low = sums.min()
+        mask = _least_ids(masks[sums == low])
+        key = (alpha * k + int(low), k, _mask_ids(mask))
         if key < best_key:
             best_key = key
             best_profile = StrategyProfile.from_mask(mask)
@@ -271,7 +266,8 @@ def brute_force_optimum(
     limit = _engine.resolve_exhaustive_limit(exhaustive_limit)
     if mode == "full" or (mode == "auto" and g.n <= limit):
         _engine.check_sweep_size(g.n, limit, "full enumeration")
-        return _full_enumeration(all_pairs_distances(g), cfg)
+        sums = _engine.term_sums(all_pairs_distances(g).dist, maximum=cfg.variant is Variant.MAX)
+        return _full_optimum(sums, cfg.alpha)
     return _bounded_search(all_pairs_distances(g), cfg)
 
 
@@ -320,7 +316,7 @@ def enumerate_equilibria(
     table = _engine.term_table(d.dist, maximum=maximum)
     ne = _engine.ne_vector(_engine.improving_tables(table, cfg.alpha))
     totals = table.sum(axis=0, dtype=np.int64)
-    optimum = _full_optimum(np.arange(1, 1 << g.n, dtype=np.int64), totals[1:], cfg.alpha)
+    optimum = _full_optimum(totals, cfg.alpha)
 
     found: list[tuple[StrategyProfile, Fraction]] = []
     for m in np.flatnonzero(ne):

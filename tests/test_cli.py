@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gateway_games import build_graph, cli, graph_to_json
 
-from conftest import edge_list_text, run_cli
+from conftest import edge_list_text, path_graph, run_cli
 
 
 def manifest_of(proc):
@@ -184,6 +184,30 @@ def test_reduce_beyond_physical_memory_exits_2(monkeypatch, tmp_path, capsys):
             errors = [line for line in err.splitlines() if line.startswith("error:")]
             assert len(errors) == 1 and "physical memory" in errors[0]
             assert not out.exists()
+
+
+def test_gen_and_oracle_beyond_physical_memory_exit_2(monkeypatch, tmp_path, capsys):
+    """With 1 MiB of physical memory, ``gen max-line`` at alpha = 10^7 (3e7
+    edges) is refused before any edge exists, and ``dynamics`` on a 300-node
+    path (17 bytes per distance cell, 1.5 MB) before its distances: each exits
+    2 with one error line, and gen writes no file.  2 MiB admits the run."""
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    out, graph = tmp_path / "line.json", tmp_path / "path.txt"
+    graph.write_text(edge_list_text(path_graph(300)))
+    refused = [
+        ["gen", "max-line", "--alpha", "10000000", "--out", str(out)],
+        ["dynamics", "--graph", str(graph), "--alpha", "2"],
+    ]
+    for argv in refused:
+        assert cli.main(argv) == 2
+        stdout, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert stdout == "" and len(errors) == 1 and "physical memory" in errors[0]
+        assert "Traceback" not in err
+    assert not out.exists()
+    memory["SC_PHYS_PAGES"] = 512
+    assert cli.main(refused[1]) == 0
 
 
 def test_dynamics_rejects_negative_budget(p5_file):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import warnings
@@ -23,6 +25,7 @@ from gateway_games import (
     gen_max_poa_star,
     gen_non_wag,
     gen_sum_poa_star,
+    graph_to_json,
     is_nash_equilibrium,
     metrics,
     min_cover_size,
@@ -280,3 +283,103 @@ def test_reduction_size_check_counts_the_edges_it_builds(monkeypatch):
                         reduce_set_cover(inst, variant)
                     memory["SC_PHYS_PAGES"] += 1
                     reduce_set_cover(inst, variant)
+
+
+def build_case(label):
+    """The graph and roles a digest row names: ``family args...`` or
+    ``reduce variant m n_sets`` over ``DIGEST_COVERS``."""
+    family, *args = label.split()
+    if family == "reduce":
+        variant, m, n_sets = args
+        cover = next(c for c in DIGEST_COVERS if c.startswith(f"{m} {n_sets}\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            art = reduce_set_cover(parse_set_cover(cover), Variant(variant))
+        return art.graph, art.role_map
+    if family == "ir-cycle":
+        n, c, r, alpha = map(int, args)
+        game = gen_ir_cycle(IrCycleParams(n, c, r, Fraction(alpha)))
+    elif family == "non-wag":
+        game = gen_non_wag(Fraction(args[0]), experimental=True)
+    elif family == "sum-poa-star":
+        game = gen_sum_poa_star(int(args[0]), Fraction(args[1]))
+    elif family == "max-line":
+        game = gen_max_line(Fraction(args[0]))
+    else:
+        game = gen_max_poa_star(int(args[0]))
+    return game.graph, game.roles
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+DIGEST_COVERS = (
+    "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n",
+    "6 4\n0 1 2\n2 3\n3 4 5\n0 5\n",
+    "7 5\n0 1 2 3\n4 5 6\n0 4\n1 5\n2 6\n",
+    "3 6\n0\n1\n2\n0 1\n1 2\n\n",
+)
+# sha256 prefixes of graph_to_json and of the roles as sorted-key JSON, recorded
+# before the families and both reductions shared their builders.
+DIGESTS = [
+    ("ir-cycle 10 1 2 5", "166d326bb2fa1d97", "38ce280bd553184d"),
+    ("ir-cycle 12 1 3 6", "7da9326931d09879", "bd9c32ffded88fe0"),
+    ("ir-cycle 20 5 4 60", "7714ada75409cb04", "b125a632e13502b9"),
+    ("ir-cycle 24 6 4 84", "a69adad27a086069", "bae6243481a49509"),
+    ("non-wag 7", "d05c8ae916bbd188", "e0cd73b7c91bb7ad"),
+    ("non-wag 12", "584b9c1e09cdfd6b", "030864dcbe104153"),
+    ("non-wag 25/2", "b05742f3260a960b", "3e8c8415c7f1476e"),
+    ("sum-poa-star 7 4", "b0a0699be02f11ca", "b603f4670854de15"),
+    ("sum-poa-star 16 9", "736404f98e848bb7", "57d1f0ce87090e40"),
+    ("sum-poa-star 30 16", "4851af9f5f622bf1", "b93e0a51f0cebdf1"),
+    ("sum-poa-star 59 20", "c30a1506e8523444", "f98a8d59da0dd9c3"),
+    ("sum-poa-star 40 37/2", "3fde97a1c36b96ba", "dd414f23723e02a7"),
+    ("max-line 2", "773c62edeba1f923", "dcfbf02f6155bcb3"),
+    ("max-line 7/2", "321ffbaf2410b821", "d9965dcf79464fc3"),
+    ("max-line 10", "f5fb796e56468a47", "70bf70756804d9d2"),
+    ("max-poa-star 7", "9973eda917b9913f", "27d64f18e972c137"),
+    ("max-poa-star 8", "36084aa1c3ff34b3", "f231d100289b2b79"),
+    ("max-poa-star 9", "867065cc796e9fa3", "f33ece7680b15e2e"),
+    ("max-poa-star 30", "06364d65b0f45e4b", "65ea6f22194bf6b1"),
+    ("max-poa-star 59", "51605dbf9a4f585b", "64f63cf66b2d7dfa"),
+    ("reduce sum 5 5", "5bff855bc3d3d92f", "f7fa039a41c95b7b"),
+    ("reduce max 5 5", "2da6dcee5b648c96", "4bc70ad9b5eca22c"),
+    ("reduce sum 6 4", "480c803d852c6aa5", "ab713006f5eec0ac"),
+    ("reduce max 6 4", "eac9cf5fafd5c0ed", "e917c3d11c7820d8"),
+    ("reduce sum 7 5", "89730ac91efc4560", "abfd3eda4ee2e10a"),
+    ("reduce max 7 5", "d1e162e17da9afb8", "4bc70ad9b5eca22c"),
+    ("reduce sum 3 6", "54e1dd5d0a2c7e89", "caca192d17f0fa2b"),
+    ("reduce max 3 6", "cfef642f8562cfc6", "135dfbdb70fdfb83"),
+]
+
+
+@pytest.mark.parametrize("label, graph_digest, roles_digest", DIGESTS)
+def test_generated_graphs_and_roles_match_recorded_digests(label, graph_digest, roles_digest):
+    g, roles = build_case(label)
+    assert digest(graph_to_json(g)) == graph_digest
+    assert digest(json.dumps(roles, sort_keys=True)) == roles_digest
+
+
+GEN_CASES = [
+    lambda: gen_ir_cycle(IrCycleParams(20, 5, 4, Fraction(60))),
+    lambda: gen_non_wag(7),
+    lambda: gen_non_wag(Fraction(25, 2), experimental=True),
+    lambda: gen_sum_poa_star(59, 20),
+    lambda: gen_max_line(Fraction(7, 2)),
+    lambda: gen_max_poa_star(30),
+]
+
+
+@pytest.mark.parametrize("case", range(len(GEN_CASES)))
+def test_gen_size_check_counts_the_edges_it_builds(monkeypatch, case):
+    """Each family counts its edges from its parameters before listing any:
+    physical memory of exactly 560 bytes per built edge admits the family,
+    and one byte less refuses it."""
+    edges = GEN_CASES[case]().graph.edge_count()
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 560 * edges - 1}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    with pytest.raises(ParameterOutOfRange, match=rf"builds {edges} edges, .*physical memory"):
+        GEN_CASES[case]()
+    memory["SC_PHYS_PAGES"] += 1
+    GEN_CASES[case]()

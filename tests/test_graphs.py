@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 from collections import deque
 
@@ -13,6 +14,7 @@ from gateway_games import (
     DisconnectedGraph,
     NodeIdOutOfRange,
     SelfLoop,
+    StateSpaceTooLarge,
     all_pairs_distances,
     bfs_levels,
     build_graph,
@@ -209,3 +211,14 @@ def test_extra_edge_bounds_girth(seed):
         assert 3 <= girth <= g.n
     else:
         assert girth == UNBOUNDED
+
+
+def test_oracle_beyond_physical_memory_is_refused(monkeypatch):
+    """Physical memory of exactly 17 bytes per distance cell admits the oracle,
+    and one byte less refuses it before the matrix exists."""
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 17 * 30 * 30}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    assert all_pairs_distances(path_graph(30)).dist[0, 29] == 29
+    memory["SC_PHYS_PAGES"] -= 1
+    with pytest.raises(StateSpaceTooLarge, match="n = 30 need about 15300 bytes, .*physical memory"):
+        all_pairs_distances(path_graph(30))

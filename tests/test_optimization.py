@@ -29,7 +29,13 @@ from gateway_games import (
 )
 
 from gateway_games import _engine
-from gateway_games.optimization import _canonical_masks, _cheapest, _level_floor, _mask_ids
+from gateway_games.optimization import (
+    _canonical_masks,
+    _full_optimum,
+    _least_ids,
+    _level_floor,
+    _mask_ids,
+)
 
 from conftest import (
     KNIFE,
@@ -177,21 +183,27 @@ def test_max_level_floor_is_tight_on_the_six_cycle():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_cheapest_breaks_ties_by_smallest_id_tuple(seed):
-    """Few distinct sums over many masks of each size: ties everywhere."""
+    """Few distinct sums over many masks of each size: ties everywhere.  The
+    dense optimum over every mask of 12 nodes, and one bounded level of
+    4-gateway masks in random order with ids up to 62, as the bounded search
+    allows, both keep the smallest id tuple."""
     rng = np.random.default_rng(seed)
-    masks = rng.choice(np.arange(1, 1 << 12, dtype=np.int64), size=600, replace=False)
-    if seed % 2:
-        masks |= np.int64(1) << 62  # ids up to 62, as the bounded search allows
-    sums = rng.integers(0, 3, size=len(masks)).astype(np.int64)
-    counts = np.bitwise_count(masks)
+    sums = rng.integers(0, 3, size=1 << 12).astype(np.int64)
     alpha = Fraction(int(rng.integers(1, 5)), 2) + KNIFE * (seed % 3 - 1)
-    lows = {int(c): int(sums[counts == c].min()) for c in set(counts.tolist())}
+    counts = [m.bit_count() for m in range(1 << 12)]
+    lows = {c: int(sums[[m for m in range(1 << 12) if counts[m] == c]].min()) for c in range(1, 13)}
     k = min(lows, key=lambda c: (alpha * c + lows[c], c))
-    at_best = [int(m) for m, s, c in zip(masks, sums, counts) if c == k and s == lows[k]]
-    expected = (min(at_best, key=_mask_ids), alpha * k + lows[k])
-    assert _cheapest(masks, sums, counts, alpha) == expected
-    level = counts == k
-    assert _cheapest(masks[level], sums[level], np.full(int(level.sum()), k), alpha) == expected
+    at_best = [m for m in range(1 << 12) if counts[m] == k and sums[m] == lows[k]]
+    result = _full_optimum(sums, alpha)
+    assert result.best_profile.ids == min(map(_mask_ids, at_best))
+    assert result.best_cost == alpha * k + lows[k]
+
+    ids = [*range(11), 62]
+    level = [sum(1 << v for v in c) for c in itertools.combinations(ids, 4)]
+    masks = rng.permutation(np.array(level, dtype=np.int64))[:300]
+    level_sums = rng.integers(0, 3, size=len(masks))
+    at_low = masks[level_sums == level_sums.min()]
+    assert _mask_ids(_least_ids(at_low)) == min(map(_mask_ids, at_low.tolist()))
 
 
 @pytest.mark.parametrize("alpha", [Fraction(3), Fraction(500)])
