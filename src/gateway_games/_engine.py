@@ -51,16 +51,9 @@ from .errors import StateSpaceTooLarge, check_memory
 
 EXHAUSTIVE_LIMIT_ENV = "GATEWAY_GAMES_EXHAUSTIVE_LIMIT"
 DEFAULT_EXHAUSTIVE_LIMIT = 20
-# Bytes per node per profile: the int32 term table plus the boolean move table.
-_TABLE_BYTES = 5
-# Bytes per profile beside those tables: improving_tables' int32 differences of
-# half a row and its one-byte temporaries (tracemalloc peaks of classify and
-# equilibria: 5n + 4.3 at n = 18, 5n + 4.1 at n = 20, 5n + 4.0 at n = 22).
-# term_table's chunk temporaries, the classifier's deg and reached, and
-# equilibria's sums and popcounts once the move table is freed take less at
-# these sizes; full enumeration's int64 sums, uint8 popcounts and boolean
-# selections, 11.0 bytes at n = 20 and 22, stay within 5n + 6.
-_PROFILE_BYTES = 6
+# Bytes per profile of the full optimum, which holds no table: its int64 sums,
+# uint8 popcounts and boolean selections (tracemalloc: 11.0 at n = 20 and 22).
+_OPTIMUM_BYTES = 12
 # Read only by perfbench/tracer.py (its fraction_calls counter); nothing in the package uses it.
 SCALE_LIMIT = 1 << 40
 # Bytes of _terms' (n, n, chunk) temporary in a sweep.  It should stay in a
@@ -96,17 +89,24 @@ def resolve_exhaustive_limit(explicit: int | None) -> int:
     return limit
 
 
-def check_sweep_size(n: int, exhaustive_limit: int | None, what: str) -> None:
+def _table_bytes(n: int) -> int:
+    """Bytes per profile of the classifier and equilibrium enumeration: ``5n``
+    for the int32 term table and the boolean move table, and 6 for
+    improving_tables' int32 half-row differences and one-byte temporaries
+    (tracemalloc peaks: 5n + 4.3, 4.1 and 4.0 at n = 18, 20 and 22)."""
+    return 5 * n + 6
+
+
+def check_sweep_size(n: int, exhaustive_limit: int | None, what: str, profile_bytes: int) -> None:
     """Refuse a sweep over all ``2^n`` profiles before anything is allocated.
 
     The node count must be within the resolved limit, and the sweep's
-    arrays, about ``2^n * (5n + 6)`` bytes, must fit in physical memory.
+    arrays, ``2^n * profile_bytes`` bytes, must fit in physical memory.
     """
     limit = resolve_exhaustive_limit(exhaustive_limit)
     if n > limit:
         raise StateSpaceTooLarge(f"{what} needs n <= {limit}, got n = {n}")
-    need = (1 << n) * (n * _TABLE_BYTES + _PROFILE_BYTES)
-    check_memory(need, StateSpaceTooLarge, f"{what} at n = {n} needs")
+    check_memory((1 << n) * profile_bytes, StateSpaceTooLarge, f"{what} at n = {n} needs")
 
 
 def _thresholds(alpha: Fraction) -> tuple[int, int]:
@@ -230,10 +230,3 @@ def improving_tables(table: np.ndarray, alpha: Fraction) -> np.ndarray:
         np.greater_equal(dv, -close_at, out=moves[v].reshape(-1, 2, 1 << v)[:, 1])
         moves[v, 1 << v] = False  # v alone: the sole gateway may not close
     return moves
-
-
-def ne_vector(moves: np.ndarray) -> np.ndarray:
-    """Per mask: non-empty and no improving move, shape (2^n,)."""
-    ne = ~moves.any(axis=0)
-    ne[0] = False
-    return ne

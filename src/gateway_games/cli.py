@@ -168,9 +168,12 @@ def _parse_scheduler(text: str, roles: dict | None, n: int, seed: int):
     raise GatewayGameError(f"unknown scheduler {text!r}")
 
 
-def _write_generated(out: Path, graph, sidecar: dict) -> None:
-    out.write_text(graph_to_json(graph))
+def _write_generated(out: Path, graph, sidecar: dict) -> str:
+    """Write the graph and its roles sidecar; returns the graph text the manifest hashes."""
+    text = graph_to_json(graph)
+    out.write_text(text)
     _roles_path(out).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    return text
 
 
 def _cmd_gen(args, argv) -> int:
@@ -218,9 +221,8 @@ def _cmd_gen(args, argv) -> int:
         "initial": list(game.initial.ids) if game.initial is not None else None,
         "params": _jsonable(recorded),
     }
-    _write_generated(Path(args.out), game.graph, sidecar)
     cfg = GameConfig(variant, alpha) if alpha is not None else None
-    _emit_manifest(argv, graph_to_json(game.graph), cfg, None)
+    _emit_manifest(argv, _write_generated(Path(args.out), game.graph, sidecar), cfg, None)
     return 0
 
 
@@ -239,9 +241,8 @@ def _cmd_reduce(args, argv) -> int:
             "sets": [sorted(s) for s in inst.sets],
         },
     }
-    _write_generated(Path(args.out), art.graph, sidecar)
     cfg = GameConfig(art.variant, art.alpha)
-    _emit_manifest(argv, graph_to_json(art.graph), cfg, None)
+    _emit_manifest(argv, _write_generated(Path(args.out), art.graph, sidecar), cfg, None)
     return 0
 
 

@@ -60,9 +60,10 @@ class GeneratedGame:
 
 
 # Peak bytes per edge of ``gen`` through the CLI, which also writes the graph as
-# JSON and its roles: tracemalloc read 559 on paths and stars of 3e5 nodes, and
-# 355 on non-wag --experimental at alpha = 800.
-_GEN_EDGE_BYTES = 560
+# JSON and its roles: tracemalloc read 551 on paths and stars of 3e5 nodes, and
+# 355 on non-wag --experimental at alpha = 800.  The peak is build_graph's, not
+# the serialisation's.
+_GEN_EDGE_BYTES = 552
 
 
 def _check_edges(edges: int, edge_bytes: int, what: str) -> None:
@@ -434,7 +435,7 @@ def _spaced_profile(
     radius = max(math.floor(min(alpha - 1, (Fraction(diameter) - alpha) / 2)), 0)
     chosen: list[int] = []
     for root in (x1, x2):
-        order, levels, _ = _bfs_tree(g, root)
+        order, levels = _bfs_tree(g, root)
         for v in order:
             if levels[v] != radius or v in chosen:
                 continue
@@ -477,7 +478,7 @@ def _close_repair(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> Str
     # Shed gateways that would rather close, smallest id first.  Every applied
     # move shrinks the set, so the loop terminates; opens are the caller's problem.
     while len(s) > 1:
-        toggles = _scan_toggles(d.dist, cfg, s)
+        toggles = _scan_toggles(d, cfg, s)
         closers = np.flatnonzero(toggles.improving & toggles.member)
         if not closers.size:
             return s
@@ -491,7 +492,7 @@ def _descent(d: DistanceOracle, cfg: GameConfig, start: StrategyProfile, max_ste
     s = start
     seen = {s.ids}
     for _ in range(max_steps):
-        unhappy = _scan_toggles(d.dist, cfg, s).moves()
+        unhappy = _scan_toggles(d, cfg, s).moves()
         if not unhappy:
             return s
         unhappy.sort(key=lambda m: (m.cost_delta, m.node))
@@ -500,7 +501,7 @@ def _descent(d: DistanceOracle, cfg: GameConfig, start: StrategyProfile, max_ste
             t = s.toggled(mv.node)
             if t.ids in seen:
                 continue
-            unhappy_after = int(_scan_toggles(d.dist, cfg, t).improving.sum())
+            unhappy_after = int(_scan_toggles(d, cfg, t).improving.sum())
             score = (unhappy_after, mv.cost_delta, mv.node)
             if best is None or score < best[0]:
                 best = (score, t)

@@ -21,14 +21,13 @@ from typing import Union
 import numpy as np
 
 from . import _engine
-from .errors import NodeIdOutOfRange
 from .game import (
     GameConfig,
     Move,
     MoveKind,
     StrategyProfile,
     Variant,
-    _check_node,
+    _check_ids,
     _scan_toggles,
     evaluate_move,
     is_nash_equilibrium,
@@ -132,6 +131,11 @@ def default_step_budget(n: int) -> int:
 
 class _Picker:
     def __init__(self, d: DistanceOracle, cfg: GameConfig, scheduler: Scheduler):
+        # In the order each scheduler walks its nodes, so the first bad one is named.
+        if isinstance(scheduler, FixedSequence):
+            _check_ids(d.graph.n, scheduler.nodes)
+        if isinstance(scheduler, OpensOnly):
+            _check_ids(d.graph.n, sorted(scheduler.nodes))
         self.d, self.cfg = d, cfg
         self.scheduler = scheduler
         self.cursor = 0
@@ -139,24 +143,20 @@ class _Picker:
 
     def pick(self, s: StrategyProfile) -> Move | None:
         sched = self.scheduler
-        toggles = _scan_toggles(self.d.dist, self.cfg, s)
+        toggles = self.toggles = _scan_toggles(self.d, self.cfg, s)  # kept for the verdict
         improving = toggles.improving
         if isinstance(sched, FixedSequence):
             length = len(sched.nodes)
             for offset in range(length):
                 i = (self.cursor + offset) % length
                 v = sched.nodes[i]
-                _check_node(self.d.graph.n, v)
                 if improving[v]:
                     self.cursor = (i + 1) % length
                     return toggles.move(v)
             return None
         if isinstance(sched, OpensOnly):
             for v in sorted(sched.nodes):
-                if v in s:
-                    continue
-                _check_node(self.d.graph.n, v)
-                if improving[v]:
+                if v not in s and improving[v]:
                     return toggles.move(v)
             return None
         hits = np.flatnonzero(improving)
@@ -200,23 +200,19 @@ def run_dynamics(
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    for v in s0.gateways:
-        if not 0 <= v < g.n:
-            raise NodeIdOutOfRange(f"initial gateway {v} outside [0, {g.n})")
+    _check_ids(g.n, s0.gateways, "initial gateway")  # before the oracle is built
     d = all_pairs_distances(g)
     budget = default_step_budget(g.n) if max_steps is None else max_steps
     picker = _Picker(d, cfg, scheduler)
-    restricted = isinstance(scheduler, (FixedSequence, OpensOnly))
     seen = {s0.mask(): 0}
     steps: list[tuple[StrategyProfile, Move]] = []
     state = s0
     while True:
         move = picker.pick(state)
         if move is None:
-            if restricted and not is_nash_equilibrium(d, cfg, state):
-                outcome: Outcome = Stalled(state)
-            else:
-                outcome = ConvergedToNE(state)
+            # Only a restricted scheduler passes over an improving toggle.
+            stalled = picker.toggles.improving.any()
+            outcome: Outcome = Stalled(state) if stalled else ConvergedToNE(state)
             break
         if len(steps) >= budget:
             outcome = BudgetExhausted()
@@ -310,15 +306,14 @@ def build_ir_state_graph(
     configured limit (``GATEWAY_GAMES_EXHAUSTIVE_LIMIT``, default 20) or when
     its arrays would not fit in physical memory.
     """
-    _engine.check_sweep_size(g.n, exhaustive_limit, "profile sweep")
+    _engine.check_sweep_size(g.n, exhaustive_limit, "profile sweep", _engine._table_bytes(g.n))
     d = all_pairs_distances(g)
     moves = _engine.improving_tables(
         _engine.term_table(d.dist, maximum=cfg.variant is Variant.MAX), cfg.alpha
     )
     total = 1 << g.n
-    sinks = np.flatnonzero(_engine.ne_vector(moves))
-
     deg = moves.sum(axis=0, dtype=np.int8)
+    sinks = np.flatnonzero(deg[1:] == 0) + 1  # mask 0 is no profile
 
     def peel(pred: np.ndarray) -> np.ndarray:
         deg[pred] -= 1

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -121,14 +121,20 @@ class Move:
         return self.cost_delta < 0 and not self.forbidden
 
 
-def _check_node(n: int, v: int) -> None:
-    if not (0 <= v < n):
-        raise NodeIdOutOfRange(f"node {v} outside [0, {n})")
+def _check_ids(n: int, ids: Collection[int], what: str = "node") -> None:
+    """Refuse any id outside ``[0, n)``, from one min and one max over ``ids``;
+    the message names the first such id in the order of ``ids``."""
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        bad = next(v for v in ids if not 0 <= v < n)
+        raise NodeIdOutOfRange(f"{what} {bad} outside [0, {n})")
 
 
-def _check(d: DistanceOracle, s: StrategyProfile, *nodes: int) -> None:
-    for v in (*s.gateways, *nodes):
-        _check_node(d.graph.n, v)
+def _profile(d: DistanceOracle, s: StrategyProfile, *nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(gates, a)``: the gateways of ``s`` and each node's distance to the
+    nearest of them, after checking the ids of ``s`` and of ``nodes``."""
+    _check_ids(d.graph.n, (*s.gateways, *nodes))
+    gates = np.fromiter(s.gateways, dtype=np.intp, count=len(s))
+    return gates, d.dist[:, gates].min(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +167,7 @@ def _close_bases(dist: np.ndarray, gates: np.ndarray, closers: np.ndarray) -> np
     return np.partition(dist[closers[:, None], gates], 1, axis=1)[:, 1]
 
 
-def _scan_toggles(dist: np.ndarray, cfg: GameConfig, s: StrategyProfile) -> _Toggles:
+def _scan_toggles(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> _Toggles:
     """Score all n toggles in one numpy pass and decide them in integers.
 
     A toggle only moves the mover's own base: 0 once it opens, its distance
@@ -169,13 +175,12 @@ def _scan_toggles(dist: np.ndarray, cfg: GameConfig, s: StrategyProfile) -> _Tog
     v held u's nearest gateway, so that hub route never wins), and ``n``,
     above every distance, for the sole gateway's close.
     """
-    n = dist.shape[0]
-    gates = np.fromiter(s.gateways, dtype=np.intp, count=len(s))
-    a = dist[:, gates].min(axis=1)
-    member = np.zeros(n, dtype=bool)
+    gates, a = _profile(d, s)
+    dist = d.dist
+    member = np.zeros(dist.shape[0], dtype=bool)
     member[gates] = True
     sole = len(gates) == 1
-    base = np.zeros(n, dtype=dist.dtype)
+    base = np.zeros_like(a)
     base[gates] = _close_bases(dist, gates, gates)
     maximum = cfg.variant is Variant.MAX
     dv = _terms(dist, a, base, maximum) - _terms(dist, a, a, maximum)
@@ -186,22 +191,19 @@ def _scan_toggles(dist: np.ndarray, cfg: GameConfig, s: StrategyProfile) -> _Tog
 
 def comm_distance(d: DistanceOracle, s: StrategyProfile, u: int, v: int) -> int:
     """delta(u, v) under profile ``s``: plain distance or a hop through the gateway set."""
-    _check(d, s, u, v)
-    a = d.dist[:, list(s.gateways)].min(axis=1)
+    a = _profile(d, s, u, v)[1]
     return int(min(d.dist[u, v], a[u] + a[v]))
 
 
 def private_cost(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int) -> Fraction:
     """Gateway fee (if ``v`` pays one) plus ``v``'s aggregated distances."""
-    _check(d, s, v)
-    a = d.dist[:, list(s.gateways)].min(axis=1)
+    a = _profile(d, s, v)[1]
     term = _terms(d.dist[[v]], a, a[[v]], cfg.variant is Variant.MAX)[0]
     return (cfg.alpha if v in s else Fraction(0)) + int(term)
 
 
 def social_cost(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> Fraction:
-    _check(d, s)
-    a = d.dist[:, list(s.gateways)].min(axis=1)
+    a = _profile(d, s)[1]
     return cfg.alpha * len(s) + int(_terms(d.dist, a, a, cfg.variant is Variant.MAX).sum())
 
 
@@ -212,9 +214,7 @@ def evaluate_move(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int
     ``_scan_toggles``: one row of distances where the scan reads the whole
     matrix twice.
     """
-    _check(d, s, v)
-    gates = np.fromiter(s.gateways, dtype=np.intp, count=len(s))
-    a = d.dist[:, gates].min(axis=1)
+    gates, a = _profile(d, s, v)
     member = v in s
     base = _close_bases(d.dist, gates, np.array([v])) if member else np.zeros(1, dtype=a.dtype)
     row = d.dist[[v]]
@@ -225,13 +225,11 @@ def evaluate_move(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int
 
 def improving_moves(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> list[Move]:
     """All strictly improving, permitted toggles, sorted by node id."""
-    _check(d, s)
-    return _scan_toggles(d.dist, cfg, s).moves()
+    return _scan_toggles(d, cfg, s).moves()
 
 
 def is_nash_equilibrium(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> bool:
-    _check(d, s)
-    return not _scan_toggles(d.dist, cfg, s).improving.any()
+    return not _scan_toggles(d, cfg, s).improving.any()
 
 
 def frac_str(x: Fraction | int) -> str:

@@ -88,23 +88,21 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     return g
 
 
-def _bfs_tree(g: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
-    """Visit order, hop levels and BFS-tree parents from ``root``.
+def _bfs_tree(g: Graph, root: int) -> tuple[list[int], list[int]]:
+    """Visit order and hop levels from ``root``.
 
     Neighbours are taken first in, first out in sorted adjacency order.
-    Unreached nodes, and the root's parent, stay ``-1``.
+    Unreached nodes stay at level ``-1``.
     """
     order = [root]
     level = [-1] * g.n
-    parent = [-1] * g.n
     level[root] = 0
     for u in order:  # the list grows while it is walked: a FIFO queue
         for v in g.adj[u]:
             if level[v] < 0:
                 level[v] = level[u] + 1
-                parent[v] = u
                 order.append(v)
-    return order, level, parent
+    return order, level
 
 
 def bfs_levels(g: Graph, source: int) -> tuple[int, ...]:
@@ -213,23 +211,35 @@ def metrics(d: DistanceOracle) -> GraphMetrics:
     if g.n > 1:
         flat = int(np.flatnonzero(d.dist == diameter)[0])
         pair = (flat // g.n, flat % g.n)
-    return GraphMetrics(diameter, _girth(g), pair)
+    return GraphMetrics(diameter, _girth(d), pair)
 
 
-def _girth(g: Graph) -> int | float:
-    # A connected graph is a tree iff m == n - 1.
-    if g.edge_count() == g.n - 1:
+def _girth(d: DistanceOracle) -> int | float:
+    """The girth, read off the distances.
+
+    Seen from a root, an edge whose ends both sit at depth ``k`` closes a
+    cycle of at most ``2k + 1`` edges, and a node at depth ``k`` with two
+    neighbours at depth ``k - 1`` one of at most ``2k``.  A root on a shortest
+    cycle sees exactly that cycle's length, so the least bound over all roots
+    is the girth.  Roots run in blocks of ``_FRONTIER_BUDGET // m``.
+    """
+    g = d.graph
+    if g.edge_count() == g.n - 1:  # a connected graph is a tree iff m == n - 1
         return UNBOUNDED
-    best: int | float = UNBOUNDED
-    for root in range(g.n):
-        _, level, parent = _bfs_tree(g, root)
-        for u in range(g.n):
-            for v in g.adj[u]:
-                if u < v and parent[u] != v and parent[v] != u:
-                    # Non-tree edge: closes a walk through the root whose
-                    # length bounds some cycle from above.
-                    best = min(best, level[u] + level[v] + 1)
-    return int(best)
+    u, v = np.array(g.edges(), dtype=np.intp).T
+    best = g.n  # a cycle has at most n nodes
+    block = max(1, _FRONTIER_BUDGET // len(u))
+    for first in range(0, g.n, block):
+        depth = d.dist[first : first + block]
+        du, dv = depth[:, u], depth[:, v]
+        level = du == dv
+        # Every other edge joins consecutive depths: count each node's edges one level up.
+        rows = np.arange(len(depth))[:, None] * g.n
+        ups = np.bincount((rows + np.where(du > dv, u, v))[~level], minlength=depth.size)
+        odd = np.where(level, 2 * du + 1, best).min()
+        even = np.where(ups.reshape(depth.shape) >= 2, 2 * depth, best).min()
+        best = min(best, int(odd), int(even))
+    return best
 
 
 def graph_to_json(g: Graph) -> str:

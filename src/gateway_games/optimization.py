@@ -87,10 +87,6 @@ class RegimeReport:
     pos: Fraction | None
 
 
-def _mask_ids(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _least_ids(masks: np.ndarray) -> int:
     """The mask with the smallest id tuple among masks of one gateway count:
     walking the bits up from bit 0 and keeping the masks that hold each bit,
@@ -240,11 +236,10 @@ def _bounded_search(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
         masks = _canonical_masks(classes, k)
         sums = _engine.term_sums_for_masks(d.dist, masks, maximum=maximum)
         low = sums.min()
-        mask = _least_ids(masks[sums == low])
-        key = (alpha * k + int(low), k, _mask_ids(mask))
+        profile = StrategyProfile.from_mask(_least_ids(masks[sums == low]))
+        key = (alpha * k + int(low), k, profile.ids)
         if key < best_key:
-            best_key = key
-            best_profile = StrategyProfile.from_mask(mask)
+            best_key, best_profile = key, profile
     return OptimumResult(best_profile, best_key[0], BoundedCardinality(kmax), True)
 
 
@@ -265,7 +260,7 @@ def brute_force_optimum(
         raise ValueError(f"unknown search mode: {mode!r}")
     limit = _engine.resolve_exhaustive_limit(exhaustive_limit)
     if mode == "full" or (mode == "auto" and g.n <= limit):
-        _engine.check_sweep_size(g.n, limit, "full enumeration")
+        _engine.check_sweep_size(g.n, limit, "full enumeration", _engine._OPTIMUM_BYTES)
         sums = _engine.term_sums(all_pairs_distances(g).dist, maximum=cfg.variant is Variant.MAX)
         return _full_optimum(sums, cfg.alpha)
     return _bounded_search(all_pairs_distances(g), cfg)
@@ -310,11 +305,14 @@ def enumerate_equilibria(
     g: Graph, cfg: GameConfig, *, exhaustive_limit: int | None = None
 ) -> EquilibriumCatalog:
     """Every pure Nash equilibrium, with price of anarchy and of stability."""
-    _engine.check_sweep_size(g.n, exhaustive_limit, "equilibrium enumeration")
+    _engine.check_sweep_size(
+        g.n, exhaustive_limit, "equilibrium enumeration", _engine._table_bytes(g.n)
+    )
     d = all_pairs_distances(g)
     maximum = cfg.variant is Variant.MAX
     table = _engine.term_table(d.dist, maximum=maximum)
-    ne = _engine.ne_vector(_engine.improving_tables(table, cfg.alpha))
+    ne = ~_engine.improving_tables(table, cfg.alpha).any(axis=0)
+    ne[0] = False  # mask 0 is no profile
     totals = table.sum(axis=0, dtype=np.int64)
     optimum = _full_optimum(totals, cfg.alpha)
 

@@ -374,10 +374,10 @@ GEN_CASES = [
 @pytest.mark.parametrize("case", range(len(GEN_CASES)))
 def test_gen_size_check_counts_the_edges_it_builds(monkeypatch, case):
     """Each family counts its edges from its parameters before listing any:
-    physical memory of exactly 560 bytes per built edge admits the family,
+    physical memory of exactly 552 bytes per built edge admits the family,
     and one byte less refuses it."""
     edges = GEN_CASES[case]().graph.edge_count()
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 560 * edges - 1}
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 552 * edges - 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     with pytest.raises(ParameterOutOfRange, match=rf"builds {edges} edges, .*physical memory"):
         GEN_CASES[case]()

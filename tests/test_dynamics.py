@@ -126,6 +126,23 @@ def test_restricted_scheduler_stalls(p3):
         assert trace.outcome.profile == start
 
 
+def test_run_scans_each_visited_profile_once(monkeypatch, p5):
+    """The verdict on the last profile, stalled or converged, comes from the
+    picker's own scan of it: one scan per visited profile, and no other."""
+    game = gen_non_wag()
+    stall = OpensOnly(frozenset({game.roles["u"]}))
+    runs = [
+        (game.graph, GameConfig(SUM, Fraction(7)), game.initial, stall, Stalled),
+        (p5, GameConfig(SUM, Fraction(1, 2)), StrategyProfile.of([0]), RoundRobin(), ConvergedToNE),
+    ]
+    for g, cfg, start, scheduler, outcome in runs:
+        scans = count_calls(monkeypatch, "_scan_toggles", "game")
+        trace = run_dynamics(g, cfg, start, scheduler)
+        assert isinstance(trace.outcome, outcome) and trace.steps
+        assert len(scans) == len(trace.steps) + 1
+        monkeypatch.undo()
+
+
 def test_restricted_scheduler_on_equilibrium_converges(p3):
     cfg = GameConfig(SUM, Fraction(100))
     trace = run_dynamics(p3, cfg, StrategyProfile.of([0]), OpensOnly(frozenset({1, 2})))
@@ -276,21 +293,27 @@ def test_sweeps_beyond_physical_memory_are_refused_before_allocating(
 
 
 def test_memory_guard_admits_its_estimate_and_refuses_one_node_more(monkeypatch):
-    """Physical memory of exactly ``2^n * (5n + 6)`` bytes admits every sweep
-    at n and refuses it at n + 1."""
+    """Each sweep's estimate, ``2^n * (5n + 6)`` bytes for the classifier and
+    equilibrium enumeration and ``2^n * 12`` for the full optimum, admits it
+    at n with exactly that much physical memory, and refuses it one byte
+    below and at n + 1."""
     n = 10
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (1 << n) * (5 * n + 6)}
+    memory = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(_engine.os, "sysconf", memory.__getitem__)
     cfg = GameConfig(SUM, 2)
     sweeps = [
-        lambda g: build_ir_state_graph(g, cfg, exhaustive_limit=g.n),
-        lambda g: enumerate_equilibria(g, cfg, exhaustive_limit=g.n),
-        lambda g: brute_force_optimum(g, cfg, mode="full", exhaustive_limit=g.n),
+        (5 * n + 6, lambda g: build_ir_state_graph(g, cfg, exhaustive_limit=g.n)),
+        (5 * n + 6, lambda g: enumerate_equilibria(g, cfg, exhaustive_limit=g.n)),
+        (12, lambda g: brute_force_optimum(g, cfg, mode="full", exhaustive_limit=g.n)),
     ]
-    for sweep in sweeps:
+    for profile_bytes, sweep in sweeps:
+        memory["SC_PHYS_PAGES"] = (1 << n) * profile_bytes
         sweep(path_graph(n))
         with pytest.raises(StateSpaceTooLarge, match="physical memory"):
             sweep(path_graph(n + 1))
+        memory["SC_PHYS_PAGES"] -= 1
+        with pytest.raises(StateSpaceTooLarge, match=f"n = {n} needs about"):
+            sweep(path_graph(n))
 
 
 def test_cycle_conditions_small_gadget():
@@ -470,9 +493,12 @@ def test_classifier_matches_plain_search_over_hub_oracle(g, variant, alpha):
     ids=["fixed-negative", "fixed-n", "fixed-after-a-move", "opens-negative", "opens-n"],
 )
 def test_restricted_scheduler_rejects_out_of_range_node(p5, scheduler):
+    """The ids are checked before the first step, not when the scheduler
+    reaches them, so a zero step budget refuses them too."""
     cfg = GameConfig(SUM, Fraction(1, 2))
-    with pytest.raises(NodeIdOutOfRange):
-        run_dynamics(p5, cfg, StrategyProfile.of([0]), scheduler)
+    for max_steps in (None, 0):
+        with pytest.raises(NodeIdOutOfRange):
+            run_dynamics(p5, cfg, StrategyProfile.of([0]), scheduler, max_steps=max_steps)
 
 
 def test_run_dynamics_builds_one_oracle(monkeypatch):

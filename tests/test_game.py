@@ -21,6 +21,7 @@ from gateway_games import (
     frac_str,
     improving_moves,
     is_nash_equilibrium,
+    metrics,
     parse_fraction,
     private_cost,
     social_cost,
@@ -192,7 +193,7 @@ def test_single_move_equals_the_full_scan_at_knife_edge_prices(pair, variant, so
     dvs = {delta - 1 if kind == "open" else delta + 1 for kind, delta, _ in plain.values()}
     for alpha in knife_prices(dvs):
         cfg = GameConfig(variant, alpha)
-        scan = _scan_toggles(d.dist, cfg, s)
+        scan = _scan_toggles(d, cfg, s)
         for v in range(g.n):
             move = evaluate_move(d, cfg, s, v)
             assert move == scan.move(v)
@@ -211,7 +212,7 @@ def test_sweep_tables_and_move_kernel_share_one_rule(g, variant):
     masks = range(1, 1 << g.n)
     dvs = set()
     for mask in masks:
-        toggles = _scan_toggles(d.dist, GameConfig(variant, 1), StrategyProfile.from_mask(mask))
+        toggles = _scan_toggles(d, GameConfig(variant, 1), StrategyProfile.from_mask(mask))
         dv = [int(table[v, mask ^ (1 << v)]) - int(table[v, mask]) for v in range(g.n)]
         assert toggles.dv.tolist() == dv
         dvs.update(dv)
@@ -220,7 +221,7 @@ def test_sweep_tables_and_move_kernel_share_one_rule(g, variant):
         moves = _engine.improving_tables(table, alpha)
         assert not moves[:, 0].any()
         for mask in masks:
-            toggles = _scan_toggles(d.dist, cfg, StrategyProfile.from_mask(mask))
+            toggles = _scan_toggles(d, cfg, StrategyProfile.from_mask(mask))
             assert moves[:, mask].tolist() == toggles.improving.tolist()
 
 
@@ -483,6 +484,8 @@ def test_cost_queries_run_no_bfs(monkeypatch):
         improving_moves(d, cfg, s)
         is_nash_equilibrium(d, cfg, s)
         social_cost(d, cfg, s)
+    assert g.edge_count() > g.n - 1  # not a tree, so the girth is read off d
+    metrics(d)
     assert builds == bfs == []
 
 

@@ -174,7 +174,7 @@ def test_bfs_tree_is_first_in_first_out_over_sorted_neighbours(g, data):
     """Construction results depend on this visit order, so it is pinned
     against a plain queue-based BFS."""
     root = data.draw(st.integers(0, g.n - 1))
-    order, level, parent = _bfs_tree(g, root)
+    order, level = _bfs_tree(g, root)
     expected, queue, seen = [], deque([root]), {root}
     while queue:
         u = queue.popleft()
@@ -185,10 +185,51 @@ def test_bfs_tree_is_first_in_first_out_over_sorted_neighbours(g, data):
                 queue.append(v)
     assert order == expected
     assert tuple(level) == bfs_levels(g, root)
-    assert parent[root] == -1
-    for v in order[1:]:
-        closer = [u for u in g.adj[v] if level[u] == level[v] - 1]
-        assert parent[v] == min(closer, key=order.index)
+
+
+def reference_girth(g) -> int | float:
+    """The least ``1 + d(u, v)`` over edges ``uv``, with the distance taken by
+    a plain BFS from ``u`` that may not use ``uv`` itself."""
+    best = UNBOUNDED
+    for u, v in g.edges():
+        seen, queue = {u: 0}, deque([u])
+        while queue:
+            x = queue.popleft()
+            for y in g.adj[x]:
+                if y not in seen and {x, y} != {u, v}:
+                    seen[y] = seen[x] + 1
+                    queue.append(y)
+        if v in seen:
+            best = min(best, 1 + seen[v])
+    return best
+
+
+@st.composite
+def girth_cases(draw):
+    kind = draw(st.sampled_from(["tree", "deep", "cycle", "clique", "random"]))
+    n = draw(st.integers(3, 16))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "tree":
+        return tree_from_prufer([rnd.randrange(n) for _ in range(n - 2)], n)
+    if kind == "deep":
+        return deep_tree(rnd, n)
+    if kind == "cycle":  # a cycle of c nodes with a random tree grown off it
+        c = rnd.randint(3, n)
+        cycle = [(i, (i + 1) % c) for i in range(c)]
+        return build_graph(n, cycle + [(rnd.randrange(v), v) for v in range(c, n)])
+    if kind == "clique":
+        return build_graph(n, itertools.combinations(range(n), 2))
+    return random_connected_graph(rnd, n, extra=rnd.randrange(2 * n))
+
+
+@given(girth_cases(), st.sampled_from([1, 7, 1 << 18]))
+@settings(max_examples=120, deadline=None)
+def test_girth_matches_an_edge_removal_reference(g, budget):
+    """The girth read off the distances equals an edge-by-edge reference, with
+    the roots in blocks of every size the budget allows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_FRONTIER_BUDGET", budget)
+        assert metrics(all_pairs_distances(g)).girth == reference_girth(g)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(4, 24))

@@ -34,7 +34,6 @@ from gateway_games.optimization import (
     _full_optimum,
     _least_ids,
     _level_floor,
-    _mask_ids,
 )
 
 from conftest import (
@@ -195,7 +194,7 @@ def test_cheapest_breaks_ties_by_smallest_id_tuple(seed):
     k = min(lows, key=lambda c: (alpha * c + lows[c], c))
     at_best = [m for m in range(1 << 12) if counts[m] == k and sums[m] == lows[k]]
     result = _full_optimum(sums, alpha)
-    assert result.best_profile.ids == min(map(_mask_ids, at_best))
+    assert result.best_profile.ids == min(StrategyProfile.from_mask(m).ids for m in at_best)
     assert result.best_cost == alpha * k + lows[k]
 
     ids = [*range(11), 62]
@@ -203,7 +202,8 @@ def test_cheapest_breaks_ties_by_smallest_id_tuple(seed):
     masks = rng.permutation(np.array(level, dtype=np.int64))[:300]
     level_sums = rng.integers(0, 3, size=len(masks))
     at_low = masks[level_sums == level_sums.min()]
-    assert _mask_ids(_least_ids(at_low)) == min(map(_mask_ids, at_low.tolist()))
+    ids_of = [StrategyProfile.from_mask(m).ids for m in at_low.tolist()]
+    assert StrategyProfile.from_mask(_least_ids(at_low)).ids == min(ids_of)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(3), Fraction(500)])
