@@ -18,6 +18,19 @@ contiguous row of masks.  Toggling ``v`` swaps the two halves of each block of
 swap, with no gather, and writes the opens into the first halves and the
 closes into the second of one boolean row: the two never share a cell.
 
+The move table it returns is packed: row ``v`` is a bit set over the masks,
+bit ``m % 64`` of uint64 word ``m // 64``, so the table takes ``n / 8`` bytes
+per profile.  The classifier works on such sets whole, with one step,
+``_or_toggled``: ``out |= row_b & x[m ^ (1 << b)]``, the states whose move
+``b`` lands in ``x``.  A toggle of bit ``b < 6`` stays inside a word, a shift
+and a mask; one of bit ``b >= 6`` swaps the halves of each block of
+``2^(b-5)`` words.  Its two fixpoints: the peel, the greatest set ``A`` with
+``A = OR_b(move_b & A[m ^ (1 << b)])``, iterated down from the states with a
+move, holds the states with an endless improving path; the reach, the least
+set ``R`` containing a seed with ``R = R | OR_b(move_b & R[m ^ (1 << b)])``,
+holds the states with a path into the seed.  Each round costs
+``n * 2^n / 64`` word operations.
+
 The sweeps take ``a`` from subset-minimum tables, all built by
 ``_subset_minima``: for a block of node ids, entry ``[v, m]`` is the least
 distance from ``v`` to a node of the subset ``m`` of the block, and the sentinel
@@ -66,6 +79,11 @@ _BATCH_BYTES = 1 << 20
 # count, not a byte count, so small graphs must not fill _BATCH_BYTES.
 _BATCH_MASKS = 1 << 12
 _CLAMP = 1 << 62
+# The word of a packed set, little-endian so that bit m % 64 of word m // 64
+# is bit m % 8 of byte m // 8, the order of np.packbits(bitorder="little").
+_WORD = np.dtype("<u8")
+# Per bit b < 6, the positions of a word whose bit b is clear.
+_STAY = [_WORD.type(sum(1 << p for p in range(64) if not p >> b & 1)) for b in range(6)]
 
 
 def resolve_exhaustive_limit(explicit: int | None) -> int:
@@ -90,11 +108,12 @@ def resolve_exhaustive_limit(explicit: int | None) -> int:
 
 
 def _table_bytes(n: int) -> int:
-    """Bytes per profile of the classifier and equilibrium enumeration: ``5n``
-    for the int32 term table and the boolean move table, and 6 for
-    improving_tables' int32 half-row differences and one-byte temporaries
-    (tracemalloc peaks: 5n + 4.3, 4.1 and 4.0 at n = 18, 20 and 22)."""
-    return 5 * n + 6
+    """Bytes per profile of the classifier and equilibrium enumeration, both at
+    their peak inside improving_tables: ``4n`` for the int32 term table,
+    ``n / 8`` rounded up for the packed move table, and 4 for the int32
+    half-row differences, the boolean row and its packed copy (tracemalloc
+    peaks: 4n + n/8 + 3.40, 3.26 and 3.25 at n = 18, 20 and 22)."""
+    return 4 * n + (n + 7) // 8 + 4
 
 
 def check_sweep_size(n: int, exhaustive_limit: int | None, what: str, profile_bytes: int) -> None:
@@ -211,22 +230,58 @@ def term_sums_for_masks(dist: np.ndarray, masks: np.ndarray, *, maximum: bool) -
 
 
 def improving_tables(table: np.ndarray, alpha: Fraction) -> np.ndarray:
-    """Boolean (n, 2^n) table: ``[v, m]`` iff toggling ``v`` at ``m`` strictly improves.
+    """Packed ``(n, max(1, 2^n / 64))`` table: bit ``m % 64`` of word ``m // 64``
+    in row ``v`` is set iff toggling ``v`` at ``m`` strictly improves.
 
-    Sole-gateway closes are excluded (forbidden).  Mask 0 columns are all
-    False: it has nothing to close, and opening ``v`` there leaves ``v``'s
-    term as it was, so at a positive price it never improves.  In each block
-    of ``2^(v+1)`` masks the first half lacks ``v`` and the second half is
-    the first with ``v`` added, so one difference of the halves decides the
-    open in the first half and, negated, the close in the second.
+    Sole-gateway closes are excluded (forbidden).  Mask 0's bits are all
+    clear: it has nothing to close, and opening ``v`` there leaves ``v``'s
+    term as it was, so at a positive price it never improves.  Bits past mask
+    ``2^n - 1`` (n < 6) are clear.  In each block of ``2^(v+1)`` masks the
+    first half lacks ``v`` and the second half is the first with ``v`` added,
+    so one difference of the halves decides the open in the first half and,
+    negated, the close in the second.  One boolean row and one difference
+    buffer are reused for every node, then packed.
     """
     n, total = table.shape
     open_at, close_at = _thresholds(alpha)
-    moves = np.empty((n, total), dtype=bool)
+    moves = np.zeros((n, max(1, total >> 6)), dtype=_WORD)
+    octets = moves.view(np.uint8)
+    row = np.empty(total, dtype=bool)
+    dv = np.empty(total >> 1, dtype=table.dtype)
     for v in range(n):
         halves = table[v].reshape(-1, 2, 1 << v)
-        dv = halves[:, 1] - halves[:, 0]  # opening v changes its term by dv, closing by -dv
-        np.less_equal(dv, open_at, out=moves[v].reshape(-1, 2, 1 << v)[:, 0])
-        np.greater_equal(dv, -close_at, out=moves[v].reshape(-1, 2, 1 << v)[:, 1])
-        moves[v, 1 << v] = False  # v alone: the sole gateway may not close
+        cells = row.reshape(-1, 2, 1 << v)
+        step = dv.reshape(-1, 1 << v)
+        np.subtract(halves[:, 1], halves[:, 0], out=step)  # opening v changes its term by dv, closing by -dv
+        np.less_equal(step, open_at, out=cells[:, 0])
+        np.greater_equal(step, -close_at, out=cells[:, 1])
+        row[1 << v] = False  # v alone: the sole gateway may not close
+        packed = np.packbits(row, bitorder="little")
+        octets[v, : packed.size] = packed
     return moves
+
+
+def _unpack(words: np.ndarray, total: int) -> np.ndarray:
+    """The first ``total`` bits of each packed row of ``words``, as booleans."""
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=total, bitorder="little")
+    return bits.view(bool)
+
+
+def _or_toggled(out: np.ndarray, row: np.ndarray, x: np.ndarray, b: int) -> None:
+    """``out[m] |= row[m] & x[m ^ (1 << b)]`` on packed sets.
+
+    Toggling bit ``b < 6`` moves a bit within its word, by a shift and a mask;
+    toggling bit ``b >= 6`` swaps the two halves of each block of
+    ``2^(b-5)`` words.  ``out`` may be ``x``: the reach then takes up what a
+    lower bit added in the same round.
+    """
+    if b < 6:
+        shift = _WORD.type(1 << b)
+        swapped = (x >> shift) & _STAY[b]
+        swapped |= (x & _STAY[b]) << shift
+        swapped &= row
+        out |= swapped
+        return
+    o, r, y = (a.reshape(-1, 2, 1 << (b - 6)) for a in (out, row, x))
+    o[:, 0] |= r[:, 0] & y[:, 1]
+    o[:, 1] |= r[:, 1] & y[:, 0]

@@ -446,10 +446,18 @@ _HANDLERS = {
 }
 
 
+# Built by the first ``main`` call, not at import, and reused by every later
+# call in the process: building the seven subparsers costs about as much as a
+# small exhaustive request.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _parser
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _HANDLERS[args.cmd](args, argv)
     except (GatewayGameError, ValueError, OSError) as exc:

@@ -6,9 +6,9 @@ replayed and re-audited move by move.  The classifier sweeps all ``2^n - 1``
 profiles to decide whether improving paths always terminate (``FIP``), can
 always be steered to an equilibrium (``WEAKLY_ACYCLIC``), or can get trapped
 with no equilibrium reachable at all (``NOT_WEAKLY_ACYCLIC``).  It answers
-both questions by searching backwards from the equilibria over the table of
-improving moves, one frontier of states at a time: a Kahn peel of the states
-whose every path halts, and a reachability pass for the trapped ones.
+both questions with two fixpoints over the packed table of improving moves: a
+peel that drops the states whose every path halts, and a backward reach from
+the dropped states that leaves the trapped ones.
 """
 
 from __future__ import annotations
@@ -268,20 +268,34 @@ class StateGraphReport:
     trapped: tuple[StrategyProfile, ...] | None
 
 
-def _backward_bfs(moves: np.ndarray, frontier: np.ndarray, visit) -> None:
-    """Walk the improving moves backwards from ``frontier``, a frontier at a time.
-
-    Every move toggles one bit, so the predecessors of a frontier ``F``
-    through bit ``b`` are the states ``F ^ (1 << b)`` whose toggle of ``b``
-    improves, and for a fixed ``b`` they are distinct.  ``visit`` gets each
-    bit's batch and returns the states that join the next frontier.
-    """
-    while frontier.size:
-        found = []
+def _peel(moves: np.ndarray, movers: np.ndarray) -> np.ndarray:
+    """The states with an endless improving path, as a packed set: the
+    greatest set each of whose states has a move into it.  Starts from
+    ``movers``, the states with a move, and keeps the states with a move into
+    the kept set until nothing changes."""
+    alive = movers
+    while True:
+        kept = np.zeros_like(alive)
         for b, row in enumerate(moves):
-            pred = frontier ^ (1 << b)
-            found.append(visit(pred[row[pred]]))
-        frontier = np.concatenate(found)
+            _engine._or_toggled(kept, row, alive, b)
+        if np.array_equal(kept, alive):
+            return alive
+        alive = kept
+
+
+def _reach(moves: np.ndarray, reached: np.ndarray) -> np.ndarray:
+    """``reached`` grown, in place, by every state with an improving path into it."""
+    while True:
+        before = reached.copy()
+        for b, row in enumerate(moves):
+            _engine._or_toggled(reached, row, reached, b)
+        if np.array_equal(before, reached):
+            return reached
+
+
+def _has(words: np.ndarray, m: int) -> bool:
+    """Bit ``m`` of a packed set."""
+    return int(words[m >> 6]) >> (m & 63) & 1 == 1
 
 
 def build_ir_state_graph(
@@ -295,16 +309,18 @@ def build_ir_state_graph(
     comes with a non-empty ``trapped`` witness: profiles from which no
     equilibrium is reachable at all.
 
-    Both verdicts are backward searches from the equilibria over the move
-    table, one numpy pass per frontier and bit.  The peel counts down each
-    state's improving moves and drops it once every move leads to a peeled
-    state; what stays unpeeled reaches a cycle.  The reach marks every state
-    with a move into the reached set; what stays unreached is trapped.  The
-    sample cycle starts at the smallest unpeeled mask and follows each
-    state's lowest-bit improving move to an unpeeled state until a state
-    repeats.  The sweep is exponential in ``n`` and refuses to run past the
-    configured limit (``GATEWAY_GAMES_EXHAUSTIVE_LIMIT``, default 20) or when
-    its arrays would not fit in physical memory.
+    Both verdicts are fixpoints over the packed move table, each round a
+    whole-table pass per bit.  The peel starts from the states with a move
+    and keeps those with a move into the kept set until nothing changes;
+    what stays has an endless improving path, so a path into a cycle, and
+    every state it drops halts on every path, so reaches an equilibrium.
+    The reach starts from the dropped states and adds every state with a move
+    into the reached set; what stays unreached is trapped.  The sample cycle
+    starts at the smallest kept mask and follows each state's lowest-bit
+    improving move to a kept state until a state repeats.  The sweep is
+    exponential in ``n`` and refuses to run past the configured limit
+    (``GATEWAY_GAMES_EXHAUSTIVE_LIMIT``, default 20) or when its arrays would
+    not fit in physical memory.
     """
     _engine.check_sweep_size(g.n, exhaustive_limit, "profile sweep", _engine._table_bytes(g.n))
     d = all_pairs_distances(g)
@@ -312,39 +328,24 @@ def build_ir_state_graph(
         _engine.term_table(d.dist, maximum=cfg.variant is Variant.MAX), cfg.alpha
     )
     total = 1 << g.n
-    deg = moves.sum(axis=0, dtype=np.int8)
-    sinks = np.flatnonzero(deg[1:] == 0) + 1  # mask 0 is no profile
+    movers = np.bitwise_or.reduce(moves, axis=0)
+    sinks = np.flatnonzero(~_engine._unpack(movers, total)[1:]) + 1  # mask 0 is no profile
 
-    def peel(pred: np.ndarray) -> np.ndarray:
-        deg[pred] -= 1
-        return pred[deg[pred] == 0]
-
-    _backward_bfs(moves, sinks, peel)
-    alive = deg > 0  # the unpeeled states: each has a move path into a cycle
-
-    reached = np.zeros(total, dtype=bool)
-    reached[0] = True  # the empty mask is no profile, so never trapped
-    reached[sinks] = True
-
-    def reach(pred: np.ndarray) -> np.ndarray:
-        pred = pred[~reached[pred]]
-        reached[pred] = True
-        return pred
-
-    _backward_bfs(moves, sinks, reach)
-    trapped = np.flatnonzero(~reached).tolist()
-
+    alive = _peel(moves, movers)
+    trapped: list[int] = []
     cycle = None
     if alive.any():
-        bits = 1 << np.arange(g.n, dtype=np.int64)
-        path = [int(alive.argmax())]
+        # Every dropped state reaches an equilibrium.  Mask 0, no profile,
+        # is dropped, so it is never trapped.
+        trapped = np.flatnonzero(~_engine._unpack(_reach(moves, ~alive), total)).tolist()
+        path = [int(_engine._unpack(alive, total).argmax())]
         positions = {path[0]: 0}
         while True:
             s = path[-1]
-            onward = moves[:, s] & alive[s ^ bits]
-            if not onward.any():
-                raise AssertionError("unpeeled state must keep an unpeeled successor")
-            nxt = s ^ (1 << int(onward.argmax()))
+            onward = [v for v in range(g.n) if _has(moves[v], s) and _has(alive, s ^ (1 << v))]
+            if not onward:
+                raise AssertionError("a kept state must have a kept successor")
+            nxt = s ^ (1 << onward[0])
             if nxt in positions:
                 cycle = tuple(
                     StrategyProfile.from_mask(m) for m in path[positions[nxt]:]

@@ -112,7 +112,7 @@ def _full_optimum(sums: np.ndarray, alpha: Fraction) -> OptimumResult:
     counts = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
         counts = np.concatenate((counts, counts + 1))
-    lows = np.full(n + 1, np.iinfo(np.int64).max)
+    lows = np.full(n + 1, np.iinfo(sums.dtype).max, dtype=sums.dtype)  # ufunc.at is slow across dtypes
     np.minimum.at(lows, counts, sums)
     k = min(range(1, n + 1), key=lambda k: (alpha * k + int(lows[k]), k))
     at_best = counts == k
@@ -311,10 +311,12 @@ def enumerate_equilibria(
     d = all_pairs_distances(g)
     maximum = cfg.variant is Variant.MAX
     table = _engine.term_table(d.dist, maximum=maximum)
-    ne = ~_engine.improving_tables(table, cfg.alpha).any(axis=0)
-    ne[0] = False  # mask 0 is no profile
-    totals = table.sum(axis=0, dtype=np.int64)
+    movers = np.bitwise_or.reduce(_engine.improving_tables(table, cfg.alpha), axis=0)
+    totals = table.sum(axis=0, dtype=np.int32)  # at most n^2 (n - 1)
+    del table  # before the optimum's temporaries
     optimum = _full_optimum(totals, cfg.alpha)
+    ne = ~_engine._unpack(movers, 1 << g.n)
+    ne[0] = False  # mask 0 is no profile
 
     found: list[tuple[StrategyProfile, Fraction]] = []
     for m in np.flatnonzero(ne):

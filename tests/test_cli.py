@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -480,3 +481,30 @@ def test_repeat_runs_are_byte_identical(tmp_path, gadget, k4_file, p5_file):
         assert first.returncode == second.returncode
         assert first.stdout == second.stdout
         assert snapshot == [p.read_bytes() for p in sorted(tmp_path.iterdir())]
+
+
+def test_one_process_answers_like_fresh_ones_after_an_argparse_error(k4_file, capsys, monkeypatch):
+    """``main`` builds its parser once and reuses it: an argparse error, then a
+    valid call, in one process give the stdout, stderr (timestamp aside) and
+    exit codes of two fresh processes."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+
+    def untimed(err):
+        return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', err)
+
+    bad = ("classify", "--graph", k4_file)  # no --alpha
+    good = ("classify", "--graph", k4_file, "--alpha", "3/2")
+    in_process = []
+    for argv in (bad, good):
+        try:
+            code = cli.main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        in_process.append((code, out, untimed(err)))
+    fresh = [run_cli(*argv) for argv in (bad, good)]
+    assert in_process == [(p.returncode, p.stdout, untimed(p.stderr)) for p in fresh]
+    assert in_process[0][0] == 2 and in_process[0][2].startswith("usage: gateway-games classify")
+    parser = cli._parser
+    assert cli.main([str(a) for a in good]) == 0
+    assert cli._parser is parser

@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,7 @@ from gateway_games import (
     verify_max_line_conditions,
 )
 from gateway_games import _engine, cli
+from gateway_games import dynamics as _dynamics
 
 from conftest import (
     alphas,
@@ -293,17 +295,17 @@ def test_sweeps_beyond_physical_memory_are_refused_before_allocating(
 
 
 def test_memory_guard_admits_its_estimate_and_refuses_one_node_more(monkeypatch):
-    """Each sweep's estimate, ``2^n * (5n + 6)`` bytes for the classifier and
-    equilibrium enumeration and ``2^n * 12`` for the full optimum, admits it
-    at n with exactly that much physical memory, and refuses it one byte
-    below and at n + 1."""
+    """Each sweep's estimate, ``2^n * (4n + ceil(n / 8) + 4)`` bytes for the
+    classifier and equilibrium enumeration and ``2^n * 12`` for the full
+    optimum, admits it at n with exactly that much physical memory, and
+    refuses it one byte below and at n + 1."""
     n = 10
     memory = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(_engine.os, "sysconf", memory.__getitem__)
     cfg = GameConfig(SUM, 2)
     sweeps = [
-        (5 * n + 6, lambda g: build_ir_state_graph(g, cfg, exhaustive_limit=g.n)),
-        (5 * n + 6, lambda g: enumerate_equilibria(g, cfg, exhaustive_limit=g.n)),
+        (4 * n + 2 + 4, lambda g: build_ir_state_graph(g, cfg, exhaustive_limit=g.n)),
+        (4 * n + 2 + 4, lambda g: enumerate_equilibria(g, cfg, exhaustive_limit=g.n)),
         (12, lambda g: brute_force_optimum(g, cfg, mode="full", exhaustive_limit=g.n)),
     ]
     for profile_bytes, sweep in sweeps:
@@ -479,6 +481,116 @@ def test_classifier_matches_plain_search_over_hub_oracle(g, variant, alpha):
                 assert report.cycle == tuple(path[path.index(nxt):])
                 break
             path.append(nxt)
+
+
+def _frontier_walk(moves):
+    """The classifier's verdicts by a backward search from the equilibria over
+    a boolean ``(n, 2^n)`` move table, one frontier of states at a time: a Kahn
+    peel that counts down each state's moves, and a reach.  Returns the sinks,
+    the unpeeled states (a boolean row), the trapped masks and the sample
+    cycle's masks, or None."""
+    n, total = moves.shape
+
+    def backward(frontier, visit):
+        # The predecessors of F through bit b are the states F ^ (1 << b)
+        # whose toggle of b improves; for a fixed b they are distinct.
+        while frontier.size:
+            found = []
+            for b, row in enumerate(moves):
+                pred = frontier ^ (1 << b)
+                found.append(visit(pred[row[pred]]))
+            frontier = np.concatenate(found)
+
+    deg = moves.sum(axis=0, dtype=np.int8)
+    sinks = np.flatnonzero(deg[1:] == 0) + 1
+
+    def peel(pred):
+        deg[pred] -= 1
+        return pred[deg[pred] == 0]
+
+    backward(sinks, peel)
+    alive = deg > 0
+    reached = np.zeros(total, dtype=bool)
+    reached[0] = True
+    reached[sinks] = True
+
+    def reach(pred):
+        pred = pred[~reached[pred]]
+        reached[pred] = True
+        return pred
+
+    backward(sinks, reach)
+    if not alive.any():
+        return sinks.tolist(), alive, np.flatnonzero(~reached).tolist(), None
+    bits = 1 << np.arange(n)
+    path = [int(alive.argmax())]
+    while True:
+        s = path[-1]
+        nxt = s ^ (1 << int((moves[:, s] & alive[s ^ bits]).argmax()))
+        if nxt in path:
+            return sinks.tolist(), alive, np.flatnonzero(~reached).tolist(), path[path.index(nxt):]
+        path.append(nxt)
+
+
+def _assert_walks_agree(g, variant, price):
+    """Sinks, the peel's kept states, trapped states and the sample cycle of
+    the packed fixpoints equal those of the frontier walk on the unpacked table."""
+    table = _engine.term_table(all_pairs_distances(g).dist, maximum=variant is MAX)
+    packed = _engine.improving_tables(table, price)
+    sinks, alive, trapped, cycle = _frontier_walk(_engine._unpack(packed, 1 << g.n))
+    kept = _dynamics._peel(packed, np.bitwise_or.reduce(packed, axis=0))
+    assert _engine._unpack(kept, 1 << g.n).tolist() == alive.tolist()
+    report = build_ir_state_graph(g, GameConfig(variant, price))
+    assert [s.mask() for s in report.ne_states] == sinks
+    assert [s.mask() for s in report.trapped or ()] == trapped
+    assert (cycle is None) == (report.cycle is None)
+    assert [s.mask() for s in report.cycle or ()] == (cycle or [])
+
+
+@given(st.integers(8, 14), st.integers(0, 2**32 - 1), st.sampled_from([SUM, MAX]), st.data())
+@settings(max_examples=20, deadline=None)
+def test_fixpoint_walk_matches_the_frontier_walk(n, seed, variant, data):
+    """On random graphs, at knife-edge prices around the graph's distance changes."""
+    g = random_connected_graph(random.Random(seed), n)
+    table = _engine.term_table(all_pairs_distances(g).dist, maximum=variant is MAX)
+    masks = np.arange(1 << n)
+    dvs = set(np.unique([table[v, masks ^ (1 << v)] - table[v] for v in range(n)]).tolist())
+    prices = sorted(knife_prices(dvs))
+    for price in data.draw(st.lists(st.sampled_from(prices), min_size=1, max_size=4, unique=True)):
+        _assert_walks_agree(g, variant, price)
+
+
+@pytest.mark.parametrize("price", [Fraction(5), Fraction(7), Fraction(15, 2)])
+def test_fixpoint_walk_matches_the_frontier_walk_on_the_gadgets(price):
+    """On the non-weakly-acyclic and cycle gadgets, whose trapped sets and
+    cycles random graphs seldom have."""
+    _assert_walks_agree(gen_non_wag(7).graph, SUM, price)
+    _assert_walks_agree(gen_ir_cycle(IrCycleParams(10, 1, 2, Fraction(5))).graph, SUM, price)
+
+
+def test_golden_sum_witness_is_not_weakly_acyclic():
+    """The 6-node SUM witness at 9/2: the all-open profile is the one
+    equilibrium, and the 31 profiles with at most one of the triangle's nodes
+    1, 2, 3 open can never reach it."""
+    g = build_graph(6, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 0), (0, 5)])
+    report = build_ir_state_graph(g, GameConfig(SUM, Fraction(9, 2)))
+    assert report.classification is Classification.NOT_WEAKLY_ACYCLIC
+    assert report.state_count == 63
+    assert [p.ids for p in report.ne_states] == [(0, 1, 2, 3, 4, 5)]
+    trapped = [m for m in range(1, 64) if (m >> 1 & 7).bit_count() <= 1]
+    assert [p.mask() for p in report.trapped] == trapped and len(trapped) == 31
+    assert [p.ids for p in report.cycle] == [(0, 1, 5), (1, 5), (1, 4, 5), (0, 1, 4, 5)]
+
+
+def test_golden_max_path_is_weakly_acyclic(p4):
+    """The 4-node path, MAX at 1/2: a 16-bit move table, so every row is one
+    padded word."""
+    report = build_ir_state_graph(p4, GameConfig(MAX, Fraction(1, 2)))
+    assert report.classification is Classification.WEAKLY_ACYCLIC
+    assert report.state_count == 15
+    assert [p.ids for p in report.ne_states] == [(0, 3), (0, 1, 2, 3)]
+    assert report.trapped is None
+    assert [p.ids for p in report.cycle] == [(0,), (0, 2), (0, 1, 2), (0, 1)]
 
 
 @pytest.mark.parametrize(

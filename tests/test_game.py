@@ -218,8 +218,11 @@ def test_sweep_tables_and_move_kernel_share_one_rule(g, variant):
         dvs.update(dv)
     for alpha in knife_prices(dvs):
         cfg = GameConfig(variant, alpha)
-        moves = _engine.improving_tables(table, alpha)
+        packed = _engine.improving_tables(table, alpha)
+        assert packed.shape == (g.n, max(1, (1 << g.n) // 64))
+        moves = _engine._unpack(packed, 64 * packed.shape[1])
         assert not moves[:, 0].any()
+        assert not moves[:, 1 << g.n :].any()  # the pad bits of a short row
         for mask in masks:
             toggles = _scan_toggles(d, cfg, StrategyProfile.from_mask(mask))
             assert moves[:, mask].tolist() == toggles.improving.tolist()
@@ -241,9 +244,35 @@ def test_block_swap_tables_match_a_gather_per_node(g, variant):
     for alpha in knife_prices(values.tolist()):
         opens = np.isin(dv, [x for x in values.tolist() if alpha + x < 0])
         closes = np.isin(dv, [x for x in values.tolist() if x - alpha < 0])
-        moves = _engine.improving_tables(table, alpha)
+        moves = _engine._unpack(_engine.improving_tables(table, alpha), 1 << n)
         assert ((moves & ~member) == (opens & ~member & (masks != 0))).all()
         assert ((moves & member) == (closes & member & ~sole)).all()
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows as packed sets, one bit per mask, whole words zero-padded."""
+    octets = np.packbits(bits, axis=-1, bitorder="little")
+    width = max(8, octets.shape[-1])
+    padded = np.zeros(bits.shape[:-1] + (width,), dtype=np.uint8)
+    padded[..., : octets.shape[-1]] = octets
+    return padded.view(_engine._WORD)
+
+
+@given(st.integers(1, 14), st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_toggle_step_matches_a_gather(n, data):
+    """``_or_toggled`` on packed sets equals ``out | row & x[masks ^ (1 << b)]``
+    on boolean ones, for every bit of the mask, and leaves the pad bits clear."""
+    rnd = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    masks = np.arange(1 << n)
+    for b in range(n):
+        out, row, x = rnd.random((3, 1 << n)) < data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+        packed = _pack(out)
+        _engine._or_toggled(packed, _pack(row), _pack(x), b)
+        assert packed.shape == (max(1, (1 << n) // 64),)
+        bits = _engine._unpack(packed, 64 * packed.shape[0])
+        assert bits[: 1 << n].tolist() == (out | row & x[masks ^ (1 << b)]).tolist()
+        assert not bits[1 << n :].any()
 
 
 @pytest.mark.parametrize("variant", [SUM, MAX])
