@@ -53,7 +53,7 @@ from .optimization import (
     brute_force_optimum,
     catalog_to_csv,
     enumerate_equilibria,
-    poa_regime_report,
+    poa_regime,
 )
 
 WITNESS_CAP = 32
@@ -62,8 +62,10 @@ WITNESS_CAP = 32
 def _fraction_arg(text: str) -> Fraction:
     try:
         return parse_fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
 
 
 def _jsonable(value):
@@ -356,18 +358,18 @@ def _cmd_poa(args, argv) -> int:
     g, cfg, canonical = _load_instance(args)
     _emit_manifest(argv, canonical, cfg, None)
     catalog = enumerate_equilibria(g, cfg, exhaustive_limit=args.limit)
-    report = poa_regime_report(g, cfg, catalog)
+    regime, envelope = poa_regime(g.n, cfg)
     doc = {
         "variant": cfg.variant.value,
         "alpha": frac_str(cfg.alpha),
         "n": g.n,
-        "poa": frac_str(report.poa) if report.poa is not None else None,
-        "pos": frac_str(report.pos) if report.pos is not None else None,
+        "poa": frac_str(catalog.poa) if catalog.poa is not None else None,
+        "pos": frac_str(catalog.pos) if catalog.pos is not None else None,
         "optimum_cost": frac_str(catalog.optimum.best_cost),
         "optimum_profile": list(catalog.optimum.best_profile.ids),
         "equilibrium_count": len(catalog.equilibria),
-        "regime": report.regime,
-        "envelope": report.envelope,
+        "regime": regime,
+        "envelope": envelope,
     }
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0

@@ -1,8 +1,7 @@
 """Parameterised instance families with known game-theoretic behaviour.
 
 Each generator returns a :class:`GeneratedGame` carrying the graph, a role
-map (which node plays which part), and a suggested initial profile.  The
-object unpacks like the ``(graph, roles, initial)`` tuple it replaces.
+map (which node plays which part), and a suggested initial profile.
 Validity checks raise :class:`ParameterOutOfRange` with the violated
 inequality spelled out, so CLI users see exactly which bound they missed.
 The ``verify_*`` functions check the inequalities behind the two cycling
@@ -54,9 +53,6 @@ class GeneratedGame:
     graph: Graph
     roles: dict
     initial: StrategyProfile | None
-
-    def __iter__(self) -> Iterator:
-        return iter((self.graph, self.roles, self.initial))
 
 
 # Peak bytes per edge of ``gen`` through the CLI, which also writes the graph as
@@ -420,11 +416,6 @@ def verify_max_line_conditions(alpha: Fraction | int) -> list[LineConditionRepor
     return reports
 
 
-def _min_eccentricity_singleton(d: DistanceOracle) -> StrategyProfile:
-    best = min(range(d.graph.n), key=lambda v: (int(d.dist[v].max()), v))
-    return StrategyProfile.of([best])
-
-
 def _spaced_profile(
     d: DistanceOracle, alpha: Fraction, x1: int, x2: int, diameter: int
 ) -> StrategyProfile:
@@ -537,16 +528,18 @@ def construct_max_ne(g: Graph, alpha: Fraction | int) -> StrategyProfile:
     cfg = GameConfig(Variant.MAX, alpha)
     x1, x2 = met.peripheral_pair
     fa = math.floor(alpha)
+    # Nodes by eccentricity, ties by id: the stable sort keeps ids ascending.
+    central = np.argsort(d.dist.max(axis=1), kind="stable").tolist()
 
     def candidates() -> Iterator[StrategyProfile]:
         first = [
-            _min_eccentricity_singleton(d),
+            StrategyProfile.of(central[:1]),
             _spaced_profile(d, alpha, x1, x2, met.diameter),
         ]
         if met.diameter >= 2 * alpha:
             first.reverse()
         yield from first
-        for v in sorted(range(g.n), key=lambda u: (int(d.dist[u].max()), u)):
+        for v in central:
             yield StrategyProfile.of([v])
         for radius in dict.fromkeys((fa, max(fa - 1, 1), max(fa // 2, 1))):
             for root in (x1, x2):
@@ -595,10 +588,10 @@ def parse_set_cover(text: str) -> SetCoverInstance:
         head += 1
     if head == len(lines):
         raise ValueError("empty set-cover document")
-    parts = lines[head].split()
-    if len(parts) != 2:
-        raise ValueError(f"expected 'm n_sets' header, got {lines[head]!r}")
-    m, n_sets = int(parts[0]), int(parts[1])
+    try:
+        m, n_sets = map(int, lines[head].split())
+    except ValueError:
+        raise ValueError(f"expected 'm n_sets' header, got {lines[head]!r}") from None
     if m < 0 or n_sets < 0:
         raise ValueError(f"'m n_sets' must be non-negative, got {lines[head]!r}")
     body = lines[head + 1 : head + 1 + n_sets]

@@ -204,7 +204,7 @@ def run_dynamics(
     d = all_pairs_distances(g)
     budget = default_step_budget(g.n) if max_steps is None else max_steps
     picker = _Picker(d, cfg, scheduler)
-    seen = {s0.mask(): 0}
+    seen = {s0: 0}
     steps: list[tuple[StrategyProfile, Move]] = []
     state = s0
     while True:
@@ -219,11 +219,11 @@ def run_dynamics(
             break
         steps.append((state, move))
         state = state.toggled(move.node)
-        previous = seen.get(state.mask())
+        previous = seen.get(state)
         if previous is not None:
             outcome = CycleDetected(previous, len(steps) - previous)
             break
-        seen[state.mask()] = len(steps)
+        seen[state] = len(steps)
     return DynamicsTrace(s0, tuple(steps), outcome)
 
 
@@ -268,29 +268,18 @@ class StateGraphReport:
     trapped: tuple[StrategyProfile, ...] | None
 
 
-def _peel(moves: np.ndarray, movers: np.ndarray) -> np.ndarray:
-    """The states with an endless improving path, as a packed set: the
-    greatest set each of whose states has a move into it.  Starts from
-    ``movers``, the states with a move, and keeps the states with a move into
-    the kept set until nothing changes."""
-    alive = movers
+def _fixpoint(moves: np.ndarray, x: np.ndarray, grow: bool) -> np.ndarray:
+    """The fixpoint of the packed set ``x`` under ``_or_toggled`` over every bit.
+    Each round of the peel (``grow=False``) keeps the states with a move into
+    ``x``; each round of the reach (``grow=True``) adds them to ``x``, taking
+    up within the round what a lower bit added."""
     while True:
-        kept = np.zeros_like(alive)
+        out = x.copy() if grow else np.zeros_like(x)
         for b, row in enumerate(moves):
-            _engine._or_toggled(kept, row, alive, b)
-        if np.array_equal(kept, alive):
-            return alive
-        alive = kept
-
-
-def _reach(moves: np.ndarray, reached: np.ndarray) -> np.ndarray:
-    """``reached`` grown, in place, by every state with an improving path into it."""
-    while True:
-        before = reached.copy()
-        for b, row in enumerate(moves):
-            _engine._or_toggled(reached, row, reached, b)
-        if np.array_equal(before, reached):
-            return reached
+            _engine._or_toggled(out, row, out if grow else x, b)
+        if np.array_equal(out, x):
+            return x
+        x = out
 
 
 def _has(words: np.ndarray, m: int) -> bool:
@@ -331,13 +320,14 @@ def build_ir_state_graph(
     movers = np.bitwise_or.reduce(moves, axis=0)
     sinks = np.flatnonzero(~_engine._unpack(movers, total)[1:]) + 1  # mask 0 is no profile
 
-    alive = _peel(moves, movers)
+    alive = _fixpoint(moves, movers, grow=False)
     trapped: list[int] = []
     cycle = None
     if alive.any():
         # Every dropped state reaches an equilibrium.  Mask 0, no profile,
         # is dropped, so it is never trapped.
-        trapped = np.flatnonzero(~_engine._unpack(_reach(moves, ~alive), total)).tolist()
+        reached = _fixpoint(moves, ~alive, grow=True)
+        trapped = np.flatnonzero(~_engine._unpack(reached, total)).tolist()
         path = [int(_engine._unpack(alive, total).argmax())]
         positions = {path[0]: 0}
         while True:

@@ -275,11 +275,15 @@ def parse_graph(text: str) -> Graph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty graph document")
-    n = int(lines[0])
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise ValueError(f"expected 'n' header, got {lines[0]!r}") from None
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"malformed edge line: {ln!r}") from None
+        edges.append((u, v))
     return build_graph(n, edges)

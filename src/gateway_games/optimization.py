@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,17 +77,6 @@ class EquilibriumCatalog:
     optimum: OptimumResult
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    variant: Variant
-    alpha: Fraction
-    n: int
-    regime: str
-    envelope: str
-    poa: Fraction | None
-    pos: Fraction | None
-
-
 def _least_ids(masks: np.ndarray) -> int:
     """The mask with the smallest id tuple among masks of one gateway count:
     walking the bits up from bit 0 and keeping the masks that hold each bit,
@@ -122,31 +112,23 @@ def _full_optimum(sums: np.ndarray, alpha: Fraction) -> OptimumResult:
 
 
 def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Partition nodes into interchangeable groups.
+    """Partition nodes into interchangeable groups, sorted by smallest member.
 
-    Two nodes land in one group when their neighbourhoods agree outside the
-    pair itself; swapping them is then a graph automorphism, so any
-    permutation within a group preserves every profile cost.
+    Two nodes are twins when their neighbourhoods agree outside the pair, so
+    swapping them is a graph automorphism that preserves every profile cost.
+    Non-adjacent twins share ``N(v)``, adjacent ones ``N[v]``.  No node has
+    twins of both kinds (``N(u) = N(v)`` and ``N[u] = N[w]`` would put ``v``
+    in ``N[w] = N[u]``), and no ``N(v)`` is an ``N[w]`` (it would hold ``w``,
+    hence ``v``), so grouping each node by the key it shares gives the classes.
     """
-    neigh = [frozenset(g.adj[v]) for v in range(g.n)]
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if neigh[u] - {v} == neigh[v] - {u}:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, list[int]] = {}
+    opened = [frozenset(a) for a in g.adj]
+    closed = [nbrs | {v} for v, nbrs in enumerate(opened)]
+    shared = Counter(opened)
+    groups: dict[frozenset[int], list[int]] = {}
     for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(members)) for _, members in sorted(groups.items()))
+        key = opened[v] if shared[opened[v]] > 1 else closed[v]
+        groups.setdefault(key, []).append(v)
+    return tuple(map(tuple, groups.values()))  # in order of each group's first member
 
 
 def _level_counts(sizes: list[int], kmax: int) -> list[int]:
@@ -252,14 +234,14 @@ def brute_force_optimum(
 ) -> OptimumResult:
     """Exact minimum social cost with a canonical witness profile.
 
-    ``mode`` is "auto" (full sweep when the node count permits, bounded
-    otherwise), "full", or "bounded".  Ties go to fewer gateways, then to
-    the lexicographically smallest id tuple.
+    ``mode`` is "auto" (full sweep when the node count is within the
+    exhaustive limit, bounded otherwise) or "bounded".  Ties go to fewer
+    gateways, then to the lexicographically smallest id tuple.
     """
-    if mode not in ("auto", "full", "bounded"):
+    if mode not in ("auto", "bounded"):
         raise ValueError(f"unknown search mode: {mode!r}")
     limit = _engine.resolve_exhaustive_limit(exhaustive_limit)
-    if mode == "full" or (mode == "auto" and g.n <= limit):
+    if mode == "auto" and g.n <= limit:
         _engine.check_sweep_size(g.n, limit, "full enumeration", _engine._OPTIMUM_BYTES)
         sums = _engine.term_sums(all_pairs_distances(g).dist, maximum=cfg.variant is Variant.MAX)
         return _full_optimum(sums, cfg.alpha)
@@ -283,7 +265,7 @@ def greedy_gateways(d: DistanceOracle, cfg: GameConfig) -> StrategyProfile:
     a = d.dist[:, 0].copy()
     part = int(_engine._terms(d.dist, a, a, maximum).sum())
     gates = [0]
-    step = max(1, _engine._BATCH_BYTES // (d.dist.itemsize * n * n))
+    step = _engine._chunk_masks(d.dist)
     while len(gates) < n:
         closed = np.setdiff1d(np.arange(n), gates)
         parts = np.empty(len(closed), dtype=np.int64)
@@ -329,25 +311,19 @@ def enumerate_equilibria(
     return EquilibriumCatalog(tuple(found), poa, pos, optimum)
 
 
-def poa_regime_report(g: Graph, cfg: GameConfig, catalog: EquilibriumCatalog) -> RegimeReport:
-    """Tag the instance's price regime; the envelope is context, not a claim."""
-    n = g.n
+def poa_regime(n: int, cfg: GameConfig) -> tuple[str, str]:
+    """``(regime, envelope)``: the price regime of an ``n``-node instance and
+    the paper's PoA envelope there; the envelope is context, not a claim."""
     alpha = cfg.alpha
-    if cfg.variant is Variant.SUM:
-        if alpha < 1:
-            regime, envelope = "alpha < 1", "poa = 1"
-        elif alpha <= n - 1:
-            regime, envelope = "1 <= alpha <= n-1", "Theta(n / sqrt(alpha))"
-        elif alpha < n * (n - 1):
-            regime, envelope = "n-1 < alpha < n(n-1)", "Theta(n^2 / alpha)"
-        else:
-            regime, envelope = "alpha >= n(n-1)", "constant"
-    else:
-        if alpha < 1:
-            regime, envelope = "alpha < 1", "poa = 1"
-        else:
-            regime, envelope = "alpha >= 1", "Theta(1 + n / sqrt(alpha))"
-    return RegimeReport(cfg.variant, alpha, n, regime, envelope, catalog.poa, catalog.pos)
+    if alpha < 1:
+        return "alpha < 1", "poa = 1"
+    if cfg.variant is Variant.MAX:
+        return "alpha >= 1", "Theta(1 + n / sqrt(alpha))"
+    if alpha <= n - 1:
+        return "1 <= alpha <= n-1", "Theta(n / sqrt(alpha))"
+    if alpha < n * (n - 1):
+        return "n-1 < alpha < n(n-1)", "Theta(n^2 / alpha)"
+    return "alpha >= n(n-1)", "constant"
 
 
 def catalog_to_csv(catalog: EquilibriumCatalog) -> str:

@@ -107,7 +107,8 @@ def test_criterion_02_everyone_profile_stable_and_optimal_for_cheap_sum():
 def test_criterion_03_double_path_cycle_replay():
     for n, c, r, alpha in ((10, 1, 2, Fraction(5)), (32, 8, 5, Fraction(140))):
         params = IrCycleParams(n, c, r, alpha)
-        g, roles, initial = gen_ir_cycle(params)
+        game = gen_ir_cycle(params)
+        g, roles, initial = game.graph, game.roles, game.initial
         sched = FixedSequence((roles["u"], roles["v"]))
         trace = run_dynamics(g, GameConfig(SUM, alpha), initial, sched)
         assert isinstance(trace.outcome, CycleDetected)
@@ -122,7 +123,8 @@ def test_criterion_03_double_path_cycle_replay():
 
 @criterion(4)
 def test_criterion_04_unique_improving_moves_trap_the_gadget():
-    g, roles, initial = gen_non_wag()
+    game = gen_non_wag()
+    g, roles, initial = game.graph, game.roles, game.initial
     u, v, w = roles["u"], roles["v"], roles["w"]
     cfg = GameConfig(SUM, Fraction(7))
     report = build_ir_state_graph(g, cfg)
@@ -150,7 +152,8 @@ def test_criterion_04_unique_improving_moves_trap_the_gadget():
 @criterion(5)
 def test_criterion_05_max_line_cycles_for_fractional_prices():
     for alpha in (Fraction(2), Fraction(5, 2), Fraction(3)):
-        g, roles, initial = gen_max_line(alpha)
+        game = gen_max_line(alpha)
+        g, roles, initial = game.graph, game.roles, game.initial
         sched = FixedSequence((roles["w"], roles["v"]))
         trace = run_dynamics(g, GameConfig(MAX, alpha), initial, sched)
         assert isinstance(trace.outcome, CycleDetected)
@@ -182,7 +185,8 @@ def test_criterion_06_tree_equilibrium_constructor_never_misses():
 @criterion(7)
 def test_criterion_07_star_families_realize_high_anarchy():
     # sum variant: star of six 2-paths, price 9
-    g, roles, initial = gen_sum_poa_star(13, 9)
+    game = gen_sum_poa_star(13, 9)
+    g, roles, initial = game.graph, game.roles, game.initial
     cfg = GameConfig(SUM, Fraction(9))
     d = all_pairs_distances(g)
     assert is_nash_equilibrium(d, cfg, initial)
@@ -193,7 +197,8 @@ def test_criterion_07_star_families_realize_high_anarchy():
     assert catalog.poa >= Fraction(13, 6)  # n / (2 * sqrt(alpha))
 
     # max variant: three 3-paths, price 4
-    g, roles, initial = gen_max_poa_star(10)
+    game = gen_max_poa_star(10)
+    g, roles, initial = game.graph, game.roles, game.initial
     cfg = GameConfig(MAX, Fraction(4))
     d = all_pairs_distances(g)
     assert is_nash_equilibrium(d, cfg, initial)

@@ -160,6 +160,36 @@ def assert_one_error(proc):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "cmd, text, error",
+    [
+        ("optimum", "4 9\n0 1\n", "error: expected 'n' header, got '4 9'"),
+        ("optimum", "four\n0 1\n", "error: expected 'n' header, got 'four'"),
+        ("optimum", "2\n0 a\n", "error: malformed edge line: '0 a'"),
+        ("reduce", "3 x\n0 1 2\n", "error: expected 'm n_sets' header, got '3 x'"),
+    ],
+    ids=["graph-header-two-tokens", "graph-header-word", "edge-word", "cover-header-word"],
+)
+def test_malformed_text_line_is_named(tmp_path, cmd, text, error):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    if cmd == "reduce":
+        argv = [cmd, "--setcover", path, "--variant", "sum", "--out", tmp_path / "r.json"]
+    else:
+        argv = [cmd, "--graph", path, "--alpha", 1]
+    proc = run_cli(*argv)
+    assert_one_error(proc)
+    assert proc.stderr.splitlines()[-1] == error
+
+
+def test_zero_denominator_price_is_named(p5_file):
+    proc = run_cli("optimum", "--graph", p5_file, "--alpha", "1/0")
+    assert proc.returncode == 2 and proc.stdout == ""
+    errors = [ln for ln in proc.stderr.splitlines() if "error:" in ln]
+    assert errors == ["gateway-games optimum: error: argument --alpha: '1/0' has a zero denominator"]
+    assert "Traceback" not in proc.stderr
+
+
 def cover_text(m, n_sets):
     """``n_sets`` sets that each hold all ``m`` elements."""
     return f"{m} {n_sets}\n" + (" ".join(map(str, range(m))) + "\n") * n_sets

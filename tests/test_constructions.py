@@ -41,7 +41,7 @@ INSTANCE_B = "6 3\n0 1 2\n3 4 5\n0 3\n"
 
 def test_ir_cycle_layout():
     game = gen_ir_cycle(IrCycleParams(10, 1, 2, Fraction(5)))
-    g, roles, initial = game
+    g, roles, initial = game.graph, game.roles, game.initial
     assert g.n == 10
     assert roles["u"] == 0 and roles["v"] == 1 and roles["w"] == 2
     assert roles["w_pendants"] == (3, 4)
@@ -71,7 +71,8 @@ def test_ir_cycle_wide_window():
 
 
 def test_non_wag_shape():
-    g, roles, initial = gen_non_wag()
+    game = gen_non_wag()
+    g, roles, initial = game.graph, game.roles, game.initial
     assert g.n == 11
     assert g.edge_count() == 26
     assert roles["x"] == (3, 4, 5, 6)
@@ -93,7 +94,8 @@ def test_non_wag_price_is_pinned():
 
 
 def test_sum_poa_star_shape():
-    g, roles, initial = gen_sum_poa_star(13, 9)
+    game = gen_sum_poa_star(13, 9)
+    g, roles, initial = game.graph, game.roles, game.initial
     assert g.n == 13
     assert roles["center"] == 0
     assert roles["path_leaves"] == (2, 4, 6, 8, 10, 12)
@@ -106,7 +108,8 @@ def test_sum_poa_star_shape():
 
 
 def test_max_line_shape():
-    g, roles, initial = gen_max_line(Fraction(5, 2))
+    game = gen_max_line(Fraction(5, 2))
+    g, roles, initial = game.graph, game.roles, game.initial
     assert g.n == 10
     assert (roles["u"], roles["v"], roles["w"]) == (0, 3, 6)
     assert initial.ids == (0,)
@@ -116,7 +119,8 @@ def test_max_line_shape():
 
 
 def test_max_poa_star_shape():
-    g, roles, initial = gen_max_poa_star(10)
+    game = gen_max_poa_star(10)
+    g, roles, initial = game.graph, game.roles, game.initial
     assert g.n == 10
     assert roles["path_leaves"] == (3, 6, 9)
     assert roles["gateway"] == 9

@@ -278,7 +278,6 @@ def test_sweeps_beyond_physical_memory_are_refused_before_allocating(
         lambda: build_ir_state_graph(g, cfg, exhaustive_limit=40),
         lambda: enumerate_equilibria(g, cfg, exhaustive_limit=40),
         lambda: brute_force_optimum(g, cfg, exhaustive_limit=40),
-        lambda: brute_force_optimum(g, cfg, mode="full", exhaustive_limit=40),
     ]
     for sweep in sweeps:
         with pytest.raises(StateSpaceTooLarge, match="physical memory"):
@@ -306,7 +305,7 @@ def test_memory_guard_admits_its_estimate_and_refuses_one_node_more(monkeypatch)
     sweeps = [
         (4 * n + 2 + 4, lambda g: build_ir_state_graph(g, cfg, exhaustive_limit=g.n)),
         (4 * n + 2 + 4, lambda g: enumerate_equilibria(g, cfg, exhaustive_limit=g.n)),
-        (12, lambda g: brute_force_optimum(g, cfg, mode="full", exhaustive_limit=g.n)),
+        (12, lambda g: brute_force_optimum(g, cfg, exhaustive_limit=g.n)),
     ]
     for profile_bytes, sweep in sweeps:
         memory["SC_PHYS_PAGES"] = (1 << n) * profile_bytes
@@ -538,7 +537,7 @@ def _assert_walks_agree(g, variant, price):
     table = _engine.term_table(all_pairs_distances(g).dist, maximum=variant is MAX)
     packed = _engine.improving_tables(table, price)
     sinks, alive, trapped, cycle = _frontier_walk(_engine._unpack(packed, 1 << g.n))
-    kept = _dynamics._peel(packed, np.bitwise_or.reduce(packed, axis=0))
+    kept = _dynamics._fixpoint(packed, np.bitwise_or.reduce(packed, axis=0), grow=False)
     assert _engine._unpack(kept, 1 << g.n).tolist() == alive.tolist()
     report = build_ir_state_graph(g, GameConfig(variant, price))
     assert [s.mask() for s in report.ne_states] == sinks

@@ -23,7 +23,7 @@ from gateway_games import (
     graph_to_json,
     greedy_gateways,
     is_nash_equilibrium,
-    poa_regime_report,
+    poa_regime,
     social_cost,
     twin_classes,
 )
@@ -40,6 +40,7 @@ from conftest import (
     KNIFE,
     alphas,
     connected_graphs,
+    graph_profile_pairs,
     hub_distances,
     path_graph,
     random_connected_graph,
@@ -71,14 +72,11 @@ def test_bounded_mode_reports_its_bound(p5):
     assert res.best_cost == 15
 
 
-def test_full_mode_respects_limit(p5):
-    with pytest.raises(StateSpaceTooLarge):
-        brute_force_optimum(p5, GameConfig(SUM, 1), mode="full", exhaustive_limit=4)
-
-
 def test_unknown_mode_rejected(p3):
-    with pytest.raises(ValueError):
-        brute_force_optimum(p3, GameConfig(SUM, 1), mode="fast")
+    """Only "auto" and "bounded" exist: "auto" already sweeps in full within the limit."""
+    for mode in ("fast", "full"):
+        with pytest.raises(ValueError, match="unknown search mode"):
+            brute_force_optimum(p3, GameConfig(SUM, 1), mode=mode)
 
 
 KNIFE_PRICES = st.one_of(
@@ -104,7 +102,7 @@ def test_bounded_equals_full(g, alpha, variant):
     costs = {s: social_cost(d, cfg, s) for s in profiles}
     best = min(profiles, key=lambda s: (costs[s], len(s), s.ids))
     for res in (
-        brute_force_optimum(g, cfg, mode="full"),
+        brute_force_optimum(g, cfg, exhaustive_limit=g.n),
         brute_force_optimum(g, cfg, mode="bounded"),
         enumerate_equilibria(g, cfg).optimum,
     ):
@@ -227,7 +225,7 @@ def test_optimum_ties_across_gateway_counts_go_to_fewer_gateways(p3):
         cfg = GameConfig(SUM, alpha)
         lowest = min(social_cost(d, cfg, StrategyProfile.from_mask(m)) for m in range(1, 8))
         for res in (
-            brute_force_optimum(p3, cfg, mode="full"),
+            brute_force_optimum(p3, cfg, exhaustive_limit=p3.n),
             brute_force_optimum(p3, cfg, mode="bounded"),
             enumerate_equilibria(p3, cfg).optimum,
         ):
@@ -308,6 +306,62 @@ def test_twin_classes_shapes(star5, k4, c4, p4):
     assert twin_classes(p4) == ((0,), (1,), (2,), (3,))
 
 
+def pairwise_twin_classes(g):
+    """The reference rule: a union-find over every pair whose neighbourhoods
+    agree outside the pair itself, classes sorted by smallest member."""
+    neigh = [frozenset(g.adj[v]) for v in range(g.n)]
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in itertools.combinations(range(g.n), 2):
+        if neigh[u] - {v} == neigh[v] - {u}:
+            ru, rv = find(u), find(v)
+            parent[max(ru, rv)] = min(ru, rv)
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(find(v), []).append(v)
+    return tuple(tuple(members) for _, members in sorted(groups.items()))
+
+
+@given(connected_graphs(min_n=1, max_n=12))
+@settings(max_examples=150, deadline=None)
+def test_twin_classes_match_the_pairwise_rule(g):
+    assert twin_classes(g) == pairwise_twin_classes(g)
+
+
+def test_twin_classes_match_the_pairwise_rule_on_the_graph_atlas():
+    """Every connected graph of at most 7 nodes, then the complete graphs,
+    where every pair is an adjacent twin."""
+    nx = pytest.importorskip("networkx")
+    graphs = [build_graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()[1:]
+              if nx.is_connected(h)]
+    graphs += [build_graph(n, itertools.combinations(range(n), 2)) for n in range(2, 12)]
+    for g in graphs:
+        assert twin_classes(g) == pairwise_twin_classes(g)
+
+
+@given(graph_profile_pairs(min_n=2, max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_swapping_twins_keeps_the_social_cost(pair):
+    """Swapping two members of one class maps the graph onto itself, so the
+    hub oracle gives the swapped profile the same SUM and MAX distance parts."""
+    g, s = pair
+
+    def parts(gateways):
+        rows = hub_distances(g, gateways)
+        return sum(map(sum, rows)), sum(map(max, rows))
+
+    before = parts(s.gateways)
+    for members in twin_classes(g):
+        for u, w in itertools.combinations(members, 2):
+            swap = {u: w, w: u}
+            assert parts(frozenset(swap.get(v, v) for v in s.gateways)) == before
+
+
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.randoms())
 @settings(max_examples=40, deadline=None)
 def test_canonical_masks_are_the_prefix_sets_of_each_size(sizes, rnd):
@@ -372,9 +426,7 @@ def test_long_path_boundary_alpha_keeps_expensive_equilibria():
     assert cat.optimum.best_profile.ids == (2, 7)
     assert cat.optimum.best_cost == 370
     assert cat.poa == Fraction(42, 37)
-    report = poa_regime_report(g, cfg, cat)
-    assert report.regime == "alpha >= n(n-1)"
-    assert report.envelope == "constant"
+    assert poa_regime(g.n, cfg) == ("alpha >= n(n-1)", "constant")
 
 
 def test_max_small_alpha_admits_sparse_equilibria(p4):
@@ -414,11 +466,9 @@ def test_sum_stability_is_one_for_small_alpha(g, num):
     assert cat.pos == 1
 
 
-def test_regime_tags(p5):
+def test_regime_tags():
     def tag(variant, alpha):
-        cfg = GameConfig(variant, Fraction(alpha))
-        cat = enumerate_equilibria(p5, cfg)
-        return poa_regime_report(p5, cfg, cat).regime
+        return poa_regime(5, GameConfig(variant, Fraction(alpha)))[0]
 
     assert tag(SUM, Fraction(1, 2)) == "alpha < 1"
     assert tag(SUM, 4) == "1 <= alpha <= n-1"

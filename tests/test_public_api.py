@@ -2,7 +2,14 @@
 
 import gateway_games
 
-REMOVED = ("CostReport", "cost_report", "graph_to_edge_text", "multi_source_levels")
+REMOVED = (
+    "CostReport",
+    "RegimeReport",
+    "cost_report",
+    "graph_to_edge_text",
+    "multi_source_levels",
+    "poa_regime_report",
+)
 
 
 def test_every_exported_name_resolves_once():
