@@ -55,14 +55,12 @@ callers: n <= 63).
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import StateSpaceTooLarge, check_memory
 
-EXHAUSTIVE_LIMIT_ENV = "GATEWAY_GAMES_EXHAUSTIVE_LIMIT"
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 # Bytes per profile of the full optimum, which holds no table: its int64 sums,
 # uint8 popcounts and boolean selections (tracemalloc: 11.0 at n = 20 and 22).
@@ -86,25 +84,13 @@ _WORD = np.dtype("<u8")
 _STAY = [_WORD.type(sum(1 << p for p in range(64) if not p >> b & 1)) for b in range(6)]
 
 
-def resolve_exhaustive_limit(explicit: int | None) -> int:
-    """Explicit argument, else the environment override, else the default.
-
-    Raises ``ValueError`` for a negative limit, or a variable that is not an integer.
-    """
-    if explicit is not None:
-        limit, source = explicit, "exhaustive limit"
-    else:
-        raw = os.environ.get(EXHAUSTIVE_LIMIT_ENV)
-        if not raw:
-            return DEFAULT_EXHAUSTIVE_LIMIT
-        try:
-            limit, source = int(raw), EXHAUSTIVE_LIMIT_ENV
-        except ValueError:
-            msg = f"{EXHAUSTIVE_LIMIT_ENV} expects a non-negative integer, got {raw!r}"
-            raise ValueError(msg) from None
-    if limit < 0:
-        raise ValueError(f"{source} must be non-negative, got {limit}")
-    return limit
+def _exhaustive_limit(exhaustive_limit: int | None) -> int:
+    """The node cap of the exhaustive sweeps, the default when None; a negative one raises."""
+    if exhaustive_limit is None:
+        return DEFAULT_EXHAUSTIVE_LIMIT
+    if exhaustive_limit < 0:
+        raise ValueError(f"exhaustive limit must be non-negative, got {exhaustive_limit}")
+    return exhaustive_limit
 
 
 def _table_bytes(n: int) -> int:
@@ -119,10 +105,10 @@ def _table_bytes(n: int) -> int:
 def check_sweep_size(n: int, exhaustive_limit: int | None, what: str, profile_bytes: int) -> None:
     """Refuse a sweep over all ``2^n`` profiles before anything is allocated.
 
-    The node count must be within the resolved limit, and the sweep's
+    The node count must be within ``_exhaustive_limit(exhaustive_limit)``, and the sweep's
     arrays, ``2^n * profile_bytes`` bytes, must fit in physical memory.
     """
-    limit = resolve_exhaustive_limit(exhaustive_limit)
+    limit = _exhaustive_limit(exhaustive_limit)
     if n > limit:
         raise StateSpaceTooLarge(f"{what} needs n <= {limit}, got n = {n}")
     check_memory((1 << n) * profile_bytes, StateSpaceTooLarge, f"{what} at n = {n} needs")

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .constructions import (
+    GeneratedGame,
     IrCycleParams,
     gen_ir_cycle,
     gen_max_line,
@@ -170,82 +171,55 @@ def _parse_scheduler(text: str, roles: dict | None, n: int, seed: int):
     raise GatewayGameError(f"unknown scheduler {text!r}")
 
 
-def _write_generated(out: Path, graph, sidecar: dict) -> str:
-    """Write the graph and its roles sidecar; returns the graph text the manifest hashes."""
-    text = graph_to_json(graph)
+# Per gen family: the flags it requires and how it calls its generator.
+_FAMILIES = {
+    "ir-cycle": (
+        ("n", "c", "r", "alpha"),
+        lambda a: gen_ir_cycle(IrCycleParams(a.n, a.c, a.r, a.alpha)),
+    ),
+    "non-wag": (
+        (),
+        lambda a: gen_non_wag(7 if a.alpha is None else a.alpha, experimental=a.experimental),
+    ),
+    "sum-poa-star": (("n", "alpha"), lambda a: gen_sum_poa_star(a.n, a.alpha)),
+    "max-line": (("alpha",), lambda a: gen_max_line(a.alpha)),
+    "max-poa-star": (("n",), lambda a: gen_max_poa_star(a.n)),
+}
+
+
+def _write_game(out: Path, argv, family: str, game: GeneratedGame, **extra) -> int:
+    """Write the graph, then its roles sidecar from the game's fields and
+    ``extra``, and emit the manifest over the graph text written."""
+    cfg = GameConfig(game.variant, game.alpha) if game.alpha is not None else None
+    text = graph_to_json(game.graph)
     out.write_text(text)
+    sidecar = {
+        "family": family,
+        "variant": game.variant.value,
+        "alpha": _jsonable(game.alpha),
+        "roles": _jsonable(game.roles),
+        "initial": list(game.initial.ids) if game.initial is not None else None,
+        "params": _jsonable(game.params),
+        **extra,
+    }
     _roles_path(out).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-    return text
+    _emit_manifest(argv, text, cfg, None)
+    return 0
 
 
 def _cmd_gen(args, argv) -> int:
-    family = args.family
-
-    def need(*names):
-        missing = [f"--{name}" for name in names if getattr(args, name) is None]
-        if missing:
-            raise GatewayGameError(f"{family} requires {', '.join(missing)}")
-
-    if family == "ir-cycle":
-        need("n", "c", "r", "alpha")
-        params = IrCycleParams(args.n, args.c, args.r, args.alpha)
-        game = gen_ir_cycle(params)
-        variant, alpha = Variant.SUM, params.alpha
-        recorded = {"n": args.n, "c": args.c, "r": args.r, "alpha": alpha}
-    elif family == "non-wag":
-        alpha = args.alpha if args.alpha is not None else Fraction(7)
-        game = gen_non_wag(alpha, experimental=args.experimental)
-        variant = Variant.SUM
-        recorded = {"alpha": alpha}
-    elif family == "sum-poa-star":
-        need("n", "alpha")
-        alpha = args.alpha
-        game = gen_sum_poa_star(args.n, alpha)
-        variant = Variant.SUM
-        recorded = {"n": args.n, "alpha": alpha}
-    elif family == "max-line":
-        need("alpha")
-        alpha = args.alpha
-        game = gen_max_line(alpha)
-        variant = Variant.MAX
-        recorded = {"alpha": alpha}
-    else:
-        need("n")
-        game = gen_max_poa_star(args.n)
-        variant, alpha = Variant.MAX, None
-        recorded = {"n": args.n}
-
-    sidecar = {
-        "family": family,
-        "variant": variant.value,
-        "alpha": frac_str(alpha) if alpha is not None else None,
-        "roles": _jsonable(game.roles),
-        "initial": list(game.initial.ids) if game.initial is not None else None,
-        "params": _jsonable(recorded),
-    }
-    cfg = GameConfig(variant, alpha) if alpha is not None else None
-    _emit_manifest(argv, _write_generated(Path(args.out), game.graph, sidecar), cfg, None)
-    return 0
+    required, generate = _FAMILIES[args.family]
+    missing = [f"--{name}" for name in required if getattr(args, name) is None]
+    if missing:
+        raise GatewayGameError(f"{args.family} requires {', '.join(missing)}")
+    return _write_game(Path(args.out), argv, args.family, generate(args))
 
 
 def _cmd_reduce(args, argv) -> int:
     inst = parse_set_cover(Path(args.setcover).read_text())
-    art = reduce_set_cover(inst, Variant(args.variant))
-    sidecar = {
-        "family": "setcover-reduction",
-        "variant": art.variant.value,
-        "alpha": frac_str(art.alpha),
-        "roles": _jsonable(art.role_map),
-        "initial": None,
-        "params": _jsonable(art.params),
-        "instance": {
-            "m": inst.m,
-            "sets": [sorted(s) for s in inst.sets],
-        },
-    }
-    cfg = GameConfig(art.variant, art.alpha)
-    _emit_manifest(argv, _write_generated(Path(args.out), art.graph, sidecar), cfg, None)
-    return 0
+    game = reduce_set_cover(inst, Variant(args.variant))
+    instance = {"m": inst.m, "sets": [sorted(s) for s in inst.sets]}
+    return _write_game(Path(args.out), argv, "setcover-reduction", game, instance=instance)
 
 
 def _load_instance(args):
@@ -394,10 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="cmd", required=True)
 
     gen = subs.add_parser("gen", help="emit a named graph family with a roles sidecar")
-    gen.add_argument(
-        "family",
-        choices=["ir-cycle", "non-wag", "sum-poa-star", "max-line", "max-poa-star"],
-    )
+    gen.add_argument("family", choices=list(_FAMILIES))
     gen.add_argument("--n", type=int)
     gen.add_argument("--c", type=int)
     gen.add_argument("--r", type=int)

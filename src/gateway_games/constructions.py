@@ -1,7 +1,8 @@
 """Parameterised instance families with known game-theoretic behaviour.
 
-Each generator returns a :class:`GeneratedGame` carrying the graph, a role
-map (which node plays which part), and a suggested initial profile.
+Each generator, and ``reduce_set_cover``, returns a :class:`GeneratedGame`
+carrying the graph, a role map (which node plays which part), a suggested
+initial profile, and the variant, price and parameters the instance is built for.
 Validity checks raise :class:`ParameterOutOfRange` with the violated
 inequality spelled out, so CLI users see exactly which bound they missed.
 The ``verify_*`` functions check the inequalities behind the two cycling
@@ -50,9 +51,15 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class GeneratedGame:
+    """A constructed instance.  ``alpha`` is None for a family built for every
+    price; ``params`` holds the values it was built from."""
+
     graph: Graph
     roles: dict
     initial: StrategyProfile | None
+    variant: Variant
+    alpha: Fraction | None
+    params: dict
 
 
 # Peak bytes per edge of ``gen`` through the CLI, which also writes the graph as
@@ -152,7 +159,10 @@ def gen_ir_cycle(params: IrCycleParams, *, validate: bool = True) -> GeneratedGa
         "w_pendants": tuple(w_pendants),
         "u_pendants": tuple(u_pendants),
     }
-    return GeneratedGame(graph, roles, StrategyProfile.of([w]))
+    return GeneratedGame(
+        graph, roles, StrategyProfile.of([w]), Variant.SUM, params.alpha,
+        {"n": n, "c": c, "r": r, "alpha": params.alpha},
+    )
 
 
 def gen_non_wag(alpha: Fraction | int = 7, *, experimental: bool = False) -> GeneratedGame:
@@ -195,7 +205,7 @@ def gen_non_wag(alpha: Fraction | int = 7, *, experimental: bool = False) -> Gen
         "y": tuple(y_nodes),
         "c": c,
     }
-    return GeneratedGame(graph, roles, StrategyProfile.of([w]))
+    return GeneratedGame(graph, roles, StrategyProfile.of([w]), Variant.SUM, alpha, {"alpha": alpha})
 
 
 def _star_of_paths(sizes: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -239,7 +249,9 @@ def gen_sum_poa_star(n: int, alpha: Fraction | int) -> GeneratedGame:
         "gateway": gateway,
         "path_leaves": tuple(path_leaves),
     }
-    return GeneratedGame(graph, roles, StrategyProfile.of([gateway]))
+    return GeneratedGame(
+        graph, roles, StrategyProfile.of([gateway]), Variant.SUM, alpha, {"n": n, "alpha": alpha}
+    )
 
 
 def gen_max_line(alpha: Fraction | int) -> GeneratedGame:
@@ -256,7 +268,7 @@ def gen_max_line(alpha: Fraction | int) -> GeneratedGame:
     _check_edges(n - 1, _GEN_EDGE_BYTES, f"max-line at n = {n}")
     graph = build_graph(n, [(i, i + 1) for i in range(n - 1)])
     roles = {"u": 0, "v": f + 1, "w": 2 * f + 2}
-    return GeneratedGame(graph, roles, StrategyProfile.of([0]))
+    return GeneratedGame(graph, roles, StrategyProfile.of([0]), Variant.MAX, alpha, {"alpha": alpha})
 
 
 def gen_max_poa_star(n: int) -> GeneratedGame:
@@ -269,7 +281,7 @@ def gen_max_poa_star(n: int) -> GeneratedGame:
     graph = build_graph(n, edges)
     gateway = leaves[-1]
     roles = {"center": 0, "gateway": gateway, "path_leaves": tuple(leaves)}
-    return GeneratedGame(graph, roles, StrategyProfile.of([gateway]))
+    return GeneratedGame(graph, roles, StrategyProfile.of([gateway]), Variant.MAX, None, {"n": n})
 
 
 @dataclass(frozen=True)
@@ -599,7 +611,10 @@ def parse_set_cover(text: str) -> SetCoverInstance:
         raise ValueError(f"expected {n_sets} set lines, found {len(body)}")
     sets = []
     for ln in body:
-        elems = frozenset(int(tok) for tok in ln.split())
+        try:
+            elems = frozenset(map(int, ln.split()))
+        except ValueError:
+            raise ValueError(f"malformed set line: {ln!r}") from None
         for e in elems:
             if not 0 <= e < m:
                 raise ValueError(f"element {e} outside [0, {m})")
@@ -616,16 +631,6 @@ def min_cover_size(inst: SetCoverInstance) -> int:
             if frozenset().union(*(inst.sets[i] for i in combo), frozenset()) == universe:
                 return size
     raise AssertionError("unreachable: full collection covers the universe")
-
-
-@dataclass(frozen=True)
-class ReductionArtifact:
-    graph: Graph
-    role_map: dict
-    alpha: Fraction
-    params: dict
-    variant: Variant
-    instance: SetCoverInstance
 
 
 # Peak bytes per edge of ``reduce`` through the CLI, which also writes the graph
@@ -659,7 +664,7 @@ def _check_covered(inst: SetCoverInstance) -> None:
         raise ElementUncovered(f"{missing} of the {inst.m} elements are in no set, first {first}")
 
 
-def reduce_set_cover(inst: SetCoverInstance, variant: Variant) -> ReductionArtifact:
+def reduce_set_cover(inst: SetCoverInstance, variant: Variant) -> GeneratedGame:
     """Embed a set-cover instance as a gateway placement problem.
 
     SUM: a ``(m-1)``-clique with a marked node ``c``, one node per set joined
@@ -684,7 +689,7 @@ def reduce_set_cover(inst: SetCoverInstance, variant: Variant) -> ReductionArtif
         _check_reduction_size(inst, variant)
         graph, roles = _reduction_graph(k, inst.sets, m, n_sets)
         alpha = Fraction(4 * n_sets * (m - 1))
-        return ReductionArtifact(graph, roles, alpha, {"w": n_sets, "k": k}, variant, inst)
+        return GeneratedGame(graph, roles, None, variant, alpha, {"w": n_sets, "k": k})
     target_m = 2 * n_sets
     if m < 1:
         raise ParameterOutOfRange(f"MAX reduction needs m >= 1 element; got {m}")
@@ -697,7 +702,7 @@ def reduce_set_cover(inst: SetCoverInstance, variant: Variant) -> ReductionArtif
     padded = [s.union(*(range(i + m, target_m, m) for i in s)) for s in inst.sets]
     graph, roles = _reduction_graph(3 * n_sets, padded, target_m, 1)
     params = {"w": 1, "k": 3 * n_sets, "padded_m": target_m}
-    return ReductionArtifact(graph, roles, Fraction(3), params, variant, inst)
+    return GeneratedGame(graph, roles, None, variant, Fraction(3), params)
 
 
 def _reduction_graph(k: int, sets, m: int, copies: int) -> tuple[Graph, dict]:
@@ -711,10 +716,10 @@ def _reduction_graph(k: int, sets, m: int, copies: int) -> tuple[Graph, dict]:
     for node, members in zip(set_nodes, sets):
         for i in members:
             edges.extend((node, copy) for copy in element_nodes[i])
-    role_map = {
+    roles = {
         "c": 0,
         "clique": tuple(range(k)),
         "set_nodes": tuple(set_nodes),
         "element_nodes": tuple(element_nodes),
     }
-    return build_graph(first + m * copies, edges), role_map
+    return build_graph(first + m * copies, edges), roles

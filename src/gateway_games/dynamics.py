@@ -307,9 +307,8 @@ def build_ir_state_graph(
     into the reached set; what stays unreached is trapped.  The sample cycle
     starts at the smallest kept mask and follows each state's lowest-bit
     improving move to a kept state until a state repeats.  The sweep is
-    exponential in ``n`` and refuses to run past the configured limit
-    (``GATEWAY_GAMES_EXHAUSTIVE_LIMIT``, default 20) or when its arrays would
-    not fit in physical memory.
+    exponential in ``n`` and refuses to run past ``exhaustive_limit`` nodes
+    (default 20) or when its arrays would not fit in physical memory.
     """
     _engine.check_sweep_size(g.n, exhaustive_limit, "profile sweep", _engine._table_bytes(g.n))
     d = all_pairs_distances(g)

@@ -72,9 +72,6 @@ class StrategyProfile:
     def ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.gateways))
 
-    def mask(self) -> int:
-        return sum(1 << v for v in self.gateways)
-
     @classmethod
     def from_mask(cls, mask: int) -> "StrategyProfile":
         if mask <= 0:

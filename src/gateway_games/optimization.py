@@ -240,7 +240,7 @@ def brute_force_optimum(
     """
     if mode not in ("auto", "bounded"):
         raise ValueError(f"unknown search mode: {mode!r}")
-    limit = _engine.resolve_exhaustive_limit(exhaustive_limit)
+    limit = _engine._exhaustive_limit(exhaustive_limit)
     if mode == "auto" and g.n <= limit:
         _engine.check_sweep_size(g.n, limit, "full enumeration", _engine._OPTIMUM_BYTES)
         sums = _engine.term_sums(all_pairs_distances(g).dist, maximum=cfg.variant is Variant.MAX)

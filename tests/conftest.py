@@ -86,6 +86,11 @@ def path_graph(n: int) -> Graph:
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def mask_of(s: StrategyProfile) -> int:
+    """The profile as the bit mask the exhaustive tables index it by."""
+    return sum(1 << v for v in s.gateways)
+
+
 def edge_list_text(g: Graph) -> str:
     """The plain edge-list format: ``n`` on the first line, then one ``u v`` per edge."""
     lines = [str(g.n), *(f"{u} {v}" for u, v in g.edges())]

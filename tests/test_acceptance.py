@@ -240,10 +240,10 @@ def test_criterion_09_set_cover_reductions_expose_cover_size():
         )
         assert isinstance(res.method, BoundedCardinality)
         chosen = set(res.best_profile.ids)
-        assert art.role_map["c"] in chosen
+        assert art.roles["c"] in chosen
         picked_sets = [
             i
-            for i, node in enumerate(art.role_map["set_nodes"])
+            for i, node in enumerate(art.roles["set_nodes"])
             if node in chosen
         ]
         assert len(picked_sets) == cover_size

@@ -198,10 +198,10 @@ def test_max_reduction_layout():
     g = art.graph
     assert g.n == 18
     assert g.edge_count() == 45
-    assert art.role_map["c"] == 0
-    assert art.role_map["clique"] == tuple(range(9))
-    assert art.role_map["set_nodes"] == (9, 10, 11)
-    assert art.role_map["element_nodes"] == tuple((12 + i,) for i in range(6))
+    assert art.roles["c"] == 0
+    assert art.roles["clique"] == tuple(range(9))
+    assert art.roles["set_nodes"] == (9, 10, 11)
+    assert art.roles["element_nodes"] == tuple((12 + i,) for i in range(6))
     assert art.alpha == 3
     assert art.params["padded_m"] == 6
 
@@ -211,7 +211,7 @@ def test_max_reduction_pads_elements():
     art = reduce_set_cover(inst, Variant.MAX)
     assert art.params["padded_m"] == 6
     # element 4 mirrors element 0, element 5 mirrors element 1
-    nodes = art.role_map["element_nodes"]
+    nodes = art.roles["element_nodes"]
     g = art.graph
     assert set(g.adj[nodes[4][0]]) == set(g.adj[nodes[0][0]])
     assert set(g.adj[nodes[5][0]]) == set(g.adj[nodes[1][0]])
@@ -248,10 +248,10 @@ def test_sum_reduction_layout_and_optimum():
     g = art.graph
     assert g.n == 34
     assert art.alpha == 80
-    assert art.role_map["c"] == 0
-    assert art.role_map["clique"] == (0, 1, 2, 3)
-    assert art.role_map["set_nodes"] == (4, 5, 6, 7, 8)
-    assert art.role_map["element_nodes"][0] == (9, 10, 11, 12, 13)
+    assert art.roles["c"] == 0
+    assert art.roles["clique"] == (0, 1, 2, 3)
+    assert art.roles["set_nodes"] == (4, 5, 6, 7, 8)
+    assert art.roles["element_nodes"][0] == (9, 10, 11, 12, 13)
     res = brute_force_optimum(g, GameConfig(Variant.SUM, art.alpha), mode="bounded")
     assert res.best_profile.ids == (0, 4, 5)
     assert res.best_cost == 2230
@@ -299,7 +299,7 @@ def build_case(label):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             art = reduce_set_cover(parse_set_cover(cover), Variant(variant))
-        return art.graph, art.role_map
+        return art.graph, art.roles
     if family == "ir-cycle":
         n, c, r, alpha = map(int, args)
         game = gen_ir_cycle(IrCycleParams(n, c, r, Fraction(alpha)))

@@ -1,3 +1,4 @@
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from gateway_games import (
     BestGain,
+    BoundedCardinality,
     BudgetExhausted,
     Classification,
     ConvergedToNE,
     CycleDetected,
     FixedSequence,
+    FullEnumeration,
     GameConfig,
     IrCycleParams,
     MoveKind,
@@ -36,7 +39,6 @@ from gateway_games import (
     gen_non_wag,
     graph_to_json,
     replay_trace,
-    resolve_exhaustive_limit,
     run_dynamics,
     verify_cycle_conditions,
     verify_max_line_conditions,
@@ -50,6 +52,7 @@ from conftest import (
     count_calls,
     graph_profile_pairs,
     knife_prices,
+    mask_of,
     oracle_move,
     path_graph,
     random_connected_graph,
@@ -245,21 +248,29 @@ def test_state_space_cap(p5):
         build_ir_state_graph(p5, GameConfig(SUM, 1), exhaustive_limit=4)
 
 
-def test_exhaustive_limit_env(monkeypatch):
-    monkeypatch.delenv("GATEWAY_GAMES_EXHAUSTIVE_LIMIT", raising=False)
-    assert resolve_exhaustive_limit(None) == 20
-    assert resolve_exhaustive_limit(11) == 11
-    monkeypatch.setenv("GATEWAY_GAMES_EXHAUSTIVE_LIMIT", "6")
-    assert resolve_exhaustive_limit(None) == 6
-    assert resolve_exhaustive_limit(0) == 0
-    with pytest.raises(ValueError, match="non-negative"):
-        resolve_exhaustive_limit(-1)
-    monkeypatch.setenv("GATEWAY_GAMES_EXHAUSTIVE_LIMIT", "-1")
-    with pytest.raises(ValueError, match="GATEWAY_GAMES_EXHAUSTIVE_LIMIT"):
-        resolve_exhaustive_limit(None)
-    monkeypatch.setenv("GATEWAY_GAMES_EXHAUSTIVE_LIMIT", "abc")
-    with pytest.raises(ValueError, match="GATEWAY_GAMES_EXHAUSTIVE_LIMIT"):
-        resolve_exhaustive_limit(None)
+def test_exhaustive_limit_default_override_and_refusal(p5):
+    """The cap is 20 nodes unless ``exhaustive_limit`` says otherwise; the
+    optimum routes past it to the bounded search instead of refusing."""
+    cfg = GameConfig(SUM, 1000)
+    refusing = [build_ir_state_graph, enumerate_equilibria]
+    for sweep in refusing:
+        with pytest.raises(StateSpaceTooLarge, match=r"n <= 20, got n = 21"):
+            sweep(path_graph(21), cfg)
+        with pytest.raises(StateSpaceTooLarge, match=r"n <= 4, got n = 5"):
+            sweep(p5, cfg, exhaustive_limit=4)
+        with pytest.raises(StateSpaceTooLarge, match=r"n <= 0, got n = 5"):
+            sweep(p5, cfg, exhaustive_limit=0)
+        assert sweep(p5, cfg, exhaustive_limit=5) == sweep(p5, cfg)
+    assert isinstance(brute_force_optimum(path_graph(21), cfg).method, BoundedCardinality)
+    assert isinstance(brute_force_optimum(path_graph(20), cfg).method, FullEnumeration)
+    assert isinstance(brute_force_optimum(p5, cfg, exhaustive_limit=4).method, BoundedCardinality)
+    assert isinstance(brute_force_optimum(p5, cfg, exhaustive_limit=0).method, BoundedCardinality)
+    assert isinstance(brute_force_optimum(p5, cfg, exhaustive_limit=5).method, FullEnumeration)
+    for sweep in refusing + [brute_force_optimum]:
+        with pytest.raises(ValueError, match="exhaustive limit must be non-negative, got -1"):
+            sweep(p5, cfg, exhaustive_limit=-1)
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        brute_force_optimum(p5, cfg, mode="bounded", exhaustive_limit=-1)
 
 
 def test_sweeps_beyond_physical_memory_are_refused_before_allocating(
@@ -300,7 +311,7 @@ def test_memory_guard_admits_its_estimate_and_refuses_one_node_more(monkeypatch)
     refuses it one byte below and at n + 1."""
     n = 10
     memory = {"SC_PAGE_SIZE": 1}
-    monkeypatch.setattr(_engine.os, "sysconf", memory.__getitem__)
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     cfg = GameConfig(SUM, 2)
     sweeps = [
         (4 * n + 2 + 4, lambda g: build_ir_state_graph(g, cfg, exhaustive_limit=g.n)),
@@ -363,7 +374,7 @@ def test_random_walks_replay(seed):
 
 def _oracle_improving(g, cfg, state, cache):
     """Per node ``(kind, delta)`` of the hub oracle, and the improving node ids."""
-    key = state.mask()
+    key = mask_of(state)
     if key not in cache:
         row = [oracle_move(g, cfg.variant, cfg.alpha, state, v) for v in range(g.n)]
         good = [v for v, (_, delta, forbidden) in enumerate(row) if delta < 0 and not forbidden]
@@ -474,7 +485,7 @@ def test_classifier_matches_plain_search_over_hub_oracle(g, variant, alpha):
         while True:
             s = path[-1]
             nxt = min(
-                (t for t in succ[s] if t not in halting), key=lambda t: t.mask() ^ s.mask()
+                (t for t in succ[s] if t not in halting), key=lambda t: mask_of(t) ^ mask_of(s)
             )
             if nxt in path:
                 assert report.cycle == tuple(path[path.index(nxt):])
@@ -540,10 +551,10 @@ def _assert_walks_agree(g, variant, price):
     kept = _dynamics._fixpoint(packed, np.bitwise_or.reduce(packed, axis=0), grow=False)
     assert _engine._unpack(kept, 1 << g.n).tolist() == alive.tolist()
     report = build_ir_state_graph(g, GameConfig(variant, price))
-    assert [s.mask() for s in report.ne_states] == sinks
-    assert [s.mask() for s in report.trapped or ()] == trapped
+    assert [mask_of(s) for s in report.ne_states] == sinks
+    assert [mask_of(s) for s in report.trapped or ()] == trapped
     assert (cycle is None) == (report.cycle is None)
-    assert [s.mask() for s in report.cycle or ()] == (cycle or [])
+    assert [mask_of(s) for s in report.cycle or ()] == (cycle or [])
 
 
 @given(st.integers(8, 14), st.integers(0, 2**32 - 1), st.sampled_from([SUM, MAX]), st.data())
@@ -577,7 +588,7 @@ def test_golden_sum_witness_is_not_weakly_acyclic():
     assert report.state_count == 63
     assert [p.ids for p in report.ne_states] == [(0, 1, 2, 3, 4, 5)]
     trapped = [m for m in range(1, 64) if (m >> 1 & 7).bit_count() <= 1]
-    assert [p.mask() for p in report.trapped] == trapped and len(trapped) == 31
+    assert [mask_of(p) for p in report.trapped] == trapped and len(trapped) == 31
     assert [p.ids for p in report.cycle] == [(0, 1, 5), (1, 5), (1, 4, 5), (0, 1, 4, 5)]
 
 

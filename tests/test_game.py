@@ -36,6 +36,7 @@ from conftest import (
     graph_profile_pairs,
     hub_distances,
     knife_prices,
+    mask_of,
     oracle_move,
     oracle_private_cost,
     path_graph,
@@ -54,7 +55,7 @@ def test_profile_rejects_empty():
 def test_profile_mask_round_trip():
     s = StrategyProfile.of([4, 1, 2])
     assert s.ids == (1, 2, 4)
-    assert StrategyProfile.from_mask(s.mask()) == s
+    assert StrategyProfile.from_mask(mask_of(s)) == s
     assert s.toggled(1).ids == (2, 4)
     assert s.toggled(0).ids == (0, 1, 2, 4)
 

@@ -4,11 +4,13 @@ import gateway_games
 
 REMOVED = (
     "CostReport",
+    "ReductionArtifact",
     "RegimeReport",
     "cost_report",
     "graph_to_edge_text",
     "multi_source_levels",
     "poa_regime_report",
+    "resolve_exhaustive_limit",
 )
 
 
