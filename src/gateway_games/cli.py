@@ -13,10 +13,13 @@ response cycle, 4 step budget exhausted, 5 restricted scheduler stalled.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import re
 import sys
+import warnings
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -44,15 +47,14 @@ from .dynamics import (
     RoundRobin,
     Stalled,
     build_ir_state_graph,
+    run_dynamics,
 )
-from .dynamics import run_dynamics
 from .errors import GatewayGameError
-from .game import GameConfig, StrategyProfile, Variant, frac_str, parse_fraction
+from .game import GameConfig, StrategyProfile, Variant, frac_str
 from .graphs import graph_to_json, parse_graph
 from .optimization import (
     BoundedCardinality,
     brute_force_optimum,
-    catalog_to_csv,
     enumerate_equilibria,
     poa_regime,
 )
@@ -62,37 +64,34 @@ WITNESS_CAP = 32
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return parse_fraction(text)
+        return Fraction(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
 
 
-def _jsonable(value):
+def _fraction_json(value) -> str:
     if isinstance(value, Fraction):
         return frac_str(value)
-    if isinstance(value, dict):
-        return {key: _jsonable(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(val) for val in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _to_json(doc, indent: int | None = None) -> str:
+    """The one JSON writer: sorted keys, every Fraction as ``p/q``."""
+    return json.dumps(doc, sort_keys=True, indent=indent, default=_fraction_json)
 
 
 def _emit_manifest(argv, graph_text, cfg, seed) -> None:
     entry = {
-        "command": list(argv),
-        "graph_sha256": hashlib.sha256(graph_text.encode()).hexdigest()
-        if graph_text is not None
-        else None,
-        "cfg": {"variant": cfg.variant.value, "alpha": frac_str(cfg.alpha)}
-        if cfg is not None
-        else None,
+        "command": argv,
+        "graph_sha256": hashlib.sha256(graph_text.encode()).hexdigest(),
+        "cfg": {"variant": cfg.variant.value, "alpha": cfg.alpha} if cfg is not None else None,
         "seed": seed,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    print(json.dumps(entry, sort_keys=True), file=sys.stderr)
+    print(_to_json(entry), file=sys.stderr)
 
 
 def _roles_path(path: Path) -> Path:
@@ -100,7 +99,7 @@ def _roles_path(path: Path) -> Path:
 
 
 def _load_roles(args) -> dict | None:
-    if getattr(args, "roles", None):
+    if args.roles:
         path = Path(args.roles)
     else:
         path = _roles_path(Path(args.graph))
@@ -136,7 +135,7 @@ def _flatten(value) -> list[int]:
 def _resolve_tokens(text: str, roles: dict | None, n: int) -> list[int]:
     """Comma/space-separated node ids, role names, or the token ``all``."""
     ids: list[int] = []
-    role_table = (roles or {}).get("roles", roles) or {}
+    role_table = (roles or {}).get("roles") or {}
     for token in re.split(r"[,\s]+", text.strip()):
         if not token:
             continue
@@ -196,13 +195,13 @@ def _write_game(out: Path, argv, family: str, game: GeneratedGame, **extra) -> i
     sidecar = {
         "family": family,
         "variant": game.variant.value,
-        "alpha": _jsonable(game.alpha),
-        "roles": _jsonable(game.roles),
-        "initial": list(game.initial.ids) if game.initial is not None else None,
-        "params": _jsonable(game.params),
+        "alpha": game.alpha,
+        "roles": game.roles,
+        "initial": game.initial.ids if game.initial is not None else None,
+        "params": game.params,
         **extra,
     }
-    _roles_path(out).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    _roles_path(out).write_text(_to_json(sidecar, indent=2) + "\n")
     _emit_manifest(argv, text, cfg, None)
     return 0
 
@@ -217,22 +216,37 @@ def _cmd_gen(args, argv) -> int:
 
 def _cmd_reduce(args, argv) -> int:
     inst = parse_set_cover(Path(args.setcover).read_text())
-    game = reduce_set_cover(inst, Variant(args.variant))
+    # The library warns when a small SUM cover may not separate costs; the
+    # CLI reports that as one plain line, on every call in the process.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        game = reduce_set_cover(inst, Variant(args.variant))
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     instance = {"m": inst.m, "sets": [sorted(s) for s in inst.sets]}
     return _write_game(Path(args.out), argv, "setcover-reduction", game, instance=instance)
 
 
-def _load_instance(args):
-    text = Path(args.graph).read_text()
-    g = parse_graph(text)
+def _load_instance(args, argv, seed=None):
+    """Parse the graph, build the config and emit the manifest."""
+    g = parse_graph(Path(args.graph).read_text())
     cfg = GameConfig(Variant(args.variant), args.alpha)
-    return g, cfg, graph_to_json(g)
+    _emit_manifest(argv, graph_to_json(g), cfg, seed)
+    return g, cfg
+
+
+# Per dynamics outcome: its name, its exit code and the fields it reports.
+_OUTCOMES = {
+    ConvergedToNE: ("converged", 0, ("final", "steps")),
+    CycleDetected: ("cycle", 3, ("entry_index", "period")),
+    BudgetExhausted: ("budget-exhausted", 4, ("steps",)),
+    Stalled: ("stalled", 5, ("final",)),
+}
 
 
 def _cmd_dynamics(args, argv) -> int:
-    g, cfg, canonical = _load_instance(args)
     roles = _load_roles(args)
-    _emit_manifest(argv, canonical, cfg, args.seed)
+    g, cfg = _load_instance(args, argv, args.seed)
     if args.init is not None:
         init_ids = _resolve_tokens(args.init, roles, g.n)
     elif roles and roles.get("initial"):
@@ -244,119 +258,92 @@ def _cmd_dynamics(args, argv) -> int:
         g, cfg, StrategyProfile.of(init_ids), scheduler, max_steps=args.max_steps
     )
     for i, (_, move) in enumerate(trace.steps):
-        print(
-            json.dumps(
-                {
-                    "step": i,
-                    "node": move.node,
-                    "move": move.kind.value,
-                    "delta": frac_str(move.cost_delta),
-                },
-                sort_keys=True,
-            )
-        )
-    outcome = trace.outcome
-    if isinstance(outcome, ConvergedToNE):
-        doc = {
-            "outcome": "converged",
-            "final": list(outcome.profile.ids),
-            "steps": len(trace.steps),
-        }
-        code = 0
-    elif isinstance(outcome, CycleDetected):
-        doc = {
-            "outcome": "cycle",
-            "entry_index": outcome.entry_index,
-            "period": outcome.period,
-        }
-        code = 3
-    elif isinstance(outcome, BudgetExhausted):
-        doc = {"outcome": "budget-exhausted", "steps": len(trace.steps)}
-        code = 4
-    else:
-        assert isinstance(outcome, Stalled)
-        doc = {"outcome": "stalled", "final": list(outcome.profile.ids)}
-        code = 5
-    print(json.dumps(doc, sort_keys=True))
+        step = {"step": i, "node": move.node, "move": move.kind.value, "delta": move.cost_delta}
+        print(_to_json(step))
+    name, code, fields = _OUTCOMES[type(trace.outcome)]
+    facts = {"final": trace.final.ids, "steps": len(trace.steps), **vars(trace.outcome)}
+    print(_to_json({"outcome": name, **{field: facts[field] for field in fields}}))
     return code
 
 
-def _cmd_classify(args, argv) -> int:
-    g, cfg, canonical = _load_instance(args)
-    _emit_manifest(argv, canonical, cfg, None)
+def _classify(g, cfg, args) -> dict:
     report = build_ir_state_graph(g, cfg, exhaustive_limit=args.limit)
     trapped = report.trapped or ()
-    doc = {
+    return {
         "state_count": report.state_count,
         "classification": report.classification.value,
         "ne_count": len(report.ne_states),
-        "ne_states": [list(p.ids) for p in report.ne_states[:WITNESS_CAP]],
-        "cycle": [list(p.ids) for p in report.cycle] if report.cycle else None,
+        "ne_states": [p.ids for p in report.ne_states[:WITNESS_CAP]],
+        "cycle": [p.ids for p in report.cycle] if report.cycle else None,
         "trapped_count": len(trapped),
-        "trapped_examples": [list(p.ids) for p in trapped[:WITNESS_CAP]],
+        "trapped_examples": [p.ids for p in trapped[:WITNESS_CAP]],
     }
-    print(json.dumps(doc, sort_keys=True, indent=2))
-    return 0
 
 
-def _cmd_optimum(args, argv) -> int:
-    g, cfg, canonical = _load_instance(args)
-    _emit_manifest(argv, canonical, cfg, None)
-    result = brute_force_optimum(
-        g,
-        cfg,
-        mode="bounded" if args.bounded else "auto",
-        exhaustive_limit=args.limit,
-    )
+def _optimum(g, cfg, args) -> dict:
+    mode = "bounded" if args.bounded else "auto"
+    result = brute_force_optimum(g, cfg, mode=mode, exhaustive_limit=args.limit)
     bounded = isinstance(result.method, BoundedCardinality)
-    doc = {
-        "profile": list(result.best_profile.ids),
-        "cost": frac_str(result.best_cost),
+    return {
+        "profile": result.best_profile.ids,
+        "cost": result.best_cost,
         "method": "bounded" if bounded else "full",
         "bound": result.method.bound if bounded else None,
         "certified_exact": result.certified_exact,
     }
-    print(json.dumps(doc, sort_keys=True, indent=2))
-    return 0
 
 
-def _cmd_equilibria(args, argv) -> int:
-    g, cfg, canonical = _load_instance(args)
-    _emit_manifest(argv, canonical, cfg, None)
+def _equilibria(g, cfg, args) -> str:
+    """CSV rows ``profile,cost,is_optimal``; gateway ids space-separated."""
     catalog = enumerate_equilibria(g, cfg, exhaustive_limit=args.limit)
-    sys.stdout.write(catalog_to_csv(catalog))
-    return 0
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["profile", "cost", "is_optimal"])
+    for profile, cost in catalog.equilibria:
+        flag = "true" if cost == catalog.optimum.best_cost else "false"
+        writer.writerow([" ".join(map(str, profile.ids)), frac_str(cost), flag])
+    return buf.getvalue()
 
 
-def _cmd_poa(args, argv) -> int:
-    g, cfg, canonical = _load_instance(args)
-    _emit_manifest(argv, canonical, cfg, None)
+def _poa(g, cfg, args) -> dict:
     catalog = enumerate_equilibria(g, cfg, exhaustive_limit=args.limit)
     regime, envelope = poa_regime(g.n, cfg)
-    doc = {
+    return {
         "variant": cfg.variant.value,
-        "alpha": frac_str(cfg.alpha),
+        "alpha": cfg.alpha,
         "n": g.n,
-        "poa": frac_str(catalog.poa) if catalog.poa is not None else None,
-        "pos": frac_str(catalog.pos) if catalog.pos is not None else None,
-        "optimum_cost": frac_str(catalog.optimum.best_cost),
-        "optimum_profile": list(catalog.optimum.best_profile.ids),
+        "poa": catalog.poa,
+        "pos": catalog.pos,
+        "optimum_cost": catalog.optimum.best_cost,
+        "optimum_profile": catalog.optimum.best_profile.ids,
         "equilibrium_count": len(catalog.equilibria),
         "regime": regime,
         "envelope": envelope,
     }
-    print(json.dumps(doc, sort_keys=True, indent=2))
+
+
+# Per report subcommand: the function that builds its report, and its help.
+_REPORTS = {
+    "classify": (_classify, "classify the improving-response graph"),
+    "optimum": (_optimum, "exact social optimum"),
+    "equilibria": (_equilibria, "list all equilibria as CSV"),
+    "poa": (_poa, "price of anarchy/stability report"),
+}
+
+
+def _cmd_report(args, argv) -> int:
+    """Write a report subcommand's result: the CSV as is, a document as JSON."""
+    g, cfg = _load_instance(args, argv)
+    build, _ = _REPORTS[args.cmd]
+    report = build(g, cfg, args)
+    sys.stdout.write(report if isinstance(report, str) else _to_json(report, indent=2) + "\n")
     return 0
 
 
-def _add_instance_flags(sub, *, limit=True):
+def _add_instance_flags(sub):
     sub.add_argument("--graph", required=True, help="graph file (JSON or edge list)")
     sub.add_argument("--variant", choices=["sum", "max"], default="sum")
     sub.add_argument("--alpha", type=_fraction_arg, required=True)
-    if limit:
-        sub.add_argument(
-            "--limit", type=int, default=None, help="override the exhaustive cap"
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
 
     dyn = subs.add_parser("dynamics", help="run improving-response dynamics")
-    _add_instance_flags(dyn, limit=False)
+    _add_instance_flags(dyn)
     dyn.add_argument("--roles", help="roles sidecar (default: alongside the graph)")
     dyn.add_argument("--init", help="initial gateways: ids, role names, or 'all'")
     dyn.add_argument(
@@ -388,18 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     dyn.add_argument("--seed", type=int, default=0)
     dyn.add_argument("--max-steps", type=int, default=None)
 
-    cls = subs.add_parser("classify", help="classify the improving-response graph")
-    _add_instance_flags(cls)
-
-    opt = subs.add_parser("optimum", help="exact social optimum")
-    _add_instance_flags(opt)
-    opt.add_argument("--bounded", action="store_true", help="force the bounded method")
-
-    eq = subs.add_parser("equilibria", help="list all equilibria as CSV")
-    _add_instance_flags(eq)
-
-    poa = subs.add_parser("poa", help="price of anarchy/stability report")
-    _add_instance_flags(poa)
+    for name, (_, summary) in _REPORTS.items():
+        report = subs.add_parser(name, help=summary)
+        _add_instance_flags(report)
+        report.add_argument("--limit", type=int, default=None, help="override the exhaustive cap")
+    subs.choices["optimum"].add_argument(
+        "--bounded", action="store_true", help="force the bounded method"
+    )
 
     red = subs.add_parser("reduce", help="embed a set-cover instance as a game")
     red.add_argument("--setcover", required=True, help="text instance: 'm n_sets' header")
@@ -412,10 +394,7 @@ _HANDLERS = {
     "gen": _cmd_gen,
     "reduce": _cmd_reduce,
     "dynamics": _cmd_dynamics,
-    "classify": _cmd_classify,
-    "optimum": _cmd_optimum,
-    "equilibria": _cmd_equilibria,
-    "poa": _cmd_poa,
+    **dict.fromkeys(_REPORTS, _cmd_report),
 }
 
 

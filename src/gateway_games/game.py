@@ -235,11 +235,6 @@ def frac_str(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Accepts ``p/q``, integers, and exact decimal strings like ``3.5``."""
-    return Fraction(text.strip())
-
-
 def floor_sqrt(x: Fraction | int) -> int:
     """Largest integer ``k`` with ``k*k <= x``, exact for rationals."""
     f = Fraction(x)

@@ -23,8 +23,6 @@ no other level is ever visited.  Both methods certify an exact optimum.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -34,7 +32,7 @@ import numpy as np
 
 from . import _engine
 from .errors import StateSpaceTooLarge
-from .game import GameConfig, StrategyProfile, Variant, frac_str, social_cost
+from .game import GameConfig, StrategyProfile, Variant, social_cost
 from .graphs import DistanceOracle, Graph, all_pairs_distances
 
 # Canonical-profile count above which the bounded method refuses to start.
@@ -325,13 +323,3 @@ def poa_regime(n: int, cfg: GameConfig) -> tuple[str, str]:
         return "n-1 < alpha < n(n-1)", "Theta(n^2 / alpha)"
     return "alpha >= n(n-1)", "constant"
 
-
-def catalog_to_csv(catalog: EquilibriumCatalog) -> str:
-    """CSV rows ``profile,cost,is_optimal``; gateway ids space-separated."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["profile", "cost", "is_optimal"])
-    for profile, cost in catalog.equilibria:
-        flag = "true" if cost == catalog.optimum.best_cost else "false"
-        writer.writerow([" ".join(str(v) for v in profile.ids), frac_str(cost), flag])
-    return buf.getvalue()

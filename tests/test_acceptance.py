@@ -5,10 +5,12 @@ doubles as a check list when run with ``pytest -s tests/test_acceptance.py``.
 """
 
 import functools
+import hashlib
 import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from gateway_games import (
     BoundedCardinality,
@@ -24,6 +26,7 @@ from gateway_games import (
     brute_force_optimum,
     build_graph,
     build_ir_state_graph,
+    cli,
     construct_max_ne,
     enumerate_equilibria,
     gen_ir_cycle,
@@ -328,3 +331,44 @@ def test_criterion_11_every_command_is_deterministic(tmp_path):
         assert files == {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         if argv[0] in ("optimum", "classify", "poa"):
             json.loads(first.stdout)
+
+
+# sha256 prefixes of stdout and the exit code of each invocation below,
+# recorded before the CLI's handlers shared one loader and one JSON writer.
+STDOUT_DIGESTS = [
+    ("gen ir-cycle --n 10 --c 1 --r 2 --alpha 5 --out cyc.json", 0, "e3b0c44298fc1c14"),
+    ("gen sum-poa-star --n 13 --alpha 9 --out star.json", 0, "e3b0c44298fc1c14"),
+    ("gen max-poa-star --n 10 --out mstar.json", 0, "e3b0c44298fc1c14"),
+    ("reduce --setcover cover.txt --variant sum --out red.json", 0, "e3b0c44298fc1c14"),
+    ("dynamics --graph gadget.json --alpha 7 --seed 3 --scheduler random", 3, "91471bc324719ee7"),
+    ("dynamics --graph line.json --variant max --alpha 5/2 --init u --scheduler fixed:w,v",
+     3, "978ff793fb2f0e42"),
+    ("classify --graph gadget.json --alpha 7", 0, "00fba796db1cfc65"),
+    ("optimum --graph gadget.json --alpha 7", 0, "9f5d1336eff5a8ee"),
+    ("equilibria --graph gadget.json --alpha 7", 0, "57d0615df8d3f468"),
+    ("poa --graph gadget.json --alpha 7", 0, "820eafa09df0485c"),
+    ("dynamics --graph p5.txt --alpha 100 --init 0,4 --scheduler opens-only:2", 5, "dbddbf753d421dcb"),
+    ("dynamics --graph p5.txt --alpha 1/2 --init 0 --max-steps 1", 4, "dd6d1cf4a4f1946c"),
+    ("optimum --graph star.json --alpha 9 --bounded", 0, "9c683178286020be"),
+]
+
+
+@criterion(11)
+def test_criterion_11_stdout_and_exit_codes_match_recorded_digests(
+    tmp_path, monkeypatch, capsys
+):
+    """Criterion 11's invocations, a stalled and a budget-exhausted run, and
+    the bounded optimum on the 13-node SUM star keep their stdout bytes and
+    exit codes."""
+    monkeypatch.chdir(tmp_path)
+    Path("cover.txt").write_text("5 5\n0 1 2\n3 4\n0 3\n1 4\n2\n")
+    Path("p5.txt").write_text("5\n0 1\n1 2\n2 3\n3 4\n")
+    assert cli.main(["gen", "non-wag", "--out", "gadget.json"]) == 0
+    assert cli.main(["gen", "max-line", "--alpha", "5/2", "--out", "line.json"]) == 0
+    capsys.readouterr()
+    got = []
+    for command, _, _ in STDOUT_DIGESTS:
+        code = cli.main(command.split())
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+        got.append((command, code, digest))
+    assert got == STDOUT_DIGESTS

@@ -234,6 +234,53 @@ def test_zero_denominator_price_is_named(p5_file):
     assert "Traceback" not in proc.stderr
 
 
+def test_alpha_accepts_common_forms_and_names_bad_ones(k4_file, capsys):
+    """``--alpha`` reads ``p/q``, decimals and padded integers exactly; a bad
+    literal or a zero denominator is an argparse error (exit 2) that names it."""
+    for text, alpha in [("5/2", "5/2"), ("3.5", "7/2"), (" 7 ", "7/1")]:
+        assert cli.main(["poa", "--graph", str(k4_file), "--alpha", text]) == 0
+        assert json.loads(capsys.readouterr().out)["alpha"] == alpha
+    for text, message in [
+        ("nope", "Invalid literal for Fraction: 'nope'"),
+        ("1/0", "'1/0' has a zero denominator"),
+    ]:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["poa", "--graph", str(k4_file), "--alpha", text])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"gateway-games poa: error: argument --alpha: {message}"
+
+
+def test_small_sum_reduction_warns_in_one_plain_line(tmp_path):
+    """A SUM cover of at most four sets or elements gets one ``warning:`` line
+    on stderr, not a raw Python warning; the run still succeeds."""
+    cover = tmp_path / "cover.txt"
+    cover.write_text(cover_text(3, 6))
+    proc = run_cli("reduce", "--setcover", cover, "--variant", "sum", "--out", tmp_path / "r.json")
+    assert proc.returncode == 0 and proc.stdout == ""
+    warning, manifest = proc.stderr.splitlines()
+    assert warning == (
+        "warning: cost separation is only guaranteed for more than four sets and elements"
+    )
+    assert json.loads(manifest)["command"][0] == "reduce"
+    assert "UserWarning" not in proc.stderr
+    assert (tmp_path / "r.roles.json").exists()
+
+
+def test_sidecar_without_roles_key_is_not_read_as_roles(tmp_path):
+    """Role names come only from a sidecar's ``"roles"`` object: a flat
+    ``{"u": 0}`` names no role, so ``--init u`` is one error."""
+    graph = tmp_path / "p3.txt"
+    graph.write_text("3\n0 1\n1 2\n")
+    (tmp_path / "p3.roles.json").write_text('{"u": 0}')
+    proc = run_cli("dynamics", "--graph", graph, "--alpha", 1, "--init", "u")
+    assert_one_error(proc)
+    assert proc.stderr.splitlines()[-1] == (
+        "error: token 'u' is neither a node id nor a known role"
+    )
+
+
 def cover_text(m, n_sets):
     """``n_sets`` sets that each hold all ``m`` elements."""
     return f"{m} {n_sets}\n" + (" ".join(map(str, range(m))) + "\n") * n_sets

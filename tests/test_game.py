@@ -22,7 +22,6 @@ from gateway_games import (
     improving_moves,
     is_nash_equilibrium,
     metrics,
-    parse_fraction,
     private_cost,
     social_cost,
 )
@@ -548,14 +547,6 @@ def test_frac_str_always_has_denominator():
     assert frac_str(Fraction(15)) == "15/1"
     assert frac_str(Fraction(-7, 2)) == "-7/2"
     assert frac_str(3) == "3/1"
-
-
-def test_parse_fraction_accepts_common_forms():
-    assert parse_fraction("5/2") == Fraction(5, 2)
-    assert parse_fraction("3.5") == Fraction(7, 2)
-    assert parse_fraction(" 7 ") == Fraction(7)
-    with pytest.raises(ValueError):
-        parse_fraction("nope")
 
 
 @given(st.fractions(min_value=0, max_value=Fraction(10**9)))

@@ -18,7 +18,6 @@ from gateway_games import (
     all_pairs_distances,
     brute_force_optimum,
     build_graph,
-    catalog_to_csv,
     enumerate_equilibria,
     graph_to_json,
     greedy_gateways,
@@ -395,18 +394,6 @@ def test_clique_catalog(k4):
     assert cat.optimum.best_cost == 6
     alpha, n = Fraction(3, 2), 4
     assert cat.poa == (alpha + n * (n - 1)) / (n * alpha)
-
-
-def test_catalog_csv_golden(k4):
-    cat = enumerate_equilibria(k4, GameConfig(SUM, Fraction(3, 2)))
-    assert catalog_to_csv(cat) == (
-        "profile,cost,is_optimal\n"
-        "0 1 2 3,6/1,true\n"
-        "0,27/2,false\n"
-        "1,27/2,false\n"
-        "2,27/2,false\n"
-        "3,27/2,false\n"
-    )
 
 
 def test_path_tiny_alpha_unique_equilibrium(p3):

@@ -6,9 +6,11 @@ REMOVED = (
     "CostReport",
     "ReductionArtifact",
     "RegimeReport",
+    "catalog_to_csv",
     "cost_report",
     "graph_to_edge_text",
     "multi_source_levels",
+    "parse_fraction",
     "poa_regime_report",
     "resolve_exhaustive_limit",
 )
