@@ -48,8 +48,8 @@ graph.  Three bounds decide it: a table entry is at most the sentinel ``n``,
 so ``a(v) + a(u) <= 2n``; ``min(d, .) <= d``, so a SUM term never exceeds its
 node's plain distance row sum; and a MAX term is at most ``n - 1``.  So uint8
 is exact when ``2n <= 255`` and, for SUM, every row sum of ``d`` is at most
-255.  Otherwise int16 is, for n <= 181 (a SUM term is at most ``n(n-1)``;
-callers: n <= 63).
+255.  Otherwise the oracle's own dtype is, by the rule of
+``graphs._oracle_dtype``: int16 at the sweeps' n <= 63, so no copy is made.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ def check_sweep_size(n: int, exhaustive_limit: int | None, what: str, profile_by
 
 def _thresholds(alpha: Fraction) -> tuple[int, int]:
     """``(open_at, close_at)``: an open improves iff ``dv <= open_at``, a close
-    iff ``dv <= close_at``.  Clamped to int64 (``|dv|`` is at most n * diameter)."""
+    iff ``dv <= close_at``.  Clamped to int64 (``|dv|`` is at most n * diameter);
+    numpy 2 compares them exactly with a ``dv`` of any oracle dtype."""
     return max(-(math.floor(alpha) + 1), -_CLAMP), min(math.ceil(alpha) - 1, _CLAMP)
 
 
@@ -131,10 +132,11 @@ def _terms(dist: np.ndarray, a: np.ndarray, base: np.ndarray, maximum: bool) -> 
 
 
 def _narrow(dist: np.ndarray, maximum: bool) -> np.ndarray:
-    """The distances in uint8 where the module docstring's bounds allow it, else int16."""
+    """The distances in uint8 where the module docstring's bounds allow it, else
+    in int16, the oracle's dtype at the sweeps' sizes, which is not copied."""
     n = dist.shape[0]
     narrow = 2 * n <= 255 and (maximum or int(dist.sum(axis=1).max()) <= 255)
-    return dist.astype(np.uint8 if narrow else np.int16)
+    return dist.astype(np.uint8 if narrow else np.int16, copy=False)
 
 
 def _chunk_masks(dn: np.ndarray) -> int:

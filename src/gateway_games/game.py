@@ -126,12 +126,25 @@ def _check_ids(n: int, ids: Collection[int], what: str = "node") -> None:
         raise NodeIdOutOfRange(f"{what} {bad} outside [0, {n})")
 
 
-def _profile(d: DistanceOracle, s: StrategyProfile, *nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(gates, a)``: the gateways of ``s`` and each node's distance to the
-    nearest of them, after checking the ids of ``s`` and of ``nodes``."""
-    _check_ids(d.graph.n, (*s.gateways, *nodes))
+def _profile(
+    d: DistanceOracle, s: StrategyProfile, *nodes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(gates, a, base)`` from one gather of the gateway columns, after
+    checking the ids of ``s`` and of ``nodes``: the gateways, each node's
+    distance to the nearest of them, and each node's base once it toggles
+    (see ``_scan_toggles``).  A gateway's own column is masked with ``n``, so
+    one minimum gives every other node its ``a`` and each gateway its
+    distance to the nearest other gateway, or ``n`` when it is the only one."""
+    n = d.graph.n
+    _check_ids(n, (*s.gateways, *nodes))
     gates = np.fromiter(s.gateways, dtype=np.intp, count=len(s))
-    return gates, d.dist[:, gates].min(axis=1)
+    cols = d.dist[:, gates]
+    cols[gates, np.arange(len(gates))] = n
+    a = cols.min(axis=1)
+    base = np.zeros_like(a)
+    base[gates] = a[gates]
+    a[gates] = 0
+    return gates, a, base
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,13 +170,6 @@ def _move(alpha: Fraction, sole: bool, member: bool, v: int, dv: int) -> Move:
     return Move(v, MoveKind.OPEN, alpha + dv)
 
 
-def _close_bases(dist: np.ndarray, gates: np.ndarray, closers: np.ndarray) -> np.ndarray:
-    """The bases of ``closers``, gateways all, once they close (see ``_scan_toggles``)."""
-    if len(gates) == 1:
-        return np.full(len(closers), dist.shape[0], dtype=dist.dtype)
-    return np.partition(dist[closers[:, None], gates], 1, axis=1)[:, 1]
-
-
 def _scan_toggles(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> _Toggles:
     """Score all n toggles in one numpy pass and decide them in integers.
 
@@ -172,15 +178,12 @@ def _scan_toggles(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> _To
     v held u's nearest gateway, so that hub route never wins), and ``n``,
     above every distance, for the sole gateway's close.
     """
-    gates, a = _profile(d, s)
-    dist = d.dist
-    member = np.zeros(dist.shape[0], dtype=bool)
+    gates, a, base = _profile(d, s)
+    member = np.zeros(len(a), dtype=bool)
     member[gates] = True
     sole = len(gates) == 1
-    base = np.zeros_like(a)
-    base[gates] = _close_bases(dist, gates, gates)
     maximum = cfg.variant is Variant.MAX
-    dv = _terms(dist, a, base, maximum) - _terms(dist, a, a, maximum)
+    dv = _terms(d.dist, a, base, maximum) - _terms(d.dist, a, a, maximum)
     open_at, close_at = _thresholds(cfg.alpha)
     improving = np.where(member, (dv <= close_at) & (not sole), dv <= open_at)
     return _Toggles(cfg.alpha, sole, member, dv, improving)
@@ -211,13 +214,11 @@ def evaluate_move(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int
     ``_scan_toggles``: one row of distances where the scan reads the whole
     matrix twice.
     """
-    gates, a = _profile(d, s, v)
-    member = v in s
-    base = _close_bases(d.dist, gates, np.array([v])) if member else np.zeros(1, dtype=a.dtype)
-    row = d.dist[[v]]
+    gates, a, base = _profile(d, s, v)
+    row, mover = d.dist[v : v + 1], slice(v, v + 1)
     maximum = cfg.variant is Variant.MAX
-    dv = _terms(row, a, base, maximum)[0] - _terms(row, a, a[[v]], maximum)[0]
-    return _move(cfg.alpha, len(gates) == 1, member, v, int(dv))
+    dv = _terms(row, a, base[mover], maximum)[0] - _terms(row, a, a[mover], maximum)[0]
+    return _move(cfg.alpha, len(gates) == 1, v in s, v, int(dv))
 
 
 def improving_moves(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> list[Move]:

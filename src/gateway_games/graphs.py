@@ -28,13 +28,15 @@ UNBOUNDED = math.inf
 """Girth sentinel for acyclic graphs. Compares correctly against any rational."""
 
 # Candidate (source, node) pairs per block of sources in the distance build.
-# At n = 1000 a star peaks at 2.3x the int64 result under tracemalloc (6.2x
-# with 1 << 20); at n = 2000, 1.3x.
+# Under tracemalloc a star peaks at 3.5x the int32 result at n = 1000 (10.9x
+# with 1 << 20) and 1.6x at n = 2000: about 10 MB of frontier arrays, whatever
+# the size, which the per-cell guard below leaves out.
 _FRONTIER_BUDGET = 1 << 18
-# Peak bytes per distance cell of a dynamics run: the int64 oracle plus one
-# (n, n) temporary of the move kernel (tracemalloc: 16.2 on a 1000-node path,
-# 16.0 on a 3000-node one).
-_ORACLE_CELL_BYTES = 17
+# Peak bytes per distance cell of a dynamics run: the int32 oracle plus one
+# (n, n) int32 temporary, the move kernel's gateway gather or its terms.
+# Tracemalloc, on a 500-node path: 8.38 from {0}, 8.35 from every other
+# node and 8.29 from all nodes; 8.11, 8.12 and 8.08 on a 1000-node one.
+_ORACLE_CELL_BYTES = 9
 
 
 @dataclass(frozen=True)
@@ -125,17 +127,32 @@ class DistanceOracle:
     dist: np.ndarray
 
 
+def _oracle_dtype(n: int) -> np.dtype:
+    """The narrowest signed integer dtype in which ``_engine._terms`` is exact
+    on an ``n``-node oracle with no widening: int16 for n <= 181, int32 for
+    n <= 46,340, else int64.  A through value ``a(v) + a(u)`` is at most
+    ``2n`` and a SUM term at most ``n(n - 1)``, both within ``n^2`` for
+    n >= 2.  Signed, so a difference of two terms cannot wrap either."""
+    for dtype in (np.int16, np.int32):
+        if n * n <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def all_pairs_distances(g: Graph) -> DistanceOracle:
-    """All-pairs hop distances; returns a read-only ``n x n`` int64 matrix.
+    """All-pairs hop distances; returns a read-only ``n x n`` matrix of
+    dtype ``_oracle_dtype(n)``.
 
     One BFS from every source at once in numpy (``_frontier_distances``)
     builds the matrix at every graph size.  Raises :class:`StateSpaceTooLarge`
-    before any of it exists when ``17 n^2`` bytes, the peak of the callers that
-    score moves on it, would not fit in physical memory.
+    before any of it exists when ``9 n^2`` bytes, the peak of the callers that
+    score moves on it, would not fit in physical memory; ``18 n^2`` above
+    46,340 nodes, where the oracle and the callers' temporaries are int64.
     """
-    need = g.n * g.n * _ORACLE_CELL_BYTES
+    dtype = _oracle_dtype(g.n)
+    need = g.n * g.n * _ORACLE_CELL_BYTES * max(1, dtype.itemsize // 4)
     check_memory(need, StateSpaceTooLarge, f"distances on n = {g.n} need")
-    dist = _frontier_distances(g)
+    dist = _frontier_distances(g).astype(dtype, copy=False)
     dist.setflags(write=False)
     return DistanceOracle(g, dist)
 
@@ -150,7 +167,9 @@ def _frontier_distances(g: Graph) -> np.ndarray:
     each candidate writes its own marker ``-2 - i`` into its unreached cell,
     and the one candidate whose marker survives keeps the cell.  A source
     reaches each node once, so over all levels it makes ``2m`` candidates;
-    sources run in blocks of ``_FRONTIER_BUDGET // 2m`` to bound them.
+    sources run in blocks of ``_FRONTIER_BUDGET // 2m`` to bound them.  The
+    result is int32 up to n = 46,340 and int64 above: ``-1`` and the markers
+    fit, since a level keeps fewer than ``2^31`` candidates.
     """
     n = g.n
     deg = np.fromiter(map(len, g.adj), dtype=np.intp, count=n)
@@ -173,7 +192,7 @@ def _frontier_distances(g: Graph) -> np.ndarray:
         pairs += np.repeat(front - node, counts)
         return pairs
 
-    dist = np.full((n, n), -1, dtype=np.int64)
+    dist = np.full((n, n), -1, dtype=np.promote_types(_oracle_dtype(n), np.int32))
     flat = dist.reshape(-1)
     block = max(1, _FRONTIER_BUDGET // max(int(start[-1]), 1))
     for first in range(0, n, block):
@@ -184,7 +203,7 @@ def _frontier_distances(g: Graph) -> np.ndarray:
             level += 1
             cand = neighbour_pairs(front)
             cand = cand[flat[cand] < 0]
-            marker = np.arange(-2, -2 - cand.size, -1, dtype=np.int64)
+            marker = np.arange(-2, -2 - cand.size, -1, dtype=dist.dtype)
             flat[cand] = marker
             front = cand[flat[cand] == marker]
             flat[front] = level
@@ -209,7 +228,7 @@ def metrics(d: DistanceOracle) -> GraphMetrics:
     diameter = int(d.dist.max())
     pair = (0, 0)
     if g.n > 1:
-        flat = int(np.flatnonzero(d.dist == diameter)[0])
+        flat = int(np.argmax(d.dist == diameter))  # the first such cell
         pair = (flat // g.n, flat % g.n)
     return GraphMetrics(diameter, _girth(d), pair)
 

@@ -7,7 +7,7 @@ profile and any caller-supplied profile) as a feasible upper bound U, and
 exploits ``c(S) >= alpha * |S|`` to cap the gateway count at ``bound =
 floor(U / alpha)``.  It skips a whole cardinality level k when ``alpha * k``
 plus a lower bound on the distance part of every k-gateway profile exceeds
-the best cost so far (``_level_floor``):
+the best cost so far (``_level_floors``):
 
 - SUM: ``max(n(n-1) - k(k-1), d2 - 2k(n-1))`` with ``d2`` the sum of
   ``min(d, 2)`` over all ordered pairs;
@@ -162,8 +162,9 @@ def _canonical_masks(classes: tuple[tuple[int, ...], ...], k: int) -> np.ndarray
     return acc
 
 
-def _level_floor(dist: np.ndarray, k: int, maximum: bool) -> int:
-    """A lower bound on the distance part of every profile with ``k`` gateways.
+def _level_floors(dist: np.ndarray, kmax: int, maximum: bool) -> list[int]:
+    """Lower bounds on the distance part of every profile with ``k`` gateways,
+    for ``k = 0..kmax``, from one pass over the distances.
 
     SUM: each ordered pair of distinct nodes, not both gateways, is at least
     one apart.  A pair of closed nodes is at least ``min(d, 2)`` apart, so
@@ -177,13 +178,14 @@ def _level_floor(dist: np.ndarray, k: int, maximum: bool) -> int:
     ``#{v : far(v) > k} - k`` nodes pay 2.
     """
     n = dist.shape[0]
+    ks = range(kmax + 1)
     if not maximum:
         d2 = int(np.minimum(dist, 2).sum())
-        return max(0, n * (n - 1) - k * (k - 1), d2 - 2 * k * (n - 1))
-    if k == n:
-        return 0
+        return [max(0, n * (n - 1) - k * (k - 1), d2 - 2 * k * (n - 1)) for k in ks]
     far = np.count_nonzero(dist >= 2, axis=1)
-    return n + max(0, int(np.count_nonzero(far > k)) - k)
+    # beyond[k] = #{v : far(v) > k}; far(v) <= n - 1, so beyond[n] = 0.
+    beyond = n - np.cumsum(np.bincount(far, minlength=n + 1))
+    return [0 if k == n else n + max(0, int(beyond[k]) - k) for k in ks]
 
 
 def _bounded_search(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
@@ -198,7 +200,7 @@ def _bounded_search(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
     best_profile = StrategyProfile.of(best_key[2])
 
     kmax = min(math.floor(best_key[0] / alpha), n)
-    floors = [_level_floor(d.dist, k, maximum) for k in range(kmax + 1)]
+    floors = _level_floors(d.dist, kmax, maximum)
     # The best cost only falls, so a level the seed prunes stays pruned.
     levels = [k for k in range(1, kmax + 1) if alpha * k + floors[k] <= best_key[0]]
     classes = twin_classes(d.graph)

@@ -1,6 +1,6 @@
 """Shared fixtures: tiny graphs, random-graph strategies, an independent
-distance oracle used to cross-check the production code, and a runner for
-the CLI."""
+distance oracle used to cross-check the production code, a runner for the
+CLI, and a tracemalloc peak of one call."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -240,3 +241,13 @@ def count_calls(monkeypatch, name: str, module: str = "graphs") -> list:
         if mod_name.startswith("gateway_games") and getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -350,6 +350,13 @@ STDOUT_DIGESTS = [
     ("dynamics --graph p5.txt --alpha 100 --init 0,4 --scheduler opens-only:2", 5, "dbddbf753d421dcb"),
     ("dynamics --graph p5.txt --alpha 1/2 --init 0 --max-steps 1", 4, "dd6d1cf4a4f1946c"),
     ("optimum --graph star.json --alpha 9 --bounded", 0, "9c683178286020be"),
+    # Either side of the int16 oracle boundary: 180 and 181 improving opens.
+    ("gen sum-poa-star --n 181 --alpha 16 --out star181.json", 0, "e3b0c44298fc1c14"),
+    ("dynamics --graph star181.json --alpha 16 --init 0 --scheduler round-robin",
+     0, "2f093458f042df0f"),
+    ("gen sum-poa-star --n 182 --alpha 16 --out star182.json", 0, "e3b0c44298fc1c14"),
+    ("dynamics --graph star182.json --alpha 16 --init 0 --scheduler round-robin",
+     0, "b882fc702fb33698"),
 ]
 
 

@@ -310,13 +310,13 @@ def test_reduce_beyond_physical_memory_exits_2(monkeypatch, tmp_path, capsys):
 
 def test_gen_and_oracle_beyond_physical_memory_exit_2(monkeypatch, tmp_path, capsys):
     """With 1 MiB of physical memory, ``gen max-line`` at alpha = 10^7 (3e7
-    edges) is refused before any edge exists, and ``dynamics`` on a 300-node
-    path (17 bytes per distance cell, 1.5 MB) before its distances: each exits
+    edges) is refused before any edge exists, and ``dynamics`` on a 400-node
+    path (9 bytes per distance cell, 1.44 MB) before its distances: each exits
     2 with one error line, and gen writes no file.  2 MiB admits the run."""
     memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     out, graph = tmp_path / "line.json", tmp_path / "path.txt"
-    graph.write_text(edge_list_text(path_graph(300)))
+    graph.write_text(edge_list_text(path_graph(400)))
     refused = [
         ["gen", "max-line", "--alpha", "10000000", "--out", str(out)],
         ["dynamics", "--graph", str(graph), "--alpha", "2"],

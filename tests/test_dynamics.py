@@ -38,12 +38,13 @@ from gateway_games import (
     gen_ir_cycle,
     gen_non_wag,
     graph_to_json,
+    is_nash_equilibrium,
     replay_trace,
     run_dynamics,
     verify_cycle_conditions,
     verify_max_line_conditions,
 )
-from gateway_games import _engine, cli
+from gateway_games import _engine, cli, graphs
 from gateway_games import dynamics as _dynamics
 
 from conftest import (
@@ -56,6 +57,7 @@ from conftest import (
     oracle_move,
     path_graph,
     random_connected_graph,
+    traced_peak,
 )
 
 SUM = Variant.SUM
@@ -326,6 +328,25 @@ def test_memory_guard_admits_its_estimate_and_refuses_one_node_more(monkeypatch)
         memory["SC_PHYS_PAGES"] -= 1
         with pytest.raises(StateSpaceTooLarge, match=f"n = {n} needs about"):
             sweep(path_graph(n))
+
+
+@pytest.mark.parametrize("gateways", ["first", "every other", "all"])
+def test_oracle_guard_covers_the_move_kernel_peak(gateways):
+    """The oracle's refusal, ``_ORACLE_CELL_BYTES`` per distance cell, bounds
+    the peak of a dynamics step, the equilibrium check and a single move on a
+    500-node path, each with its oracle built inside the traced region.  The
+    all-open profile gathers every column, the worst case of the three."""
+    n = 500
+    g = path_graph(n)
+    s = StrategyProfile.of({"first": [0], "every other": range(0, n, 2), "all": range(n)}[gateways])
+    cfg = GameConfig(SUM, 2)
+    calls = [
+        lambda: run_dynamics(g, cfg, s, RoundRobin(), max_steps=1),
+        lambda: is_nash_equilibrium(all_pairs_distances(g), cfg, s),
+        lambda: evaluate_move(all_pairs_distances(g), cfg, s, n // 2),
+    ]
+    per_cell = [traced_peak(call) / (n * n) for call in calls]
+    assert max(per_cell) <= graphs._ORACLE_CELL_BYTES, per_cell
 
 
 def test_cycle_conditions_small_gadget():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gateway_games import (
+    DistanceOracle,
     GameConfig,
     MoveKind,
     StrategyProfile,
@@ -19,6 +20,7 @@ from gateway_games import (
     comm_distance,
     evaluate_move,
     frac_str,
+    greedy_gateways,
     improving_moves,
     is_nash_equilibrium,
     metrics,
@@ -29,6 +31,7 @@ from gateway_games import _engine
 from gateway_games.game import _scan_toggles, floor_sqrt
 
 from conftest import (
+    KNIFE,
     alphas,
     connected_graphs,
     count_calls,
@@ -200,6 +203,61 @@ def test_single_move_equals_the_full_scan_at_knife_edge_prices(pair, variant, so
             assert (move.kind.value, move.cost_delta, move.forbidden) == oracle_move(
                 g, variant, alpha, s, v
             )
+
+
+def boundary_graph(kind, n):
+    if kind == "path":
+        return path_graph(n)  # its end rows hold the largest SUM terms
+    if kind == "star":
+        return build_graph(n, [(0, v) for v in range(1, n)])
+    return random_connected_graph(random.Random(n), n)
+
+
+@pytest.mark.parametrize("kind", ["path", "star", "random"])
+@pytest.mark.parametrize(("n", "dtype"), [(181, np.int16), (182, np.int32)])
+def test_narrow_oracle_is_exact_at_the_int16_boundary(kind, n, dtype):
+    """On either side of the int16 rule, every per-profile query on the narrow
+    oracle equals the same query on an int64 copy and the hub oracle: the
+    scan's ``dv`` and verdicts, each node's move and private cost, the social
+    cost, sampled communication distances and the greedy profile."""
+    g = boundary_graph(kind, n)
+    d = all_pairs_distances(g)
+    wide = DistanceOracle(g, d.dist.astype(np.int64))
+    assert d.dist.dtype == dtype
+    rnd = random.Random(kind)
+    profiles = [
+        StrategyProfile.of([0]),
+        StrategyProfile.of(range(0, n, 2)),
+        StrategyProfile.of(rnd.sample(range(n), n // 3)),
+    ]
+    prices = [Fraction(1, 2), Fraction(n), Fraction(10**9), n // 2 + KNIFE]
+    pairs = [(rnd.randrange(n), rnd.randrange(n)) for _ in range(40)]
+    for s in profiles:
+        rows = hub_distances(g, s.gateways)
+        assert [comm_distance(d, s, u, v) for u, v in pairs] == [rows[u][v] for u, v in pairs]
+        movers = [0, n - 1, min(s.ids), rnd.randrange(n)]
+        after = {v: hub_distances(g, s.toggled(v).gateways)[v] for v in movers if s.ids != (v,)}
+        for variant in (SUM, MAX):
+            agg = max if variant is MAX else sum
+            terms = [agg(row) for row in rows]
+            for alpha in prices:
+                cfg = GameConfig(variant, alpha)
+                scan, reference = _scan_toggles(d, cfg, s), _scan_toggles(wide, cfg, s)
+                assert scan.dv.tolist() == reference.dv.tolist()
+                assert scan.improving.tolist() == reference.improving.tolist()
+                assert {v: int(scan.dv[v]) for v in after} == {
+                    v: agg(row) - terms[v] for v, row in after.items()
+                }
+                moves = [evaluate_move(d, cfg, s, v) for v in range(n)]
+                assert moves == [reference.move(v) for v in range(n)]
+                fees = [alpha if v in s else 0 for v in range(n)]
+                assert [private_cost(d, cfg, s, v) for v in range(n)] == [
+                    fee + term for fee, term in zip(fees, terms)
+                ]
+                assert social_cost(d, cfg, s) == alpha * len(s) + sum(terms)
+    for variant, alpha in ((SUM, 32 * n), (MAX, n)):  # prices where greedy opens a few nodes
+        cfg = GameConfig(variant, Fraction(alpha))
+        assert greedy_gateways(d, cfg) == greedy_gateways(wide, cfg)
 
 
 @given(connected_graphs(max_n=7), st.sampled_from([SUM, MAX]))

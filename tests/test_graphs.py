@@ -32,6 +32,7 @@ from conftest import (
     hub_distances,
     path_graph,
     random_connected_graph,
+    traced_peak,
     tree_from_prufer,
 )
 
@@ -151,13 +152,28 @@ FAMILIES = ("random", "path", "star", "complete", "deep")
 @given(st.data())
 @settings(max_examples=3, deadline=None)
 def test_both_distance_builds_match_per_source_bfs_and_hub_oracle(data):
-    """The one build at every n from 1 to 78, against the independent hub oracle."""
+    """The one build at every n from 1 to 78, against the independent hub
+    oracle; every one of these oracles is int16, by the dtype rule."""
     for n in range(1, 79):
         kind = data.draw(st.sampled_from(FAMILIES), label=f"family at n = {n}")
         g = family_graph(kind, n, data.draw(st.integers(0, 2**32 - 1)))
         d = all_pairs_distances(g)
-        assert d.dist.dtype == np.int64 and not d.dist.flags.writeable
+        assert d.dist.dtype == np.int16 and not d.dist.flags.writeable
         assert d.dist.tolist() == hub_distances(g, frozenset())
+
+
+def test_oracle_dtype_is_the_narrowest_signed_one_holding_n_squared():
+    """The rule at its two boundaries, by arithmetic alone: a SUM term is at
+    most n(n - 1) and a through value at most 2n, both within n^2.  The
+    build itself fills int32, whose ``-1`` and markers need the room."""
+    widths = {n: graphs._oracle_dtype(n) for n in (1, 2, 181, 182, 46_340, 46_341)}
+    assert widths == {
+        1: np.int16, 2: np.int16, 181: np.int16,
+        182: np.int32, 46_340: np.int32, 46_341: np.int64,
+    }
+    assert 181 * 180 <= np.iinfo(np.int16).max < 182 * 182
+    assert 46_340 * 46_339 <= np.iinfo(np.int32).max < 46_341 * 46_341
+    assert graphs._frontier_distances(path_graph(5)).dtype == np.int32
 
 
 @pytest.mark.parametrize("budget", [1, 5, 64])
@@ -255,11 +271,33 @@ def test_extra_edge_bounds_girth(seed):
 
 
 def test_oracle_beyond_physical_memory_is_refused(monkeypatch):
-    """Physical memory of exactly 17 bytes per distance cell admits the oracle,
+    """Physical memory of exactly 9 bytes per distance cell admits the oracle,
     and one byte less refuses it before the matrix exists."""
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 17 * 30 * 30}
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 9 * 30 * 30}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     assert all_pairs_distances(path_graph(30)).dist[0, 29] == 29
     memory["SC_PHYS_PAGES"] -= 1
-    with pytest.raises(StateSpaceTooLarge, match="n = 30 need about 15300 bytes, .*physical memory"):
+    with pytest.raises(StateSpaceTooLarge, match="n = 30 need about 8100 bytes, .*physical memory"):
         all_pairs_distances(path_graph(30))
+
+
+def test_metrics_peak_stays_within_the_oracle_estimate():
+    """On a star almost every pair attains the diameter; finding the first one
+    must not index them all.  With the oracle it reads, ``metrics`` stays
+    within the oracle's estimate."""
+    n = 500
+    d = all_pairs_distances(build_graph(n, [(0, v) for v in range(1, n)]))
+    found = []
+    peak = traced_peak(lambda: found.append(metrics(d)))
+    assert (found[0].diameter, found[0].peripheral_pair) == (2, (1, 2))
+    assert d.dist.nbytes + peak <= graphs._ORACLE_CELL_BYTES * n * n
+
+
+def test_int64_oracle_doubles_its_estimate(monkeypatch):
+    """Past 46,340 nodes the oracle and the move kernel's temporary are int64,
+    so the estimate is 18 bytes per cell; refused before anything is built."""
+    n = 46_341
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 9 * n * n + 1}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    with pytest.raises(StateSpaceTooLarge, match=f"n = {n} need about {18 * n * n} bytes"):
+        all_pairs_distances(path_graph(n))

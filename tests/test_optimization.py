@@ -32,7 +32,7 @@ from gateway_games.optimization import (
     _canonical_masks,
     _full_optimum,
     _least_ids,
-    _level_floor,
+    _level_floors,
 )
 
 from conftest import (
@@ -164,8 +164,9 @@ def test_level_floor_bounds_every_profile_of_its_size(g):
             key = (m.bit_count(), maximum)
             lowest[key] = min(lowest.get(key, part), part)
     assert len(lowest) == 2 * g.n
+    floors = {maximum: _level_floors(d.dist, g.n, maximum) for maximum in (False, True)}
     for (k, maximum), low in lowest.items():
-        assert _level_floor(d.dist, k, maximum) <= low
+        assert floors[maximum][k] <= low
 
 
 def test_max_level_floor_is_tight_on_the_six_cycle():
@@ -174,7 +175,7 @@ def test_max_level_floor_is_tight_on_the_six_cycle():
     g = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
     d = all_pairs_distances(g)
     rows = hub_distances(g, frozenset({0, 3}))
-    assert _level_floor(d.dist, 2, True) == sum(map(max, rows)) == 6 + (6 - 2)
+    assert _level_floors(d.dist, 2, True)[2] == sum(map(max, rows)) == 6 + (6 - 2)
 
 
 @pytest.mark.parametrize("seed", range(12))
