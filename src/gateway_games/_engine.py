@@ -41,7 +41,19 @@ hold one value ``h``.  So a chunk's ``a`` is ``min(low, high[:, h])``, with
 ``low`` the table over the low ``lb`` nodes and ``high`` the one over the rest,
 each built once; no mask array exists and nothing is gathered.  A list of
 masks in any order (``term_sums_for_masks``, for the bounded search) gathers
-``a`` from one table per byte of node ids instead.
+``a`` from one table per byte of node ids instead, as rows of a ``(256, n)``
+table, and transposes the chunk once.
+
+Those masks are canonical: each opens a prefix of every twin class.  Twins
+share every distance outside the pair, so swapping two of them maps the graph
+onto itself, and a profile that opens both, or neither, onto itself: there
+the two have equal terms.  So every open member of a class has its first
+member's term and every closed one its last member's, for SUM and MAX alike,
+since the social cost adds one term per node.  The bounded search forms
+terms on those rows only, ``R = sum_c min(2, |c|)`` of them, and weighs them
+by the members they stand for: ``t_c`` and ``|c| - t_c``, with ``t_c`` the
+popcount of the mask within the class.  With every node alone this is the
+plain sum over all ``n`` rows.
 
 Both form the terms in the narrowest integer dtype that is exact for the
 graph.  Three bounds decide it: a table entry is at most the sentinel ``n``,
@@ -55,6 +67,7 @@ is exact when ``2n <= 255`` and, for SUM, every row sum of ``d`` is at most
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -157,20 +170,35 @@ def _subset_minima(columns: np.ndarray, sentinel: int) -> np.ndarray:
     return table
 
 
-def _term_rows(dist: np.ndarray, masks: np.ndarray, maximum: bool):
-    """``(columns, terms)`` per chunk of ``masks``, in any order: the ``(n, chunk)``
-    node terms, with ``a`` gathered from one lookup table per byte of node ids."""
+def _twin_rows(
+    dist: np.ndarray, masks: np.ndarray, classes: Sequence[tuple[int, ...]], maximum: bool
+):
+    """``(columns, terms, weights)`` per chunk of canonical ``masks``, in any
+    order.  ``terms`` has one row for each class's first member and, in a
+    class of two or more, one for its last, ``(R, chunk)``; ``weights`` says
+    how many members each row stands for: 1 in a class of one, else ``t`` and
+    ``|c| - t``, with ``t`` the class's open count.  ``a`` is gathered from one
+    ``(256, n)`` table per byte of node ids and transposed once per chunk."""
     n = dist.shape[0]
     dn = _narrow(dist, maximum)
+    alone = [c[0] for c in classes if len(c) == 1]
+    twins = [c for c in classes if len(c) > 1]
+    rows = np.array(alone + [c[0] for c in twins] + [c[-1] for c in twins], dtype=np.intp)
+    spans = np.array([sum(1 << v for v in c) for c in twins], dtype=np.int64)[:, None]
+    sizes = np.array([len(c) for c in twins], dtype=np.uint8)[:, None]
+    cut = dn[rows][:, :, None]
     step = _chunk_masks(dn)
-    tables = [_subset_minima(dn[:, first : first + 8], n) for first in range(0, n, 8)]
+    tables = [_subset_minima(dn[:, first : first + 8], n).T.copy() for first in range(0, n, 8)]
     for start in range(0, masks.shape[0], step):
         chunk = masks[start : start + step]
-        # take() keeps ``a`` C-contiguous; fancy indexing along axis 1 would not.
-        a = tables[0].take(chunk & 255, axis=1)
+        a = tables[0].take(chunk & 255, axis=0)
         for g in range(1, len(tables)):
-            np.minimum(a, tables[g].take((chunk >> 8 * g) & 255, axis=1), out=a)
-        yield slice(start, start + chunk.shape[0]), _terms(dn[:, :, None], a, a, maximum)
+            np.minimum(a, tables[g].take((chunk >> 8 * g) & 255, axis=0), out=a)
+        a = np.ascontiguousarray(a.T)
+        opened = np.bitwise_count(chunk & spans)
+        ones = np.ones((len(alone), chunk.shape[0]), dtype=np.uint8)
+        weights = np.concatenate((ones, opened, sizes - opened))
+        yield slice(start, start + chunk.shape[0]), _terms(cut, a, a[rows], maximum), weights
 
 
 def _dense_term_rows(dist: np.ndarray, maximum: bool):
@@ -185,13 +213,6 @@ def _dense_term_rows(dist: np.ndarray, maximum: bool):
     for h in range(high.shape[1]):
         a = np.minimum(low, high[:, h : h + 1])
         yield slice(h << lb, (h + 1) << lb), _terms(dn[:, :, None], a, a, maximum)
-
-
-def _sums(chunks, size: int) -> np.ndarray:
-    out = np.empty(size, dtype=np.int64)
-    for columns, terms in chunks:
-        out[columns] = terms.sum(axis=0, dtype=np.int64)
-    return out
 
 
 def term_table(dist: np.ndarray, *, maximum: bool) -> np.ndarray:
@@ -209,12 +230,30 @@ def term_table(dist: np.ndarray, *, maximum: bool) -> np.ndarray:
 
 def term_sums(dist: np.ndarray, *, maximum: bool) -> np.ndarray:
     """Total distance part of the social cost for every profile mask, shape (2^n,)."""
-    return _sums(_dense_term_rows(dist, maximum), 1 << dist.shape[0])
+    out = np.empty(1 << dist.shape[0], dtype=np.int64)
+    for columns, terms in _dense_term_rows(dist, maximum):
+        out[columns] = terms.sum(axis=0, dtype=np.int64)
+    return out
 
 
-def term_sums_for_masks(dist: np.ndarray, masks: np.ndarray, *, maximum: bool) -> np.ndarray:
-    """Total distance part of the social cost for each mask, shape (P,)."""
-    return _sums(_term_rows(dist, masks, maximum), masks.shape[0])
+def term_sums_for_masks(
+    dist: np.ndarray,
+    masks: np.ndarray,
+    *,
+    maximum: bool,
+    classes: Sequence[tuple[int, ...]] | None = None,
+) -> np.ndarray:
+    """Total distance part of the social cost for each mask, shape (P,).
+
+    ``classes`` partitions the nodes into sorted tuples of mutual twins, and
+    every mask must open a prefix of each; by default every node is alone,
+    so any mask will do."""
+    if classes is None:
+        classes = [(v,) for v in range(dist.shape[0])]
+    out = np.empty(masks.shape[0], dtype=np.int64)
+    for columns, terms, weights in _twin_rows(dist, masks, classes, maximum):
+        out[columns] = np.multiply(terms, weights, dtype=np.int32).sum(axis=0, dtype=np.int64)
+    return out
 
 
 def improving_tables(table: np.ndarray, alpha: Fraction) -> np.ndarray:

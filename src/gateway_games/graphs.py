@@ -28,10 +28,14 @@ UNBOUNDED = math.inf
 """Girth sentinel for acyclic graphs. Compares correctly against any rational."""
 
 # Candidate (source, node) pairs per block of sources in the distance build.
-# Under tracemalloc a star peaks at 3.5x the int32 result at n = 1000 (10.9x
-# with 1 << 20) and 1.6x at n = 2000: about 10 MB of frontier arrays, whatever
-# the size, which the per-cell guard below leaves out.
 _FRONTIER_BUDGET = 1 << 18
+# Peak bytes of frontier arrays per candidate of a block.  A level holds the
+# previous level's kept pairs and their own candidates, at most a block's
+# candidates together, in several intp arrays each.  Tracemalloc peak beyond
+# the result: 38.1 and 38.2 on 1000- and 2000-node stars (int32 result), 40.1
+# and 40.2 with an int64 result, 32.1 on K_513; about 10 MB once a block
+# makes its full budget of candidates.
+_CANDIDATE_BYTES = 41
 # Peak bytes per distance cell of a dynamics run: the int32 oracle plus one
 # (n, n) int32 temporary, the move kernel's gateway gather or its terms.
 # Tracemalloc, on a 500-node path: 8.38 from {0}, 8.35 from every other
@@ -146,15 +150,25 @@ def all_pairs_distances(g: Graph) -> DistanceOracle:
     One BFS from every source at once in numpy (``_frontier_distances``)
     builds the matrix at every graph size.  Raises :class:`StateSpaceTooLarge`
     before any of it exists when ``9 n^2`` bytes, the peak of the callers that
-    score moves on it, would not fit in physical memory; ``18 n^2`` above
-    46,340 nodes, where the oracle and the callers' temporaries are int64.
+    score moves on it, plus the frontier arrays of one block of sources would
+    not fit in physical memory; ``18 n^2`` above 46,340 nodes, where the
+    oracle and the callers' temporaries are int64.
     """
     dtype = _oracle_dtype(g.n)
-    need = g.n * g.n * _ORACLE_CELL_BYTES * max(1, dtype.itemsize // 4)
+    arcs = 2 * g.edge_count()
+    frontier = _CANDIDATE_BYTES * min(g.n, _source_block(arcs)) * arcs
+    need = g.n * g.n * _ORACLE_CELL_BYTES * max(1, dtype.itemsize // 4) + frontier
     check_memory(need, StateSpaceTooLarge, f"distances on n = {g.n} need")
     dist = _frontier_distances(g).astype(dtype, copy=False)
     dist.setflags(write=False)
     return DistanceOracle(g, dist)
+
+
+def _source_block(arcs: int) -> int:
+    """Sources per block of the distance build: a source makes one candidate
+    per arc, ``arcs`` in all, so a block makes at most ``_FRONTIER_BUDGET``
+    unless one source alone makes more."""
+    return max(1, _FRONTIER_BUDGET // max(arcs, 1))
 
 
 def _frontier_distances(g: Graph) -> np.ndarray:
@@ -194,7 +208,7 @@ def _frontier_distances(g: Graph) -> np.ndarray:
 
     dist = np.full((n, n), -1, dtype=np.promote_types(_oracle_dtype(n), np.int32))
     flat = dist.reshape(-1)
-    block = max(1, _FRONTIER_BUDGET // max(int(start[-1]), 1))
+    block = _source_block(int(start[-1]))
     for first in range(0, n, block):
         front = np.arange(first, min(first + block, n), dtype=np.intp) * (n + 1)
         flat[front] = 0

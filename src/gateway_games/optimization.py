@@ -2,27 +2,34 @@
 
 Two search methods share one tie-break order (cost, gateway count, sorted
 ids).  Full enumeration sweeps every non-empty profile.  The bounded method
-takes the cheapest of its seeds (all nodes open, node 0 alone, the greedy
-profile and any caller-supplied profile) as a feasible upper bound U, and
-exploits ``c(S) >= alpha * |S|`` to cap the gateway count at ``bound =
-floor(U / alpha)``.  It skips a whole cardinality level k when ``alpha * k``
-plus a lower bound on the distance part of every k-gateway profile exceeds
-the best cost so far (``_level_floors``):
+takes the cheapest of its seeds (all nodes open, node 0 alone and the greedy
+profile) as a feasible upper bound U, and exploits ``c(S) >= alpha * |S|`` to
+cap the gateway count at ``bound = floor(U / alpha)``.  It skips a whole
+cardinality level k when ``alpha * k`` plus a lower bound on the distance
+part of every k-gateway profile exceeds the best cost so far
+(``_level_floors``):
 
-- SUM: ``max(n(n-1) - k(k-1), d2 - 2k(n-1))`` with ``d2`` the sum of
-  ``min(d, 2)`` over all ordered pairs;
+- SUM: ``max(n(n-1) - k(k-1), d2 - 2k(n-1) + (the sum of the k least values
+  of 2 deg(v) - min(deg(v), k - 1)))`` with ``d2`` the sum of ``min(d, 2)``
+  over all ordered pairs;
 - MAX: 0 at ``k = n``, else ``n + max(0, #{v : far(v) > k} - k)`` with
   ``far(v)`` the number of nodes two or more hops from ``v``: every node pays
   at least 1, and a closed node with a closed node that far pays 2.
 
-It collapses interchangeable nodes into canonical representatives, and
-refuses to start when the levels the seed bound leaves hold more than
-``BOUNDED_ENUMERATION_CAP`` canonical profiles; the best cost only falls, so
-no other level is ever visited.  Both methods certify an exact optimum.
+It collapses interchangeable nodes into canonical representatives: a profile
+opens a prefix of each twin class.  One class-by-class pass builds the
+canonical masks of every level the seed leaves, and the levels are costed in
+ascending order, each skipped once a cheaper profile beats its floor.  The
+costing forms terms on one row per open and one per closed part of each
+class (see ``_engine``).  The search refuses to start when those levels hold
+more than ``BOUNDED_ENUMERATION_CAP`` canonical profiles, or more than
+physical memory holds at ``_PROFILE_BYTES`` each beside ``_SEARCH_BYTES``;
+the best cost only falls, so no other level is ever visited.  Both methods certify an exact optimum.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -31,12 +38,24 @@ from fractions import Fraction
 import numpy as np
 
 from . import _engine
-from .errors import StateSpaceTooLarge
+from .errors import StateSpaceTooLarge, check_memory
 from .game import GameConfig, StrategyProfile, Variant, social_cost
 from .graphs import DistanceOracle, Graph, all_pairs_distances
 
 # Canonical-profile count above which the bounded method refuses to start.
 BOUNDED_ENUMERATION_CAP = 1 << 25
+# Peak bytes per canonical profile of the bounded search.  Building the masks:
+# the last class's int64 masks and uint8 counts (9), the pieces it keeps (9),
+# their concatenation (9), and a boolean and a uint8 per earlier profile (2).
+# Costing a level: the masks and counts (9), the level's selection (1), its
+# masks (8) and sums (8).  Tracemalloc: 25.6-26.5 building, 19.2-22.6 costing,
+# on random graphs of 26-40 nodes with 2.8-8.4 million canonical profiles.
+_PROFILE_BYTES = 29
+# Bytes beside the profiles: one chunk of the term kernel, its block of at
+# most _engine._BATCH_BYTES with the gathered distances and weighted rows
+# (tracemalloc: 1.7 MB beyond 29 bytes per profile on a 14-node path at alpha
+# 30, 1.1 MB on a 16-node one at 40).
+_SEARCH_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -142,24 +161,33 @@ def _level_counts(sizes: list[int], kmax: int) -> list[int]:
     return coeffs + [0] * (kmax + 1 - len(coeffs))
 
 
-def _canonical_masks(classes: tuple[tuple[int, ...], ...], k: int) -> np.ndarray:
-    """All canonical masks with exactly ``k`` gateways, as int64.
+def _canonical_masks(
+    classes: tuple[tuple[int, ...], ...], levels: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(masks, counts)``: every canonical mask whose gateway count is in
+    ``levels``, as int64, with those counts as uint8, from one pass.
 
     Each twin class contributes a prefix of its sorted members.  The masks
     are built one class at a time, keeping a partial choice only while the
-    classes left can still bring its gateway count to ``k``.
+    classes left can still bring its gateway count to a level in ``levels``.
     """
-    room = sum(map(len, classes))
+    room = n = sum(map(len, classes))
+    # nearest[c]: the least level at or above c, n + 1 when there is none.
+    nearest = np.full(n + 1, n + 1, dtype=np.uint8)
+    for k in sorted(levels, reverse=True):
+        nearest[: k + 1] = k
     acc = np.zeros(1, dtype=np.int64)
-    count = np.zeros(1, dtype=np.int64)
+    count = np.zeros(1, dtype=np.uint8)
     for members in classes:
         room -= len(members)
-        prefixes = np.cumsum([0, *(1 << v for v in members)], dtype=np.int64)
-        acc = (acc[:, None] | prefixes).ravel()
-        count = (count[:, None] + np.arange(len(prefixes))).ravel()
-        keep = (count <= k) & (count + room >= k)
-        acc, count = acc[keep], count[keep]
-    return acc
+        reachable = nearest <= np.arange(n + 1) + room
+        masks, counts = [], []
+        for t, prefix in enumerate(itertools.accumulate((1 << v for v in members), initial=0)):
+            keep = reachable[count + t]
+            masks.append(acc[keep] | prefix)
+            counts.append(count[keep] + t)
+        acc, count = np.concatenate(masks), np.concatenate(counts)
+    return acc, count
 
 
 def _level_floors(dist: np.ndarray, kmax: int, maximum: bool) -> list[int]:
@@ -168,8 +196,14 @@ def _level_floors(dist: np.ndarray, kmax: int, maximum: bool) -> list[int]:
 
     SUM: each ordered pair of distinct nodes, not both gateways, is at least
     one apart.  A pair of closed nodes is at least ``min(d, 2)`` apart, so
-    ``d2``, the sum of ``min(d, 2)`` over all pairs, overstates a pair by at
-    most 1 per gateway in it, and a gateway is in ``2(n - 1)`` ordered pairs.
+    ``d2``, the sum of ``min(d, 2)`` over all pairs, overstates only pairs
+    with a gateway in them: by at most 1 for a gateway and a node two or more
+    hops away, 0 for a neighbour, and ``min(d, 2)`` for two gateways.  That
+    totals ``2 sum_g far(g) + adj(S)``, with ``far(g) = n - 1 - deg(g)`` and
+    ``adj(S)`` the ordered adjacent pairs of gateways, at most
+    ``sum_g min(deg(g), k - 1)``.  So the part is at least ``d2 - 2k(n - 1)``
+    plus ``sum_g (2 deg(g) - min(deg(g), k - 1))``, which grows with each
+    degree, so the k least degrees bound it from below.
     MAX: with a node closed, every node has a closed node at least one away,
     so every node pays at least 1.  A closed node with a closed node two or
     more hops away pays at least 2 (both reach the hub in one hop or more).
@@ -181,7 +215,15 @@ def _level_floors(dist: np.ndarray, kmax: int, maximum: bool) -> list[int]:
     ks = range(kmax + 1)
     if not maximum:
         d2 = int(np.minimum(dist, 2).sum())
-        return [max(0, n * (n - 1) - k * (k - 1), d2 - 2 * k * (n - 1)) for k in ks]
+        degrees = sorted(np.count_nonzero(dist == 1, axis=1).tolist())
+        return [
+            max(
+                0,
+                n * (n - 1) - k * (k - 1),
+                d2 - 2 * k * (n - 1) + sum(2 * g - min(g, k - 1) for g in degrees[:k]),
+            )
+            for k in ks
+        ]
     far = np.count_nonzero(dist >= 2, axis=1)
     # beyond[k] = #{v : far(v) > k}; far(v) <= n - 1, so beyond[n] = 0.
     beyond = n - np.cumsum(np.bincount(far, minlength=n + 1))
@@ -204,21 +246,24 @@ def _bounded_search(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
     # The best cost only falls, so a level the seed prunes stays pruned.
     levels = [k for k in range(1, kmax + 1) if alpha * k + floors[k] <= best_key[0]]
     classes = twin_classes(d.graph)
-    counts = _level_counts([len(c) for c in classes], kmax)
-    space = sum(counts[k] for k in levels)
+    per_level = _level_counts([len(c) for c in classes], kmax)
+    space = sum(per_level[k] for k in levels)
     if space > BOUNDED_ENUMERATION_CAP:
         raise StateSpaceTooLarge(
             f"bounded search would visit {space} canonical profiles "
             f"(cap {BOUNDED_ENUMERATION_CAP})"
         )
+    claim = f"bounded search over {space} canonical profiles needs"
+    check_memory(space * _PROFILE_BYTES + _SEARCH_BYTES, StateSpaceTooLarge, claim)
 
+    masks, counts = _canonical_masks(classes, levels)
     for k in levels:
         if alpha * k + floors[k] > best_key[0]:
             continue
-        masks = _canonical_masks(classes, k)
-        sums = _engine.term_sums_for_masks(d.dist, masks, maximum=maximum)
+        level = masks[counts == k]
+        sums = _engine.term_sums_for_masks(d.dist, level, maximum=maximum, classes=classes)
         low = sums.min()
-        profile = StrategyProfile.from_mask(_least_ids(masks[sums == low]))
+        profile = StrategyProfile.from_mask(_least_ids(level[sums == low]))
         key = (alpha * k + int(low), k, profile.ids)
         if key < best_key:
             best_key, best_profile = key, profile

@@ -4,6 +4,7 @@ CLI, and a tracemalloc peak of one call."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -185,6 +186,31 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 8):
     seed = draw(st.integers(0, 2**32 - 1))
     rnd = random.Random(seed)
     return random_connected_graph(rnd, n)
+
+
+@st.composite
+def twin_graphs(draw, max_n: int = 12):
+    """``(graph, classes)``: a random connected quotient graph with each of its
+    nodes blown up into a planted class of 1-5 twins, a clique (adjacent
+    twins) or an independent set (non-adjacent ones), joined completely to the
+    classes of its quotient neighbours.  Node ids are shuffled, and each
+    planted class is a sorted tuple; ``twin_classes`` may merge some."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=max_n))
+    while sum(sizes) > max_n:
+        sizes.pop()
+    cliques = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    if len(sizes) == 1:
+        cliques[0] = True  # a lone independent set of two or more is disconnected
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ids = draw(st.permutations(range(sum(sizes))))
+    classes, start = [], 0
+    for size in sizes:
+        classes.append(tuple(sorted(ids[start : start + size])))
+        start += size
+    edges = [e for c, clique in zip(classes, cliques) if clique for e in itertools.combinations(c, 2)]
+    for p, q in random_connected_graph(rnd, len(classes)).edges():
+        edges += itertools.product(classes[p], classes[q])
+    return build_graph(len(ids), edges), tuple(classes)
 
 
 @st.composite

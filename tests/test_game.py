@@ -26,6 +26,7 @@ from gateway_games import (
     metrics,
     private_cost,
     social_cost,
+    twin_classes,
 )
 from gateway_games import _engine
 from gateway_games.game import _scan_toggles, floor_sqrt
@@ -407,10 +408,14 @@ def plain_terms(dist, masks, maximum):
 
 
 def term_chunks(dist, masks, maximum):
-    """``_term_rows``' chunks: their dtypes, widths, and the terms joined."""
-    chunks = [terms for _, terms in _engine._term_rows(dist, masks, maximum)]
-    widths = [terms.shape[1] for terms in chunks]
-    return {terms.dtype for terms in chunks}, widths, np.concatenate(chunks, axis=1)
+    """``_twin_rows``' chunks with every node alone, so each row is one node's
+    and weighs 1: their dtypes, widths, and the terms joined."""
+    singletons = [(v,) for v in range(dist.shape[0])]
+    chunks = list(_engine._twin_rows(dist, masks, singletons, maximum))
+    assert all((weights == 1).all() for _, _, weights in chunks)
+    terms = [t for _, t, _ in chunks]
+    widths = [t.shape[1] for t in terms]
+    return {t.dtype for t in terms}, widths, np.concatenate(terms, axis=1)
 
 
 def dense_ends(monkeypatch, dist, maximum, count=2):
@@ -440,7 +445,7 @@ def test_sum_terms_at_the_uint8_boundary(monkeypatch, g, row_sum, dtype):
     to int16 past it.  Mask 0 gives each node its whole row sum, so a uint8
     kernel one past the bound wraps there.  ``term_table`` stores exactly
     these per-node rows for every mask; at n >= 23 it would need 2^23
-    columns, so its rows are checked here through ``_term_rows`` and the
+    columns, so its rows are checked here through ``_twin_rows`` and the
     first and last chunks of ``_dense_term_rows``, mask 0 among them."""
     dist = all_pairs_distances(g).dist
     assert int(dist.sum(axis=1).max()) == row_sum
@@ -517,20 +522,27 @@ def test_chunk_boundaries_change_no_term(monkeypatch, per_chunk, dtype):
 def test_no_chunk_exceeds_the_mask_cap():
     """Every chunk holds at most 4096 masks, the most before numpy's broadcast
     minimum slows about sixfold; below the cap the byte budget decides.  A
-    sparse chunk takes all of that width; a dense one takes the largest power
-    of two within it, and at most all ``2^n`` masks."""
+    sparse chunk takes all of that width, with one row per node alone and two
+    per larger twin class; a dense one takes the largest power of two within
+    it, and at most all ``2^n`` masks."""
     cap = _engine._BATCH_MASKS
     assert cap == 4096
     for n in range(2, 21):
-        dist = all_pairs_distances(random_connected_graph(random.Random(n), n)).dist
+        g = random_connected_graph(random.Random(n), n)
+        dist = all_pairs_distances(g).dist
         masks = np.arange(3 * cap + 1, dtype=np.int64) & ((1 << n) - 1)
         width = min(cap, _engine._BATCH_BYTES // (n * n))
         dense = 2 ** min(n, math.floor(math.log2(width)))
+        classes = twin_classes(g)
+        rows = sum(min(2, len(c)) for c in classes)
         for maximum in (False, True):
             dtypes, widths, _ = term_chunks(dist, masks, maximum)
             assert dtypes == {np.dtype(np.uint8)}
             assert max(widths) == width
             assert sum(widths) == masks.size
+            shapes = {(terms.shape, weights.shape) for _, terms, weights in
+                      _engine._twin_rows(dist, masks, classes, maximum)}
+            assert shapes == {((rows, w), (rows, w)) for w in widths}
             chunks = [(cols, terms.shape) for cols, terms in _engine._dense_term_rows(dist, maximum)]
             assert chunks == [(slice(s, s + dense), (n, dense)) for s in range(0, 1 << n, dense)]
 

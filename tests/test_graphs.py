@@ -271,13 +271,14 @@ def test_extra_edge_bounds_girth(seed):
 
 
 def test_oracle_beyond_physical_memory_is_refused(monkeypatch):
-    """Physical memory of exactly 9 bytes per distance cell admits the oracle,
-    and one byte less refuses it before the matrix exists."""
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 9 * 30 * 30}
+    """Physical memory of exactly 9 bytes per distance cell plus 41 per
+    frontier candidate of one block (all 30 sources, 58 arcs each) admits the
+    oracle, and one byte less refuses it before the matrix exists."""
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 9 * 30 * 30 + 41 * 30 * 58}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     assert all_pairs_distances(path_graph(30)).dist[0, 29] == 29
     memory["SC_PHYS_PAGES"] -= 1
-    with pytest.raises(StateSpaceTooLarge, match="n = 30 need about 8100 bytes, .*physical memory"):
+    with pytest.raises(StateSpaceTooLarge, match="n = 30 need about 79440 bytes, .*physical memory"):
         all_pairs_distances(path_graph(30))
 
 
@@ -293,11 +294,30 @@ def test_metrics_peak_stays_within_the_oracle_estimate():
     assert d.dist.nbytes + peak <= graphs._ORACLE_CELL_BYTES * n * n
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(build_graph(1000, [(0, v) for v in range(1, 1000)]), id="star-1000"),
+        pytest.param(build_graph(200, itertools.combinations(range(200), 2)), id="clique-200"),
+        pytest.param(path_graph(30), id="path-30"),
+    ],
+)
+def test_oracle_estimate_bounds_the_distance_build(monkeypatch, g):
+    """The bytes the oracle's refusal checks cover the build's own peak: on
+    the star the frontier arrays outweigh the 9 bytes per cell."""
+    needs = []
+    monkeypatch.setattr(graphs, "check_memory", lambda need, *rest: needs.append(need))
+    peak = traced_peak(lambda: all_pairs_distances(g))
+    assert peak <= needs[0]
+
+
 def test_int64_oracle_doubles_its_estimate(monkeypatch):
     """Past 46,340 nodes the oracle and the move kernel's temporary are int64,
-    so the estimate is 18 bytes per cell; refused before anything is built."""
+    so the estimate is 18 bytes per cell, plus 41 per frontier candidate of a
+    block of two sources; refused before anything is built."""
     n = 46_341
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 9 * n * n + 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-    with pytest.raises(StateSpaceTooLarge, match=f"n = {n} need about {18 * n * n} bytes"):
+    need = 18 * n * n + 41 * 2 * 2 * (n - 1)
+    with pytest.raises(StateSpaceTooLarge, match=f"n = {n} need about {need} bytes"):
         all_pairs_distances(path_graph(n))

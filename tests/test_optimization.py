@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
     run_cli,
+    twin_graphs,
 )
 
 SUM = Variant.SUM
@@ -95,7 +97,22 @@ KNIFE_PRICES = st.one_of(
 def test_bounded_equals_full(g, alpha, variant):
     """Full, bounded and the catalog's optimum agree on cost and witness with
     the canonical minimum over every profile, knife-edge prices included."""
-    cfg = GameConfig(variant, alpha)
+    assert_every_optimum_is_the_canonical_minimum(g, GameConfig(variant, alpha))
+
+
+@given(
+    twin_graphs(max_n=10),
+    st.one_of(alphas(), KNIFE_PRICES),
+    st.sampled_from([SUM, MAX]),
+)
+@settings(max_examples=40, deadline=None)
+def test_bounded_equals_full_on_planted_twins(planted, alpha, variant):
+    """As above on graphs with large twin classes, where the bounded search
+    costs one or two rows per class."""
+    assert_every_optimum_is_the_canonical_minimum(planted[0], GameConfig(variant, alpha))
+
+
+def assert_every_optimum_is_the_canonical_minimum(g, cfg):
     d = all_pairs_distances(g)
     profiles = [StrategyProfile.from_mask(m) for m in range(1, 1 << g.n)]
     costs = {s: social_cost(d, cfg, s) for s in profiles}
@@ -150,6 +167,20 @@ def test_bounded_search_refuses_40_node_max_once(tmp_path):
     assert len(errors) == 1
     assert errors[0].startswith("error: bounded search would visit ")
     assert errors[0].endswith(f"canonical profiles (cap {1 << 25})")
+
+
+def test_bounded_search_refuses_beyond_physical_memory(monkeypatch):
+    """Every admitted level's masks are held at once, so the search is refused
+    up front when 29 bytes per canonical profile and 2 MiB beside them exceed
+    physical memory: the 14-node path at alpha 30 leaves 9907 on its levels."""
+    g, cfg = path_graph(14), GameConfig(SUM, Fraction(30))
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 29 * 9907 + (2 << 20)}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    assert brute_force_optimum(g, cfg, mode="bounded").best_profile.ids == (0, 3, 6, 9, 12)
+    memory["SC_PHYS_PAGES"] -= 1
+    claim = "bounded search over 9907 canonical profiles needs about 2384455 bytes"
+    with pytest.raises(StateSpaceTooLarge, match=claim):
+        brute_force_optimum(g, cfg, mode="bounded")
 
 
 @given(connected_graphs(min_n=2, max_n=8))
@@ -366,23 +397,45 @@ def test_swapping_twins_keeps_the_social_cost(pair):
 @settings(max_examples=40, deadline=None)
 def test_canonical_masks_are_the_prefix_sets_of_each_size(sizes, rnd):
     """Against every k-subset of the nodes, kept when each class contributes
-    a prefix of its sorted members: the same sets, each once."""
+    a prefix of its sorted members: one pass over a random set of levels
+    gives, for each level, the same sets, each once, with their counts, and
+    no mask of any other size."""
     n = sum(sizes)
     ids = rnd.sample(range(n), n)
     classes, start = [], 0
     for size in sizes:
         classes.append(tuple(sorted(ids[start : start + size])))
         start += size
-    for k in range(n + 1):
+    levels = sorted(rnd.sample(range(n + 1), rnd.randint(1, n + 1)))
+    masks, counts = _canonical_masks(tuple(classes), levels)
+    assert (masks.dtype, counts.dtype) == (np.int64, np.uint8)
+    assert np.bitwise_count(masks).tolist() == counts.tolist()
+    assert set(counts.tolist()) <= set(levels)
+    for k in levels:
         expected = set()
         for chosen in itertools.combinations(range(n), k):
             taken = [tuple(v for v in members if v in chosen) for members in classes]
             if all(members[: len(t)] == t for members, t in zip(classes, taken)):
                 expected.add(sum(1 << v for v in chosen))
-        masks = _canonical_masks(tuple(classes), k)
-        assert masks.dtype == np.int64
-        assert len(set(masks.tolist())) == len(masks)
-        assert set(masks.tolist()) == expected
+        level = masks[counts == k].tolist()
+        assert len(set(level)) == len(level)
+        assert set(level) == expected
+
+
+@given(twin_graphs(), st.sampled_from([SUM, MAX]))
+@settings(max_examples=60, deadline=None)
+def test_twin_rows_sum_to_every_canonical_profile_cost(planted, variant):
+    """One row per open and per closed part of each twin class, weighted by
+    the members it stands for, gives the dense sums at every canonical mask,
+    for the planted classes and for ``twin_classes``, which may merge them."""
+    g, classes = planted
+    maximum = variant is MAX
+    dist = all_pairs_distances(g).dist
+    dense = _engine.term_sums(dist, maximum=maximum)
+    for partition in (classes, twin_classes(g)):
+        masks, _ = _canonical_masks(partition, list(range(g.n + 1)))
+        sums = _engine.term_sums_for_masks(dist, masks, maximum=maximum, classes=partition)
+        assert sums.tolist() == dense[masks].tolist()
 
 
 def test_clique_catalog(k4):
