@@ -42,7 +42,8 @@ hold one value ``h``.  So a chunk's ``a`` is ``min(low, high[:, h])``, with
 each built once; no mask array exists and nothing is gathered.  A list of
 masks in any order (``term_sums_for_masks``, for the bounded search) gathers
 ``a`` from one table per byte of node ids instead, as rows of a ``(256, n)``
-table, and transposes the chunk once.
+table, and transposes the chunk once; ``_mask_tables`` builds those tables,
+and the bounded search builds them once for all its levels.
 
 Those masks are canonical: each opens a prefix of every twin class.  Twins
 share every distance outside the pair, so swapping two of them maps the graph
@@ -170,17 +171,31 @@ def _subset_minima(columns: np.ndarray, sentinel: int) -> np.ndarray:
     return table
 
 
-def _twin_rows(
-    dist: np.ndarray, masks: np.ndarray, classes: Sequence[tuple[int, ...]], maximum: bool
-):
-    """``(columns, terms, weights)`` per chunk of canonical ``masks``, in any
-    order.  ``terms`` has one row for each class's first member and, in a
-    class of two or more, one for its last, ``(R, chunk)``; ``weights`` says
-    how many members each row stands for: 1 in a class of one, else ``t`` and
-    ``|c| - t``, with ``t`` the class's open count.  ``a`` is gathered from one
-    ``(256, n)`` table per byte of node ids and transposed once per chunk."""
+def _mask_tables(dist: np.ndarray, maximum: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The narrowed distances and the tables ``_twin_rows`` gathers ``a`` from:
+    one ``(256, n)`` subset-minimum table per byte of node ids, entry
+    ``[m, v]`` of table ``g`` the least distance from ``v`` to a node
+    ``8g + j`` with ``j`` a set bit of ``m``.  A caller that costs many mask
+    lists on one oracle builds them once."""
     n = dist.shape[0]
     dn = _narrow(dist, maximum)
+    return dn, [_subset_minima(dn[:, first : first + 8], n).T.copy() for first in range(0, n, 8)]
+
+
+def _twin_rows(
+    tables: tuple[np.ndarray, list[np.ndarray]],
+    masks: np.ndarray,
+    classes: Sequence[tuple[int, ...]],
+    maximum: bool,
+):
+    """``(columns, terms, weights)`` per chunk of canonical ``masks``, in any
+    order, from ``tables = _mask_tables(dist, maximum)``.  ``terms`` has one
+    row for each class's first member and, in a class of two or more, one
+    for its last, ``(R, chunk)``; ``weights`` says how many members each row
+    stands for: 1 in a class of one, else ``t`` and ``|c| - t``, with ``t``
+    the class's open count.  ``a`` is gathered from the byte tables and
+    transposed once per chunk."""
+    dn, minima = tables
     alone = [c[0] for c in classes if len(c) == 1]
     twins = [c for c in classes if len(c) > 1]
     rows = np.array(alone + [c[0] for c in twins] + [c[-1] for c in twins], dtype=np.intp)
@@ -188,12 +203,11 @@ def _twin_rows(
     sizes = np.array([len(c) for c in twins], dtype=np.uint8)[:, None]
     cut = dn[rows][:, :, None]
     step = _chunk_masks(dn)
-    tables = [_subset_minima(dn[:, first : first + 8], n).T.copy() for first in range(0, n, 8)]
     for start in range(0, masks.shape[0], step):
         chunk = masks[start : start + step]
-        a = tables[0].take(chunk & 255, axis=0)
-        for g in range(1, len(tables)):
-            np.minimum(a, tables[g].take((chunk >> 8 * g) & 255, axis=0), out=a)
+        a = minima[0].take(chunk & 255, axis=0)
+        for g in range(1, len(minima)):
+            np.minimum(a, minima[g].take((chunk >> 8 * g) & 255, axis=0), out=a)
         a = np.ascontiguousarray(a.T)
         opened = np.bitwise_count(chunk & spans)
         ones = np.ones((len(alone), chunk.shape[0]), dtype=np.uint8)
@@ -242,16 +256,20 @@ def term_sums_for_masks(
     *,
     maximum: bool,
     classes: Sequence[tuple[int, ...]] | None = None,
+    tables: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> np.ndarray:
     """Total distance part of the social cost for each mask, shape (P,).
 
     ``classes`` partitions the nodes into sorted tuples of mutual twins, and
     every mask must open a prefix of each; by default every node is alone,
-    so any mask will do."""
+    so any mask will do.  ``tables`` is ``_mask_tables(dist, maximum)``,
+    built here when not given."""
     if classes is None:
         classes = [(v,) for v in range(dist.shape[0])]
+    if tables is None:
+        tables = _mask_tables(dist, maximum)
     out = np.empty(masks.shape[0], dtype=np.int64)
-    for columns, terms, weights in _twin_rows(dist, masks, classes, maximum):
+    for columns, terms, weights in _twin_rows(tables, masks, classes, maximum):
         out[columns] = np.multiply(terms, weights, dtype=np.int32).sum(axis=0, dtype=np.int64)
     return out
 

@@ -8,6 +8,7 @@ so they are safe to share across workers and to use as cache keys.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -27,15 +28,18 @@ from .errors import (
 UNBOUNDED = math.inf
 """Girth sentinel for acyclic graphs. Compares correctly against any rational."""
 
-# Candidate (source, node) pairs per block of sources in the distance build.
-_FRONTIER_BUDGET = 1 << 18
-# Peak bytes of frontier arrays per candidate of a block.  A level holds the
-# previous level's kept pairs and their own candidates, at most a block's
-# candidates together, in several intp arrays each.  Tracemalloc peak beyond
-# the result: 38.1 and 38.2 on 1000- and 2000-node stars (int32 result), 40.1
-# and 40.2 with an int64 result, 32.1 on K_513; about 10 MB once a block
-# makes its full budget of candidates.
-_CANDIDATE_BYTES = 41
+# Words of one block's temporaries in the distance build: the packed rows it
+# gathers at once (or one node's closed neighbourhood, if that is more), and
+# an eighth of the distance cells it unpacks at once.
+# The girth reads the oracle in blocks of this many (root, edge) pairs.
+_GATHER_WORDS = 1 << 16
+# The distance build's bytes per closed-neighbourhood entry (its intp index
+# and at most one block offset), and its bytes beyond the arrays that
+# _build_bytes counts: unpackbits' own 5.3 KB, the OR's iterator and Python
+# objects.  Tracemalloc, five families at 16 sizes from 1 to 500 nodes, a
+# 1000-node path and 1000- and 2000-node stars: at most 6.0 KB beyond.
+_ENTRY_BYTES = 16
+_BUILD_SLACK = 1 << 13
 # Peak bytes per distance cell of a dynamics run: the int32 oracle plus one
 # (n, n) int32 temporary, the move kernel's gateway gather or its terms.
 # Tracemalloc, on a 500-node path: 8.38 from {0}, 8.35 from every other
@@ -147,81 +151,124 @@ def all_pairs_distances(g: Graph) -> DistanceOracle:
     """All-pairs hop distances; returns a read-only ``n x n`` matrix of
     dtype ``_oracle_dtype(n)``.
 
-    One BFS from every source at once in numpy (``_frontier_distances``)
-    builds the matrix at every graph size.  Raises :class:`StateSpaceTooLarge`
-    before any of it exists when ``9 n^2`` bytes, the peak of the callers that
-    score moves on it, plus the frontier arrays of one block of sources would
-    not fit in physical memory; ``18 n^2`` above 46,340 nodes, where the
-    oracle and the callers' temporaries are int64.
+    One bit-parallel BFS from every source at once (``_bitset_distances``)
+    builds the matrix at every graph size.  Raises
+    :class:`StateSpaceTooLarge` before any of it exists when the larger of
+    two peaks would not fit in physical memory: ``9 n^2`` bytes, that of the
+    callers that score moves on the oracle (``18 n^2`` above 46,340 nodes,
+    where the oracle and their temporaries are int64), and the build's own,
+    ``_build_bytes``.  The two never coexist, since the build's temporaries
+    are gone when it returns.
     """
     dtype = _oracle_dtype(g.n)
-    arcs = 2 * g.edge_count()
-    frontier = _CANDIDATE_BYTES * min(g.n, _source_block(arcs)) * arcs
-    need = g.n * g.n * _ORACLE_CELL_BYTES * max(1, dtype.itemsize // 4) + frontier
+    callers = g.n * g.n * _ORACLE_CELL_BYTES * max(1, dtype.itemsize // 4)
+    widest = 1 + max(map(len, g.adj))
+    need = max(callers, _build_bytes(g.n, 2 * g.edge_count(), widest, dtype))
     check_memory(need, StateSpaceTooLarge, f"distances on n = {g.n} need")
-    dist = _frontier_distances(g).astype(dtype, copy=False)
+    dist = _bitset_distances(g, dtype)
     dist.setflags(write=False)
     return DistanceOracle(g, dist)
 
 
-def _source_block(arcs: int) -> int:
-    """Sources per block of the distance build: a source makes one candidate
-    per arc, ``arcs`` in all, so a block makes at most ``_FRONTIER_BUDGET``
-    unless one source alone makes more."""
-    return max(1, _FRONTIER_BUDGET // max(arcs, 1))
+def _build_bytes(n: int, arcs: int, widest: int, dtype: np.dtype) -> int:
+    """A bound on ``_bitset_distances``' peak: the result; two packed levels
+    and at most ``bit_length(n - 1)`` bit slices, each ``n * ceil(n / 64)``
+    words; one block's gather, ``_GATHER_WORDS`` words or, if more, the
+    ``widest`` rows of the largest closed neighbourhood, and at most the
+    ``n + arcs`` rows of them all; its unpacked bits, at most
+    ``8 * _GATHER_WORDS`` bytes or one row; the buffer of the OR that casts
+    those bits to ``dtype``, ``np.getbufsize()`` cells at most;
+    ``_ENTRY_BYTES`` per closed-neighbourhood entry; and ``_BUILD_SLACK``."""
+    words = -(-n // 64)
+    packed = 8 * n * words * ((n - 1).bit_length() + 2)
+    gather = 8 * min((n + arcs) * words, max(_GATHER_WORDS, widest * words))
+    unpacked = min(n * n, max(n, 8 * _GATHER_WORDS))
+    cast = min(n * n, np.getbufsize()) * dtype.itemsize
+    entries = _ENTRY_BYTES * (n + arcs)
+    return n * n * dtype.itemsize + packed + gather + unpacked + cast + entries + _BUILD_SLACK
 
 
-def _frontier_distances(g: Graph) -> np.ndarray:
-    """Level-synchronous BFS from every source at once.
+def _gather_plan(start: np.ndarray, words: int) -> list[tuple[slice, slice, np.ndarray]]:
+    """Blocks of consecutive rows, ``(rows, entries, offsets)``: each block's
+    closed neighbourhoods hold at most ``_GATHER_WORDS // words`` entries in
+    all, or it is one row that holds more; ``offsets`` are where its rows
+    begin among its entries."""
+    per = _GATHER_WORDS // words
+    bounds = start.tolist()
+    plan = []
+    row = 0
+    while row < len(bounds) - 1:
+        first = bounds[row]
+        end = max(row + 1, bisect.bisect_right(bounds, first + per) - 1)
+        plan.append((slice(row, end), slice(first, bounds[end]), start[row:end] - first))
+        row = end
+    return plan
 
-    The frontier holds ``(source, node)`` pairs as flat indices
-    ``source * n + node`` into the result.  Each level expands every pair to
-    all of its node's neighbours with one gather over the CSR adjacency,
-    keeps the pairs not yet reached and drops duplicates without sorting:
-    each candidate writes its own marker ``-2 - i`` into its unreached cell,
-    and the one candidate whose marker survives keeps the cell.  A source
-    reaches each node once, so over all levels it makes ``2m`` candidates;
-    sources run in blocks of ``_FRONTIER_BUDGET // 2m`` to bound them.  The
-    result is int32 up to n = 46,340 and int64 above: ``-1`` and the markers
-    fit, since a level keeps fewer than ``2^31`` candidates.
+
+def _bitset_distances(g: Graph, dtype: np.dtype) -> np.ndarray:
+    """All-pairs hop distances in ``dtype``, from the bit slices of
+    ``_bit_slices``: the ``bit_length(diameter)`` slices are unpacked, block
+    by block of rows, straight into the zeroed result, highest slice first.
+    The BFS's other arrays are freed before the result exists."""
+    n = g.n
+    slices = _bit_slices(g)
+    dist = np.zeros((n, n), dtype=dtype)
+    step = max(1, 8 * _GATHER_WORDS // n)
+    for first in range(0, n, step):
+        block = dist[first : first + step]
+        for bits in reversed(slices):
+            np.left_shift(block, 1, out=block)
+            block |= np.unpackbits(
+                bits[first : first + step].view(np.uint8), axis=1, count=n, bitorder="little"
+            )
+    return dist
+
+
+def _bit_slices(g: Graph) -> list[np.ndarray]:
+    """Level-synchronous BFS from every source at once, over packed source sets.
+
+    Row ``v`` of ``reach`` is a bit set over the sources, bit ``s % 64`` of
+    little-endian uint64 word ``s // 64``, holding the sources within ``k``
+    hops of ``v`` after level ``k``; distances are symmetric, so it is also
+    the set of nodes within ``k`` hops of source ``v``.  A level ORs every
+    row's closed neighbourhood into it with one ``np.bitwise_or.reduceat``
+    per block of rows of ``_gather_plan``; an XOR with the previous level
+    leaves the pairs first reached at level ``k``, which are ORed into bit
+    slice ``j`` for each set bit ``j`` of ``k``.  The first level that
+    reaches nothing new ends the BFS, so slice ``j`` holds bit ``j`` of every
+    distance.  A level costs ``O((n + m) * n / 64)`` word operations however
+    few pairs it reaches, so a long diameter costs more than a frontier of
+    pairs would.
     """
     n = g.n
-    deg = np.fromiter(map(len, g.adj), dtype=np.intp, count=n)
+    words = -(-n // 64)
     start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(deg, out=start[1:])
-    nbr = np.fromiter(itertools.chain.from_iterable(g.adj), dtype=np.intp, count=int(start[-1]))
+    np.cumsum([len(a) + 1 for a in g.adj], out=start[1:])
+    closed = itertools.chain.from_iterable((v, *a) for v, a in enumerate(g.adj))
+    entries = np.fromiter(closed, dtype=np.intp, count=int(start[-1]))
+    plan = _gather_plan(start, words)
+    buffer = np.empty((max(p.stop - p.start for _, p, _ in plan), words), dtype=np.uint64)
+    plan = [(rows, entries[p], at, buffer[: p.stop - p.start]) for rows, p, at in plan]
 
-    def neighbour_pairs(front: np.ndarray) -> np.ndarray:
-        # Every (source, neighbour) pair of the frontier's pairs.  A node's
-        # run of output offsets begins at e, and offset j reads
-        # nbr[start[node] + j - e]; ``shift`` is start[node] - e.
-        node = front % n
-        counts = deg[node]
-        shift = np.cumsum(counts)
-        shift -= counts
-        np.subtract(start[node], shift, out=shift)
-        pos = np.repeat(shift, counts)
-        pos += np.arange(pos.size, dtype=np.intp)
-        pairs = nbr[pos]
-        pairs += np.repeat(front - node, counts)
-        return pairs
-
-    dist = np.full((n, n), -1, dtype=np.promote_types(_oracle_dtype(n), np.int32))
-    flat = dist.reshape(-1)
-    block = _source_block(int(start[-1]))
-    for first in range(0, n, block):
-        front = np.arange(first, min(first + block, n), dtype=np.intp) * (n + 1)
-        flat[front] = 0
-        level = 0
-        while front.size:
-            level += 1
-            cand = neighbour_pairs(front)
-            cand = cand[flat[cand] < 0]
-            marker = np.arange(-2, -2 - cand.size, -1, dtype=dist.dtype)
-            flat[cand] = marker
-            front = cand[flat[cand] == marker]
-            flat[front] = level
-    return dist
+    reach = np.zeros((n, words), dtype=np.uint64)
+    ids = np.arange(n)
+    reach.view(np.uint8)[ids, ids >> 3] = 1 << (ids & 7)
+    nxt = np.empty_like(reach)
+    slices: list[np.ndarray] = []
+    for level in range(1, n + 1):  # level diameter + 1 <= n reaches nothing new
+        for rows, picks, at, gathered in plan:
+            reach.take(picks, axis=0, out=gathered, mode="clip")  # unbuffered; picks are in range
+            np.bitwise_or.reduceat(gathered, at, axis=0, out=nxt[rows])
+        np.bitwise_xor(reach, nxt, out=reach)  # the pairs first reached at this level
+        if not np.count_nonzero(reach):
+            break
+        if level == 1 << len(slices):
+            slices.append(np.zeros_like(reach))
+        for j, bits in enumerate(slices):
+            if level >> j & 1:
+                bits |= reach
+        reach, nxt = nxt, reach
+    return slices
 
 
 @dataclass(frozen=True)
@@ -254,14 +301,14 @@ def _girth(d: DistanceOracle) -> int | float:
     cycle of at most ``2k + 1`` edges, and a node at depth ``k`` with two
     neighbours at depth ``k - 1`` one of at most ``2k``.  A root on a shortest
     cycle sees exactly that cycle's length, so the least bound over all roots
-    is the girth.  Roots run in blocks of ``_FRONTIER_BUDGET // m``.
+    is the girth.  Roots run in blocks of ``_GATHER_WORDS // m``.
     """
     g = d.graph
     if g.edge_count() == g.n - 1:  # a connected graph is a tree iff m == n - 1
         return UNBOUNDED
     u, v = np.array(g.edges(), dtype=np.intp).T
     best = g.n  # a cycle has at most n nodes
-    block = max(1, _FRONTIER_BUDGET // len(u))
+    block = max(1, _GATHER_WORDS // len(u))
     for first in range(0, g.n, block):
         depth = d.dist[first : first + block]
         du, dv = depth[:, u], depth[:, v]

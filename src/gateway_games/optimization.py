@@ -257,11 +257,14 @@ def _bounded_search(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
     check_memory(space * _PROFILE_BYTES + _SEARCH_BYTES, StateSpaceTooLarge, claim)
 
     masks, counts = _canonical_masks(classes, levels)
+    tables = _engine._mask_tables(d.dist, maximum)
     for k in levels:
         if alpha * k + floors[k] > best_key[0]:
             continue
         level = masks[counts == k]
-        sums = _engine.term_sums_for_masks(d.dist, level, maximum=maximum, classes=classes)
+        sums = _engine.term_sums_for_masks(
+            d.dist, level, maximum=maximum, classes=classes, tables=tables
+        )
         low = sums.min()
         profile = StrategyProfile.from_mask(_least_ids(level[sums == low]))
         key = (alpha * k + int(low), k, profile.ids)

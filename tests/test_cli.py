@@ -312,8 +312,8 @@ def test_gen_and_oracle_beyond_physical_memory_exit_2(monkeypatch, tmp_path, cap
     """With 1 MiB of physical memory, ``gen max-line`` at alpha = 10^7 (3e7
     edges) is refused before any edge exists, and ``dynamics`` on a 400-node
     path (9 bytes per distance cell, 1.44 MB) before its distances: each exits
-    2 with one error line, and gen writes no file.  16 MiB admits the run, with
-    the frontier arrays of the distance build (10.7 MB) beside the cells."""
+    2 with one error line, and gen writes no file.  2 MiB admits the run: the
+    distance build's own peak is below the 1.44 MB of the cells."""
     memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     out, graph = tmp_path / "line.json", tmp_path / "path.txt"
@@ -329,7 +329,7 @@ def test_gen_and_oracle_beyond_physical_memory_exit_2(monkeypatch, tmp_path, cap
         assert stdout == "" and len(errors) == 1 and "physical memory" in errors[0]
         assert "Traceback" not in err
     assert not out.exists()
-    memory["SC_PHYS_PAGES"] = 4096
+    memory["SC_PHYS_PAGES"] = 512
     assert cli.main(refused[1]) == 0
 
 

@@ -647,7 +647,7 @@ def test_restricted_scheduler_rejects_out_of_range_node(p5, scheduler):
 def test_run_dynamics_builds_one_oracle(monkeypatch):
     g = random_connected_graph(random.Random(5), 40)
     oracles = count_calls(monkeypatch, "all_pairs_distances")
-    builds = count_calls(monkeypatch, "_frontier_distances")
+    builds = count_calls(monkeypatch, "_bitset_distances")
     trace = run_dynamics(g, GameConfig(SUM, Fraction(10)), StrategyProfile.of([0]), BestGain())
     assert trace.steps
     assert (len(oracles), len(builds)) == (1, 1)

@@ -411,7 +411,8 @@ def term_chunks(dist, masks, maximum):
     """``_twin_rows``' chunks with every node alone, so each row is one node's
     and weighs 1: their dtypes, widths, and the terms joined."""
     singletons = [(v,) for v in range(dist.shape[0])]
-    chunks = list(_engine._twin_rows(dist, masks, singletons, maximum))
+    tables = _engine._mask_tables(dist, maximum)
+    chunks = list(_engine._twin_rows(tables, masks, singletons, maximum))
     assert all((weights == 1).all() for _, _, weights in chunks)
     terms = [t for _, t, _ in chunks]
     widths = [t.shape[1] for t in terms]
@@ -540,8 +541,9 @@ def test_no_chunk_exceeds_the_mask_cap():
             assert dtypes == {np.dtype(np.uint8)}
             assert max(widths) == width
             assert sum(widths) == masks.size
+            tables = _engine._mask_tables(dist, maximum)
             shapes = {(terms.shape, weights.shape) for _, terms, weights in
-                      _engine._twin_rows(dist, masks, classes, maximum)}
+                      _engine._twin_rows(tables, masks, classes, maximum)}
             assert shapes == {((rows, w), (rows, w)) for w in widths}
             chunks = [(cols, terms.shape) for cols, terms in _engine._dense_term_rows(dist, maximum)]
             assert chunks == [(slice(s, s + dense), (n, dense)) for s in range(0, 1 << n, dense)]
@@ -575,7 +577,7 @@ def test_dense_terms_match_plain_formula_and_sparse_path(monkeypatch, per_chunk,
 def test_cost_queries_run_no_bfs(monkeypatch):
     g = random_connected_graph(random.Random(3), 40)
     d = all_pairs_distances(g)
-    builds = count_calls(monkeypatch, "_frontier_distances")
+    builds = count_calls(monkeypatch, "_bitset_distances")
     bfs = count_calls(monkeypatch, "_bfs_tree")
     s = StrategyProfile.of(range(0, 40, 3))
     for variant in (SUM, MAX):

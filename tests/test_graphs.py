@@ -165,7 +165,7 @@ def test_both_distance_builds_match_per_source_bfs_and_hub_oracle(data):
 def test_oracle_dtype_is_the_narrowest_signed_one_holding_n_squared():
     """The rule at its two boundaries, by arithmetic alone: a SUM term is at
     most n(n - 1) and a through value at most 2n, both within n^2.  The
-    build itself fills int32, whose ``-1`` and markers need the room."""
+    build fills the dtype it is given, with no sentinel to make room for."""
     widths = {n: graphs._oracle_dtype(n) for n in (1, 2, 181, 182, 46_340, 46_341)}
     assert widths == {
         1: np.int16, 2: np.int16, 181: np.int16,
@@ -173,15 +173,35 @@ def test_oracle_dtype_is_the_narrowest_signed_one_holding_n_squared():
     }
     assert 181 * 180 <= np.iinfo(np.int16).max < 182 * 182
     assert 46_340 * 46_339 <= np.iinfo(np.int32).max < 46_341 * 46_341
-    assert graphs._frontier_distances(path_graph(5)).dtype == np.int32
+    for dtype in (np.int16, np.int32, np.int64):
+        dist = graphs._bitset_distances(path_graph(5), np.dtype(dtype))
+        assert dist.dtype == dtype and dist[0].tolist() == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("budget", [1, 5, 64])
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_frontier_build_in_small_source_blocks(monkeypatch, budget, kind):
-    g = family_graph(kind, 23, budget)
-    monkeypatch.setattr(graphs, "_FRONTIER_BUDGET", budget)
-    assert graphs._frontier_distances(g).tolist() == hub_distances(g, frozenset())
+    """The bit-parallel build against the hub oracle at each side of one and
+    two 64-bit words per row, with the gather budget forced to ``budget``
+    words and at its default.  By symmetry row ``v`` of the packed sets is
+    also source ``v``'s visited set, so a block of rows is a block of
+    sources; at 1 word every row is a block of its own."""
+    default = graphs._GATHER_WORDS
+    for n in (1, 2, 63, 64, 65, 128, 129):
+        g = family_graph(kind, n, budget)
+        expected = hub_distances(g, frozenset())
+        for words in (budget, default):
+            monkeypatch.setattr(graphs, "_GATHER_WORDS", words)
+            assert all_pairs_distances(g).dist.tolist() == expected, (n, words)
+
+
+def test_long_path_oracle_is_int32_past_255():
+    """A 300-node path: five words per row, distances up to 299 in nine bit
+    slices, an int32 oracle; every entry is ``|i - j|``."""
+    d = all_pairs_distances(path_graph(300)).dist
+    ids = np.arange(300)
+    assert d.dtype == np.int32 and int(d.max()) == 299
+    assert np.array_equal(d, np.abs(ids[:, None] - ids[None, :]))
 
 
 @given(connected_graphs(min_n=1, max_n=12), st.data())
@@ -244,7 +264,7 @@ def test_girth_matches_an_edge_removal_reference(g, budget):
     """The girth read off the distances equals an edge-by-edge reference, with
     the roots in blocks of every size the budget allows."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "_FRONTIER_BUDGET", budget)
+        mp.setattr(graphs, "_GATHER_WORDS", budget)
         assert metrics(all_pairs_distances(g)).girth == reference_girth(g)
 
 
@@ -271,14 +291,19 @@ def test_extra_edge_bounds_girth(seed):
 
 
 def test_oracle_beyond_physical_memory_is_refused(monkeypatch):
-    """Physical memory of exactly 9 bytes per distance cell plus 41 per
-    frontier candidate of one block (all 30 sources, 58 arcs each) admits the
-    oracle, and one byte less refuses it before the matrix exists."""
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 9 * 30 * 30 + 41 * 30 * 58}
+    """On a 30-node path the build's own peak outweighs the callers' 9 bytes
+    per cell (8,100): the int16 result, two packed levels and five bit
+    slices of one word per row, the gather and the unpacked bits of all 88
+    closed-neighbourhood entries, the OR's casting buffer, 16 bytes per
+    entry and 8 KiB.  Exactly that much physical memory admits the oracle,
+    and one byte less refuses it before the matrix exists."""
+    need = 2 * 900 + 8 * 30 * (5 + 2) + 8 * 88 + 900 + 2 * 900 + 16 * 88 + 8192
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     assert all_pairs_distances(path_graph(30)).dist[0, 29] == 29
     memory["SC_PHYS_PAGES"] -= 1
-    with pytest.raises(StateSpaceTooLarge, match="n = 30 need about 79440 bytes, .*physical memory"):
+    match = f"n = 30 need about {need} bytes, .*physical memory"
+    with pytest.raises(StateSpaceTooLarge, match=match):
         all_pairs_distances(path_graph(30))
 
 
@@ -300,11 +325,13 @@ def test_metrics_peak_stays_within_the_oracle_estimate():
         pytest.param(build_graph(1000, [(0, v) for v in range(1, 1000)]), id="star-1000"),
         pytest.param(build_graph(200, itertools.combinations(range(200), 2)), id="clique-200"),
         pytest.param(path_graph(30), id="path-30"),
+        pytest.param(path_graph(1000), id="path-1000"),
     ],
 )
 def test_oracle_estimate_bounds_the_distance_build(monkeypatch, g):
-    """The bytes the oracle's refusal checks cover the build's own peak: on
-    the star the frontier arrays outweigh the 9 bytes per cell."""
+    """The bytes the oracle's refusal checks cover the build's own peak.  On
+    the clique and the short path the build's estimate outweighs the 9 bytes
+    per cell; the int32 path-1000 holds ten bit slices, the most per cell."""
     needs = []
     monkeypatch.setattr(graphs, "check_memory", lambda need, *rest: needs.append(need))
     peak = traced_peak(lambda: all_pairs_distances(g))
@@ -313,11 +340,13 @@ def test_oracle_estimate_bounds_the_distance_build(monkeypatch, g):
 
 def test_int64_oracle_doubles_its_estimate(monkeypatch):
     """Past 46,340 nodes the oracle and the move kernel's temporary are int64,
-    so the estimate is 18 bytes per cell, plus 41 per frontier candidate of a
-    block of two sources; refused before anything is built."""
+    so the estimate is 18 bytes per cell: the build's own peak, an int64
+    result and 18 packed words of bits per 64 cells, stays below it.
+    Refused before anything is built."""
     n = 46_341
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 9 * n * n + 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-    need = 18 * n * n + 41 * 2 * 2 * (n - 1)
+    need = 18 * n * n
+    assert graphs._build_bytes(n, 2 * (n - 1), 3, np.dtype(np.int64)) < need
     with pytest.raises(StateSpaceTooLarge, match=f"n = {n} need about {need} bytes"):
         all_pairs_distances(path_graph(n))
