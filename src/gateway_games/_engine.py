@@ -13,18 +13,22 @@ the per-profile move kernel in ``game`` and for the exhaustive tables here.
 
 The exhaustive tables are node-major: row ``v`` holds node ``v``'s value for
 every mask, shape ``(n, 2^n)``, so every add, min and reduction runs along a
-contiguous row of masks.  Toggling ``v`` swaps the two halves of each block of
-``2^(v+1)`` masks, so ``improving_tables`` reads ``dv`` off row ``v`` by that
-swap, with no gather, and writes the opens into the first halves and the
-closes into the second of one boolean row: the two never share a cell.
+contiguous row of masks.  The term table keeps the narrow dtype the terms are
+formed in (see below), one or two bytes per cell.  Toggling ``v`` moves a mask
+``2^v`` along its row, so ``improving_tables`` reads every ``dv`` of row ``v``
+off two contiguous slices of it, the row shifted by ``2^v`` minus the row:
+at a mask without ``v`` that is the change of opening ``v``, and, negated,
+the change of closing it at the mask ``2^v`` above.
 
 The move table it returns is packed: row ``v`` is a bit set over the masks,
 bit ``m % 64`` of uint64 word ``m // 64``, so the table takes ``n / 8`` bytes
-per profile.  The classifier works on such sets whole, with one step,
-``_or_toggled``: ``out |= row_b & x[m ^ (1 << b)]``, the states whose move
-``b`` lands in ``x``.  A toggle of bit ``b < 6`` stays inside a word, a shift
-and a mask; one of bit ``b >= 6`` swaps the halves of each block of
-``2^(b-5)`` words.  Its two fixpoints: the peel, the greatest set ``A`` with
+per profile.  A row shorter than a word (n < 6) is padded to one, its pad
+bits clear.  A toggle of bit ``b < 6`` stays inside a word, a shift and a
+mask, and all six of them are formed at once by ``_toggled_in_word``; one of
+bit ``b >= 6`` swaps the halves of each block of ``2^(b-5)`` words.  The
+classifier works on such sets whole, with one step per bit,
+``out |= row_b & x[m ^ (1 << b)]``, the states whose move ``b`` lands in
+``x``.  Its two fixpoints: the peel, the greatest set ``A`` with
 ``A = OR_b(move_b & A[m ^ (1 << b)])``, iterated down from the states with a
 move, holds the states with an endless improving path; the reach, the least
 set ``R`` containing a seed with ``R = R | OR_b(move_b & R[m ^ (1 << b)])``,
@@ -94,8 +98,12 @@ _CLAMP = 1 << 62
 # The word of a packed set, little-endian so that bit m % 64 of word m // 64
 # is bit m % 8 of byte m // 8, the order of np.packbits(bitorder="little").
 _WORD = np.dtype("<u8")
-# Per bit b < 6, the positions of a word whose bit b is clear.
-_STAY = [_WORD.type(sum(1 << p for p in range(64) if not p >> b & 1)) for b in range(6)]
+# Per bit b < 6, as a (6, 1) column: the shift that moves a bit across bit b
+# within its word, and the positions of a word whose bit b is clear.
+_SHIFT = np.array([[1 << b] for b in range(6)], dtype=_WORD)
+_STAY = np.array(
+    [[sum(1 << p for p in range(64) if not p >> b & 1)] for b in range(6)], dtype=_WORD
+)
 
 
 def _exhaustive_limit(exhaustive_limit: int | None) -> int:
@@ -107,25 +115,33 @@ def _exhaustive_limit(exhaustive_limit: int | None) -> int:
     return exhaustive_limit
 
 
-def _table_bytes(n: int) -> int:
+def _table_bytes(dist: np.ndarray, maximum: bool) -> int:
     """Bytes per profile of the classifier and equilibrium enumeration, both at
-    their peak inside improving_tables: ``4n`` for the int32 term table,
-    ``n / 8`` rounded up for the packed move table, and 4 for the int32
-    half-row differences, the boolean row and its packed copy (tracemalloc
-    peaks: 4n + n/8 + 3.40, 3.26 and 3.25 at n = 18, 20 and 22)."""
-    return 4 * n + (n + 7) // 8 + 4
+    their peak inside improving_tables: ``s * n`` for the term table, ``s``
+    the itemsize ``_narrow`` gives it, ``n / 8`` rounded up for the packed
+    move table, and 4 for the int16 differences of a row, the boolean row the
+    opens and the closes share, and their two packed copies (tracemalloc
+    peaks: s * n + n/8 + 3.53 and 3.51 at n = 18 and 20 in uint8, 3.54 at
+    n = 18 in int16)."""
+    n = dist.shape[0]
+    return _narrow(dist, maximum).itemsize * n + (n + 7) // 8 + 4
 
 
-def check_sweep_size(n: int, exhaustive_limit: int | None, what: str, profile_bytes: int) -> None:
+def check_sweep_size(
+    n: int, exhaustive_limit: int | None, what: str, profile_bytes: int | None = None
+) -> None:
     """Refuse a sweep over all ``2^n`` profiles before anything is allocated.
 
     The node count must be within ``_exhaustive_limit(exhaustive_limit)``, and the sweep's
-    arrays, ``2^n * profile_bytes`` bytes, must fit in physical memory.
+    arrays, ``2^n * profile_bytes`` bytes, must fit in physical memory.  Without
+    ``profile_bytes`` only the node count is checked: a sweep whose bytes
+    depend on the oracle checks it before building one, and again after.
     """
     limit = _exhaustive_limit(exhaustive_limit)
     if n > limit:
         raise StateSpaceTooLarge(f"{what} needs n <= {limit}, got n = {n}")
-    check_memory((1 << n) * profile_bytes, StateSpaceTooLarge, f"{what} at n = {n} needs")
+    if profile_bytes is not None:
+        check_memory((1 << n) * profile_bytes, StateSpaceTooLarge, f"{what} at n = {n} needs")
 
 
 def _thresholds(alpha: Fraction) -> tuple[int, int]:
@@ -135,14 +151,21 @@ def _thresholds(alpha: Fraction) -> tuple[int, int]:
     return max(-(math.floor(alpha) + 1), -_CLAMP), min(math.ceil(alpha) - 1, _CLAMP)
 
 
-def _terms(dist: np.ndarray, a: np.ndarray, base: np.ndarray, maximum: bool) -> np.ndarray:
+def _terms(
+    dist: np.ndarray, a: np.ndarray, base: np.ndarray, maximum: bool, out=(None, None)
+) -> np.ndarray:
     """``agg_u min(d(v, u), base(v) + a(u))`` for each ``v``; ``base = a`` gives
     the profile's own terms.  A trailing axis of ``a`` and ``base`` batches
     profiles, with ``dist`` then shaped ``(n, n, 1)``; ``dist`` may be cut to
-    the rows ``base`` covers."""
-    through = base[:, None] + a[None, :]
+    the rows ``base`` covers.  ``out``, the buffers of the ``(rows, n, ...)``
+    temporary and of the ``(rows, ...)`` result, lets a sweep reuse both for
+    every chunk; by default each call allocates its own."""
+    through, terms = out
+    through = np.add(base[:, None], a[None, :], out=through)
     np.minimum(through, dist, out=through)
-    return through.max(axis=1) if maximum else through.sum(axis=1, dtype=through.dtype)
+    if maximum:
+        return through.max(axis=1, out=terms)
+    return through.sum(axis=1, dtype=through.dtype, out=terms)
 
 
 def _narrow(dist: np.ndarray, maximum: bool) -> np.ndarray:
@@ -219,24 +242,29 @@ def _dense_term_rows(dist: np.ndarray, maximum: bool):
     """``(columns, terms)`` for every mask in order, in chunks of ``2^lb``
     consecutive masks, ``2^lb`` the largest power of two within ``_chunk_masks``
     and ``2^n``: a chunk's low ``lb`` bits run through every value and its high
-    bits are one value ``h``, so its ``a`` is ``min(low, high[:, h])``."""
+    bits are one value ``h``, so its ``a`` is ``min(low, high[:, h])``.  The
+    chunk's ``a``, its ``(n, n, 2^lb)`` temporary and its terms are buffers
+    allocated once, so each chunk's terms are overwritten by the next."""
     n = dist.shape[0]
     dn = _narrow(dist, maximum)
     lb = min(n, _chunk_masks(dn).bit_length() - 1)
     low, high = _subset_minima(dn[:, :lb], n), _subset_minima(dn[:, lb:], n)
+    a, terms = np.empty_like(low), np.empty_like(low)
+    through = np.empty((n, n, 1 << lb), dtype=dn.dtype)
     for h in range(high.shape[1]):
-        a = np.minimum(low, high[:, h : h + 1])
-        yield slice(h << lb, (h + 1) << lb), _terms(dn[:, :, None], a, a, maximum)
+        np.minimum(low, high[:, h : h + 1], out=a)
+        yield slice(h << lb, (h + 1) << lb), _terms(dn[:, :, None], a, a, maximum, (through, terms))
 
 
 def term_table(dist: np.ndarray, *, maximum: bool) -> np.ndarray:
-    """Per-node distance terms for every profile mask, shape (n, 2^n).
+    """Per-node distance terms for every profile mask, shape (n, 2^n), in the
+    dtype ``_narrow`` gives: uint8, or int16 past its bounds.
 
     Column 0 is the gateway-free world: plain distance sums (or maxima).  It
     is the reference point for the forbidden sole-gateway close.
     """
     n = dist.shape[0]
-    out = np.empty((n, 1 << n), dtype=np.int32)
+    out = np.empty((n, 1 << n), dtype=_narrow(dist, maximum).dtype)
     for columns, terms in _dense_term_rows(dist, maximum):
         out[:, columns] = terms
     return out
@@ -278,31 +306,46 @@ def improving_tables(table: np.ndarray, alpha: Fraction) -> np.ndarray:
     """Packed ``(n, max(1, 2^n / 64))`` table: bit ``m % 64`` of word ``m // 64``
     in row ``v`` is set iff toggling ``v`` at ``m`` strictly improves.
 
-    Sole-gateway closes are excluded (forbidden).  Mask 0's bits are all
-    clear: it has nothing to close, and opening ``v`` there leaves ``v``'s
+    ``table`` is ``term_table``'s, uint8 or int16, so every ``dv`` fits in
+    int16.  Sole-gateway closes are excluded (forbidden).  Mask 0's bits are
+    all clear: it has nothing to close, and opening ``v`` there leaves ``v``'s
     term as it was, so at a positive price it never improves.  Bits past mask
-    ``2^n - 1`` (n < 6) are clear.  In each block of ``2^(v+1)`` masks the
-    first half lacks ``v`` and the second half is the first with ``v`` added,
-    so one difference of the halves decides the open in the first half and,
-    negated, the close in the second.  One boolean row and one difference
-    buffer are reused for every node, then packed.
+    ``2^n - 1`` (n < 6) are clear.  Row ``v``'s differences
+    ``dv[m] = t[m + 2^v] - t[m]`` come from two contiguous slices; at a mask
+    ``m`` without ``v`` they decide the open at ``m`` and, negated, the close
+    at ``m + 2^v``.  The opens and the closes are packed in turn from one
+    boolean row, and the two merge word by word: the positions without bit
+    ``v`` take the opens, those with it the closes ``2^v`` below, by a shift
+    within each word for ``v < 6`` and a copy of the half blocks of words
+    above.  The row's cells past ``2^n - 2^v`` hold stale verdicts of lower
+    nodes, all at masks with bit ``v`` set, where no verdict of ``v`` is read;
+    its pad cells are never written.
     """
     n, total = table.shape
     open_at, close_at = _thresholds(alpha)
-    moves = np.zeros((n, max(1, total >> 6)), dtype=_WORD)
-    octets = moves.view(np.uint8)
-    row = np.empty(total, dtype=bool)
-    dv = np.empty(total >> 1, dtype=table.dtype)
+    words = max(1, total >> 6)
+    moves = np.empty((n, words), dtype=_WORD)
+    row = np.zeros(words << 6, dtype=bool)
+    dv = np.empty(total, dtype=np.int16)
     for v in range(n):
-        halves = table[v].reshape(-1, 2, 1 << v)
-        cells = row.reshape(-1, 2, 1 << v)
-        step = dv.reshape(-1, 1 << v)
-        np.subtract(halves[:, 1], halves[:, 0], out=step)  # opening v changes its term by dv, closing by -dv
-        np.less_equal(step, open_at, out=cells[:, 0])
-        np.greater_equal(step, -close_at, out=cells[:, 1])
-        row[1 << v] = False  # v alone: the sole gateway may not close
-        packed = np.packbits(row, bitorder="little")
-        octets[v, : packed.size] = packed
+        step = 1 << v
+        cells = total - step
+        np.subtract(table[v, step:], table[v, :cells], out=dv[:cells], dtype=np.int16)
+        np.less_equal(dv[:cells], open_at, out=row[:cells])
+        opens = np.packbits(row, bitorder="little").view(_WORD)
+        np.greater_equal(dv[:cells], -close_at, out=row[:cells])
+        row[0] = False  # the close at mask 2^v: v alone, the sole gateway may not close
+        closes = np.packbits(row, bitorder="little").view(_WORD)
+        if v < 6:
+            np.bitwise_and(opens, _STAY[v], out=moves[v])
+            closes &= _STAY[v]
+            closes <<= _SHIFT[v]
+            moves[v] |= closes
+        else:
+            half = 1 << (v - 6)
+            merged = moves[v].reshape(-1, 2, half)
+            merged[:, 0] = opens.reshape(-1, 2, half)[:, 0]
+            merged[:, 1] = closes.reshape(-1, 2, half)[:, 0]
     return moves
 
 
@@ -312,21 +355,20 @@ def _unpack(words: np.ndarray, total: int) -> np.ndarray:
     return bits.view(bool)
 
 
-def _or_toggled(out: np.ndarray, row: np.ndarray, x: np.ndarray, b: int) -> None:
-    """``out[m] |= row[m] & x[m ^ (1 << b)]`` on packed sets.
+def _toggled_in_word(x: np.ndarray) -> np.ndarray:
+    """``(6, words)``: row ``b`` is the packed set ``x[m ^ (1 << b)]``, for
+    each bit ``b < 6``, which moves a bit within its word by a shift and a mask."""
+    out = (x >> _SHIFT) & _STAY
+    out |= (x & _STAY) << _SHIFT
+    return out
 
-    Toggling bit ``b < 6`` moves a bit within its word, by a shift and a mask;
-    toggling bit ``b >= 6`` swaps the two halves of each block of
+
+def _or_toggled(out: np.ndarray, row: np.ndarray, x: np.ndarray, b: int) -> None:
+    """``out[m] |= row[m] & x[m ^ (1 << b)]`` on packed sets, for a bit
+    ``b >= 6``: toggling it swaps the two halves of each block of
     ``2^(b-5)`` words.  ``out`` may be ``x``: the reach then takes up what a
     lower bit added in the same round.
     """
-    if b < 6:
-        shift = _WORD.type(1 << b)
-        swapped = (x >> shift) & _STAY[b]
-        swapped |= (x & _STAY[b]) << shift
-        swapped &= row
-        out |= swapped
-        return
     o, r, y = (a.reshape(-1, 2, 1 << (b - 6)) for a in (out, row, x))
     o[:, 0] |= r[:, 0] & y[:, 1]
     o[:, 1] |= r[:, 1] & y[:, 0]

@@ -268,15 +268,29 @@ class StateGraphReport:
     trapped: tuple[StrategyProfile, ...] | None
 
 
+def _round(moves: np.ndarray, x: np.ndarray, grow: bool) -> np.ndarray:
+    """One round of ``_fixpoint``: the states with a move into ``x``, and for
+    the reach (``grow=True``) ``x`` with them.  The toggles of the bits below
+    6 are formed at once, from ``x`` as the round found it; each bit from 6 up
+    then swaps half blocks of words, and in the reach takes up what the bits
+    before it added."""
+    low = moves[:6]
+    near = _engine._toggled_in_word(x)[: low.shape[0]]
+    near &= low
+    out = np.bitwise_or.reduce(near, axis=0)
+    if grow:
+        out |= x
+    for b in range(6, moves.shape[0]):
+        _engine._or_toggled(out, moves[b], out if grow else x, b)
+    return out
+
+
 def _fixpoint(moves: np.ndarray, x: np.ndarray, grow: bool) -> np.ndarray:
-    """The fixpoint of the packed set ``x`` under ``_or_toggled`` over every bit.
-    Each round of the peel (``grow=False``) keeps the states with a move into
-    ``x``; each round of the reach (``grow=True``) adds them to ``x``, taking
-    up within the round what a lower bit added."""
+    """The fixpoint of the packed set ``x`` under ``_round``: the greatest
+    below ``x`` for the peel (``grow=False``), the least above it for the
+    reach (``grow=True``)."""
     while True:
-        out = x.copy() if grow else np.zeros_like(x)
-        for b, row in enumerate(moves):
-            _engine._or_toggled(out, row, out if grow else x, b)
+        out = _round(moves, x, grow)
         if np.array_equal(out, x):
             return x
         x = out
@@ -298,9 +312,10 @@ def build_ir_state_graph(
     comes with a non-empty ``trapped`` witness: profiles from which no
     equilibrium is reachable at all.
 
-    Both verdicts are fixpoints over the packed move table, each round a
-    whole-table pass per bit.  The peel starts from the states with a move
-    and keeps those with a move into the kept set until nothing changes;
+    Both verdicts are fixpoints over the packed move table, each round one
+    whole-table pass for the six bits within a word and one per bit above.
+    The peel starts from the states with a move and keeps those with a move
+    into the kept set until nothing changes;
     what stays has an endless improving path, so a path into a cycle, and
     every state it drops halts on every path, so reaches an equilibrium.
     The reach starts from the dropped states and adds every state with a move
@@ -310,11 +325,12 @@ def build_ir_state_graph(
     exponential in ``n`` and refuses to run past ``exhaustive_limit`` nodes
     (default 20) or when its arrays would not fit in physical memory.
     """
-    _engine.check_sweep_size(g.n, exhaustive_limit, "profile sweep", _engine._table_bytes(g.n))
+    maximum = cfg.variant is Variant.MAX
+    _engine.check_sweep_size(g.n, exhaustive_limit, "profile sweep")
     d = all_pairs_distances(g)
-    moves = _engine.improving_tables(
-        _engine.term_table(d.dist, maximum=cfg.variant is Variant.MAX), cfg.alpha
-    )
+    bytes_each = _engine._table_bytes(d.dist, maximum)
+    _engine.check_sweep_size(g.n, exhaustive_limit, "profile sweep", bytes_each)
+    moves = _engine.improving_tables(_engine.term_table(d.dist, maximum=maximum), cfg.alpha)
     total = 1 << g.n
     movers = np.bitwise_or.reduce(moves, axis=0)
     sinks = np.flatnonzero(~_engine._unpack(movers, total)[1:]) + 1  # mask 0 is no profile

@@ -335,11 +335,11 @@ def enumerate_equilibria(
     g: Graph, cfg: GameConfig, *, exhaustive_limit: int | None = None
 ) -> EquilibriumCatalog:
     """Every pure Nash equilibrium, with price of anarchy and of stability."""
-    _engine.check_sweep_size(
-        g.n, exhaustive_limit, "equilibrium enumeration", _engine._table_bytes(g.n)
-    )
-    d = all_pairs_distances(g)
     maximum = cfg.variant is Variant.MAX
+    _engine.check_sweep_size(g.n, exhaustive_limit, "equilibrium enumeration")
+    d = all_pairs_distances(g)
+    bytes_each = _engine._table_bytes(d.dist, maximum)
+    _engine.check_sweep_size(g.n, exhaustive_limit, "equilibrium enumeration", bytes_each)
     table = _engine.term_table(d.dist, maximum=maximum)
     movers = np.bitwise_or.reduce(_engine.improving_tables(table, cfg.alpha), axis=0)
     totals = table.sum(axis=0, dtype=np.int32)  # at most n^2 (n - 1)
@@ -348,12 +348,16 @@ def enumerate_equilibria(
     ne = ~_engine._unpack(movers, 1 << g.n)
     ne[0] = False  # mask 0 is no profile
 
-    found: list[tuple[StrategyProfile, Fraction]] = []
-    for m in np.flatnonzero(ne):
-        mask = int(m)
-        cost = cfg.alpha * mask.bit_count() + Fraction(int(totals[mask]))
-        found.append((StrategyProfile.from_mask(mask), cost))
-    found.sort(key=lambda pair: (pair[1], len(pair[0]), pair[0].ids))
+    # With alpha = num / den, a cost times den is the integer num * k + den * T,
+    # so the order is exact in integers; each Fraction is formed once, for the catalogue.
+    num, den = cfg.alpha.numerator, cfg.alpha.denominator
+    masks = np.flatnonzero(ne)
+    keyed = []
+    for mask, total in zip(masks.tolist(), totals[masks].tolist()):
+        profile = StrategyProfile.from_mask(mask)
+        keyed.append((num * len(profile) + den * total, len(profile), profile.ids, profile))
+    keyed.sort(key=lambda entry: entry[:3])
+    found = [(profile, Fraction(scaled, den)) for scaled, _, _, profile in keyed]
     poa = found[-1][1] / optimum.best_cost if found else None
     pos = found[0][1] / optimum.best_cost if found else None
     return EquilibriumCatalog(tuple(found), poa, pos, optimum)

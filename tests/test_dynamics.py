@@ -307,17 +307,19 @@ def test_sweeps_beyond_physical_memory_are_refused_before_allocating(
 
 
 def test_memory_guard_admits_its_estimate_and_refuses_one_node_more(monkeypatch):
-    """Each sweep's estimate, ``2^n * (4n + ceil(n / 8) + 4)`` bytes for the
-    classifier and equilibrium enumeration and ``2^n * 12`` for the full
-    optimum, admits it at n with exactly that much physical memory, and
-    refuses it one byte below and at n + 1."""
+    """Each sweep's estimate, ``2^n * (s * n + ceil(n / 8) + 4)`` bytes for the
+    classifier and equilibrium enumeration, with ``s = 1`` for the uint8
+    term table of a 10-node path, and ``2^n * 12`` for the full optimum,
+    admits it at n with exactly that much physical memory, and refuses it
+    one byte below and at n + 1."""
     n = 10
+    assert _engine._narrow(all_pairs_distances(path_graph(n + 1)).dist, False).dtype == np.uint8
     memory = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     cfg = GameConfig(SUM, 2)
     sweeps = [
-        (4 * n + 2 + 4, lambda g: build_ir_state_graph(g, cfg, exhaustive_limit=g.n)),
-        (4 * n + 2 + 4, lambda g: enumerate_equilibria(g, cfg, exhaustive_limit=g.n)),
+        (n + 2 + 4, lambda g: build_ir_state_graph(g, cfg, exhaustive_limit=g.n)),
+        (n + 2 + 4, lambda g: enumerate_equilibria(g, cfg, exhaustive_limit=g.n)),
         (12, lambda g: brute_force_optimum(g, cfg, exhaustive_limit=g.n)),
     ]
     for profile_bytes, sweep in sweeps:

@@ -29,6 +29,7 @@ from gateway_games import (
     twin_classes,
 )
 from gateway_games import _engine
+from gateway_games import dynamics as _dynamics
 from gateway_games.game import _scan_toggles, floor_sqrt
 
 from conftest import (
@@ -287,25 +288,47 @@ def test_sweep_tables_and_move_kernel_share_one_rule(g, variant):
             assert moves[:, mask].tolist() == toggles.improving.tolist()
 
 
-@given(connected_graphs(min_n=9, max_n=13), st.sampled_from([SUM, MAX]))
-@settings(max_examples=8, deadline=None)
-def test_block_swap_tables_match_a_gather_per_node(g, variant):
+def assert_moves_match_a_gather(table):
     """``improving_tables`` against a per-node gather: each node's toggled
-    terms taken with ``masks ^ bit``, and each ``dv`` decided as a Fraction.
-    Cells off the mask follow the open rule and cells on it the close rule."""
-    n = g.n
-    table = _engine.term_table(all_pairs_distances(g).dist, maximum=variant is MAX)
+    terms taken with ``masks ^ bit`` in int64, so that a uint8 table does not
+    wrap, and each ``dv`` decided as a Fraction.  Cells off the mask follow
+    the open rule and cells on it the close rule."""
+    n = table.shape[0]
+    wide = table.astype(np.int64)
     masks = np.arange(1 << n)
-    dv = np.stack([table[v, masks ^ (1 << v)] - table[v] for v in range(n)])
+    dv = np.stack([wide[v, masks ^ (1 << v)] - wide[v] for v in range(n)])
     member = (masks >> np.arange(n)[:, None] & 1) == 1
     sole = masks == 1 << np.arange(n)[:, None]
     values = np.unique(dv)
     for alpha in knife_prices(values.tolist()):
         opens = np.isin(dv, [x for x in values.tolist() if alpha + x < 0])
         closes = np.isin(dv, [x for x in values.tolist() if x - alpha < 0])
-        moves = _engine._unpack(_engine.improving_tables(table, alpha), 1 << n)
+        packed = _engine.improving_tables(table, alpha)
+        moves = _engine._unpack(packed, 64 * packed.shape[1])
+        assert not moves[:, 1 << n :].any()  # the pad bits of a short row
+        moves = moves[:, : 1 << n]
         assert ((moves & ~member) == (opens & ~member & (masks != 0))).all()
         assert ((moves & member) == (closes & member & ~sole)).all()
+
+
+@given(connected_graphs(min_n=9, max_n=13), st.sampled_from([SUM, MAX]), st.randoms())
+@settings(max_examples=8, deadline=None)
+def test_block_swap_tables_match_a_gather_per_node(g, variant, rnd):
+    """On the graph's uint8 table, the sub-word tables of n = 1..5 (one
+    padded word per row) and a synthetic int16 table of the graph's shape
+    with terms on a few levels up to 3999, so that ``dv`` of either sign runs
+    past 255 while the knife-edge prices stay few."""
+    table = _engine.term_table(all_pairs_distances(g).dist, maximum=variant is MAX)
+    assert table.dtype == np.uint8
+    assert_moves_match_a_gather(table)
+    for n in range(1, 6):
+        small = all_pairs_distances(random_connected_graph(random.Random(rnd.randrange(2**32)), n))
+        assert_moves_match_a_gather(_engine.term_table(small.dist, maximum=variant is MAX))
+    levels = [0, 1, 200, 255, 256, 257, 300, 1000, 3999]
+    terms = np.random.default_rng(rnd.randrange(2**32)).choice(levels, table.shape)
+    nodes = np.arange(g.n)
+    terms[nodes, 1 << nodes] = terms[:, 0]  # as in every term table: v alone keeps its plain term
+    assert_moves_match_a_gather(terms.astype(np.int16))
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -320,17 +343,30 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 @given(st.integers(1, 14), st.data())
 @settings(max_examples=40, deadline=None)
 def test_packed_toggle_step_matches_a_gather(n, data):
-    """``_or_toggled`` on packed sets equals ``out | row & x[masks ^ (1 << b)]``
-    on boolean ones, for every bit of the mask, and leaves the pad bits clear."""
+    """A round of the classifier's fixpoints on packed sets against boolean
+    ones, with each toggle taken as ``x[masks ^ (1 << b)]``: the peel's round
+    is ``OR_b moves_b & x[masks ^ (1 << b)]``; the reach's adds those to
+    ``x``, the bits below 6 at once from ``x`` as the round found it, and each
+    bit from 6 up from what the bits before it added.  ``_toggled_in_word``
+    gives each in-word toggle and the pad bits stay clear."""
     rnd = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     masks = np.arange(1 << n)
+    density = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+    moves, x = rnd.random((n, 1 << n)) < density, rnd.random(1 << n) < density
+    toggled = _engine._unpack(_engine._toggled_in_word(_pack(x)), 64 * max(1, (1 << n) // 64))
+    for b in range(min(n, 6)):
+        assert toggled[b, : 1 << n].tolist() == x[masks ^ (1 << b)].tolist()
+    peel = np.zeros(1 << n, dtype=bool)
     for b in range(n):
-        out, row, x = rnd.random((3, 1 << n)) < data.draw(st.sampled_from([0.1, 0.5, 0.9]))
-        packed = _pack(out)
-        _engine._or_toggled(packed, _pack(row), _pack(x), b)
+        peel |= moves[b] & x[masks ^ (1 << b)]
+    reach = x.copy()
+    for b in range(n):
+        reach |= moves[b] & (x if b < 6 else reach)[masks ^ (1 << b)]
+    for grow, expected in ((False, peel), (True, reach)):
+        packed = _dynamics._round(_pack(moves), _pack(x), grow)
         assert packed.shape == (max(1, (1 << n) // 64),)
         bits = _engine._unpack(packed, 64 * packed.shape[0])
-        assert bits[: 1 << n].tolist() == (out | row & x[masks ^ (1 << b)]).tolist()
+        assert bits[: 1 << n].tolist() == expected.tolist()
         assert not bits[1 << n :].any()
 
 
@@ -420,14 +456,15 @@ def term_chunks(dist, masks, maximum):
 
 
 def dense_ends(monkeypatch, dist, maximum, count=2):
-    """The first and the last ``count`` chunks of the dense generator.  The
-    chunks between are drawn with ``_terms`` stubbed out, so the pass costs
-    only their ``a``; the generator looks ``_terms`` up at every chunk."""
-    chunks = _engine._dense_term_rows(dist, maximum)
+    """The first and the last ``count`` chunks of the dense generator, each
+    copied, since the generator writes every chunk into the same buffers.
+    The chunks between are drawn with ``_terms`` stubbed out, so the pass
+    costs only their ``a``; the generator looks ``_terms`` up at every chunk."""
+    chunks = ((columns, terms.copy()) for columns, terms in _engine._dense_term_rows(dist, maximum))
     first = list(itertools.islice(chunks, count))
     between = (1 << dist.shape[0]) // first[0][0].stop - 2 * count
     with monkeypatch.context() as mp:
-        mp.setattr(_engine, "_terms", lambda *args: None)
+        mp.setattr(_engine, "_terms", lambda *args: np.empty(0))
         deque(itertools.islice(chunks, between), maxlen=0)
     return first + list(chunks)
 
@@ -466,6 +503,12 @@ def test_sum_terms_at_the_uint8_boundary(monkeypatch, g, row_sum, dtype):
         assert terms.dtype == dtype
         span = np.arange(columns.start, columns.stop, dtype=np.int64)
         assert terms.tolist() == plain_terms(dist, span, False).tolist()
+    # term_table keeps that dtype: with no chunk drawn, it allocates its
+    # (n, 2^n) table untouched, so no page of it is ever written.
+    with monkeypatch.context() as mp:
+        mp.setattr(_engine, "_dense_term_rows", lambda dist, maximum: iter(()))
+        table = _engine.term_table(dist, maximum=False)
+        assert table.shape == (g.n, 1 << g.n) and table.dtype == dtype
 
 
 @pytest.mark.parametrize(("n", "dtype"), [(127, np.uint8), (128, np.int16)])
