@@ -28,11 +28,11 @@ from .game import (
     StrategyProfile,
     Variant,
     _check_ids,
-    _scan_toggles,
-    evaluate_move,
-    is_nash_equilibrium,
+    _ProfileState,
+    _Toggles,
+    evaluate_move,  # noqa: F401  bound only for perfbench/test_tracer.py's rebinding check
 )
-from .graphs import DistanceOracle, Graph, all_pairs_distances
+from .graphs import Graph, all_pairs_distances
 
 
 @dataclass(frozen=True)
@@ -130,20 +130,20 @@ def default_step_budget(n: int) -> int:
 
 
 class _Picker:
-    def __init__(self, d: DistanceOracle, cfg: GameConfig, scheduler: Scheduler):
+    def __init__(self, n: int, scheduler: Scheduler):
         # In the order each scheduler walks its nodes, so the first bad one is named.
         if isinstance(scheduler, FixedSequence):
-            _check_ids(d.graph.n, scheduler.nodes)
+            _check_ids(n, scheduler.nodes)
         if isinstance(scheduler, OpensOnly):
-            _check_ids(d.graph.n, sorted(scheduler.nodes))
-        self.d, self.cfg = d, cfg
+            _check_ids(n, sorted(scheduler.nodes))
+        self.n = n
         self.scheduler = scheduler
         self.cursor = 0
         self.rng = random.Random(scheduler.seed) if isinstance(scheduler, RandomSeeded) else None
 
-    def pick(self, s: StrategyProfile) -> Move | None:
+    def pick(self, toggles: _Toggles) -> Move | None:
+        """The scheduler's move among the scanned ``toggles``, or None."""
         sched = self.scheduler
-        toggles = self.toggles = _scan_toggles(self.d, self.cfg, s)  # kept for the verdict
         improving = toggles.improving
         if isinstance(sched, FixedSequence):
             length = len(sched.nodes)
@@ -156,7 +156,7 @@ class _Picker:
             return None
         if isinstance(sched, OpensOnly):
             for v in sorted(sched.nodes):
-                if v not in s and improving[v]:
+                if not toggles.member[v] and improving[v]:
                     return toggles.move(v)
             return None
         hits = np.flatnonzero(improving)
@@ -165,7 +165,7 @@ class _Picker:
         if isinstance(sched, RoundRobin):
             later = hits[hits >= self.cursor]
             v = int(later[0] if later.size else hits[0])
-            self.cursor = (v + 1) % self.d.graph.n
+            self.cursor = (v + 1) % self.n
             return toggles.move(v)
         if isinstance(sched, RandomSeeded):
             return toggles.move(self.rng.choice(hits.tolist()))
@@ -203,15 +203,17 @@ def run_dynamics(
     _check_ids(g.n, s0.gateways, "initial gateway")  # before the oracle is built
     d = all_pairs_distances(g)
     budget = default_step_budget(g.n) if max_steps is None else max_steps
-    picker = _Picker(d, cfg, scheduler)
+    picker = _Picker(g.n, scheduler)
+    carried = _ProfileState(d, s0)
     seen = {s0: 0}
     steps: list[tuple[StrategyProfile, Move]] = []
     state = s0
     while True:
-        move = picker.pick(state)
+        toggles = carried.scan(cfg)
+        move = picker.pick(toggles)
         if move is None:
             # Only a restricted scheduler passes over an improving toggle.
-            stalled = picker.toggles.improving.any()
+            stalled = toggles.improving.any()
             outcome: Outcome = Stalled(state) if stalled else ConvergedToNE(state)
             break
         if len(steps) >= budget:
@@ -219,6 +221,7 @@ def run_dynamics(
             break
         steps.append((state, move))
         state = state.toggled(move.node)
+        carried.toggle(move.node)
         previous = seen.get(state)
         if previous is not None:
             outcome = CycleDetected(previous, len(steps) - previous)
@@ -228,28 +231,36 @@ def run_dynamics(
 
 
 def replay_trace(g: Graph, cfg: GameConfig, trace: DynamicsTrace) -> list[StrategyProfile]:
-    """Re-evaluate every recorded move; raises ``ValueError`` on any mismatch."""
+    """Re-evaluate every recorded move; raises ``ValueError`` on any mismatch.
+
+    One state, built from ``trace.initial``, follows the trace: each recorded
+    move is checked against the state's one-row evaluation, and a claimed
+    equilibrium or stall against its scan of the final profile.
+    """
     d = all_pairs_distances(g)
-    state = trace.initial
+    states = [trace.initial]
+    carried = _ProfileState(d, trace.initial)
     for recorded_state, move in trace.steps:
-        if recorded_state != state:
+        if recorded_state != states[-1]:
             raise ValueError("trace states out of order")
-        fresh = evaluate_move(d, cfg, state, move.node)
+        fresh = carried.move(cfg, move.node)
         if fresh != move or not fresh.is_improving:
             raise ValueError(f"recorded move {move} does not replay")
-        state = state.toggled(move.node)
+        states.append(recorded_state.toggled(move.node))
+        carried.toggle(move.node)
+    state = states[-1]
     if isinstance(trace.outcome, (ConvergedToNE, Stalled)):
         # A stall is claimed on the final state, like an equilibrium, but off one.
         at_ne = isinstance(trace.outcome, ConvergedToNE)
-        if trace.outcome.profile != state or is_nash_equilibrium(d, cfg, state) != at_ne:
+        if trace.outcome.profile != state or carried.scan(cfg).improving.any() == at_ne:
             raise ValueError(f"claimed {trace.outcome} does not verify")
     if isinstance(trace.outcome, CycleDetected):
         entry, steps = trace.outcome.entry_index, len(trace.steps)
         if not 0 <= entry < steps or trace.outcome.period != steps - entry:
             raise ValueError(f"{trace.outcome} does not match a trace of {steps} steps")
-        if trace.states()[entry] != state:
+        if states[entry] != state:
             raise ValueError("cycle does not close on its entry state")
-    return trace.states()
+    return states
 
 
 @unique

@@ -11,6 +11,14 @@ ever produced.  A toggle changes the mover's distance term by an integer
 ``dv``, so whether it improves is decided in integers against ``floor`` and
 ``ceil`` of ``alpha``; ``Fraction`` appears only in the returned costs and
 deltas.  That keeps the knife-edge ties the dynamics depend on exact.
+
+Every cost query reads one profile's state: each node's distance to its
+nearest gateway, and each gateway's to its nearest other one, from one
+gather of the gateway columns of the distance oracle.  Improving-response
+dynamics and trace replay carry one state from profile to profile instead of
+gathering again.  An open changes both rows by one elementwise minimum with
+the opener's distance row; a close gathers them again, since the
+second-nearest gateway is not kept.
 """
 
 from __future__ import annotations
@@ -126,25 +134,90 @@ def _check_ids(n: int, ids: Collection[int], what: str = "node") -> None:
         raise NodeIdOutOfRange(f"{what} {bad} outside [0, {n})")
 
 
-def _profile(
-    d: DistanceOracle, s: StrategyProfile, *nodes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(gates, a, base)`` from one gather of the gateway columns, after
-    checking the ids of ``s`` and of ``nodes``: the gateways, each node's
-    distance to the nearest of them, and each node's base once it toggles
-    (see ``_scan_toggles``).  A gateway's own column is masked with ``n``, so
-    one minimum gives every other node its ``a`` and each gateway its
-    distance to the nearest other gateway, or ``n`` when it is the only one."""
-    n = d.graph.n
-    _check_ids(n, (*s.gateways, *nodes))
-    gates = np.fromiter(s.gateways, dtype=np.intp, count=len(s))
-    cols = d.dist[:, gates]
-    cols[gates, np.arange(len(gates))] = n
-    a = cols.min(axis=1)
-    base = np.zeros_like(a)
-    base[gates] = a[gates]
-    a[gates] = 0
-    return gates, a, base
+# The sole gateway's close threshold in a scan: below every dv, so it never improves.
+_NEVER = int(np.iinfo(np.int64).min)
+
+
+class _ProfileState:
+    """One profile's nearest-gateway rows on one oracle, carried across toggles.
+
+    ``member`` marks the gateways and ``count`` counts them.  ``a[u]`` is
+    u's distance to the nearest gateway, and ``base[u]`` u's base once it
+    toggles: 0 for a node that would open, and for a gateway its distance to
+    the nearest other gateway, or ``n``, above every distance, when it is the
+    only one.  ``toggle`` keeps both rows exact: an open is one minimum with
+    the opener's distance row, and a close rebuilds them from the membership,
+    since the second-nearest gateway is not kept.
+    """
+
+    def __init__(self, d: DistanceOracle, s: StrategyProfile, *nodes: int):
+        """Checks the ids of ``s`` and of ``nodes``, then gathers the rows."""
+        n = d.graph.n
+        _check_ids(n, (*s.gateways, *nodes))
+        self.d = d
+        self.member = np.zeros(n, dtype=bool)
+        self.member[list(s.gateways)] = True
+        self.count = len(s)
+        self._gather()
+
+    def _gather(self) -> None:
+        """Both rows from one gather of the gateway columns.  A gateway's own
+        column is masked with ``n``, so one minimum gives every other node
+        its ``a`` and each gateway its base."""
+        dist, n = self.d.dist, self.d.graph.n
+        gates = np.flatnonzero(self.member)
+        cols = dist[:, gates]
+        cols[gates, np.arange(len(gates))] = n
+        self.a = cols.min(axis=1)
+        self.base = np.zeros_like(self.a)
+        self.base[gates] = self.a[gates]
+        self.a[gates] = 0
+
+    def toggle(self, v: int) -> None:
+        """Move to the profile with ``v`` toggled; closing the sole gateway raises."""
+        _check_ids(len(self.member), (v,))
+        if self.member[v]:
+            if self.count == 1:
+                raise ValueError(f"node {v} is the sole gateway and cannot close")
+            self.member[v] = False
+            self.count -= 1
+            self._gather()
+            return
+        row, nearest = self.d.dist[v], self.a[v]
+        np.minimum(self.a, row, out=self.a)
+        np.minimum(self.base, row, out=self.base)
+        self.base[v], self.a[v] = nearest, 0
+        self.member[v] = True
+        self.count += 1
+
+    def scan(self, cfg: GameConfig) -> "_Toggles":
+        """Score all n toggles in one numpy pass and decide them in integers.
+
+        A toggle only moves the mover's own base (``a(u) = d(u, v)`` wherever
+        v held u's nearest gateway, so that hub route never wins after a
+        close).  Each node's ``dv`` is compared once with its own threshold
+        from ``_thresholds``; the sole gateway's sits below every ``dv``.
+        """
+        maximum = cfg.variant is Variant.MAX
+        dist, a = self.d.dist, self.a
+        dv = _terms(dist, a, self.base, maximum) - _terms(dist, a, a, maximum)
+        open_at, close_at = _thresholds(cfg.alpha)
+        sole = self.count == 1
+        limit = np.where(self.member, _NEVER if sole else close_at, open_at)
+        return _Toggles(cfg.alpha, sole, self.member.copy(), dv, dv <= limit)
+
+    def move(self, cfg: GameConfig, v: int) -> Move:
+        """Cost delta of toggling ``v``, from ``v``'s own point of view.
+
+        Forms only ``v``'s terms before and after, with the formula and bases
+        of ``scan``: one row of distances where the scan reads the whole
+        matrix twice.
+        """
+        _check_ids(len(self.member), (v,))
+        row, mover = self.d.dist[v : v + 1], slice(v, v + 1)
+        a, maximum = self.a, cfg.variant is Variant.MAX
+        dv = _terms(row, a, self.base[mover], maximum)[0] - _terms(row, a, a[mover], maximum)[0]
+        return _move(cfg.alpha, self.count == 1, bool(self.member[v]), v, int(dv))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,54 +244,32 @@ def _move(alpha: Fraction, sole: bool, member: bool, v: int, dv: int) -> Move:
 
 
 def _scan_toggles(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> _Toggles:
-    """Score all n toggles in one numpy pass and decide them in integers.
-
-    A toggle only moves the mover's own base: 0 once it opens, its distance
-    to the nearest other gateway once it closes (``a(u) = d(u, v)`` wherever
-    v held u's nearest gateway, so that hub route never wins), and ``n``,
-    above every distance, for the sole gateway's close.
-    """
-    gates, a, base = _profile(d, s)
-    member = np.zeros(len(a), dtype=bool)
-    member[gates] = True
-    sole = len(gates) == 1
-    maximum = cfg.variant is Variant.MAX
-    dv = _terms(d.dist, a, base, maximum) - _terms(d.dist, a, a, maximum)
-    open_at, close_at = _thresholds(cfg.alpha)
-    improving = np.where(member, (dv <= close_at) & (not sole), dv <= open_at)
-    return _Toggles(cfg.alpha, sole, member, dv, improving)
+    """``scan`` of a fresh state of ``s``."""
+    return _ProfileState(d, s).scan(cfg)
 
 
 def comm_distance(d: DistanceOracle, s: StrategyProfile, u: int, v: int) -> int:
     """delta(u, v) under profile ``s``: plain distance or a hop through the gateway set."""
-    a = _profile(d, s, u, v)[1]
+    a = _ProfileState(d, s, u, v).a
     return int(min(d.dist[u, v], a[u] + a[v]))
 
 
 def private_cost(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int) -> Fraction:
     """Gateway fee (if ``v`` pays one) plus ``v``'s aggregated distances."""
-    a = _profile(d, s, v)[1]
+    a = _ProfileState(d, s, v).a
     term = _terms(d.dist[[v]], a, a[[v]], cfg.variant is Variant.MAX)[0]
     return (cfg.alpha if v in s else Fraction(0)) + int(term)
 
 
 def social_cost(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> Fraction:
-    a = _profile(d, s)[1]
+    a = _ProfileState(d, s).a
     return cfg.alpha * len(s) + int(_terms(d.dist, a, a, cfg.variant is Variant.MAX).sum())
 
 
 def evaluate_move(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int) -> Move:
-    """Cost delta of toggling ``v``, from ``v``'s own point of view.
-
-    Forms only ``v``'s terms before and after, with the formula and bases of
-    ``_scan_toggles``: one row of distances where the scan reads the whole
-    matrix twice.
-    """
-    gates, a, base = _profile(d, s, v)
-    row, mover = d.dist[v : v + 1], slice(v, v + 1)
-    maximum = cfg.variant is Variant.MAX
-    dv = _terms(row, a, base[mover], maximum)[0] - _terms(row, a, a[mover], maximum)[0]
-    return _move(cfg.alpha, len(gates) == 1, v in s, v, int(dv))
+    """Cost delta of toggling ``v``, from ``v``'s own point of view: one row of
+    distances, with the bases of the toggle scan."""
+    return _ProfileState(d, s).move(cfg, v)
 
 
 def improving_moves(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> list[Move]:

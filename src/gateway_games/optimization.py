@@ -110,10 +110,12 @@ def _least_ids(masks: np.ndarray) -> int:
 def _full_optimum(sums: np.ndarray, alpha: Fraction) -> OptimumResult:
     """The full enumeration's result from the distance sums of every mask, shape (2^n,).
 
-    Per gateway count k only the least distance sum ``D_k`` can win, so the
-    candidates ``alpha * k + D_k`` are compared exactly as Fractions; ties go
-    to the smaller k, then to the smallest id tuple.  The index is the mask,
-    and its gateway count comes from a uint8 popcount table.
+    Per gateway count k only the least distance sum ``D_k`` can win.  With
+    ``alpha = num / den`` the candidates ``alpha * k + D_k`` are compared as
+    the integers ``num * k + den * D_k``, as ``enumerate_equilibria`` orders
+    its costs, and one Fraction is formed, for the result; ties go to the
+    smaller k, then to the smallest id tuple.  The index is the mask, and its
+    gateway count comes from a uint8 popcount table.
     """
     n = sums.shape[0].bit_length() - 1
     counts = np.zeros(1, dtype=np.uint8)
@@ -121,11 +123,12 @@ def _full_optimum(sums: np.ndarray, alpha: Fraction) -> OptimumResult:
         counts = np.concatenate((counts, counts + 1))
     lows = np.full(n + 1, np.iinfo(sums.dtype).max, dtype=sums.dtype)  # ufunc.at is slow across dtypes
     np.minimum.at(lows, counts, sums)
-    k = min(range(1, n + 1), key=lambda k: (alpha * k + int(lows[k]), k))
+    num, den = alpha.numerator, alpha.denominator
+    scaled, k = min((num * k + den * low, k) for k, low in enumerate(lows.tolist()) if k)
     at_best = counts == k
     at_best &= sums == lows[k]
     best = StrategyProfile.from_mask(_least_ids(np.flatnonzero(at_best)))
-    return OptimumResult(best, alpha * k + int(lows[k]), FullEnumeration(), True)
+    return OptimumResult(best, Fraction(scaled, den), FullEnumeration(), True)
 
 
 def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -269,6 +269,20 @@ def count_calls(monkeypatch, name: str, module: str = "graphs") -> list:
     return calls
 
 
+def recorded_scans(monkeypatch) -> list:
+    """The result of every toggle scan of a carried profile state
+    (``game._ProfileState.scan``), in call order."""
+    scans: list = []
+    real = gateway_games.game._ProfileState.scan
+
+    def recording(self, cfg):
+        scans.append(real(self, cfg))
+        return scans[-1]
+
+    monkeypatch.setattr(gateway_games.game._ProfileState, "scan", recording)
+    return scans
+
+
 def traced_peak(call) -> int:
     """The tracemalloc peak, in bytes, of ``call()``."""
     tracemalloc.start()

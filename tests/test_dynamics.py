@@ -46,6 +46,7 @@ from gateway_games import (
 )
 from gateway_games import _engine, cli, graphs
 from gateway_games import dynamics as _dynamics
+from gateway_games.game import _scan_toggles
 
 from conftest import (
     alphas,
@@ -57,6 +58,7 @@ from conftest import (
     oracle_move,
     path_graph,
     random_connected_graph,
+    recorded_scans,
     traced_peak,
 )
 
@@ -135,7 +137,7 @@ def test_restricted_scheduler_stalls(p3):
 
 def test_run_scans_each_visited_profile_once(monkeypatch, p5):
     """The verdict on the last profile, stalled or converged, comes from the
-    picker's own scan of it: one scan per visited profile, and no other."""
+    carried state's scan of it: one scan per visited profile, and no other."""
     game = gen_non_wag()
     stall = OpensOnly(frozenset({game.roles["u"]}))
     runs = [
@@ -143,7 +145,7 @@ def test_run_scans_each_visited_profile_once(monkeypatch, p5):
         (p5, GameConfig(SUM, Fraction(1, 2)), StrategyProfile.of([0]), RoundRobin(), ConvergedToNE),
     ]
     for g, cfg, start, scheduler, outcome in runs:
-        scans = count_calls(monkeypatch, "_scan_toggles", "game")
+        scans = recorded_scans(monkeypatch)
         trace = run_dynamics(g, cfg, start, scheduler)
         assert isinstance(trace.outcome, outcome) and trace.steps
         assert len(scans) == len(trace.steps) + 1
@@ -209,6 +211,32 @@ def test_replay_rejects_forged_cycle_period_and_entry():
     for forged in (CycleDetected(0, 3), CycleDetected(-1, 5)):
         with pytest.raises(ValueError, match="does not match a trace of 4 steps"):
             replay_trace(game.graph, cfg, replace(trace, outcome=forged))
+
+
+@pytest.mark.parametrize("node", [-1, 5])
+def test_replay_refuses_a_recorded_node_outside_the_graph(p5, node):
+    """A recorded move's node is checked against ``[0, n)``: ``-1`` must not
+    read the last distance row, nor ``n`` run past the matrix."""
+    cfg = GameConfig(SUM, Fraction(1, 2))
+    trace = run_dynamics(p5, cfg, StrategyProfile.of([0]), RoundRobin())
+    first_state, first = trace.steps[0]
+    forged = replace(trace, steps=((first_state, replace(first, node=node)),) + trace.steps[1:])
+    with pytest.raises(NodeIdOutOfRange):
+        replay_trace(p5, cfg, forged)
+
+
+@pytest.mark.parametrize("forbidden", [True, False])
+def test_replay_refuses_a_recorded_close_of_the_sole_gateway(p5, forbidden):
+    """Closing the only gateway is never a move, whether or not the trace
+    marks it forbidden."""
+    cfg = GameConfig(SUM, Fraction(100))
+    start = StrategyProfile.of([2])
+    scored = evaluate_move(all_pairs_distances(p5), cfg, start, 2)
+    assert scored.kind is MoveKind.CLOSE and scored.forbidden
+    close = replace(scored, forbidden=forbidden)
+    forged = _dynamics.DynamicsTrace(start, ((start, close),), BudgetExhausted())
+    with pytest.raises(ValueError, match="does not replay"):
+        replay_trace(p5, cfg, forged)
 
 
 def test_state_graph_triangle_small_alpha(triangle):
@@ -646,6 +674,48 @@ def test_restricted_scheduler_rejects_out_of_range_node(p5, scheduler):
             run_dynamics(p5, cfg, StrategyProfile.of([0]), scheduler, max_steps=max_steps)
 
 
+@pytest.mark.parametrize("n", [80, 137, 181, 182, 200])
+def test_carried_scans_equal_fresh_scans_across_the_oracle_boundary(monkeypatch, n):
+    """Every scan ``run_dynamics`` makes on its carried state equals a
+    from-scratch ``_scan_toggles`` of the profile it visits, every step is
+    that scan's improving move, and the trace replays.  The graphs lie
+    either side of the int16/int32 oracle boundary at 181 nodes; every
+    scheduler runs from ``{0}`` and from every third node."""
+    rnd = random.Random(n)
+    g = random_connected_graph(rnd, n, n // 10)
+    d = all_pairs_distances(g)
+    assert d.dist.dtype == (np.int16 if n <= 181 else np.int32)
+    order = tuple(rnd.sample(range(n), n))
+    schedulers = [
+        RoundRobin(),
+        RandomSeeded(n),
+        BestGain(),
+        FixedSequence(order),
+        OpensOnly(frozenset(order[: n // 2])),
+    ]
+    closes = 0
+    for variant, alpha in ((SUM, Fraction(n, 4)), (SUM, Fraction(3 * n)), (MAX, Fraction(5, 2))):
+        cfg = GameConfig(variant, alpha)
+        for start in (StrategyProfile.of([0]), StrategyProfile.of(range(0, n, 3))):
+            for scheduler in schedulers:
+                scans = recorded_scans(monkeypatch)
+                trace = run_dynamics(g, cfg, start, scheduler)
+                monkeypatch.undo()
+                cycled = isinstance(trace.outcome, CycleDetected)
+                assert len(scans) == len(trace.steps) + (not cycled)
+                moves = [move for _, move in trace.steps] + [None]
+                for carried, profile, move in zip(scans, trace.states(), moves):
+                    fresh = _scan_toggles(d, cfg, profile)
+                    assert carried.sole == fresh.sole
+                    for field in ("member", "dv", "improving"):
+                        assert np.array_equal(getattr(carried, field), getattr(fresh, field))
+                    if move is not None:
+                        assert fresh.improving[move.node] and fresh.move(move.node) == move
+                        closes += move.kind is MoveKind.CLOSE
+                assert replay_trace(g, cfg, trace) == trace.states()
+    assert closes
+
+
 def test_run_dynamics_builds_one_oracle(monkeypatch):
     g = random_connected_graph(random.Random(5), 40)
     oracles = count_calls(monkeypatch, "all_pairs_distances")
@@ -666,7 +736,7 @@ def test_replay_scans_every_toggle_only_to_verify_the_equilibrium(monkeypatch):
     cycling = run_dynamics(
         game.graph, cycle_cfg, game.initial, FixedSequence((game.roles["u"], game.roles["v"]))
     )
-    scans = count_calls(monkeypatch, "_scan_toggles", "game")
+    scans = recorded_scans(monkeypatch)
     replay_trace(g, cfg, converged)
     assert len(scans) == 1
     replay_trace(game.graph, cycle_cfg, cycling)

@@ -30,7 +30,7 @@ from gateway_games import (
 )
 from gateway_games import _engine
 from gateway_games import dynamics as _dynamics
-from gateway_games.game import _scan_toggles, floor_sqrt
+from gateway_games.game import _ProfileState, _scan_toggles, floor_sqrt
 
 from conftest import (
     KNIFE,
@@ -205,6 +205,48 @@ def test_single_move_equals_the_full_scan_at_knife_edge_prices(pair, variant, so
             assert (move.kind.value, move.cost_delta, move.forbidden) == oracle_move(
                 g, variant, alpha, s, v
             )
+
+
+@given(graph_profile_pairs(max_n=8), alphas(), st.sampled_from([SUM, MAX]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_carried_state_equals_a_fresh_build_after_any_toggles(pair, alpha, variant, data):
+    """Toggles in any order, then closes down to one gateway, then reopens:
+    after each, the carried rows equal a fresh build of the profile, and the
+    scan's move and verdict for every node, and its one-row move, equal the
+    hub oracle's.  Closing the sole gateway raises and leaves the state as
+    it was."""
+    g, s = pair
+    d = all_pairs_distances(g)
+    cfg = GameConfig(variant, alpha)
+    state = _ProfileState(d, s)
+
+    def toggle(v):
+        nonlocal s
+        if s.gateways == {v}:
+            with pytest.raises(ValueError, match="sole gateway"):
+                state.toggle(v)
+        else:
+            state.toggle(v)
+            s = s.toggled(v)
+        fresh = _ProfileState(d, s)
+        assert (state.count, state.member.tolist()) == (fresh.count, fresh.member.tolist())
+        assert (state.a.tolist(), state.base.tolist()) == (fresh.a.tolist(), fresh.base.tolist())
+        scan = state.scan(cfg)
+        for u in range(g.n):
+            kind, delta, forbidden = oracle_move(g, variant, alpha, s, u)
+            move = scan.move(u)
+            assert (move.kind.value, move.cost_delta, move.forbidden) == (kind, delta, forbidden)
+            assert bool(scan.improving[u]) == (delta < 0 and not forbidden)
+            assert state.move(cfg, u) == move
+
+    for v in data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)):
+        toggle(v)
+    keep = data.draw(st.sampled_from(s.ids))
+    for v in [v for v in s.ids if v != keep] + [keep]:
+        toggle(v)  # the others close first, so keep's close is the sole gateway's and raises
+    others = data.draw(st.permutations([v for v in range(g.n) if v != keep]))
+    for v in others[: data.draw(st.integers(min(1, len(others)), len(others)))]:
+        toggle(v)
 
 
 def boundary_graph(kind, n):
