@@ -47,7 +47,9 @@ each built once; no mask array exists and nothing is gathered.  A list of
 masks in any order (``term_sums_for_masks``, for the bounded search) gathers
 ``a`` from one table per byte of node ids instead, as rows of a ``(256, n)``
 table, and transposes the chunk once; ``_mask_tables`` builds those tables,
-and the bounded search builds them once for all its levels.
+and the bounded search builds them once for all its levels.  Its per-profile
+floors (``term_floors``) gather from the same tables, cut to one column per
+twin class, through the same helper, ``_nearest``.
 
 Those masks are canonical: each opens a prefix of every twin class.  Twins
 share every distance outside the pair, so swapping two of them maps the graph
@@ -205,6 +207,15 @@ def _mask_tables(dist: np.ndarray, maximum: bool) -> tuple[np.ndarray, list[np.n
     return dn, [_subset_minima(dn[:, first : first + 8], n).T.copy() for first in range(0, n, 8)]
 
 
+def _nearest(minima: list[np.ndarray], masks: np.ndarray) -> np.ndarray:
+    """``(P, columns)``: ``a`` at each of ``masks`` on the columns of the byte
+    tables ``minima``, the least entry over the bytes of the mask."""
+    a = minima[0].take(masks & 255, axis=0)
+    for g in range(1, len(minima)):
+        np.minimum(a, minima[g].take((masks >> 8 * g) & 255, axis=0), out=a)
+    return a
+
+
 def _twin_rows(
     tables: tuple[np.ndarray, list[np.ndarray]],
     masks: np.ndarray,
@@ -228,10 +239,7 @@ def _twin_rows(
     step = _chunk_masks(dn)
     for start in range(0, masks.shape[0], step):
         chunk = masks[start : start + step]
-        a = minima[0].take(chunk & 255, axis=0)
-        for g in range(1, len(minima)):
-            np.minimum(a, minima[g].take((chunk >> 8 * g) & 255, axis=0), out=a)
-        a = np.ascontiguousarray(a.T)
+        a = np.ascontiguousarray(_nearest(minima, chunk).T)
         opened = np.bitwise_count(chunk & spans)
         ones = np.ones((len(alone), chunk.shape[0]), dtype=np.uint8)
         weights = np.concatenate((ones, opened, sizes - opened))
@@ -300,6 +308,73 @@ def term_sums_for_masks(
     for columns, terms, weights in _twin_rows(tables, masks, classes, maximum):
         out[columns] = np.multiply(terms, weights, dtype=np.int32).sum(axis=0, dtype=np.int64)
     return out
+
+
+def _floor_tables(
+    tables: tuple[np.ndarray, list[np.ndarray]],
+    classes: Sequence[tuple[int, ...]],
+    maximum: bool,
+):
+    """What ``term_floors`` reads, from ``tables = _mask_tables(dist, maximum)``;
+    a search builds it once for all its levels.  One row per class, its last
+    member ``x``, the classes of one first: the byte tables cut to those
+    columns, the spans of the larger classes, the class sizes, and a row over
+    ``r = 0..n-1``, for SUM ``G_x(r) = sum_u min(d(x, u), r + 1)`` and for MAX
+    the distances from ``x`` in descending order, so entry ``k - 1`` is
+    ``D_x(k)``, the k-th largest from ``x`` to another node."""
+    dn, minima = tables
+    n = dn.shape[0]
+    ordered = [c for c in classes if len(c) == 1] + [c for c in classes if len(c) > 1]
+    last = np.array([c[-1] for c in ordered], dtype=np.intp)
+    rows = dn[last].astype(np.int32)
+    if maximum:
+        per = -np.sort(-rows, axis=1)
+    else:
+        reach = np.arange(1, n + 1, dtype=np.int32)
+        per = np.minimum(rows[:, :, None], reach).sum(axis=1, dtype=np.int32)
+    spans = np.array([sum(1 << v for v in c) for c in ordered if len(c) > 1], dtype=np.int64)
+    sizes = np.array([len(c) for c in ordered], dtype=np.int32)
+    return [m[:, last].copy() for m in minima], spans[:, None], sizes, per
+
+
+def term_floors(bounds, masks: np.ndarray, k: int, maximum: bool):
+    """``(columns, floors)`` per chunk of canonical ``k``-gateway ``masks``:
+    an int32 lower bound on each mask's distance part (the bounds are stated
+    and proved in ``optimization``), from ``bounds = _floor_tables(...)``.
+
+    A class adds ``w * h(a)``, with ``a`` its last member's and ``w`` its
+    closed count: closed twins share ``a`` and their row, and open members
+    add nothing.  A table of this level, ``T[c, t, r] = (|c| - t) h_c(r)``
+    and 0 at ``r = 0`` (the last member open, so every member), holds it for
+    each open count ``t``.  A chunk gathers ``a``, transposes it once, counts
+    the open members of the larger classes (a lone node is open iff
+    ``a = 0``) and looks every class up in ``T``, along contiguous rows."""
+    minima, spans, sizes, per = bounds
+    rows, n = per.shape
+    r = np.arange(n, dtype=np.int32)
+    if maximum:
+        h = np.maximum(r, np.minimum(per[:, k - 1 : k], r + 1))
+    else:
+        h = k * r + per
+    h[:, 0] = 0
+    width = int(sizes.max()) + 1
+    table = ((sizes[:, None] - np.arange(width, dtype=np.int32))[:, :, None] * h[:, None, :]).ravel()
+    base = (np.arange(rows, dtype=np.intp) * (width * n))[:, None]
+    alone = rows - spans.shape[0]
+    # The int64 index and open counts and the int32 lookups of a chunk: at most
+    # 20 bytes per row and mask, within _BATCH_BYTES and a quarter more.
+    step = min(_BATCH_MASKS, max(1, _BATCH_BYTES // (16 * rows)))
+    for start in range(0, masks.shape[0], step):
+        chunk = masks[start : start + step]
+        index = _nearest(minima, chunk).T.astype(np.intp, order="C")
+        extra = k * index.max(axis=0) if maximum else -(n - k) * (k - 1)
+        index += base
+        opened = np.bitwise_count(spans & chunk).astype(np.intp)
+        opened *= n
+        index[alone:] += opened
+        low = table.take(index).sum(axis=0, dtype=np.int32)
+        low += extra
+        yield slice(start, start + chunk.shape[0]), low
 
 
 def improving_tables(table: np.ndarray, alpha: Fraction) -> np.ndarray:

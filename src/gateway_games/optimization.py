@@ -18,13 +18,47 @@ part of every k-gateway profile exceeds the best cost so far
 
 It collapses interchangeable nodes into canonical representatives: a profile
 opens a prefix of each twin class.  One class-by-class pass builds the
-canonical masks of every level the seed leaves, and the levels are costed in
-ascending order, each skipped once a cheaper profile beats its floor.  The
-costing forms terms on one row per open and one per closed part of each
-class (see ``_engine``).  The search refuses to start when those levels hold
-more than ``BOUNDED_ENUMERATION_CAP`` canonical profiles, or more than
-physical memory holds at ``_PROFILE_BYTES`` each beside ``_SEARCH_BYTES``;
-the best cost only falls, so no other level is ever visited.  Both methods certify an exact optimum.
+canonical masks of every level the seed leaves, grouped by gateway count, and
+the levels are visited in ascending order, each skipped once a cheaper
+profile beats its floor.
+
+Within a level, every profile gets a floor of its own first
+(``_engine.term_floors``), and only those that can still win are costed.
+Take a k-gateway profile S, with ``a(x)`` the distance from x to its nearest
+gateway:
+
+- SUM: the part is at least ``k * sum_x a(x) + sum_{x not in S} G_x(a(x))
+  - (n - k)(k - 1)``, with ``G_x(r) = sum_u min(d(x, u), r + 1)``.  A
+  gateway's term is exactly ``sum_u a(u)``, since ``a(u) <= d(g, u)``.  A
+  closed x is at ``a(x)`` from every gateway, at least
+  ``min(d(x, u), a(x) + 1)`` from every other closed u, whose ``a(u)`` is at
+  least 1, and exactly ``a(x)`` from its nearest gateway; so ``G_x(a(x))``
+  overstates its term by at most 1 at each of the other ``k - 1`` gateways.
+- MAX: the part is at least ``k * max_x a(x) + sum_{x not in S} max(a(x),
+  min(D_x(k), a(x) + 1))``, with ``D_x(k)`` the k-th largest distance from x
+  to another node.  A gateway's term is exactly ``max_u a(u)``, and a closed
+  x pays ``a(x)`` to its nearest gateway.  If one of the k nodes farthest
+  from x is closed, x pays at least ``min(D_x(k), a(x) + 1)`` to it;
+  otherwise those k nodes are the gateways, so ``a(x) >= D_x(k)`` and the
+  bound is ``a(x)``.
+
+A level keeps the profiles whose floor is at most ``floor(best - alpha * k)``,
+compared in integers, and costs only those exactly, on one row per open and
+one per closed part of each class (see ``_engine``).  The comparison is not
+strict, so every profile tied at the level's least cost survives and the
+tie-break sees it, and the exact costing of the survivors certifies the
+optimum.  On the ``reduce`` benchmark's 40-node SUM reduction, where the
+greedy seed is already optimal, 1 of its 73,242 canonical profiles is
+costed instead of all of them.  In ``BENCH_26.json`` (30 s runs, ten
+alternating pairs, a 2-core host with Python 3.11.7 and numpy 2.4.6) that
+took ``reduce`` from 66.4 to 110.3 requests/s and its p90 latency, the
+latency of that request, from 41.6 to 17.6 ms.
+
+The search refuses to start when the admitted levels hold more than
+``BOUNDED_ENUMERATION_CAP`` canonical profiles, or more than physical memory
+holds at ``_PROFILE_BYTES`` each beside ``_SEARCH_BYTES``; the best cost only
+falls, so no other level is ever visited.  Both methods certify an exact
+optimum.
 """
 
 from __future__ import annotations
@@ -45,16 +79,17 @@ from .graphs import DistanceOracle, Graph, all_pairs_distances
 # Canonical-profile count above which the bounded method refuses to start.
 BOUNDED_ENUMERATION_CAP = 1 << 25
 # Peak bytes per canonical profile of the bounded search.  Building the masks:
-# the last class's int64 masks and uint8 counts (9), the pieces it keeps (9),
-# their concatenation (9), and a boolean and a uint8 per earlier profile (2).
-# Costing a level: the masks and counts (9), the level's selection (1), its
-# masks (8) and sums (8).  Tracemalloc: 25.6-26.5 building, 19.2-22.6 costing,
-# on random graphs of 26-40 nodes with 2.8-8.4 million canonical profiles.
-_PROFILE_BYTES = 29
+# the int64 groups of the classes so far and those grown from them (8 each at
+# most; a group is freed once no later count joins it).  Costing a level: every
+# group (8), the level's keep flags (1), its survivors (8), their sums (8) and
+# selection (1), 18 only when one level holds every profile and all survive.
+# Tracemalloc: 13.0-14.8 building, 8.3-8.8 costing, on random graphs of 28-40
+# nodes with 2.8-8.7 million canonical profiles.
+_PROFILE_BYTES = 20
 # Bytes beside the profiles: one chunk of the term kernel, its block of at
-# most _engine._BATCH_BYTES with the gathered distances and weighted rows
-# (tracemalloc: 1.7 MB beyond 29 bytes per profile on a 14-node path at alpha
-# 30, 1.1 MB on a 16-node one at 40).
+# most _engine._BATCH_BYTES with the gathered distances and weighted rows, or
+# one chunk of the floors (tracemalloc: 0.38 MB beyond 20 bytes per profile
+# on a 14-node path at alpha 30, 0.74 MB on a 16-node one at 40).
 _SEARCH_BYTES = 2 << 20
 
 
@@ -166,31 +201,33 @@ def _level_counts(sizes: list[int], kmax: int) -> list[int]:
 
 def _canonical_masks(
     classes: tuple[tuple[int, ...], ...], levels: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(masks, counts)``: every canonical mask whose gateway count is in
-    ``levels``, as int64, with those counts as uint8, from one pass.
+) -> dict[int, np.ndarray]:
+    """Every canonical mask whose gateway count is in ``levels``, as int64,
+    keyed by that count, from one pass.
 
     Each twin class contributes a prefix of its sorted members.  The masks
-    are built one class at a time, keeping a partial choice only while the
-    classes left can still bring its gateway count to a level in ``levels``.
+    are built one class at a time and kept grouped by gateway count: the
+    group of count ``c`` is written slice by slice, from each group of count
+    ``c - t`` joined with the class's ``t``-member prefix, and kept only while
+    the classes left can still bring ``c`` to a level in ``levels``.
     """
-    room = n = sum(map(len, classes))
-    # nearest[c]: the least level at or above c, n + 1 when there is none.
-    nearest = np.full(n + 1, n + 1, dtype=np.uint8)
-    for k in sorted(levels, reverse=True):
-        nearest[: k + 1] = k
-    acc = np.zeros(1, dtype=np.int64)
-    count = np.zeros(1, dtype=np.uint8)
+    room = sum(map(len, classes))
+    groups = {0: np.zeros(1, dtype=np.int64)}
     for members in classes:
         room -= len(members)
-        reachable = nearest <= np.arange(n + 1) + room
-        masks, counts = [], []
-        for t, prefix in enumerate(itertools.accumulate((1 << v for v in members), initial=0)):
-            keep = reachable[count + t]
-            masks.append(acc[keep] | prefix)
-            counts.append(count[keep] + t)
-        acc, count = np.concatenate(masks), np.concatenate(counts)
-    return acc, count
+        prefixes = list(itertools.accumulate((1 << v for v in members), initial=0))
+        grown = {}
+        for count in range(max(groups) + len(members) + 1):
+            joined = [(groups[count - t], p) for t, p in enumerate(prefixes) if count - t in groups]
+            if any(count <= k <= count + room for k in levels):
+                out = grown[count] = np.empty(sum(len(g) for g, _ in joined), dtype=np.int64)
+                start = 0
+                for group, prefix in joined:
+                    np.bitwise_or(group, prefix, out=out[start : start + len(group)])
+                    start += len(group)
+            groups.pop(count - len(members), None)  # no later count joins it
+        groups = grown
+    return groups
 
 
 def _level_floors(dist: np.ndarray, kmax: int, maximum: bool) -> list[int]:
@@ -259,12 +296,20 @@ def _bounded_search(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
     claim = f"bounded search over {space} canonical profiles needs"
     check_memory(space * _PROFILE_BYTES + _SEARCH_BYTES, StateSpaceTooLarge, claim)
 
-    masks, counts = _canonical_masks(classes, levels)
+    by_level = _canonical_masks(classes, levels)
     tables = _engine._mask_tables(d.dist, maximum)
+    bounds = _engine._floor_tables(tables, classes, maximum)
     for k in levels:
+        level = by_level.pop(k)
         if alpha * k + floors[k] > best_key[0]:
             continue
-        level = masks[counts == k]
+        limit = math.floor(best_key[0] - alpha * k)
+        keep = np.empty(level.shape[0], dtype=bool)
+        for columns, low in _engine.term_floors(bounds, level, k, maximum):
+            np.less_equal(low, limit, out=keep[columns])
+        level = level[keep]
+        if not level.shape[0]:
+            continue
         sums = _engine.term_sums_for_masks(
             d.dist, level, maximum=maximum, classes=classes, tables=tables
         )

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,12 +24,15 @@ from gateway_games import (
     graph_to_json,
     greedy_gateways,
     is_nash_equilibrium,
+    min_cover_size,
+    parse_set_cover,
     poa_regime,
+    reduce_set_cover,
     social_cost,
     twin_classes,
 )
 
-from gateway_games import _engine
+from gateway_games import _engine, optimization
 from gateway_games.optimization import (
     _canonical_masks,
     _full_optimum,
@@ -40,6 +44,7 @@ from conftest import (
     KNIFE,
     alphas,
     connected_graphs,
+    count_calls,
     graph_profile_pairs,
     hub_distances,
     path_graph,
@@ -171,14 +176,14 @@ def test_bounded_search_refuses_40_node_max_once(tmp_path):
 
 def test_bounded_search_refuses_beyond_physical_memory(monkeypatch):
     """Every admitted level's masks are held at once, so the search is refused
-    up front when 29 bytes per canonical profile and 2 MiB beside them exceed
+    up front when 20 bytes per canonical profile and 2 MiB beside them exceed
     physical memory: the 14-node path at alpha 30 leaves 9907 on its levels."""
     g, cfg = path_graph(14), GameConfig(SUM, Fraction(30))
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 29 * 9907 + (2 << 20)}
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 20 * 9907 + (2 << 20)}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     assert brute_force_optimum(g, cfg, mode="bounded").best_profile.ids == (0, 3, 6, 9, 12)
     memory["SC_PHYS_PAGES"] -= 1
-    claim = "bounded search over 9907 canonical profiles needs about 2384455 bytes"
+    claim = "bounded search over 9907 canonical profiles needs about 2295292 bytes"
     with pytest.raises(StateSpaceTooLarge, match=claim):
         brute_force_optimum(g, cfg, mode="bounded")
 
@@ -398,8 +403,8 @@ def test_swapping_twins_keeps_the_social_cost(pair):
 def test_canonical_masks_are_the_prefix_sets_of_each_size(sizes, rnd):
     """Against every k-subset of the nodes, kept when each class contributes
     a prefix of its sorted members: one pass over a random set of levels
-    gives, for each level, the same sets, each once, with their counts, and
-    no mask of any other size."""
+    gives, for each level, the same sets, each once, under their count, and
+    no group of any other size."""
     n = sum(sizes)
     ids = rnd.sample(range(n), n)
     classes, start = [], 0
@@ -407,17 +412,17 @@ def test_canonical_masks_are_the_prefix_sets_of_each_size(sizes, rnd):
         classes.append(tuple(sorted(ids[start : start + size])))
         start += size
     levels = sorted(rnd.sample(range(n + 1), rnd.randint(1, n + 1)))
-    masks, counts = _canonical_masks(tuple(classes), levels)
-    assert (masks.dtype, counts.dtype) == (np.int64, np.uint8)
-    assert np.bitwise_count(masks).tolist() == counts.tolist()
-    assert set(counts.tolist()) <= set(levels)
+    groups = _canonical_masks(tuple(classes), levels)
+    assert set(groups) == set(levels)
     for k in levels:
         expected = set()
         for chosen in itertools.combinations(range(n), k):
             taken = [tuple(v for v in members if v in chosen) for members in classes]
             if all(members[: len(t)] == t for members, t in zip(classes, taken)):
                 expected.add(sum(1 << v for v in chosen))
-        level = masks[counts == k].tolist()
+        assert groups[k].dtype == np.int64
+        assert set(np.bitwise_count(groups[k]).tolist()) == {k}
+        level = groups[k].tolist()
         assert len(set(level)) == len(level)
         assert set(level) == expected
 
@@ -433,9 +438,131 @@ def test_twin_rows_sum_to_every_canonical_profile_cost(planted, variant):
     dist = all_pairs_distances(g).dist
     dense = _engine.term_sums(dist, maximum=maximum)
     for partition in (classes, twin_classes(g)):
-        masks, _ = _canonical_masks(partition, list(range(g.n + 1)))
+        masks = np.concatenate(list(_canonical_masks(partition, list(range(g.n + 1))).values()))
         sums = _engine.term_sums_for_masks(dist, masks, maximum=maximum, classes=partition)
         assert sums.tolist() == dense[masks].tolist()
+
+
+def complete_bipartite(a, b):
+    return build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def cycle(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@st.composite
+def covers(draw, variant):
+    """A small set-cover instance whose reduction has at most 14 nodes: SUM
+    with 2-4 elements and 2-3 sets, MAX with 1-2 sets and up to twice as many
+    elements.  Every element is in some set and no set is empty."""
+    n_sets = draw(st.integers(2, 3) if variant is SUM else st.integers(1, 2))
+    m = draw(st.integers(2, 4 if n_sets == 2 else 3) if variant is SUM else st.integers(1, 2 * n_sets))
+    home = draw(st.lists(st.integers(0, n_sets - 1), min_size=m, max_size=m))
+    extra = draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=n_sets, max_size=n_sets))
+    sets = [sorted({e for e in range(m) if home[e] == i} | extra[i] | ({0} if i not in home else set()))
+            for i in range(n_sets)]
+    text = f"{m} {n_sets}\n" + "".join(" ".join(map(str, s)) + "\n" for s in sets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the SUM reduction warns below five sets
+        return reduce_set_cover(parse_set_cover(text), variant).graph
+
+
+FLOOR_GRAPHS = st.one_of(
+    connected_graphs(min_n=2, max_n=12),
+    twin_graphs(max_n=12).map(lambda planted: planted[0]),
+    st.builds(complete_bipartite, st.integers(1, 5), st.integers(1, 6)),
+    st.integers(2, 13).map(star),
+    covers(SUM),
+    covers(MAX),
+)
+
+
+@given(FLOOR_GRAPHS)
+@settings(max_examples=80, deadline=None)
+def test_profile_floor_never_exceeds_the_distance_part(g):
+    """Every canonical profile of every gateway count, both variants: the
+    floor is at most the twin-row costing's exact part, and, at n <= 10, at
+    most the part the hub oracle gives."""
+    d = all_pairs_distances(g)
+    classes = twin_classes(g)
+    groups = _canonical_masks(classes, list(range(1, g.n + 1)))
+    assert sorted(groups) == list(range(1, g.n + 1))
+    hub = {}
+    for maximum in (False, True):
+        tables = _engine._mask_tables(d.dist, maximum)
+        bounds = _engine._floor_tables(tables, classes, maximum)
+        for k, level in groups.items():
+            floors = np.concatenate([low for _, low in _engine.term_floors(bounds, level, k, maximum)])
+            exact = _engine.term_sums_for_masks(
+                d.dist, level, maximum=maximum, classes=classes, tables=tables
+            )
+            assert (floors <= exact).all(), (k, maximum)
+            if g.n <= 10:
+                for mask, low in zip(level.tolist(), floors.tolist()):
+                    if mask not in hub:
+                        rows = hub_distances(g, StrategyProfile.from_mask(mask).gateways)
+                        hub[mask] = (sum(map(sum, rows)), sum(map(max, rows)))
+                    assert low <= hub[mask][maximum], (mask, maximum)
+
+
+TIE_GRAPHS = {
+    "C5": cycle(5),
+    "C6": cycle(6),
+    "C8": cycle(8),
+    "K2,3": complete_bipartite(2, 3),
+    "K3,4": complete_bipartite(3, 4),
+    "star7": star(7),
+    "star9": star(9),
+    "P7": path_graph(7),
+    "P9": path_graph(9),
+}
+
+
+@pytest.mark.parametrize("variant", [SUM, MAX])
+@pytest.mark.parametrize("name", TIE_GRAPHS)
+def test_bounded_search_breaks_ties_like_full_enumeration(name, variant):
+    """Symmetric graphs tie many profiles at each level, and integer prices
+    tie levels with each other.  At every integer price up to n + 1 and at
+    n(n-1)/2 and n(n-1), and a half and a knife's edge above each, the
+    profiles the floors filter out never change the bounded search's cost or
+    its least-ids witness."""
+    g = TIE_GRAPHS[name]
+    n = g.n
+    for j in [*range(1, n + 2), n * (n - 1) // 2, n * (n - 1)]:
+        for alpha in (Fraction(j), j + Fraction(1, 2), j + KNIFE):
+            cfg = GameConfig(variant, alpha)
+            full = brute_force_optimum(g, cfg, exhaustive_limit=n)
+            bounded = brute_force_optimum(g, cfg, mode="bounded")
+            assert (bounded.best_cost, bounded.best_profile) == (full.best_cost, full.best_profile), alpha
+
+
+def test_profile_floors_leave_under_one_percent_of_a_cover_to_cost(monkeypatch):
+    """The 40-node SUM reduction of 6 elements and 5 sets, where the greedy
+    seed is already optimal: of the 73,242 canonical profiles on the levels
+    the seed admits, fewer than 1% reach the exact costing, and the optimum
+    still holds the marked node c and a minimum cover (criterion 9)."""
+    inst = parse_set_cover("6 5\n0 2 3\n0 2 3 5\n0 1\n0 5\n2 4\n")
+    art = reduce_set_cover(inst, SUM)
+    assert art.graph.n == 40
+    admitted = []
+    build = optimization._canonical_masks
+
+    def recording(classes, levels):
+        groups = build(classes, levels)
+        admitted.append(sum(map(len, groups.values())))
+        return groups
+
+    monkeypatch.setattr(optimization, "_canonical_masks", recording)
+    costed = count_calls(monkeypatch, "term_sums_for_masks", "_engine")
+    res = brute_force_optimum(art.graph, GameConfig(SUM, art.alpha), mode="bounded")
+    assert admitted == [73242]
+    assert 100 * sum(len(args[1]) for args in costed) < admitted[0]
+    roles = art.roles
+    picked = [i for i, node in enumerate(roles["set_nodes"]) if node in res.best_profile]
+    assert roles["c"] in res.best_profile
+    assert len(picked) == min_cover_size(inst)
+    assert set().union(*(inst.sets[i] for i in picked)) == set(range(inst.m))
 
 
 def test_clique_catalog(k4):
