@@ -26,14 +26,16 @@ per profile.  A row shorter than a word (n < 6) is padded to one, its pad
 bits clear.  A toggle of bit ``b < 6`` stays inside a word, a shift and a
 mask, and all six of them are formed at once by ``_toggled_in_word``; one of
 bit ``b >= 6`` swaps the halves of each block of ``2^(b-5)`` words.  The
-classifier works on such sets whole, with one step per bit,
-``out |= row_b & x[m ^ (1 << b)]``, the states whose move ``b`` lands in
-``x``.  Its two fixpoints: the peel, the greatest set ``A`` with
+classifier works on such sets whole: a round writes every toggled copy
+``x[m ^ (1 << b)]`` into the rows of one ``(n, words)`` buffer, ANDs it with
+the move table and OR-reduces it, the states with a move into ``x``.  Its two
+fixpoints: the peel, the greatest set ``A`` with
 ``A = OR_b(move_b & A[m ^ (1 << b)])``, iterated down from the states with a
 move, holds the states with an endless improving path; the reach, the least
 set ``R`` containing a seed with ``R = R | OR_b(move_b & R[m ^ (1 << b)])``,
 holds the states with a path into the seed.  Each round costs
-``n * 2^n / 64`` word operations.
+``n * 2^n / 64`` word operations in a fixed number of numpy calls plus one
+copy per bit from 6 up.
 
 The sweeps take ``a`` from subset-minimum tables, all built by
 ``_subset_minima``: for a block of node ids, entry ``[v, m]`` is the least
@@ -430,20 +432,11 @@ def _unpack(words: np.ndarray, total: int) -> np.ndarray:
     return bits.view(bool)
 
 
-def _toggled_in_word(x: np.ndarray) -> np.ndarray:
-    """``(6, words)``: row ``b`` is the packed set ``x[m ^ (1 << b)]``, for
-    each bit ``b < 6``, which moves a bit within its word by a shift and a mask."""
-    out = (x >> _SHIFT) & _STAY
-    out |= (x & _STAY) << _SHIFT
+def _toggled_in_word(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row ``b`` of ``out``, for each of its rows (at most 6), becomes the packed
+    set ``x[m ^ (1 << b)]``, which moves a bit within its word by a shift and a mask."""
+    shift, stay = _SHIFT[: out.shape[0]], _STAY[: out.shape[0]]
+    np.right_shift(x, shift, out=out)
+    out &= stay
+    out |= (x & stay) << shift
     return out
-
-
-def _or_toggled(out: np.ndarray, row: np.ndarray, x: np.ndarray, b: int) -> None:
-    """``out[m] |= row[m] & x[m ^ (1 << b)]`` on packed sets, for a bit
-    ``b >= 6``: toggling it swaps the two halves of each block of
-    ``2^(b-5)`` words.  ``out`` may be ``x``: the reach then takes up what a
-    lower bit added in the same round.
-    """
-    o, r, y = (a.reshape(-1, 2, 1 << (b - 6)) for a in (out, row, x))
-    o[:, 0] |= r[:, 0] & y[:, 1]
-    o[:, 1] |= r[:, 1] & y[:, 0]

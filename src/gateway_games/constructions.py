@@ -33,7 +33,7 @@ from .game import (
     MoveKind,
     StrategyProfile,
     Variant,
-    _scan_toggles,
+    _ProfileState,
     evaluate_move,
     floor_sqrt,
     is_nash_equilibrium,
@@ -481,7 +481,7 @@ def _close_repair(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> Str
     # Shed gateways that would rather close, smallest id first.  Every applied
     # move shrinks the set, so the loop terminates; opens are the caller's problem.
     while len(s) > 1:
-        toggles = _scan_toggles(d, cfg, s)
+        toggles = _ProfileState(d, s).scan(cfg)
         closers = np.flatnonzero(toggles.improving & toggles.member)
         if not closers.size:
             return s
@@ -495,7 +495,7 @@ def _descent(d: DistanceOracle, cfg: GameConfig, start: StrategyProfile, max_ste
     s = start
     seen = {s.ids}
     for _ in range(max_steps):
-        unhappy = _scan_toggles(d, cfg, s).moves()
+        unhappy = _ProfileState(d, s).scan(cfg).moves()
         if not unhappy:
             return s
         unhappy.sort(key=lambda m: (m.cost_delta, m.node))
@@ -504,7 +504,7 @@ def _descent(d: DistanceOracle, cfg: GameConfig, start: StrategyProfile, max_ste
             t = s.toggled(mv.node)
             if t.ids in seen:
                 continue
-            unhappy_after = int(_scan_toggles(d, cfg, t).improving.sum())
+            unhappy_after = int(_ProfileState(d, t).scan(cfg).improving.sum())
             score = (unhappy_after, mv.cost_delta, mv.node)
             if best is None or score < best[0]:
                 best = (score, t)

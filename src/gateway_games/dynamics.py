@@ -279,29 +279,31 @@ class StateGraphReport:
     trapped: tuple[StrategyProfile, ...] | None
 
 
-def _round(moves: np.ndarray, x: np.ndarray, grow: bool) -> np.ndarray:
+def _round(moves: np.ndarray, x: np.ndarray, toggled: np.ndarray, grow: bool) -> np.ndarray:
     """One round of ``_fixpoint``: the states with a move into ``x``, and for
-    the reach (``grow=True``) ``x`` with them.  The toggles of the bits below
-    6 are formed at once, from ``x`` as the round found it; each bit from 6 up
-    then swaps half blocks of words, and in the reach takes up what the bits
-    before it added."""
-    low = moves[:6]
-    near = _engine._toggled_in_word(x)[: low.shape[0]]
-    near &= low
-    out = np.bitwise_or.reduce(near, axis=0)
+    the reach (``grow=True``) ``x`` with them.  Row ``b`` of ``toggled``, a
+    buffer shaped as ``moves``, takes ``x[m ^ (1 << b)]``: the bits below 6 at
+    once, by shifts within each word, and each bit from 6 up by one copy of
+    ``x`` with the halves of each block of ``2^(b-5)`` words swapped.  Every
+    bit reads ``x`` as the round found it; one AND and one OR-reduce follow."""
+    _engine._toggled_in_word(x, toggled[:6])
+    for b in range(6, moves.shape[0]):
+        half = 1 << (b - 6)
+        np.copyto(toggled[b].reshape(-1, 2, half), x.reshape(-1, 2, half)[:, ::-1])
+    toggled &= moves
+    out = np.bitwise_or.reduce(toggled, axis=0)
     if grow:
         out |= x
-    for b in range(6, moves.shape[0]):
-        _engine._or_toggled(out, moves[b], out if grow else x, b)
     return out
 
 
 def _fixpoint(moves: np.ndarray, x: np.ndarray, grow: bool) -> np.ndarray:
-    """The fixpoint of the packed set ``x`` under ``_round``: the greatest
-    below ``x`` for the peel (``grow=False``), the least above it for the
-    reach (``grow=True``)."""
+    """The fixpoint of the packed set ``x`` under ``_round``, both Jacobi
+    iterations on one toggled buffer: the greatest below ``x`` for the peel
+    (``grow=False``), the least above it for the reach (``grow=True``)."""
+    toggled = np.empty_like(moves)
     while True:
-        out = _round(moves, x, grow)
+        out = _round(moves, x, toggled, grow)
         if np.array_equal(out, x):
             return x
         x = out
@@ -324,9 +326,9 @@ def build_ir_state_graph(
     equilibrium is reachable at all.
 
     Both verdicts are fixpoints over the packed move table, each round one
-    whole-table pass for the six bits within a word and one per bit above.
-    The peel starts from the states with a move and keeps those with a move
-    into the kept set until nothing changes;
+    batched pass: every toggled copy of the set in one buffer, one AND with
+    the table and one OR-reduce.  The peel starts from the states with a
+    move and keeps those with a move into the kept set until nothing changes;
     what stays has an endless improving path, so a path into a cycle, and
     every state it drops halts on every path, so reaches an equilibrium.
     The reach starts from the dropped states and adds every state with a move

@@ -243,11 +243,6 @@ def _move(alpha: Fraction, sole: bool, member: bool, v: int, dv: int) -> Move:
     return Move(v, MoveKind.OPEN, alpha + dv)
 
 
-def _scan_toggles(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> _Toggles:
-    """``scan`` of a fresh state of ``s``."""
-    return _ProfileState(d, s).scan(cfg)
-
-
 def comm_distance(d: DistanceOracle, s: StrategyProfile, u: int, v: int) -> int:
     """delta(u, v) under profile ``s``: plain distance or a hop through the gateway set."""
     a = _ProfileState(d, s, u, v).a
@@ -274,11 +269,11 @@ def evaluate_move(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int
 
 def improving_moves(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> list[Move]:
     """All strictly improving, permitted toggles, sorted by node id."""
-    return _scan_toggles(d, cfg, s).moves()
+    return _ProfileState(d, s).scan(cfg).moves()
 
 
 def is_nash_equilibrium(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> bool:
-    return not _scan_toggles(d, cfg, s).improving.any()
+    return not _ProfileState(d, s).scan(cfg).improving.any()
 
 
 def frac_str(x: Fraction | int) -> str:

@@ -46,7 +46,7 @@ from gateway_games import (
 )
 from gateway_games import _engine, cli, graphs
 from gateway_games import dynamics as _dynamics
-from gateway_games.game import _scan_toggles
+from gateway_games.game import _ProfileState
 
 from conftest import (
     alphas,
@@ -629,6 +629,28 @@ def test_fixpoint_walk_matches_the_frontier_walk_on_the_gadgets(price):
     _assert_walks_agree(gen_ir_cycle(IrCycleParams(10, 1, 2, Fraction(5))).graph, SUM, price)
 
 
+@pytest.mark.parametrize(
+    "make, cfg, rounds",
+    [
+        (lambda: build_graph(6, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 0), (0, 5)]),
+         GameConfig(SUM, Fraction(9, 2)), 1),
+        (lambda: path_graph(4), GameConfig(MAX, Fraction(1, 2)), 2),
+        (lambda: gen_non_wag(7).graph, GameConfig(SUM, Fraction(7)), 10),
+        (lambda: gen_ir_cycle(IrCycleParams(12, 1, 3, Fraction(6))).graph,
+         GameConfig(SUM, Fraction(6)), 19),
+    ],
+    ids=["sum-witness-6", "max-path-4", "non-wag-7", "ir-cycle-12"],
+)
+def test_peel_round_counts_on_the_golden_instances(monkeypatch, make, cfg, rounds):
+    """The peel is a Jacobi iteration: round i keeps the states with an
+    improving path of at least i + 1 moves, so its round count is a property
+    of the move graph, not of how a round is computed, and is pinned here."""
+    g = make()
+    calls = count_calls(monkeypatch, "_round", "dynamics")
+    build_ir_state_graph(g, cfg)
+    assert sum(1 for args in calls if not args[-1]) == rounds
+
+
 def test_golden_sum_witness_is_not_weakly_acyclic():
     """The 6-node SUM witness at 9/2: the all-open profile is the one
     equilibrium, and the 31 profiles with at most one of the triangle's nodes
@@ -676,9 +698,9 @@ def test_restricted_scheduler_rejects_out_of_range_node(p5, scheduler):
 
 @pytest.mark.parametrize("n", [80, 137, 181, 182, 200])
 def test_carried_scans_equal_fresh_scans_across_the_oracle_boundary(monkeypatch, n):
-    """Every scan ``run_dynamics`` makes on its carried state equals a
-    from-scratch ``_scan_toggles`` of the profile it visits, every step is
-    that scan's improving move, and the trace replays.  The graphs lie
+    """Every scan ``run_dynamics`` makes on its carried state equals the scan
+    of a fresh ``_ProfileState`` of the profile it visits, every step is that
+    scan's improving move, and the trace replays.  The graphs lie
     either side of the int16/int32 oracle boundary at 181 nodes; every
     scheduler runs from ``{0}`` and from every third node."""
     rnd = random.Random(n)
@@ -705,7 +727,7 @@ def test_carried_scans_equal_fresh_scans_across_the_oracle_boundary(monkeypatch,
                 assert len(scans) == len(trace.steps) + (not cycled)
                 moves = [move for _, move in trace.steps] + [None]
                 for carried, profile, move in zip(scans, trace.states(), moves):
-                    fresh = _scan_toggles(d, cfg, profile)
+                    fresh = _ProfileState(d, profile).scan(cfg)
                     assert carried.sole == fresh.sole
                     for field in ("member", "dv", "improving"):
                         assert np.array_equal(getattr(carried, field), getattr(fresh, field))

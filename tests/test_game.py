@@ -3,6 +3,7 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from gateway_games import (
 )
 from gateway_games import _engine
 from gateway_games import dynamics as _dynamics
-from gateway_games.game import _ProfileState, _scan_toggles, floor_sqrt
+from gateway_games.game import _ProfileState, floor_sqrt
 
 from conftest import (
     KNIFE,
@@ -198,7 +199,7 @@ def test_single_move_equals_the_full_scan_at_knife_edge_prices(pair, variant, so
     dvs = {delta - 1 if kind == "open" else delta + 1 for kind, delta, _ in plain.values()}
     for alpha in knife_prices(dvs):
         cfg = GameConfig(variant, alpha)
-        scan = _scan_toggles(d, cfg, s)
+        scan = _ProfileState(d, s).scan(cfg)
         for v in range(g.n):
             move = evaluate_move(d, cfg, s, v)
             assert move == scan.move(v)
@@ -286,7 +287,7 @@ def test_narrow_oracle_is_exact_at_the_int16_boundary(kind, n, dtype):
             terms = [agg(row) for row in rows]
             for alpha in prices:
                 cfg = GameConfig(variant, alpha)
-                scan, reference = _scan_toggles(d, cfg, s), _scan_toggles(wide, cfg, s)
+                scan, reference = _ProfileState(d, s).scan(cfg), _ProfileState(wide, s).scan(cfg)
                 assert scan.dv.tolist() == reference.dv.tolist()
                 assert scan.improving.tolist() == reference.improving.tolist()
                 assert {v: int(scan.dv[v]) for v in after} == {
@@ -314,7 +315,7 @@ def test_sweep_tables_and_move_kernel_share_one_rule(g, variant):
     masks = range(1, 1 << g.n)
     dvs = set()
     for mask in masks:
-        toggles = _scan_toggles(d, GameConfig(variant, 1), StrategyProfile.from_mask(mask))
+        toggles = _ProfileState(d, StrategyProfile.from_mask(mask)).scan(GameConfig(variant, 1))
         dv = [int(table[v, mask ^ (1 << v)]) - int(table[v, mask]) for v in range(g.n)]
         assert toggles.dv.tolist() == dv
         dvs.update(dv)
@@ -326,7 +327,7 @@ def test_sweep_tables_and_move_kernel_share_one_rule(g, variant):
         assert not moves[:, 0].any()
         assert not moves[:, 1 << g.n :].any()  # the pad bits of a short row
         for mask in masks:
-            toggles = _scan_toggles(d, cfg, StrategyProfile.from_mask(mask))
+            toggles = _ProfileState(d, StrategyProfile.from_mask(mask)).scan(cfg)
             assert moves[:, mask].tolist() == toggles.improving.tolist()
 
 
@@ -382,34 +383,85 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return padded.view(_engine._WORD)
 
 
+def _boolean_round(moves: np.ndarray, x: np.ndarray, grow: bool) -> np.ndarray:
+    """A round of the classifier's fixpoints on boolean sets, each toggle taken
+    as ``x[masks ^ (1 << b)]``: ``OR_b moves_b & x[masks ^ (1 << b)]``, with
+    ``x`` itself for the reach (``grow=True``)."""
+    masks = np.arange(x.shape[0])
+    out = x.copy() if grow else np.zeros_like(x)
+    for b in range(moves.shape[0]):
+        out |= moves[b] & x[masks ^ (1 << b)]
+    return out
+
+
+def _boolean_fixpoint(moves: np.ndarray, x: np.ndarray, grow: bool) -> tuple[np.ndarray, int]:
+    """``_boolean_round`` from ``x`` until nothing changes, and its round count."""
+    rounds = 1
+    while not np.array_equal(out := _boolean_round(moves, x, grow), x):
+        x, rounds = out, rounds + 1
+    return x, rounds
+
+
+def _dirty_toggled(n: int) -> np.ndarray:
+    """A toggled buffer for ``_round`` with every bit set, so an unwritten row shows."""
+    return np.full((n, max(1, (1 << n) // 64)), np.iinfo(np.uint64).max, dtype=_engine._WORD)
+
+
 @given(st.integers(1, 14), st.data())
 @settings(max_examples=40, deadline=None)
 def test_packed_toggle_step_matches_a_gather(n, data):
-    """A round of the classifier's fixpoints on packed sets against boolean
-    ones, with each toggle taken as ``x[masks ^ (1 << b)]``: the peel's round
-    is ``OR_b moves_b & x[masks ^ (1 << b)]``; the reach's adds those to
-    ``x``, the bits below 6 at once from ``x`` as the round found it, and each
-    bit from 6 up from what the bits before it added.  ``_toggled_in_word``
-    gives each in-word toggle and the pad bits stay clear."""
+    """A round of the classifier's fixpoints on packed sets equals the boolean
+    round, every bit reading ``x`` as the round found it, whatever the toggled
+    buffer held before.  ``_toggled_in_word`` gives each in-word toggle and
+    the pad bits stay clear."""
     rnd = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     masks = np.arange(1 << n)
     density = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
     moves, x = rnd.random((n, 1 << n)) < density, rnd.random(1 << n) < density
-    toggled = _engine._unpack(_engine._toggled_in_word(_pack(x)), 64 * max(1, (1 << n) // 64))
+    words = max(1, (1 << n) // 64)
+    toggled = _engine._toggled_in_word(_pack(x), _dirty_toggled(n)[:6])
+    toggled = _engine._unpack(toggled, 64 * words)
     for b in range(min(n, 6)):
         assert toggled[b, : 1 << n].tolist() == x[masks ^ (1 << b)].tolist()
-    peel = np.zeros(1 << n, dtype=bool)
-    for b in range(n):
-        peel |= moves[b] & x[masks ^ (1 << b)]
-    reach = x.copy()
-    for b in range(n):
-        reach |= moves[b] & (x if b < 6 else reach)[masks ^ (1 << b)]
-    for grow, expected in ((False, peel), (True, reach)):
-        packed = _dynamics._round(_pack(moves), _pack(x), grow)
-        assert packed.shape == (max(1, (1 << n) // 64),)
-        bits = _engine._unpack(packed, 64 * packed.shape[0])
-        assert bits[: 1 << n].tolist() == expected.tolist()
+    for grow in (False, True):
+        packed = _dynamics._round(_pack(moves), _pack(x), _dirty_toggled(n), grow)
+        assert packed.shape == (words,)
+        bits = _engine._unpack(packed, 64 * words)
+        assert bits[: 1 << n].tolist() == _boolean_round(moves, x, grow).tolist()
         assert not bits[1 << n :].any()
+
+
+def _assert_fixpoints_match(n: int, rnd: np.random.Generator, density: float) -> None:
+    """Both packed fixpoints equal the boolean round iterated to convergence,
+    in as many rounds, with the pad bits clear: the peel from the states with
+    a move, the reach from a random seed and from the peel's complement."""
+    moves = rnd.random((n, 1 << n)) < density
+    packed = _pack(moves)
+    kept, _ = _boolean_fixpoint(moves, moves.any(axis=0), False)
+    seeds = [(False, moves.any(axis=0)), (True, rnd.random(1 << n) < density / 4), (True, ~kept)]
+    for grow, x in seeds:
+        expected, rounds = _boolean_fixpoint(moves, x, grow)
+        with mock.patch.object(_dynamics, "_round", wraps=_dynamics._round) as spy:
+            got = _dynamics._fixpoint(packed, _pack(x), grow)
+        bits = _engine._unpack(got, 64 * got.shape[0])
+        assert bits[: 1 << n].tolist() == expected.tolist(), (grow, density)
+        assert not bits[1 << n :].any()
+        assert spy.call_count == rounds
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_fixpoints_match_boolean_fixpoints_at_every_small_n(n):
+    """Every n either side of the 6-bit word boundary, sparse to dense tables."""
+    rnd = np.random.default_rng(n)
+    for density in (0.02, 0.1, 0.3, 0.6, 0.95):
+        for _ in range(4):
+            _assert_fixpoints_match(n, rnd, density)
+
+
+@given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.sampled_from([0.02, 0.1, 0.3, 0.6]))
+@settings(max_examples=30, deadline=None)
+def test_fixpoints_match_boolean_fixpoints(n, seed, density):
+    _assert_fixpoints_match(n, np.random.default_rng(seed), density)
 
 
 @pytest.mark.parametrize("variant", [SUM, MAX])
