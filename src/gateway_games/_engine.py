@@ -160,10 +160,12 @@ def _terms(
 ) -> np.ndarray:
     """``agg_u min(d(v, u), base(v) + a(u))`` for each ``v``; ``base = a`` gives
     the profile's own terms.  A trailing axis of ``a`` and ``base`` batches
-    profiles, with ``dist`` then shaped ``(n, n, 1)``; ``dist`` may be cut to
-    the rows ``base`` covers.  ``out``, the buffers of the ``(rows, n, ...)``
-    temporary and of the ``(rows, ...)`` result, lets a sweep reuse both for
-    every chunk; by default each call allocates its own."""
+    profiles, with ``dist`` then shaped ``(n, n, 1)`` to share its rows, or
+    ``(rows, n, B)`` to give each profile its own; a trace replay passes each
+    of ``B`` movers its distance row as ``(1, n, B)``.  ``dist`` may be cut
+    to the rows ``base`` covers.  ``out``, the buffers of the
+    ``(rows, n, ...)`` temporary and of the ``(rows, ...)`` result, lets a
+    sweep reuse both for every chunk; by default each call allocates its own."""
     through, terms = out
     through = np.add(base[:, None], a[None, :], out=through)
     np.minimum(through, dist, out=through)

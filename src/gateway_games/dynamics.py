@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum, unique
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -233,21 +234,23 @@ def run_dynamics(
 def replay_trace(g: Graph, cfg: GameConfig, trace: DynamicsTrace) -> list[StrategyProfile]:
     """Re-evaluate every recorded move; raises ``ValueError`` on any mismatch.
 
-    One state, built from ``trace.initial``, follows the trace: each recorded
-    move is checked against the state's one-row evaluation, and a claimed
-    equilibrium or stall against its scan of the final profile.
+    The initial ids and every recorded node are checked before the oracle is
+    built.  One state, built from ``trace.initial``, follows the trace in
+    blocks of at most ``n // 4`` steps: the walk records the state's
+    nearest-gateway row and the mover's base before and after its toggle, and
+    at the block's end one pair of ``_terms`` calls, batched over the block's
+    movers with one distance row each, forms every mover's term before and
+    after.  Each recorded move is then checked in integers against
+    ``alpha = p/q``, and the first step that fails raises.  A claimed
+    equilibrium or stall is checked against the scan of the final profile.
     """
+    _check_ids(g.n, (*trace.initial.gateways, *(move.node for _, move in trace.steps)))
     d = all_pairs_distances(g)
     states = [trace.initial]
     carried = _ProfileState(d, trace.initial)
-    for recorded_state, move in trace.steps:
-        if recorded_state != states[-1]:
-            raise ValueError("trace states out of order")
-        fresh = carried.move(cfg, move.node)
-        if fresh != move or not fresh.is_improving:
-            raise ValueError(f"recorded move {move} does not replay")
-        states.append(recorded_state.toggled(move.node))
-        carried.toggle(move.node)
+    block = max(1, g.n // 4)
+    for start in range(0, len(trace.steps), block):
+        _replay_block(cfg, carried, trace.steps[start : start + block], states)
     state = states[-1]
     if isinstance(trace.outcome, (ConvergedToNE, Stalled)):
         # A stall is claimed on the final state, like an equilibrium, but off one.
@@ -261,6 +264,64 @@ def replay_trace(g: Graph, cfg: GameConfig, trace: DynamicsTrace) -> list[Strate
         if states[entry] != state:
             raise ValueError("cycle does not close on its entry state")
     return states
+
+
+def _replay_block(
+    cfg: GameConfig,
+    carried: _ProfileState,
+    block: tuple[tuple[StrategyProfile, Move], ...],
+    states: list[StrategyProfile],
+) -> None:
+    """Walk ``carried`` through ``block``, appending to ``states``, then check
+    its moves from one batched pair of ``_terms`` calls.  ``rows[j]`` holds the
+    state's ``a`` at step ``j``, and ``bases[:, j]`` the mover's base before
+    (``a[v]``) and after its toggle.  A state out of order or a close of the
+    sole gateway ends the walk, and is reported only after the steps before it
+    pass.  The deltas ``(p + dv*q)/q`` of an open and ``(dv*q - p)/q`` of a
+    close are in lowest terms, so a recorded ``Fraction`` is compared by
+    numerator and denominator.
+    """
+    rows = np.empty((len(block), len(carried.a)), dtype=carried.a.dtype)
+    bases = np.empty((2, len(block)), dtype=carried.a.dtype)
+    walked, stop = 0, None
+    members = []
+    for recorded, move in block:
+        if recorded != states[-1]:
+            stop = "trace states out of order"
+            break
+        v = move.node
+        member = bool(carried.member[v])
+        if member and carried.count == 1:
+            stop = f"recorded move {move} does not replay"
+            break
+        rows[walked] = carried.a
+        bases[0, walked], bases[1, walked] = carried.a[v], carried.base[v]
+        members.append(member)
+        states.append(recorded.toggled(v))
+        carried.toggle(v)
+        walked += 1
+    if walked:
+        dist = carried.d.dist[[move.node for _, move in block[:walked]]].T[None]
+        a, maximum = rows[:walked].T, cfg.variant is Variant.MAX
+        after = _engine._terms(dist, a, bases[1:, :walked], maximum)[0]
+        dvs = (after - _engine._terms(dist, a, bases[:1, :walked], maximum)[0]).tolist()
+        p, q = cfg.alpha.numerator, cfg.alpha.denominator
+        for (_, move), member, dv in zip(block, members, dvs):
+            kind, num = (MoveKind.CLOSE, dv * q - p) if member else (MoveKind.OPEN, dv * q + p)
+            if num >= 0 or (move.kind, move.forbidden) != (kind, False) or not _equals(
+                move.cost_delta, num, q
+            ):
+                raise ValueError(f"recorded move {move} does not replay")
+    if stop is not None:
+        raise ValueError(stop)
+
+
+def _equals(x, num: int, den: int) -> bool:
+    """Whether ``x`` equals ``num/den``, given in lowest terms, forming no
+    ``Fraction`` when ``x`` is one."""
+    if isinstance(x, Fraction):
+        return x.numerator == num and x.denominator == den
+    return x == Fraction(num, den)
 
 
 @unique

@@ -1,6 +1,7 @@
 """Shared fixtures: tiny graphs, random-graph strategies, an independent
-distance oracle used to cross-check the production code, a runner for the
-CLI, and a tracemalloc peak of one call."""
+distance oracle used to cross-check the production code, a step-by-step
+trace replay to check the batched one against, a runner for the CLI, and a
+tracemalloc peak of one call."""
 
 from __future__ import annotations
 
@@ -18,7 +19,19 @@ import pytest
 from hypothesis import strategies as st
 
 import gateway_games
-from gateway_games import Graph, StrategyProfile, Variant, build_graph
+from gateway_games import (
+    ConvergedToNE,
+    CycleDetected,
+    DynamicsTrace,
+    GameConfig,
+    Graph,
+    Stalled,
+    StrategyProfile,
+    Variant,
+    all_pairs_distances,
+    build_graph,
+)
+from gateway_games.game import _ProfileState
 
 # The directory holding the ``gateway_games`` package this test run imported:
 # ``src`` in a checkout, ``site-packages`` when installed.
@@ -252,6 +265,35 @@ def oracle_move(
         return "close", after - before, True
     after = oracle_private_cost(g, variant, alpha, s.toggled(v), v)
     return ("close" if v in s else "open"), after - before, False
+
+
+def reference_replay(g: Graph, cfg: GameConfig, trace: DynamicsTrace) -> list[StrategyProfile]:
+    """``replay_trace`` one recorded move at a time: each move is checked
+    against the carried state's one-row evaluation (``_ProfileState.move``)
+    before the state toggles, and each id only when the walk reaches it."""
+    d = all_pairs_distances(g)
+    states = [trace.initial]
+    carried = _ProfileState(d, trace.initial)
+    for recorded_state, move in trace.steps:
+        if recorded_state != states[-1]:
+            raise ValueError("trace states out of order")
+        fresh = carried.move(cfg, move.node)
+        if fresh != move or not fresh.is_improving:
+            raise ValueError(f"recorded move {move} does not replay")
+        states.append(recorded_state.toggled(move.node))
+        carried.toggle(move.node)
+    state = states[-1]
+    if isinstance(trace.outcome, (ConvergedToNE, Stalled)):
+        at_ne = isinstance(trace.outcome, ConvergedToNE)
+        if trace.outcome.profile != state or carried.scan(cfg).improving.any() == at_ne:
+            raise ValueError(f"claimed {trace.outcome} does not verify")
+    if isinstance(trace.outcome, CycleDetected):
+        entry, steps = trace.outcome.entry_index, len(trace.steps)
+        if not 0 <= entry < steps or trace.outcome.period != steps - entry:
+            raise ValueError(f"{trace.outcome} does not match a trace of {steps} steps")
+        if states[entry] != state:
+            raise ValueError("cycle does not close on its entry state")
+    return states
 
 
 def count_calls(monkeypatch, name: str, module: str = "graphs") -> list:

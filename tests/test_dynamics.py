@@ -59,6 +59,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
     recorded_scans,
+    reference_replay,
     traced_peak,
 )
 
@@ -178,7 +179,7 @@ def test_replay_rejects_tampered_trace(p5):
         cost_delta=trace.steps[0][1].cost_delta + 1,
     )
     tampered = trace.__class__(trace.initial, ((trace.steps[0][0], bad),) + trace.steps[1:], trace.outcome)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not replay"):
         replay_trace(p5, cfg, tampered)
 
 
@@ -214,15 +215,18 @@ def test_replay_rejects_forged_cycle_period_and_entry():
 
 
 @pytest.mark.parametrize("node", [-1, 5])
-def test_replay_refuses_a_recorded_node_outside_the_graph(p5, node):
-    """A recorded move's node is checked against ``[0, n)``: ``-1`` must not
-    read the last distance row, nor ``n`` run past the matrix."""
+def test_replay_refuses_a_recorded_node_outside_the_graph(monkeypatch, p5, node):
+    """A recorded move's node is checked against ``[0, n)``, before the
+    oracle is built: ``-1`` must not read the last distance row, nor ``n``
+    run past the matrix."""
     cfg = GameConfig(SUM, Fraction(1, 2))
     trace = run_dynamics(p5, cfg, StrategyProfile.of([0]), RoundRobin())
     first_state, first = trace.steps[0]
     forged = replace(trace, steps=((first_state, replace(first, node=node)),) + trace.steps[1:])
+    builds = count_calls(monkeypatch, "_bitset_distances")
     with pytest.raises(NodeIdOutOfRange):
         replay_trace(p5, cfg, forged)
+    assert builds == []
 
 
 @pytest.mark.parametrize("forbidden", [True, False])
@@ -237,6 +241,114 @@ def test_replay_refuses_a_recorded_close_of_the_sole_gateway(p5, forbidden):
     forged = _dynamics.DynamicsTrace(start, ((start, close),), BudgetExhausted())
     with pytest.raises(ValueError, match="does not replay"):
         replay_trace(p5, cfg, forged)
+
+
+def _raised(replay, g, cfg, trace):
+    """``(exception type, message)`` of ``replay(g, cfg, trace)``, or
+    ``(None, states)`` when it returns."""
+    try:
+        return None, replay(g, cfg, trace)
+    except (ValueError, NodeIdOutOfRange) as err:
+        return type(err), str(err)
+
+
+def _tamperings(trace, j, n):
+    """``trace`` with step ``j`` forged each way a replay must refuse: the
+    delta moved by +-1, the kind flipped, ``forbidden`` set, the state out of
+    order, a node outside ``[0, n)``, and, on the first step whose state has
+    one gateway, that gateway's close.  One more copy moves step ``j``'s delta
+    and puts the state of step ``j + 1``, in the same block or the next, out
+    of order: the earlier fault must be the one reported."""
+    state, move = trace.steps[j]
+    flipped = MoveKind.OPEN if move.kind is MoveKind.CLOSE else MoveKind.CLOSE
+    forged = [
+        (state, replace(move, cost_delta=move.cost_delta + 1)),
+        (state, replace(move, cost_delta=move.cost_delta - 1)),
+        (state, replace(move, kind=flipped)),
+        (state, replace(move, forbidden=True)),
+        (state.toggled(move.node), move),
+        (state, replace(move, node=-1)),
+        (state, replace(move, node=n)),
+    ]
+    out = [replace(trace, steps=trace.steps[:j] + (step,) + trace.steps[j + 1 :]) for step in forged]
+    sole = next((i for i, (s, _) in enumerate(trace.steps) if len(s) == 1), None)
+    if sole is not None:
+        s, m = trace.steps[sole]
+        close = replace(m, node=next(iter(s)), kind=MoveKind.CLOSE, forbidden=True)
+        out.append(replace(trace, steps=trace.steps[:sole] + ((s, close),) + trace.steps[sole + 1 :]))
+    if j + 1 < len(trace.steps):
+        later_state, later = trace.steps[j + 1]
+        both = (forged[0], (later_state.toggled(later.node), later))
+        out.append(replace(trace, steps=trace.steps[:j] + both + trace.steps[j + 2 :]))
+    return out
+
+
+def test_replay_refuses_a_recorded_move_of_zero_gain(p5):
+    """On the 5-node path at alpha 1, node 1's open from ``{0}`` lowers its
+    distance term by exactly 1: a delta of 0, recorded as evaluated, is no
+    improving move."""
+    cfg = GameConfig(SUM, Fraction(1))
+    start = StrategyProfile.of([0])
+    level = evaluate_move(all_pairs_distances(p5), cfg, start, 1)
+    assert (level.kind, level.cost_delta, level.forbidden) == (MoveKind.OPEN, 0, False)
+    forged = _dynamics.DynamicsTrace(start, ((start, level),), BudgetExhausted())
+    for replay in (replay_trace, reference_replay):
+        with pytest.raises(ValueError, match="does not replay"):
+            replay(p5, cfg, forged)
+
+
+@given(
+    connected_graphs(min_n=2, max_n=12),
+    alphas(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_batched_replay_matches_the_step_by_step_reference(g, alpha, seed, max_steps, single):
+    """On every trace of all five schedulers and both variants, the batched
+    replay returns the reference's states; on every forged copy it raises
+    the reference's exception, with its message, from the same step.  At
+    n <= 12 a block holds at most 3 steps, so most traces span several."""
+    rnd = random.Random(seed)
+    order = tuple(rnd.sample(range(g.n), g.n))
+    start = StrategyProfile.of(order[: 1 if single else 1 + rnd.randrange(g.n)])
+    schedulers = [
+        RoundRobin(),
+        RandomSeeded(seed),
+        BestGain(),
+        FixedSequence(order),
+        OpensOnly(frozenset(order[: (g.n + 1) // 2])),
+    ]
+    for variant in (SUM, MAX):
+        cfg = GameConfig(variant, alpha)
+        for scheduler in schedulers:
+            trace = run_dynamics(g, cfg, start, scheduler, max_steps=max_steps)
+            assert replay_trace(g, cfg, trace) == reference_replay(g, cfg, trace) == trace.states()
+            if not trace.steps:
+                continue
+            for forged in _tamperings(trace, rnd.randrange(len(trace.steps)), g.n):
+                want = _raised(reference_replay, g, cfg, forged)
+                assert want[0] is not None
+                assert _raised(replay_trace, g, cfg, forged) == want
+
+
+def test_batched_replay_peak_stays_within_three_oracle_cells_of_the_reference():
+    """``test_oracle_guard_covers_the_move_kernel_peak`` cannot cover a replay,
+    whose returned states dominate its peak, so the batched replay of a
+    499-step trace on the 500-node path (four blocks, int32 oracle) is held
+    to the step-by-step reference's peak plus three oracle cells per cell."""
+    n = 500
+    g = path_graph(n)
+    cfg = GameConfig(SUM, 2)
+    trace = run_dynamics(g, cfg, StrategyProfile.of([0]), RoundRobin())
+    assert len(trace.steps) == n - 1
+    itemsize = all_pairs_distances(g).dist.itemsize
+    assert itemsize == 4
+    batched, reference = (
+        traced_peak(lambda: replay(g, cfg, trace)) for replay in (replay_trace, reference_replay)
+    )
+    assert (batched - reference) / (n * n) <= 3 * itemsize, (batched / n**2, reference / n**2)
 
 
 def test_state_graph_triangle_small_alpha(triangle):
