@@ -9,16 +9,24 @@ cardinality level k when ``alpha * k`` plus a lower bound on the distance
 part of every k-gateway profile exceeds the best cost so far
 (``_level_floors``):
 
-- SUM: ``max(n(n-1) - k(k-1), d2 - 2k(n-1) + (the sum of the k least values
-  of 2 deg(v) - min(deg(v), k - 1)))`` with ``d2`` the sum of ``min(d, 2)``
-  over all ordered pairs;
-- MAX: 0 at ``k = n``, else ``n + max(0, #{v : far(v) > k} - k)`` with
+- SUM: the largest of ``n(n-1) - k(k-1)``, ``d2 - 2k(n-1) + (the sum of the
+  k least values of 2 deg(v) - min(deg(v), k - 1))`` with ``d2`` the sum of
+  ``min(d, 2)`` over all ordered pairs, and ``(n - k) + (the sum of the n - k
+  least row sums of min(d, 2))``.  The last is the per-profile floor below
+  relaxed at ``a(x) = 1``: each closed node's summand ``k * a(x) +
+  G_x(a(x))`` grows with ``a(x)``, which is at least 1, so it is at least
+  ``k + G_x(1)``, and ``G_x(1)`` is x's row sum of ``min(d, 2)``; the
+  ``-(n - k)(k - 1)`` leaves ``n - k`` of the ``k(n - k)``.
+- MAX: 0 at ``k = n``, else ``n + max(0, #{v : far(v) >= k} - k)`` with
   ``far(v)`` the number of nodes two or more hops from ``v``: every node pays
-  at least 1, and a closed node with a closed node that far pays 2.
+  at least 1, and a closed node x with ``far(x) >= k`` pays 2, since then
+  ``D_x(k) >= 2`` in the per-profile floor below.
 
-It collapses interchangeable nodes into canonical representatives: a profile
-opens a prefix of each twin class.  One class-by-class pass builds the
-canonical masks of every level the seed leaves, grouped by gateway count, and
+Levels are admitted before any mask is built: a level whose floor the seed
+already beats is never built, floored, or counted against the cap.  The
+search collapses interchangeable nodes into canonical representatives: a
+profile opens a prefix of each twin class.  One class-by-class pass builds
+the canonical masks of every admitted level, grouped by gateway count, and
 the levels are visited in ascending order, each skipped once a cheaper
 profile beats its floor.
 
@@ -48,11 +56,13 @@ one per closed part of each class (see ``_engine``).  The comparison is not
 strict, so every profile tied at the level's least cost survives and the
 tie-break sees it, and the exact costing of the survivors certifies the
 optimum.  On the ``reduce`` benchmark's 40-node SUM reduction, where the
-greedy seed is already optimal, 1 of its 73,242 canonical profiles is
-costed instead of all of them.  In ``BENCH_26.json`` (30 s runs, ten
-alternating pairs, a 2-core host with Python 3.11.7 and numpy 2.4.6) that
-took ``reduce`` from 66.4 to 110.3 requests/s and its p90 latency, the
-latency of that request, from 41.6 to 17.6 ms.
+greedy seed is already optimal, the level floors admit levels 1-6 and their
+14,386 canonical profiles (the third SUM term drops levels 7 and 8 and
+leaves their 58,856 unbuilt), and 1 of them is costed.  In ``BENCH_29.json`` (30 s
+runs, ten alternating pairs, a 2-core host with Python 3.11.7 and numpy
+2.4.6) dropping those levels took ``reduce`` from 106.5 to 148.0
+requests/s and its p90 latency, the latency of that request, from 18.2 to
+9.4 ms.
 
 The search refuses to start when the admitted levels hold more than
 ``BOUNDED_ENUMERATION_CAP`` canonical profiles, or more than physical memory
@@ -88,7 +98,7 @@ BOUNDED_ENUMERATION_CAP = 1 << 25
 _PROFILE_BYTES = 20
 # Bytes beside the profiles: one chunk of the term kernel, its block of at
 # most _engine._BATCH_BYTES with the gathered distances and weighted rows, or
-# one chunk of the floors (tracemalloc: 0.38 MB beyond 20 bytes per profile
+# one chunk of the floors (tracemalloc: 0.27 MB beyond 20 bytes per profile
 # on a 14-node path at alpha 30, 0.74 MB on a 16-node one at 40).
 _SEARCH_BYTES = 2 << 20
 
@@ -243,31 +253,37 @@ def _level_floors(dist: np.ndarray, kmax: int, maximum: bool) -> list[int]:
     ``adj(S)`` the ordered adjacent pairs of gateways, at most
     ``sum_g min(deg(g), k - 1)``.  So the part is at least ``d2 - 2k(n - 1)``
     plus ``sum_g (2 deg(g) - min(deg(g), k - 1))``, which grows with each
-    degree, so the k least degrees bound it from below.
+    degree, so the k least degrees bound it from below.  And the per-profile
+    floor grows with each closed node's ``a(x) >= 1``, which makes it at least
+    ``(n - k) + sum_{x not in S} G_x(1)``, with ``G_x(1)`` the row sum of
+    ``min(d, 2)``; the ``n - k`` least row sums bound that from below.
     MAX: with a node closed, every node has a closed node at least one away,
-    so every node pays at least 1.  A closed node with a closed node two or
-    more hops away pays at least 2 (both reach the hub in one hop or more).
-    A node with more than ``k`` nodes two or more hops away has one of them
-    closed, and at most ``k`` such nodes are gateways, so at least
-    ``#{v : far(v) > k} - k`` nodes pay 2.
+    so every node pays at least 1.  A closed node x with ``far(x) >= k``, so
+    ``D_x(k) >= 2``, pays at least 2: a closed node two or more hops away
+    reaches the hub in one hop or more, and if the k nodes that far are all
+    gateways, ``a(x) >= 2``.  At most ``k`` such nodes are gateways, so at
+    least ``#{v : far(v) >= k} - k`` nodes pay 2.
     """
     n = dist.shape[0]
     ks = range(kmax + 1)
     if not maximum:
-        d2 = int(np.minimum(dist, 2).sum())
+        near = np.minimum(dist, 2).sum(axis=1)
+        d2 = int(near.sum())
+        # least[j] = the sum of the j least row sums of min(d, 2)
+        least = np.concatenate(([0], np.cumsum(np.sort(near)))).tolist()
         degrees = sorted(np.count_nonzero(dist == 1, axis=1).tolist())
         return [
             max(
-                0,
                 n * (n - 1) - k * (k - 1),
                 d2 - 2 * k * (n - 1) + sum(2 * g - min(g, k - 1) for g in degrees[:k]),
+                n - k + least[n - k],
             )
             for k in ks
         ]
     far = np.count_nonzero(dist >= 2, axis=1)
-    # beyond[k] = #{v : far(v) > k}; far(v) <= n - 1, so beyond[n] = 0.
-    beyond = n - np.cumsum(np.bincount(far, minlength=n + 1))
-    return [0 if k == n else n + max(0, int(beyond[k]) - k) for k in ks]
+    # reach[k] = #{v : far(v) >= k}; far(v) <= n - 1, so reach[n] = 0.
+    reach = n - np.concatenate(([0], np.cumsum(np.bincount(far, minlength=n))))
+    return [0 if k == n else n + max(0, int(reach[k]) - k) for k in ks]
 
 
 def _bounded_search(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:

@@ -177,13 +177,13 @@ def test_bounded_search_refuses_40_node_max_once(tmp_path):
 def test_bounded_search_refuses_beyond_physical_memory(monkeypatch):
     """Every admitted level's masks are held at once, so the search is refused
     up front when 20 bytes per canonical profile and 2 MiB beside them exceed
-    physical memory: the 14-node path at alpha 30 leaves 9907 on its levels."""
+    physical memory: the 14-node path at alpha 30 leaves 6475 on its levels."""
     g, cfg = path_graph(14), GameConfig(SUM, Fraction(30))
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 20 * 9907 + (2 << 20)}
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 20 * 6475 + (2 << 20)}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     assert brute_force_optimum(g, cfg, mode="bounded").best_profile.ids == (0, 3, 6, 9, 12)
     memory["SC_PHYS_PAGES"] -= 1
-    claim = "bounded search over 9907 canonical profiles needs about 2295292 bytes"
+    claim = "bounded search over 6475 canonical profiles needs about 2226652 bytes"
     with pytest.raises(StateSpaceTooLarge, match=claim):
         brute_force_optimum(g, cfg, mode="bounded")
 
@@ -207,11 +207,42 @@ def test_level_floor_bounds_every_profile_of_its_size(g):
 
 def test_max_level_floor_is_tight_on_the_six_cycle():
     """Every node is two or more hops from three others, so two gateways
-    leave four closed nodes paying 2 and the opposite pair attains it."""
+    leave four closed nodes paying 2 and the opposite pair attains it; three
+    gateways leave three, and alternate nodes attain it."""
     g = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
     d = all_pairs_distances(g)
+    floors = _level_floors(d.dist, 3, True)
     rows = hub_distances(g, frozenset({0, 3}))
-    assert _level_floors(d.dist, 2, True)[2] == sum(map(max, rows)) == 6 + (6 - 2)
+    assert floors[2] == sum(map(max, rows)) == 6 + (6 - 2)
+    rows = hub_distances(g, frozenset({0, 2, 4}))
+    assert floors[3] == sum(map(max, rows)) == 6 + (6 - 3)
+
+
+@given(connected_graphs(min_n=2, max_n=10))
+@settings(max_examples=40, deadline=None)
+def test_level_floor_relaxes_the_profile_floor(g):
+    """The level floor's terms that come from the per-profile floors are at
+    most the least of them on their level, at each k = 1..n-1 over the
+    canonical masks of the graph's twin classes.  MAX: the whole floor.
+    SUM: ``(n - k)`` plus the ``n - k`` least row sums of ``min(d, 2)``,
+    which the floor must reach; its pair-count terms need not relax them
+    (two gateways at the ends of a 3-node path part 4 apart, floored at 3)."""
+    n = g.n
+    d = all_pairs_distances(g)
+    classes = twin_classes(g)
+    groups = _canonical_masks(classes, list(range(1, n)))
+    near = sorted(sum(min(x, 2) for x in row) for row in d.dist.tolist())
+    for maximum in (False, True):
+        floors = _level_floors(d.dist, n - 1, maximum)
+        bounds = _engine._floor_tables(_engine._mask_tables(d.dist, maximum), classes, maximum)
+        for k in range(1, n):
+            lows = [low for _, low in _engine.term_floors(bounds, groups[k], k, maximum)]
+            least = int(np.concatenate(lows).min())
+            if maximum:
+                assert floors[k] <= least, k
+            else:
+                relaxed = n - k + sum(near[: n - k])
+                assert relaxed <= min(floors[k], least), k
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -539,9 +570,10 @@ def test_bounded_search_breaks_ties_like_full_enumeration(name, variant):
 
 def test_profile_floors_leave_under_one_percent_of_a_cover_to_cost(monkeypatch):
     """The 40-node SUM reduction of 6 elements and 5 sets, where the greedy
-    seed is already optimal: of the 73,242 canonical profiles on the levels
-    the seed admits, fewer than 1% reach the exact costing, and the optimum
-    still holds the marked node c and a minimum cover (criterion 9)."""
+    seed is already optimal: the level floors admit levels 1-6 and their
+    14,386 canonical profiles (levels 7 and 8 and their 58,856 go unbuilt),
+    fewer than 1% of those reach the exact costing, and the optimum still
+    holds the marked node c and a minimum cover (criterion 9)."""
     inst = parse_set_cover("6 5\n0 2 3\n0 2 3 5\n0 1\n0 5\n2 4\n")
     art = reduce_set_cover(inst, SUM)
     assert art.graph.n == 40
@@ -550,14 +582,14 @@ def test_profile_floors_leave_under_one_percent_of_a_cover_to_cost(monkeypatch):
 
     def recording(classes, levels):
         groups = build(classes, levels)
-        admitted.append(sum(map(len, groups.values())))
+        admitted.append((levels, sum(map(len, groups.values()))))
         return groups
 
     monkeypatch.setattr(optimization, "_canonical_masks", recording)
     costed = count_calls(monkeypatch, "term_sums_for_masks", "_engine")
     res = brute_force_optimum(art.graph, GameConfig(SUM, art.alpha), mode="bounded")
-    assert admitted == [73242]
-    assert 100 * sum(len(args[1]) for args in costed) < admitted[0]
+    assert admitted == [([1, 2, 3, 4, 5, 6], 14386)]
+    assert 100 * sum(len(args[1]) for args in costed) < admitted[0][1]
     roles = art.roles
     picked = [i for i, node in enumerate(roles["set_nodes"]) if node in res.best_profile]
     assert roles["c"] in res.best_profile
