@@ -295,19 +295,14 @@ def term_sums_for_masks(
     masks: np.ndarray,
     *,
     maximum: bool,
-    classes: Sequence[tuple[int, ...]] | None = None,
-    tables: tuple[np.ndarray, list[np.ndarray]] | None = None,
+    classes: Sequence[tuple[int, ...]],
+    tables: tuple[np.ndarray, list[np.ndarray]],
 ) -> np.ndarray:
     """Total distance part of the social cost for each mask, shape (P,).
 
     ``classes`` partitions the nodes into sorted tuples of mutual twins, and
-    every mask must open a prefix of each; by default every node is alone,
-    so any mask will do.  ``tables`` is ``_mask_tables(dist, maximum)``,
-    built here when not given."""
-    if classes is None:
-        classes = [(v,) for v in range(dist.shape[0])]
-    if tables is None:
-        tables = _mask_tables(dist, maximum)
+    every mask must open a prefix of each; with every node alone any mask
+    will do.  ``tables`` is ``_mask_tables(dist, maximum)``."""
     out = np.empty(masks.shape[0], dtype=np.int64)
     for columns, terms, weights in _twin_rows(tables, masks, classes, maximum):
         out[columns] = np.multiply(terms, weights, dtype=np.int32).sum(axis=0, dtype=np.int64)

@@ -5,8 +5,6 @@ carrying the graph, a role map (which node plays which part), a suggested
 initial profile, and the variant, price and parameters the instance is built for.
 Validity checks raise :class:`ParameterOutOfRange` with the violated
 inequality spelled out, so CLI users see exactly which bound they missed.
-The ``verify_*`` functions check the inequalities behind the two cycling
-gadgets against direct cost evaluation on the generated graphs.
 """
 
 from __future__ import annotations
@@ -30,14 +28,12 @@ from .errors import (
 )
 from .game import (
     GameConfig,
-    MoveKind,
     StrategyProfile,
     Variant,
     _ProfileState,
-    evaluate_move,
+    evaluate_move,  # noqa: F401  bound only for perfbench/test_tracer.py's rebinding check
     floor_sqrt,
     is_nash_equilibrium,
-    private_cost,
 )
 from .graphs import (
     DistanceOracle,
@@ -94,8 +90,8 @@ class IrCycleParams:
             object.__setattr__(self, "alpha", Fraction(self.alpha))
 
 
-def _ir_cycle_structure(params: IrCycleParams) -> None:
-    n, c, r = params.n, params.c, params.r
+def _ir_cycle_validate(params: IrCycleParams) -> None:
+    n, c, r, alpha = params.n, params.c, params.r, params.alpha
     if c < 1:
         raise ParameterOutOfRange(f"c must satisfy c >= 1; got {c}")
     if r < 0:
@@ -104,10 +100,6 @@ def _ir_cycle_structure(params: IrCycleParams) -> None:
         raise ParameterOutOfRange(
             f"need n - 2c - r - 1 >= 0 pendant nodes at u; got {n - 2 * c - r - 1}"
         )
-
-
-def _ir_cycle_validate(params: IrCycleParams) -> None:
-    n, c, r, alpha = params.n, params.c, params.r, params.alpha
     if c == 1:
         lo = Fraction(r + 2)
         hi = Fraction(min(n - 1, 2 * r + 2))
@@ -134,15 +126,13 @@ def _ir_cycle_validate(params: IrCycleParams) -> None:
         )
 
 
-def gen_ir_cycle(params: IrCycleParams, *, validate: bool = True) -> GeneratedGame:
+def gen_ir_cycle(params: IrCycleParams) -> GeneratedGame:
     """Double-path gadget whose four-step toggle cycle never settles.
 
     Node layout: ``u = 0``, path interiors, ``v = c``, more interiors,
     ``w = 2c``, then ``r`` pendants on ``w`` and the rest on ``u``.
     """
-    _ir_cycle_structure(params)
-    if validate:
-        _ir_cycle_validate(params)
+    _ir_cycle_validate(params)
     n, c, r = params.n, params.c, params.r
     _check_edges(n - 1, _GEN_EDGE_BYTES, f"ir-cycle at n = {n}")
     edges = [(i, i + 1) for i in range(2 * c)]
@@ -282,150 +272,6 @@ def gen_max_poa_star(n: int) -> GeneratedGame:
     gateway = leaves[-1]
     roles = {"center": 0, "gateway": gateway, "path_leaves": tuple(leaves)}
     return GeneratedGame(graph, roles, StrategyProfile.of([gateway]), Variant.MAX, None, {"n": n})
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """One inequality governing a step of the four-move gadget cycle.
-
-    ``threshold`` is the closed-form distance change for the move (savings
-    for an open, regained distance for a close); ``simulated_threshold`` is
-    the same quantity recovered from a direct cost evaluation on the
-    generated graph.  ``holds`` compares alpha against the closed form,
-    ``agrees`` confirms the direct evaluation reaches the same verdict.
-    """
-
-    label: str
-    node: int
-    kind: MoveKind
-    sense: str
-    threshold: Fraction
-    holds: bool
-    simulated_threshold: Fraction
-    agrees: bool
-
-    @property
-    def exact(self) -> bool:
-        return self.threshold == self.simulated_threshold
-
-    @property
-    def inequality(self) -> str:
-        return f"alpha {self.sense} {self.threshold}"
-
-
-def verify_cycle_conditions(params: IrCycleParams) -> list[ConditionReport]:
-    """Check the four strict inequalities that drive the gadget's toggle cycle.
-
-    The thresholds are derived from the gadget geometry: pairs of interior
-    detour terms plus pendant contributions.  Each is cross-checked against
-    ``evaluate_move`` on the generated graph; ``exact`` reports whether the
-    closed form matches the simulation to the last integer.
-    """
-    game = gen_ir_cycle(params, validate=False)
-    g, roles = game.graph, game.roles
-    n, c, r, alpha = params.n, params.c, params.r, params.alpha
-    u, v, w = roles["u"], roles["v"], roles["w"]
-    interior = ((c - 1) // 2) * (c // 2)
-    t_open_u = Fraction(c * (c + 1) + 2 * r * c)
-    t_open_v = Fraction(2 * interior + 2 * c + (n - 2 * c - 1) * c)
-    t_close_u = Fraction(interior + c * (c + 1) + r * c)
-    t_close_v = Fraction(interior + (r + 1) * c)
-    plan = [
-        ("I", u, MoveKind.OPEN, "<", t_open_u),
-        ("II", v, MoveKind.OPEN, "<", t_open_v),
-        ("III", u, MoveKind.CLOSE, ">", t_close_u),
-        ("IV", v, MoveKind.CLOSE, ">", t_close_v),
-    ]
-    d = all_pairs_distances(g)
-    cfg = GameConfig(Variant.SUM, alpha)
-    state = StrategyProfile.of([w])
-    reports = []
-    for label, node, kind, sense, threshold in plan:
-        move = evaluate_move(d, cfg, state, node)
-        if move.kind is not kind:
-            raise AssertionError(f"step {label}: expected {kind}, got {move.kind}")
-        if kind is MoveKind.OPEN:
-            simulated = alpha - move.cost_delta
-            holds = alpha < threshold
-        else:
-            simulated = alpha + move.cost_delta
-            holds = alpha > threshold
-        reports.append(
-            ConditionReport(
-                label=label,
-                node=node,
-                kind=kind,
-                sense=sense,
-                threshold=threshold,
-                holds=holds,
-                simulated_threshold=simulated,
-                agrees=holds == (move.cost_delta < 0),
-            )
-        )
-        state = state.toggled(node)
-    return reports
-
-
-@dataclass(frozen=True)
-class LineConditionReport:
-    """Before/after private cost for one step of the MAX line cycle."""
-
-    label: str
-    node: int
-    kind: MoveKind
-    before: Fraction
-    after: Fraction
-    holds: bool
-    simulated_before: Fraction
-    simulated_after: Fraction
-    agrees: bool
-
-    @property
-    def exact(self) -> bool:
-        return self.before == self.simulated_before and self.after == self.simulated_after
-
-
-def verify_max_line_conditions(alpha: Fraction | int) -> list[LineConditionReport]:
-    """The four strict inequalities behind the MAX line's endless toggling."""
-    alpha = Fraction(alpha)
-    game = gen_max_line(alpha)
-    g, roles = game.graph, game.roles
-    u, v, w = roles["u"], roles["v"], roles["w"]
-    f = math.floor(alpha)
-    plan = [
-        ("I", w, MoveKind.OPEN, Fraction(2 * f + 2), alpha + f + 1),
-        ("II", v, MoveKind.OPEN, Fraction(2 * f + 2), alpha + f + 1),
-        # After w closes, the worst-off target is the midpoint between the
-        # remaining gateways u and v, not the line's far end.
-        ("III", w, MoveKind.CLOSE, alpha + f + 1, Fraction(f + 1 + (f + 1) // 2)),
-        ("IV", v, MoveKind.CLOSE, alpha + 2 * f + 2, Fraction(2 * f + 2)),
-    ]
-    d = all_pairs_distances(g)
-    cfg = GameConfig(Variant.MAX, alpha)
-    state = StrategyProfile.of([u])
-    reports = []
-    for label, node, kind, before, after in plan:
-        move = evaluate_move(d, cfg, state, node)
-        if move.kind is not kind:
-            raise AssertionError(f"step {label}: expected {kind}, got {move.kind}")
-        sim_before = private_cost(d, cfg, state, node)
-        sim_after = sim_before + move.cost_delta
-        holds = after < before
-        reports.append(
-            LineConditionReport(
-                label=label,
-                node=node,
-                kind=kind,
-                before=before,
-                after=after,
-                holds=holds,
-                simulated_before=sim_before,
-                simulated_after=sim_after,
-                agrees=holds == (move.cost_delta < 0),
-            )
-        )
-        state = state.toggled(node)
-    return reports
 
 
 def _spaced_profile(

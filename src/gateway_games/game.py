@@ -206,19 +206,6 @@ class _ProfileState:
         limit = np.where(self.member, _NEVER if sole else close_at, open_at)
         return _Toggles(cfg.alpha, sole, self.member.copy(), dv, dv <= limit)
 
-    def move(self, cfg: GameConfig, v: int) -> Move:
-        """Cost delta of toggling ``v``, from ``v``'s own point of view.
-
-        Forms only ``v``'s terms before and after, with the formula and bases
-        of ``scan``: one row of distances where the scan reads the whole
-        matrix twice.
-        """
-        _check_ids(len(self.member), (v,))
-        row, mover = self.d.dist[v : v + 1], slice(v, v + 1)
-        a, maximum = self.a, cfg.variant is Variant.MAX
-        dv = _terms(row, a, self.base[mover], maximum)[0] - _terms(row, a, a[mover], maximum)[0]
-        return _move(cfg.alpha, self.count == 1, bool(self.member[v]), v, int(dv))
-
 
 @dataclass(frozen=True, eq=False)
 class _Toggles:
@@ -231,22 +218,13 @@ class _Toggles:
     improving: np.ndarray
 
     def move(self, v: int) -> Move:
-        return _move(self.alpha, self.sole, bool(self.member[v]), v, int(self.dv[v]))
+        dv = int(self.dv[v])
+        if self.member[v]:
+            return Move(v, MoveKind.CLOSE, dv - self.alpha, forbidden=self.sole)
+        return Move(v, MoveKind.OPEN, self.alpha + dv)
 
     def moves(self) -> list[Move]:
         return [self.move(int(v)) for v in np.flatnonzero(self.improving)]
-
-
-def _move(alpha: Fraction, sole: bool, member: bool, v: int, dv: int) -> Move:
-    if member:
-        return Move(v, MoveKind.CLOSE, dv - alpha, forbidden=sole)
-    return Move(v, MoveKind.OPEN, alpha + dv)
-
-
-def comm_distance(d: DistanceOracle, s: StrategyProfile, u: int, v: int) -> int:
-    """delta(u, v) under profile ``s``: plain distance or a hop through the gateway set."""
-    a = _ProfileState(d, s, u, v).a
-    return int(min(d.dist[u, v], a[u] + a[v]))
 
 
 def private_cost(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int) -> Fraction:
@@ -262,9 +240,9 @@ def social_cost(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> Fract
 
 
 def evaluate_move(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile, v: int) -> Move:
-    """Cost delta of toggling ``v``, from ``v``'s own point of view: one row of
-    distances, with the bases of the toggle scan."""
-    return _ProfileState(d, s).move(cfg, v)
+    """Cost delta of toggling ``v``, from ``v``'s own point of view: the toggle
+    scan's move for ``v``."""
+    return _ProfileState(d, s, v).scan(cfg).move(v)
 
 
 def improving_moves(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> list[Move]:

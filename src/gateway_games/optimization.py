@@ -55,14 +55,7 @@ compared in integers, and costs only those exactly, on one row per open and
 one per closed part of each class (see ``_engine``).  The comparison is not
 strict, so every profile tied at the level's least cost survives and the
 tie-break sees it, and the exact costing of the survivors certifies the
-optimum.  On the ``reduce`` benchmark's 40-node SUM reduction, where the
-greedy seed is already optimal, the level floors admit levels 1-6 and their
-14,386 canonical profiles (the third SUM term drops levels 7 and 8 and
-leaves their 58,856 unbuilt), and 1 of them is costed.  In ``BENCH_29.json`` (30 s
-runs, ten alternating pairs, a 2-core host with Python 3.11.7 and numpy
-2.4.6) dropping those levels took ``reduce`` from 106.5 to 148.0
-requests/s and its p90 latency, the latency of that request, from 18.2 to
-9.4 ms.
+optimum.
 
 The search refuses to start when the admitted levels hold more than
 ``BOUNDED_ENUMERATION_CAP`` canonical profiles, or more than physical memory

@@ -1,7 +1,8 @@
 """Shared fixtures: tiny graphs, random-graph strategies, an independent
-distance oracle used to cross-check the production code, a step-by-step
-trace replay to check the batched one against, a runner for the CLI, and a
-tracemalloc peak of one call."""
+distance oracle used to cross-check the production code, a walk of given
+toggles with each mover's costs, a step-by-step trace replay to check the
+batched one against, a runner for the CLI, and a tracemalloc peak of one
+call."""
 
 from __future__ import annotations
 
@@ -25,13 +26,16 @@ from gateway_games import (
     DynamicsTrace,
     GameConfig,
     Graph,
+    Move,
     Stalled,
     StrategyProfile,
     Variant,
     all_pairs_distances,
     build_graph,
+    evaluate_move,
+    private_cost,
 )
-from gateway_games.game import _ProfileState
+from gateway_games.game import _check_ids, _ProfileState
 
 # The directory holding the ``gateway_games`` package this test run imported:
 # ``src`` in a checkout, ``site-packages`` when installed.
@@ -267,17 +271,33 @@ def oracle_move(
     return ("close" if v in s else "open"), after - before, False
 
 
+def toggle_walk(
+    g: Graph, cfg: GameConfig, start: StrategyProfile, nodes
+) -> list[tuple[Fraction, Fraction, Move]]:
+    """Each toggle of ``nodes`` in turn from ``start``, as the mover's
+    ``private_cost`` before and after it and its ``evaluate_move``, each
+    against the profile the toggle is made in."""
+    d = all_pairs_distances(g)
+    steps = []
+    for v in nodes:
+        before, start = start, start.toggled(v)
+        costs = private_cost(d, cfg, before, v), private_cost(d, cfg, start, v)
+        steps.append((*costs, evaluate_move(d, cfg, before, v)))
+    return steps
+
+
 def reference_replay(g: Graph, cfg: GameConfig, trace: DynamicsTrace) -> list[StrategyProfile]:
     """``replay_trace`` one recorded move at a time: each move is checked
-    against the carried state's one-row evaluation (``_ProfileState.move``)
-    before the state toggles, and each id only when the walk reaches it."""
+    against the carried state's toggle scan before the state toggles, and
+    each id only when the walk reaches it."""
     d = all_pairs_distances(g)
     states = [trace.initial]
     carried = _ProfileState(d, trace.initial)
     for recorded_state, move in trace.steps:
         if recorded_state != states[-1]:
             raise ValueError("trace states out of order")
-        fresh = carried.move(cfg, move.node)
+        _check_ids(g.n, (move.node,))
+        fresh = carried.scan(cfg).move(move.node)
         if fresh != move or not fresh.is_improving:
             raise ValueError(f"recorded move {move} does not replay")
         states.append(recorded_state.toggled(move.node))

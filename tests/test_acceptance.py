@@ -8,6 +8,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,7 @@ from gateway_games import (
     GameConfig,
     GatewayGameError,
     IrCycleParams,
+    MoveKind,
     StrategyProfile,
     Variant,
     all_pairs_distances,
@@ -43,19 +45,20 @@ from gateway_games import (
     reduce_set_cover,
     run_dynamics,
     social_cost,
-    verify_cycle_conditions,
-    verify_max_line_conditions,
 )
 
 from conftest import (
     oracle_private_cost,
     random_connected_graph,
     run_cli,
+    toggle_walk,
     tree_from_prufer,
 )
 
 SUM = Variant.SUM
 MAX = Variant.MAX
+OPEN = MoveKind.OPEN
+CLOSE = MoveKind.CLOSE
 
 
 def criterion(k):
@@ -109,19 +112,24 @@ def test_criterion_02_everyone_profile_stable_and_optimal_for_cheap_sum():
 @criterion(3)
 def test_criterion_03_double_path_cycle_replay():
     for n, c, r, alpha in ((10, 1, 2, Fraction(5)), (32, 8, 5, Fraction(140))):
-        params = IrCycleParams(n, c, r, alpha)
-        game = gen_ir_cycle(params)
+        game = gen_ir_cycle(IrCycleParams(n, c, r, alpha))
         g, roles, initial = game.graph, game.roles, game.initial
-        sched = FixedSequence((roles["u"], roles["v"]))
-        trace = run_dynamics(g, GameConfig(SUM, alpha), initial, sched)
+        u, v = roles["u"], roles["v"]
+        cfg = GameConfig(SUM, alpha)
+        trace = run_dynamics(g, cfg, initial, FixedSequence((u, v)))
         assert isinstance(trace.outcome, CycleDetected)
         assert trace.outcome.period == 4
-        reports = verify_cycle_conditions(params)
-        assert len(reports) == 4
-        for report in reports:
-            assert report.holds
-            assert report.agrees
-            assert report.simulated_threshold == report.threshold
+        # Steps I-IV from {w}: u and v open, then u and v close.  In closed
+        # form, the distance each open saves and each close regains.
+        interior = ((c - 1) // 2) * (c // 2)
+        saves = [c * (c + 1) + 2 * r * c, 2 * interior + 2 * c + (n - 2 * c - 1) * c]
+        regains = [interior + c * (c + 1) + r * c, interior + (r + 1) * c]
+        assert all(alpha < t for t in saves) and all(alpha > t for t in regains)
+        steps = toggle_walk(g, cfg, initial, (u, v, u, v))
+        assert [(m.node, m.kind) for _, _, m in steps] == [(u, OPEN), (v, OPEN), (u, CLOSE), (v, CLOSE)]
+        expected = [alpha - t for t in saves] + [t - alpha for t in regains]
+        assert [m.cost_delta for _, _, m in steps] == expected
+        assert all(m.is_improving and m.cost_delta == after - before for before, after, m in steps)
 
 
 @criterion(4)
@@ -157,16 +165,26 @@ def test_criterion_05_max_line_cycles_for_fractional_prices():
     for alpha in (Fraction(2), Fraction(5, 2), Fraction(3)):
         game = gen_max_line(alpha)
         g, roles, initial = game.graph, game.roles, game.initial
-        sched = FixedSequence((roles["w"], roles["v"]))
-        trace = run_dynamics(g, GameConfig(MAX, alpha), initial, sched)
+        v, w = roles["v"], roles["w"]
+        cfg = GameConfig(MAX, alpha)
+        trace = run_dynamics(g, cfg, initial, FixedSequence((w, v)))
         assert isinstance(trace.outcome, CycleDetected)
         assert trace.outcome.period == 4
-        reports = verify_max_line_conditions(alpha)
-        assert len(reports) == 4
-        for report in reports:
-            assert report.holds
-            assert report.agrees
-            assert report.exact
+        # Steps I-IV from {u}: the mover's cost before and after, in closed form.
+        f = math.floor(alpha)
+        expected = [
+            (2 * f + 2, alpha + f + 1),
+            (2 * f + 2, alpha + f + 1),
+            # After w closes, the worst-off target is the midpoint between the
+            # remaining gateways u and v, not the line's far end.
+            (alpha + f + 1, f + 1 + (f + 1) // 2),
+            (alpha + 2 * f + 2, 2 * f + 2),
+        ]
+        assert all(after < before for before, after in expected)
+        steps = toggle_walk(g, cfg, initial, (w, v, w, v))
+        assert [(m.node, m.kind) for _, _, m in steps] == [(w, OPEN), (v, OPEN), (w, CLOSE), (v, CLOSE)]
+        assert [(before, after) for before, after, _ in steps] == expected
+        assert all(m.is_improving and m.cost_delta == after - before for before, after, m in steps)
 
 
 @criterion(6)

@@ -54,9 +54,8 @@ def test_ir_cycle_layout():
 def test_ir_cycle_rejects_bad_price():
     with pytest.raises(ParameterOutOfRange, match="alpha must satisfy"):
         gen_ir_cycle(IrCycleParams(10, 1, 7, Fraction(5)))
-    # validate=False still enforces the structural counts
-    with pytest.raises(ParameterOutOfRange):
-        gen_ir_cycle(IrCycleParams(6, 2, 4, Fraction(5)), validate=False)
+    with pytest.raises(ParameterOutOfRange, match="pendant nodes at u"):
+        gen_ir_cycle(IrCycleParams(6, 2, 4, Fraction(5)))
 
 
 def test_ir_cycle_wide_window():

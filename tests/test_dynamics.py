@@ -22,6 +22,7 @@ from gateway_games import (
     MoveKind,
     NodeIdOutOfRange,
     OpensOnly,
+    ParameterOutOfRange,
     RandomSeeded,
     RoundRobin,
     Stalled,
@@ -36,13 +37,12 @@ from gateway_games import (
     enumerate_equilibria,
     evaluate_move,
     gen_ir_cycle,
+    gen_max_line,
     gen_non_wag,
     graph_to_json,
     is_nash_equilibrium,
     replay_trace,
     run_dynamics,
-    verify_cycle_conditions,
-    verify_max_line_conditions,
 )
 from gateway_games import _engine, cli, graphs
 from gateway_games import dynamics as _dynamics
@@ -60,6 +60,7 @@ from conftest import (
     random_connected_graph,
     recorded_scans,
     reference_replay,
+    toggle_walk,
     traced_peak,
 )
 
@@ -491,37 +492,56 @@ def test_oracle_guard_covers_the_move_kernel_peak(gateways):
     assert max(per_cell) <= graphs._ORACLE_CELL_BYTES, per_cell
 
 
+def small_gadget_steps(alpha):
+    """The 10-node double-path gadget, built at 5, walked at ``alpha`` through
+    steps I-IV from {w}: u opens, v opens, u closes, v closes."""
+    game = gen_ir_cycle(IrCycleParams(10, 1, 2, Fraction(5)))
+    u, v = game.roles["u"], game.roles["v"]
+    steps = toggle_walk(game.graph, GameConfig(SUM, alpha), game.initial, (u, v, u, v))
+    assert [(m.node, m.kind) for _, _, m in steps] == [
+        (u, MoveKind.OPEN), (v, MoveKind.OPEN), (u, MoveKind.CLOSE), (v, MoveKind.CLOSE)
+    ]
+    assert all(m.cost_delta == after - before for before, after, m in steps)
+    return steps
+
+
 def test_cycle_conditions_small_gadget():
-    reports = verify_cycle_conditions(IrCycleParams(10, 1, 2, Fraction(5)))
-    assert [r.label for r in reports] == ["I", "II", "III", "IV"]
-    assert [r.threshold for r in reports] == [6, 9, 4, 3]
-    assert all(r.holds and r.agrees for r in reports)
-    assert all(r.simulated_threshold == r.threshold for r in reports)
-    assert [r.sense for r in reports] == ["<", "<", ">", ">"]
+    """Opens that save 6 and 9, closes that regain 4 and 3: at 5 each step
+    improves by alpha's distance from its threshold."""
+    steps = small_gadget_steps(Fraction(5))
+    assert [m.cost_delta for _, _, m in steps] == [5 - 6, 5 - 9, 4 - 5, 3 - 5]
+    assert all(m.is_improving for _, _, m in steps)
 
 
 def test_cycle_conditions_track_alpha():
-    """With alpha outside a window the matching inequality must fail."""
-    reports = verify_cycle_conditions(IrCycleParams(10, 1, 2, Fraction(13, 2)))
-    by_label = {r.label: r for r in reports}
-    assert not by_label["I"].holds
-    assert by_label["III"].holds
-    assert all(r.agrees for r in reports)
+    """The c = 1 gadget's graph does not depend on alpha.  At 13/2, outside
+    its window, above step I's saving of 6: u's open no longer improves,
+    and the other three steps still do."""
+    alpha = Fraction(13, 2)
+    with pytest.raises(ParameterOutOfRange, match="alpha must satisfy"):
+        gen_ir_cycle(IrCycleParams(10, 1, 2, alpha))
+    steps = small_gadget_steps(alpha)
+    assert [m.cost_delta for _, _, m in steps] == [alpha - 6, alpha - 9, 4 - alpha, 3 - alpha]
+    assert [m.is_improving for _, _, m in steps] == [False, True, True, True]
 
 
 def test_max_line_conditions_exact():
-    reports = verify_max_line_conditions(Fraction(5, 2))
-    table = {r.label: (r.before, r.after) for r in reports}
-    assert table == {
-        "I": (6, Fraction(11, 2)),
-        "II": (6, Fraction(11, 2)),
-        "III": (Fraction(11, 2), 4),
-        "IV": (Fraction(17, 2), 6),
-    }
-    assert all(r.holds and r.agrees for r in reports)
-    assert all(
-        (r.simulated_before, r.simulated_after) == (r.before, r.after) for r in reports
-    )
+    """The MAX line at 5/2 from {u}: w opens, v opens, w closes, v closes,
+    each lowering the mover's cost."""
+    alpha = Fraction(5, 2)
+    game = gen_max_line(alpha)
+    v, w = game.roles["v"], game.roles["w"]
+    steps = toggle_walk(game.graph, GameConfig(MAX, alpha), game.initial, (w, v, w, v))
+    assert [(m.node, m.kind) for _, _, m in steps] == [
+        (w, MoveKind.OPEN), (v, MoveKind.OPEN), (w, MoveKind.CLOSE), (v, MoveKind.CLOSE)
+    ]
+    assert [(before, after) for before, after, _ in steps] == [
+        (6, Fraction(11, 2)),
+        (6, Fraction(11, 2)),
+        (Fraction(11, 2), 4),
+        (Fraction(17, 2), 6),
+    ]
+    assert all(m.is_improving and m.cost_delta == after - before for before, after, m in steps)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -18,7 +18,6 @@ from gateway_games import (
     Variant,
     all_pairs_distances,
     build_graph,
-    comm_distance,
     evaluate_move,
     frac_str,
     greedy_gateways,
@@ -110,28 +109,20 @@ def test_private_cost_matches_independent_oracle(pair, alpha, variant):
     assert social_cost(d, cfg, s) == sum(private_cost(d, cfg, s, v) for v in range(g.n))
 
 
-@given(graph_profile_pairs(max_n=7))
-@settings(max_examples=80, deadline=None)
-def test_comm_distance_matches_oracle(pair):
-    g, s = pair
-    d = all_pairs_distances(g)
-    rows = hub_distances(g, s.gateways)
-    for u in range(g.n):
-        for v in range(g.n):
-            got = comm_distance(d, s, u, v)
-            assert got == rows[u][v]
-            assert got <= int(d.dist[u, v])
-
-
-@given(graph_profile_pairs(max_n=7))
+@given(graph_profile_pairs(max_n=7), alphas(), st.sampled_from([SUM, MAX]))
 @settings(max_examples=60, deadline=None)
-def test_single_gateway_creates_no_shortcuts(pair):
+def test_single_gateway_creates_no_shortcuts(pair, alpha, variant):
+    """With one gateway every hub route is at least the plain distance, so
+    each node pays its plain distance row sum (or maximum), plus alpha if it
+    is the gateway."""
     g, _ = pair
     d = all_pairs_distances(g)
+    cfg = GameConfig(variant, alpha)
     s = StrategyProfile.of([g.n - 1])
-    for u in range(g.n):
-        for v in range(g.n):
-            assert comm_distance(d, s, u, v) == int(d.dist[u, v])
+    agg = max if variant is MAX else sum
+    for v in range(g.n):
+        fee = alpha if v == g.n - 1 else 0
+        assert private_cost(d, cfg, s, v) == fee + agg(d.dist[v].tolist())
 
 
 @given(graph_profile_pairs(max_n=7), alphas(), st.sampled_from([SUM, MAX]))
@@ -189,8 +180,8 @@ def test_integer_thresholds_hold_at_knife_edge_prices(pair, variant):
 @given(graph_profile_pairs(max_n=8), st.sampled_from([SUM, MAX]), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_single_move_equals_the_full_scan_at_knife_edge_prices(pair, variant, sole):
-    """``evaluate_move`` scores one row; it must give the scan's move for
-    every node, the sole gateway's forbidden close included."""
+    """``evaluate_move`` gives the scan's move and the hub oracle's for every
+    node, the sole gateway's forbidden close included."""
     g, s = pair
     if sole:
         s = StrategyProfile.of(s.ids[:1])
@@ -213,9 +204,8 @@ def test_single_move_equals_the_full_scan_at_knife_edge_prices(pair, variant, so
 def test_carried_state_equals_a_fresh_build_after_any_toggles(pair, alpha, variant, data):
     """Toggles in any order, then closes down to one gateway, then reopens:
     after each, the carried rows equal a fresh build of the profile, and the
-    scan's move and verdict for every node, and its one-row move, equal the
-    hub oracle's.  Closing the sole gateway raises and leaves the state as
-    it was."""
+    scan's move and verdict for every node equal the hub oracle's.  Closing
+    the sole gateway raises and leaves the state as it was."""
     g, s = pair
     d = all_pairs_distances(g)
     cfg = GameConfig(variant, alpha)
@@ -238,7 +228,6 @@ def test_carried_state_equals_a_fresh_build_after_any_toggles(pair, alpha, varia
             move = scan.move(u)
             assert (move.kind.value, move.cost_delta, move.forbidden) == (kind, delta, forbidden)
             assert bool(scan.improving[u]) == (delta < 0 and not forbidden)
-            assert state.move(cfg, u) == move
 
     for v in data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)):
         toggle(v)
@@ -263,8 +252,9 @@ def boundary_graph(kind, n):
 def test_narrow_oracle_is_exact_at_the_int16_boundary(kind, n, dtype):
     """On either side of the int16 rule, every per-profile query on the narrow
     oracle equals the same query on an int64 copy and the hub oracle: the
-    scan's ``dv`` and verdicts, each node's move and private cost, the social
-    cost, sampled communication distances and the greedy profile."""
+    scan's ``dv``, verdicts and move for each node, sampled nodes' single
+    moves, each node's distance to the nearest gateway and private cost, the
+    social cost and the greedy profile."""
     g = boundary_graph(kind, n)
     d = all_pairs_distances(g)
     wide = DistanceOracle(g, d.dist.astype(np.int64))
@@ -276,10 +266,9 @@ def test_narrow_oracle_is_exact_at_the_int16_boundary(kind, n, dtype):
         StrategyProfile.of(rnd.sample(range(n), n // 3)),
     ]
     prices = [Fraction(1, 2), Fraction(n), Fraction(10**9), n // 2 + KNIFE]
-    pairs = [(rnd.randrange(n), rnd.randrange(n)) for _ in range(40)]
     for s in profiles:
         rows = hub_distances(g, s.gateways)
-        assert [comm_distance(d, s, u, v) for u, v in pairs] == [rows[u][v] for u, v in pairs]
+        assert _ProfileState(d, s).a.tolist() == [min(row[v] for v in s) for row in rows]
         movers = [0, n - 1, min(s.ids), rnd.randrange(n)]
         after = {v: hub_distances(g, s.toggled(v).gateways)[v] for v in movers if s.ids != (v,)}
         for variant in (SUM, MAX):
@@ -293,8 +282,9 @@ def test_narrow_oracle_is_exact_at_the_int16_boundary(kind, n, dtype):
                 assert {v: int(scan.dv[v]) for v in after} == {
                     v: agg(row) - terms[v] for v, row in after.items()
                 }
-                moves = [evaluate_move(d, cfg, s, v) for v in range(n)]
+                moves = [scan.move(v) for v in range(n)]
                 assert moves == [reference.move(v) for v in range(n)]
+                assert [evaluate_move(d, cfg, s, v) for v in movers] == [moves[v] for v in movers]
                 fees = [alpha if v in s else 0 for v in range(n)]
                 assert [private_cost(d, cfg, s, v) for v in range(n)] == [
                     fee + term for fee, term in zip(fees, terms)
@@ -486,6 +476,13 @@ def test_batched_terms_equal_one_call_per_profile(variant):
             assert batched.tolist() == np.stack(single, axis=1).tolist()
 
 
+def sums_for_masks(dist, masks, maximum):
+    """``term_sums_for_masks`` with every node alone, so any mask will do."""
+    singletons = [(v,) for v in range(dist.shape[0])]
+    tables = _engine._mask_tables(dist, maximum)
+    return _engine.term_sums_for_masks(dist, masks, maximum=maximum, classes=singletons, tables=tables)
+
+
 def hub_terms(g, variant, mask):
     rows = hub_distances(g, frozenset(v for v in range(g.n) if mask >> v & 1))
     return [max(row) if variant is MAX else sum(row) for row in rows]
@@ -501,9 +498,7 @@ def test_sweep_terms_across_byte_groups_match_hub_oracle(g, variant, rnd):
     masks = [0, 1 << (n - 1), full, full & ~0xFF] + [rnd.randrange(1 << n) for _ in range(8)]
     d = all_pairs_distances(g)
     table = _engine.term_table(d.dist, maximum=variant is MAX)
-    sums = _engine.term_sums_for_masks(
-        d.dist, np.array(masks, dtype=np.int64), maximum=variant is MAX
-    )
+    sums = sums_for_masks(d.dist, np.array(masks, dtype=np.int64), variant is MAX)
     for mask, total in zip(masks, sums.tolist()):
         terms = hub_terms(g, variant, mask)
         assert table[:, mask].tolist() == terms
@@ -515,9 +510,7 @@ def test_term_sums_keep_headroom_at_63_nodes(variant):
     """A 63-node path has the largest terms the bounded search can reach."""
     g = path_graph(63)
     masks = [0, 1, 1 << 62, 1 | 1 << 62]
-    sums = _engine.term_sums_for_masks(
-        all_pairs_distances(g).dist, np.array(masks, dtype=np.int64), maximum=variant is MAX
-    )
+    sums = sums_for_masks(all_pairs_distances(g).dist, np.array(masks, dtype=np.int64), variant is MAX)
     assert sums.tolist() == [sum(hub_terms(g, variant, mask)) for mask in masks]
 
 
@@ -588,7 +581,7 @@ def test_sum_terms_at_the_uint8_boundary(monkeypatch, g, row_sum, dtype):
     dtypes, _, rows = term_chunks(dist, masks, False)
     assert dtypes == {np.dtype(dtype)}
     assert rows.T.tolist() == expected
-    sums = _engine.term_sums_for_masks(dist, masks, maximum=False)
+    sums = sums_for_masks(dist, masks, False)
     assert sums.tolist() == [sum(terms) for terms in expected]
     ends = dense_ends(monkeypatch, dist, False)
     assert ends[0][0].start == 0 and ends[-1][0].stop == 1 << g.n
@@ -649,7 +642,7 @@ def test_chunk_boundaries_change_no_term(monkeypatch, per_chunk, dtype):
         assert dtypes == {np.dtype(dtype)}
         assert set(widths[:-1]) <= {width} and 0 < widths[-1] <= width
         assert rows.tolist() == expected.tolist()
-        sums = _engine.term_sums_for_masks(dist, masks, maximum=maximum)
+        sums = sums_for_masks(dist, masks, maximum)
         assert sums.tolist() == expected.sum(axis=0).tolist()
         if dtype is np.uint8:
             assert _engine.term_table(dist, maximum=maximum).tolist() == expected.tolist()
@@ -708,7 +701,7 @@ def test_dense_terms_match_plain_formula_and_sparse_path(monkeypatch, per_chunk,
             assert _engine.term_table(dist, maximum=maximum).tolist() == expected.tolist()
             sums = _engine.term_sums(dist, maximum=maximum).tolist()
             assert sums == expected.sum(axis=0).tolist()
-            assert sums == _engine.term_sums_for_masks(dist, masks, maximum=maximum).tolist()
+            assert sums == sums_for_masks(dist, masks, maximum).tolist()
 
 
 def test_cost_queries_run_no_bfs(monkeypatch):

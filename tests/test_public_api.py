@@ -3,16 +3,21 @@
 import gateway_games
 
 REMOVED = (
+    "ConditionReport",
     "CostReport",
+    "LineConditionReport",
     "ReductionArtifact",
     "RegimeReport",
     "catalog_to_csv",
+    "comm_distance",
     "cost_report",
     "graph_to_edge_text",
     "multi_source_levels",
     "parse_fraction",
     "poa_regime_report",
     "resolve_exhaustive_limit",
+    "verify_cycle_conditions",
+    "verify_max_line_conditions",
 )
 
 
