@@ -14,22 +14,18 @@ the per-profile move kernel in ``game`` and for the exhaustive tables here.
 The exhaustive tables are node-major: row ``v`` holds node ``v``'s value for
 every mask, shape ``(n, 2^n)``, so every add, min and reduction runs along a
 contiguous row of masks.  The term table keeps the narrow dtype the terms are
-formed in (see below), one or two bytes per cell.  Toggling ``v`` moves a mask
-``2^v`` along its row, so ``improving_tables`` reads every ``dv`` of row ``v``
-off two contiguous slices of it, the row shifted by ``2^v`` minus the row:
-at a mask without ``v`` that is the change of opening ``v``, and, negated,
-the change of closing it at the mask ``2^v`` above.
+formed in (see below), one or two bytes per cell.
 
-The move table it returns is packed: row ``v`` is a bit set over the masks,
-bit ``m % 64`` of uint64 word ``m // 64``, so the table takes ``n / 8`` bytes
-per profile.  A row shorter than a word (n < 6) is padded to one, its pad
-bits clear.  A toggle of bit ``b < 6`` stays inside a word, a shift and a
-mask, and all six of them are formed at once by ``_toggled_in_word``; one of
-bit ``b >= 6`` swaps the halves of each block of ``2^(b-5)`` words.  The
-classifier works on such sets whole: a round writes every toggled copy
-``x[m ^ (1 << b)]`` into the rows of one ``(n, words)`` buffer, ANDs it with
-the move table and OR-reduces it, the states with a move into ``x``.  Its two
-fixpoints: the peel, the greatest set ``A`` with
+The move table ``improving_tables`` returns is packed: row ``v`` is a bit
+set over the masks, bit ``m % 64`` of uint64 word ``m // 64``, so the table
+takes ``n / 8`` bytes per profile.  A row shorter than a word (n < 6) is
+padded to one, its pad bits clear.  A toggle of bit ``b < 6`` stays inside a
+word, a shift and a mask, and all six of them are formed at once by
+``_toggled_in_word``; one of bit ``b >= 6`` swaps the halves of each block of
+``2^(b-5)`` words.  The classifier works on such sets whole: a round writes
+every toggled copy ``x[m ^ (1 << b)]`` into the rows of one ``(n, words)``
+buffer, ANDs it with the move table and OR-reduces it, the states with a move
+into ``x``.  Its two fixpoints: the peel, the greatest set ``A`` with
 ``A = OR_b(move_b & A[m ^ (1 << b)])``, iterated down from the states with a
 move, holds the states with an endless improving path; the reach, the least
 set ``R`` containing a seed with ``R = R | OR_b(move_b & R[m ^ (1 << b)])``,
@@ -377,14 +373,14 @@ def term_floors(bounds, masks: np.ndarray, k: int, maximum: bool):
 
 
 def improving_tables(table: np.ndarray, alpha: Fraction) -> np.ndarray:
-    """Packed ``(n, max(1, 2^n / 64))`` table: bit ``m % 64`` of word ``m // 64``
-    in row ``v`` is set iff toggling ``v`` at ``m`` strictly improves.
+    """The packed move table (layout in the module docstring): bit ``m`` of
+    row ``v`` is set iff toggling ``v`` at ``m`` strictly improves.
 
     ``table`` is ``term_table``'s, uint8 or int16, so every ``dv`` fits in
     int16.  Sole-gateway closes are excluded (forbidden).  Mask 0's bits are
     all clear: it has nothing to close, and opening ``v`` there leaves ``v``'s
-    term as it was, so at a positive price it never improves.  Bits past mask
-    ``2^n - 1`` (n < 6) are clear.  Row ``v``'s differences
+    term as it was, so at a positive price it never improves.  Toggling ``v``
+    moves a mask ``2^v`` along its row, so row ``v``'s differences
     ``dv[m] = t[m + 2^v] - t[m]`` come from two contiguous slices; at a mask
     ``m`` without ``v`` they decide the open at ``m`` and, negated, the close
     at ``m + 2^v``.  The opens and the closes are packed in turn from one

@@ -281,8 +281,9 @@ def _classify(g, cfg, args) -> dict:
 
 
 def _optimum(g, cfg, args) -> dict:
-    mode = "bounded" if args.bounded else "auto"
-    result = brute_force_optimum(g, cfg, mode=mode, exhaustive_limit=args.limit)
+    # --bounded is a cap of 0; a negative --limit still reaches the library's check.
+    limit = 0 if args.bounded and (args.limit or 0) >= 0 else args.limit
+    result = brute_force_optimum(g, cfg, exhaustive_limit=limit)
     bounded = isinstance(result.method, BoundedCardinality)
     return {
         "profile": result.best_profile.ids,

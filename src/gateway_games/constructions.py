@@ -390,10 +390,8 @@ def construct_max_ne(g: Graph, alpha: Fraction | int) -> StrategyProfile:
     central = np.argsort(d.dist.max(axis=1), kind="stable").tolist()
 
     def candidates() -> Iterator[StrategyProfile]:
-        first = [
-            StrategyProfile.of(central[:1]),
-            _spaced_profile(d, alpha, x1, x2, met.diameter),
-        ]
+        spaced = _spaced_profile(d, alpha, x1, x2, met.diameter)
+        first = [StrategyProfile.of(central[:1]), spaced]
         if met.diameter >= 2 * alpha:
             first.reverse()
         yield from first
@@ -404,8 +402,7 @@ def construct_max_ne(g: Graph, alpha: Fraction | int) -> StrategyProfile:
                 cover = _cover_profile(d, radius, root)
                 yield cover
                 yield _close_repair(d, cfg, cover)
-        yield _close_repair(d, cfg, first[0])
-        yield _close_repair(d, cfg, first[1])
+        yield _close_repair(d, cfg, spaced)  # a singleton has nothing to shed
         rng = random.Random(0x5EED)
         for _ in range(12):
             size = rng.randrange(1, g.n + 1)

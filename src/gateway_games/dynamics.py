@@ -136,7 +136,8 @@ class _Picker:
         if isinstance(scheduler, FixedSequence):
             _check_ids(n, scheduler.nodes)
         if isinstance(scheduler, OpensOnly):
-            _check_ids(n, sorted(scheduler.nodes))
+            self.opens = sorted(scheduler.nodes)
+            _check_ids(n, self.opens)
         self.n = n
         self.scheduler = scheduler
         self.cursor = 0
@@ -156,7 +157,7 @@ class _Picker:
                     return toggles.move(v)
             return None
         if isinstance(sched, OpensOnly):
-            for v in sorted(sched.nodes):
+            for v in self.opens:
                 if not toggles.member[v] and improving[v]:
                     return toggles.move(v)
             return None

@@ -6,21 +6,8 @@ takes the cheapest of its seeds (all nodes open, node 0 alone and the greedy
 profile) as a feasible upper bound U, and exploits ``c(S) >= alpha * |S|`` to
 cap the gateway count at ``bound = floor(U / alpha)``.  It skips a whole
 cardinality level k when ``alpha * k`` plus a lower bound on the distance
-part of every k-gateway profile exceeds the best cost so far
-(``_level_floors``):
-
-- SUM: the largest of ``n(n-1) - k(k-1)``, ``d2 - 2k(n-1) + (the sum of the
-  k least values of 2 deg(v) - min(deg(v), k - 1))`` with ``d2`` the sum of
-  ``min(d, 2)`` over all ordered pairs, and ``(n - k) + (the sum of the n - k
-  least row sums of min(d, 2))``.  The last is the per-profile floor below
-  relaxed at ``a(x) = 1``: each closed node's summand ``k * a(x) +
-  G_x(a(x))`` grows with ``a(x)``, which is at least 1, so it is at least
-  ``k + G_x(1)``, and ``G_x(1)`` is x's row sum of ``min(d, 2)``; the
-  ``-(n - k)(k - 1)`` leaves ``n - k`` of the ``k(n - k)``.
-- MAX: 0 at ``k = n``, else ``n + max(0, #{v : far(v) >= k} - k)`` with
-  ``far(v)`` the number of nodes two or more hops from ``v``: every node pays
-  at least 1, and a closed node x with ``far(x) >= k`` pays 2, since then
-  ``D_x(k) >= 2`` in the per-profile floor below.
+part of every k-gateway profile exceeds the best cost so far; ``_level_floors``
+derives those bounds from the per-profile floor below.
 
 Levels are admitted before any mask is built: a level whose floor the seed
 already beats is never built, floored, or counted against the cap.  The
@@ -248,7 +235,8 @@ def _level_floors(dist: np.ndarray, kmax: int, maximum: bool) -> list[int]:
     plus ``sum_g (2 deg(g) - min(deg(g), k - 1))``, which grows with each
     degree, so the k least degrees bound it from below.  And the per-profile
     floor grows with each closed node's ``a(x) >= 1``, which makes it at least
-    ``(n - k) + sum_{x not in S} G_x(1)``, with ``G_x(1)`` the row sum of
+    ``(n - k) + sum_{x not in S} G_x(1)`` (the closed nodes' ``k * a(x)`` give
+    ``k(n - k)``, less ``(n - k)(k - 1)``), with ``G_x(1)`` the row sum of
     ``min(d, 2)``; the ``n - k`` least row sums bound that from below.
     MAX: with a node closed, every node has a closed node at least one away,
     so every node pays at least 1.  A closed node x with ``far(x) >= k``, so
@@ -331,22 +319,17 @@ def _bounded_search(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
 
 
 def brute_force_optimum(
-    g: Graph,
-    cfg: GameConfig,
-    *,
-    mode: str = "auto",
-    exhaustive_limit: int | None = None,
+    g: Graph, cfg: GameConfig, *, exhaustive_limit: int | None = None
 ) -> OptimumResult:
     """Exact minimum social cost with a canonical witness profile.
 
-    ``mode`` is "auto" (full sweep when the node count is within the
-    exhaustive limit, bounded otherwise) or "bounded".  Ties go to fewer
-    gateways, then to the lexicographically smallest id tuple.
+    A full sweep when the node count is within the exhaustive limit, the
+    bounded search otherwise, so ``exhaustive_limit=0`` always runs the
+    bounded search.  Ties go to fewer gateways, then to the lexicographically
+    smallest id tuple.
     """
-    if mode not in ("auto", "bounded"):
-        raise ValueError(f"unknown search mode: {mode!r}")
     limit = _engine._exhaustive_limit(exhaustive_limit)
-    if mode == "auto" and g.n <= limit:
+    if g.n <= limit:
         _engine.check_sweep_size(g.n, limit, "full enumeration", _engine._OPTIMUM_BYTES)
         sums = _engine.term_sums(all_pairs_distances(g).dist, maximum=cfg.variant is Variant.MAX)
         return _full_optimum(sums, cfg.alpha)

@@ -1,8 +1,8 @@
 """Shared fixtures: tiny graphs, random-graph strategies, an independent
 distance oracle used to cross-check the production code, a walk of given
 toggles with each mover's costs, a step-by-step trace replay to check the
-batched one against, a runner for the CLI, and a tracemalloc peak of one
-call."""
+batched one against, runners for a fresh interpreter and the CLI, and a
+tracemalloc peak of one call."""
 
 from __future__ import annotations
 
@@ -42,25 +42,39 @@ from gateway_games.game import _check_ids, _ProfileState
 PACKAGE_ROOT = Path(gateway_games.__file__).resolve().parents[1]
 
 
-def run_cli(*args, cwd=None) -> subprocess.CompletedProcess[str]:
-    """Run ``python -m gateway_games`` with ``args`` and capture its output.
+def run_python(*args, cwd=None) -> subprocess.CompletedProcess[str]:
+    """Run a fresh ``python`` with ``args`` and capture its output.
 
     ``PACKAGE_ROOT`` goes first on the subprocess's ``PYTHONPATH``, ahead of
-    any entries already set, so the CLI runs the same code as the in-process
-    tests even when ``PYTHONPATH`` holds a relative entry such as ``src`` and
-    ``cwd`` is another directory.
+    any entries already set, so the subprocess runs the same code as the
+    in-process tests even when ``PYTHONPATH`` holds a relative entry such as
+    ``src`` and ``cwd`` is another directory.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, "-m", "gateway_games", *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def run_cli(*args, cwd=None) -> subprocess.CompletedProcess[str]:
+    """Run ``python -m gateway_games`` with ``args``, as ``run_python`` does."""
+    return run_python("-m", "gateway_games", *args, cwd=cwd)
+
+
+def assert_one_error(proc) -> None:
+    """Exit 2, nothing on stdout, and exactly one ``error:`` line, the last, with no traceback."""
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert [ln for ln in lines if ln.startswith("error:")] == lines[-1:]
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.fixture

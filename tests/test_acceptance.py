@@ -257,7 +257,7 @@ def test_criterion_09_set_cover_reductions_expose_cover_size():
         assert min_cover_size(inst) == cover_size
         art = reduce_set_cover(inst, MAX)
         res = brute_force_optimum(
-            art.graph, GameConfig(MAX, art.alpha), mode="bounded"
+            art.graph, GameConfig(MAX, art.alpha), exhaustive_limit=0
         )
         assert isinstance(res.method, BoundedCardinality)
         chosen = set(res.best_profile.ids)
@@ -276,7 +276,7 @@ def test_criterion_09_set_cover_reductions_expose_cover_size():
 
     inst = parse_set_cover("5 5\n0 1 2\n3 4\n0 3\n1 4\n2\n")
     art = reduce_set_cover(inst, SUM)
-    res = brute_force_optimum(art.graph, GameConfig(SUM, art.alpha), mode="bounded")
+    res = brute_force_optimum(art.graph, GameConfig(SUM, art.alpha), exhaustive_limit=0)
     assert isinstance(res.method, BoundedCardinality)
     assert res.best_profile.ids == (0, 4, 5)
     assert res.best_cost == 2230

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,12 +15,20 @@ from hypothesis import strategies as st
 
 from gateway_games import build_graph, cli, graph_to_json
 
-from conftest import edge_list_text, path_graph, run_cli
+from conftest import assert_one_error, edge_list_text, path_graph, run_cli
 
 
 def manifest_of(proc):
     line = proc.stderr.strip().splitlines()[0]
     return json.loads(line)
+
+
+def run_main(*argv) -> subprocess.CompletedProcess[str]:
+    """In-process ``cli.main``, its exit code and output shaped like ``run_cli``'s."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture()
@@ -192,14 +201,6 @@ def test_dynamics_budget(p5_file):
     assert outcome == {"outcome": "budget-exhausted", "steps": 1}
 
 
-def assert_one_error(proc):
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert [ln for ln in lines if ln.startswith("error:")] == lines[-1:]
-    assert "Traceback" not in proc.stderr
-
-
 @pytest.mark.parametrize(
     "cmd, text, error",
     [
@@ -333,6 +334,25 @@ def test_gen_and_oracle_beyond_physical_memory_exit_2(monkeypatch, tmp_path, cap
     assert cli.main(refused[1]) == 0
 
 
+def test_work_past_any_memory_and_bad_scheduler_ids_are_refused(monkeypatch, tmp_path):
+    """On real physical memory, a max line at 10^12 (about 3e12 edges) and the
+    distances of a 200,000-node path are refused from their estimates, gen
+    writing no file; a scheduler's bad node id is refused before the first
+    step, even when the node before it would move and the budget is zero."""
+    monkeypatch.chdir(tmp_path)
+    n = 200_000
+    Path("long.txt").write_text(f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    Path("p5.txt").write_text(edge_list_text(path_graph(5)))
+    for argv in [
+        ("gen", "max-line", "--alpha", 10**12, "--out", "line.json"),
+        ("dynamics", "--graph", "long.txt", "--alpha", 2),
+        ("dynamics", "--graph", "p5.txt", "--alpha", "1/2", "--init", 4,
+         "--scheduler", "fixed:0,99", "--max-steps", 0),
+    ]:
+        assert_one_error(run_main(*argv))
+    assert not Path("line.json").exists()
+
+
 def test_dynamics_rejects_negative_budget(p5_file):
     proc = run_cli("dynamics", "--graph", p5_file, "--alpha", 1, "--max-steps", -1)
     assert_one_error(proc)
@@ -352,7 +372,8 @@ def test_classify_gadget(gadget):
     assert doc["state_count"] == 2047
     assert doc["ne_count"] == 12
     assert doc["trapped_count"] == 8
-    assert doc["cycle"] is not None
+    # Eleven nodes: its fixpoint rounds toggle five bits (6 to 10) above the word.
+    assert doc["cycle"] == [[0, 2], [0, 1, 2], [1, 2], [2]]
 
 
 def test_classify_small_alpha_is_fip(p5_file):
@@ -444,6 +465,50 @@ def test_poa_report(k4_file):
     assert doc["n"] == 4 and doc["variant"] == "sum"
 
 
+@pytest.mark.parametrize(
+    "family, variant, alpha, expected",
+    [
+        (["max-poa-star", "--n", "7"], "max", "3",
+         {"poa": "13/10", "pos": "13/10", "equilibrium_count": 7, "regime": "alpha >= 1",
+          "envelope": "Theta(1 + n / sqrt(alpha))"}),
+        (["sum-poa-star", "--n", "16", "--alpha", "9"], "sum", "9",
+         {"poa": "641/144", "pos": "1/1", "regime": "1 <= alpha <= n-1"}),
+    ],
+    ids=["max-star-7", "sum-star-16"],
+)
+def test_poa_of_the_star_families(tmp_path, family, variant, alpha, expected):
+    """Both price ratios from the catalog, the regime tag and its envelope from
+    the price alone; every other report on the instance exits 0 too."""
+    graph = tmp_path / "g.json"
+    assert run_main("gen", *family, "--out", graph).returncode == 0
+    argv = ["--graph", graph, "--variant", variant, "--alpha", alpha]
+    for cmd in ("optimum", "classify", "equilibria"):
+        assert run_main(cmd, *argv).returncode == 0
+    proc = run_main("poa", *argv)
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert {key: doc[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("variant", ["sum", "max"])
+def test_reduced_cover_solves_to_a_minimum_cover(tmp_path, variant):
+    """``reduce`` on the 5-cycle's edges, then ``optimum --bounded`` at the
+    sidecar's price: the optimum holds the marked node c, and its set nodes
+    form a cover of size 3.  For MAX the clique and the copies of each
+    element form twin classes."""
+    cover, graph = tmp_path / "cover.txt", tmp_path / "r.json"
+    cover.write_text(SIDECAR_COVER)
+    assert run_main("reduce", "--setcover", cover, "--variant", variant, "--out", graph).returncode == 0
+    sidecar = json.loads((tmp_path / "r.roles.json").read_text())
+    proc = run_main("optimum", "--graph", graph, "--variant", variant, "--alpha", sidecar["alpha"], "--bounded")
+    assert proc.returncode == 0
+    chosen, roles = set(json.loads(proc.stdout)["profile"]), sidecar["roles"]
+    sets = [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}]
+    picked = [i for i, node in enumerate(roles["set_nodes"]) if node in chosen]
+    assert roles["c"] in chosen
+    assert len(picked) == 3 and set().union(*(sets[i] for i in picked)) == set(range(5))
+
+
 def test_error_exit_for_missing_file(tmp_path):
     proc = run_cli("optimum", "--graph", tmp_path / "nope.json", "--alpha", 1)
     assert proc.returncode == 2
@@ -473,14 +538,6 @@ def test_malformed_document_exits_2(tmp_path, graph, sidecar):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error:")
-
-
-def run_main(*argv) -> tuple[int, str]:
-    """In-process ``cli.main``; returns the exit code and the captured stderr."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main([str(a) for a in argv])
-    return code, err.getvalue()
 
 
 json_values = st.recursive(
@@ -559,24 +616,24 @@ def test_mutated_documents_exit_0_or_2(graph, sidecar, cover, use_init):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "g.json").write_text(graph)
-        code, err = run_main("optimum", "--graph", tmp / "g.json", "--alpha", 1)
-        assert code in (0, 2) and "Traceback" not in err, (graph, err)
+        proc = run_main("optimum", "--graph", tmp / "g.json", "--alpha", 1)
+        assert proc.returncode in (0, 2) and "Traceback" not in proc.stderr, (graph, proc.stderr)
 
         # At alpha < 1 every improving path ends with all nodes open.
         path = tmp / "p4.json"
         path.write_text(graph_to_json(build_graph(4, [(0, 1), (1, 2), (2, 3)])))
         (tmp / "p4.roles.json").write_text(sidecar)
         init = ("--init", "u,v") if use_init else ()
-        code, err = run_main("dynamics", "--graph", path, "--alpha", "1/2", *init)
-        assert code in (0, 2) and "Traceback" not in err, (sidecar, err)
+        proc = run_main("dynamics", "--graph", path, "--alpha", "1/2", *init)
+        assert proc.returncode in (0, 2) and "Traceback" not in proc.stderr, (sidecar, proc.stderr)
 
         (tmp / "cover.txt").write_text(cover)
         for variant in ("sum", "max"):
-            code, err = run_main(
+            proc = run_main(
                 "reduce", "--setcover", tmp / "cover.txt", "--variant", variant,
                 "--out", tmp / "red.json",
             )
-            assert code in (0, 2) and "Traceback" not in err, (cover, err)
+            assert proc.returncode in (0, 2) and "Traceback" not in proc.stderr, (cover, proc.stderr)
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, gadget, k4_file, p5_file):

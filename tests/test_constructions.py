@@ -226,11 +226,7 @@ def test_max_reduction_optimum_tracks_cover_size():
     cfg_by = {}
     for text in (INSTANCE_A, INSTANCE_B):
         art = reduce_set_cover(parse_set_cover(text), Variant.MAX)
-        res = brute_force_optimum(
-            art.graph,
-            GameConfig(Variant.MAX, art.alpha),
-            mode="bounded",
-        )
+        res = brute_force_optimum(art.graph, GameConfig(Variant.MAX, art.alpha), exhaustive_limit=0)
         cfg_by[text] = res
     a, b = cfg_by[INSTANCE_A], cfg_by[INSTANCE_B]
     assert a.best_profile.ids == (0, 9, 10, 11)
@@ -251,7 +247,7 @@ def test_sum_reduction_layout_and_optimum():
     assert art.roles["clique"] == (0, 1, 2, 3)
     assert art.roles["set_nodes"] == (4, 5, 6, 7, 8)
     assert art.roles["element_nodes"][0] == (9, 10, 11, 12, 13)
-    res = brute_force_optimum(g, GameConfig(Variant.SUM, art.alpha), mode="bounded")
+    res = brute_force_optimum(g, GameConfig(Variant.SUM, art.alpha), exhaustive_limit=0)
     assert res.best_profile.ids == (0, 4, 5)
     assert res.best_cost == 2230
     assert min_cover_size(inst) == 2

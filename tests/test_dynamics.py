@@ -1,3 +1,4 @@
+import json
 import os
 import random
 from dataclasses import replace
@@ -15,10 +16,12 @@ from gateway_games import (
     Classification,
     ConvergedToNE,
     CycleDetected,
+    DynamicsTrace,
     FixedSequence,
     FullEnumeration,
     GameConfig,
     IrCycleParams,
+    Move,
     MoveKind,
     NodeIdOutOfRange,
     OpensOnly,
@@ -38,7 +41,9 @@ from gateway_games import (
     evaluate_move,
     gen_ir_cycle,
     gen_max_line,
+    gen_max_poa_star,
     gen_non_wag,
+    gen_sum_poa_star,
     graph_to_json,
     is_nash_equilibrium,
     replay_trace,
@@ -60,6 +65,7 @@ from conftest import (
     random_connected_graph,
     recorded_scans,
     reference_replay,
+    run_python,
     toggle_walk,
     traced_peak,
 )
@@ -182,6 +188,61 @@ def test_replay_rejects_tampered_trace(p5):
     tampered = trace.__class__(trace.initial, ((trace.steps[0][0], bad),) + trace.steps[1:], trace.outcome)
     with pytest.raises(ValueError, match="does not replay"):
         replay_trace(p5, cfg, tampered)
+
+
+def trace_from_stdout(out: str, init) -> DynamicsTrace:
+    """The trace a ``dynamics`` run printed, from its stdout and initial
+    profile alone: each step from its line's node, move and delta, the
+    outcome from the last line."""
+    *lines, last = map(json.loads, out.splitlines())
+    state = initial = StrategyProfile.of(init)
+    steps = []
+    for line in lines:
+        steps.append((state, Move(line["node"], MoveKind(line["move"]), Fraction(line["delta"]))))
+        state = state.toggled(line["node"])
+    if last["outcome"] == "converged":
+        return DynamicsTrace(initial, tuple(steps), ConvergedToNE(StrategyProfile.of(last["final"])))
+    return DynamicsTrace(initial, tuple(steps), CycleDetected(last["entry_index"], last["period"]))
+
+
+@pytest.mark.parametrize(
+    "make, variant, alpha, init, code, last, states",
+    [
+        # Closes rebuild the carried nearest-gateway rows: from every node
+        # open, the 30-node MAX star makes 27 closes, then 4 opens.
+        (lambda: gen_max_poa_star(30).graph, "max", 3, "all", 0,
+         {"final": [0, 4, 9, 13, 18, 23, 29], "outcome": "converged", "steps": 31}, 32),
+        # Past the int16 oracle boundary: the 182-node SUM star runs on an
+        # int32 oracle and converges after 181 improving opens.
+        (lambda: gen_sum_poa_star(182, 16).graph, "sum", 16, "0", 0,
+         {"outcome": "converged", "steps": 181}, 182),
+        # Five words per packed row in the distance build, distances past 255
+        # and an int32 oracle: the MAX game on a 300-node path cycles.
+        (lambda: path_graph(300), "max", 40, "0", 3,
+         {"entry_index": 4, "outcome": "cycle", "period": 4}, 9),
+    ],
+    ids=["max-star-30", "sum-star-182", "path-300"],
+)
+def test_cli_stdout_replays(tmp_path, capsys, make, variant, alpha, init, code, last, states):
+    """A round-robin ``dynamics`` run's exit code and outcome line, and its
+    stdout read back into a trace that ``replay_trace`` accepts, and refuses
+    with one recorded delta off by 1."""
+    g = make()
+    graph = tmp_path / "g.json"
+    graph.write_text(graph_to_json(g))
+    argv = ["dynamics", "--graph", str(graph), "--variant", variant, "--alpha", str(alpha),
+            "--init", init, "--scheduler", "round-robin"]
+    assert cli.main(argv) == code
+    out = capsys.readouterr().out
+    outcome = json.loads(out.splitlines()[-1])
+    assert {key: outcome[key] for key in last} == last
+    trace = trace_from_stdout(out, range(g.n) if init == "all" else [int(init)])
+    cfg = GameConfig(Variant(variant), Fraction(alpha))
+    assert len(replay_trace(g, cfg, trace)) == states
+    state, move = trace.steps[5]
+    forged = (state, replace(move, cost_delta=move.cost_delta + 1))
+    with pytest.raises(ValueError, match="does not replay"):
+        replay_trace(g, cfg, replace(trace, steps=trace.steps[:5] + (forged,) + trace.steps[6:]))
 
 
 def test_replay_rejects_forged_stall():
@@ -412,8 +473,6 @@ def test_exhaustive_limit_default_override_and_refusal(p5):
     for sweep in refusing + [brute_force_optimum]:
         with pytest.raises(ValueError, match="exhaustive limit must be non-negative, got -1"):
             sweep(p5, cfg, exhaustive_limit=-1)
-    with pytest.raises(ValueError, match="non-negative, got -1"):
-        brute_force_optimum(p5, cfg, mode="bounded", exhaustive_limit=-1)
 
 
 def test_sweeps_beyond_physical_memory_are_refused_before_allocating(
@@ -806,6 +865,39 @@ def test_golden_max_path_is_weakly_acyclic(p4):
     assert [p.ids for p in report.ne_states] == [(0, 3), (0, 1, 2, 3)]
     assert report.trapped is None
     assert [p.ids for p in report.cycle] == [(0,), (0, 2), (0, 1, 2), (0, 1)]
+
+
+# Runs ``cli.main`` on the JSON argv in sys.argv[1] and prints its exit code,
+# its stdout digest and the process's own peak RSS in MB.
+PEAK_SCRIPT = """
+import contextlib, hashlib, io, json, resource, sys
+from gateway_games import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(json.loads(sys.argv[1]))
+digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+print(code, digest, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)  # KiB on Linux
+"""
+
+
+def test_max_star_22_sweeps_keep_their_stdout_under_250_mb(tmp_path):
+    """The narrow term table's memory: classify and equilibria on the 22-node
+    MAX star, whose uint8 table is 22 bytes per profile (the int32 one was 88
+    and peaked at 409 MB), print the recorded stdout and peak under 250 MB of
+    RSS, each in a process of its own."""
+    graph = tmp_path / "g22.json"
+    graph.write_text(graph_to_json(gen_max_poa_star(22).graph))
+    expected = {
+        "classify": "4296a6f3205a3511cf10299f82264bb33dcb849afab0bc7b5fbcedd932ff3ddd",
+        "equilibria": "158efa4d518922592e2875ebb6776af8069f1b6a971323ed43d5dbceffe534a5",
+    }
+    for cmd, digest in expected.items():
+        argv = [cmd, "--graph", str(graph), "--variant", "max", "--alpha", "3", "--limit", "22"]
+        proc = run_python("-c", PEAK_SCRIPT, json.dumps(argv))
+        assert proc.returncode == 0, proc.stderr
+        code, printed, peak = proc.stdout.split()
+        assert (code, printed) == ("0", digest)
+        assert int(peak) < 250, (cmd, peak)
 
 
 @pytest.mark.parametrize(

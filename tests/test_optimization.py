@@ -21,6 +21,7 @@ from gateway_games import (
     brute_force_optimum,
     build_graph,
     enumerate_equilibria,
+    gen_sum_poa_star,
     graph_to_json,
     greedy_gateways,
     is_nash_equilibrium,
@@ -72,17 +73,10 @@ def test_optimum_star_tie_breaks_to_smallest_singleton(star5):
 
 
 def test_bounded_mode_reports_its_bound(p5):
-    res = brute_force_optimum(p5, GameConfig(SUM, Fraction(3)), mode="bounded")
+    res = brute_force_optimum(p5, GameConfig(SUM, Fraction(3)), exhaustive_limit=0)
     assert isinstance(res.method, BoundedCardinality)
     assert res.best_profile.ids == (0, 1, 2, 3, 4)
     assert res.best_cost == 15
-
-
-def test_unknown_mode_rejected(p3):
-    """Only "auto" and "bounded" exist: "auto" already sweeps in full within the limit."""
-    for mode in ("fast", "full"):
-        with pytest.raises(ValueError, match="unknown search mode"):
-            brute_force_optimum(p3, GameConfig(SUM, 1), mode=mode)
 
 
 KNIFE_PRICES = st.one_of(
@@ -124,7 +118,7 @@ def assert_every_optimum_is_the_canonical_minimum(g, cfg):
     best = min(profiles, key=lambda s: (costs[s], len(s), s.ids))
     for res in (
         brute_force_optimum(g, cfg, exhaustive_limit=g.n),
-        brute_force_optimum(g, cfg, mode="bounded"),
+        brute_force_optimum(g, cfg, exhaustive_limit=0),
         enumerate_equilibria(g, cfg).optimum,
     ):
         assert res.best_cost == costs[best]
@@ -181,11 +175,11 @@ def test_bounded_search_refuses_beyond_physical_memory(monkeypatch):
     g, cfg = path_graph(14), GameConfig(SUM, Fraction(30))
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 20 * 6475 + (2 << 20)}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
-    assert brute_force_optimum(g, cfg, mode="bounded").best_profile.ids == (0, 3, 6, 9, 12)
+    assert brute_force_optimum(g, cfg, exhaustive_limit=0).best_profile.ids == (0, 3, 6, 9, 12)
     memory["SC_PHYS_PAGES"] -= 1
     claim = "bounded search over 6475 canonical profiles needs about 2226652 bytes"
     with pytest.raises(StateSpaceTooLarge, match=claim):
-        brute_force_optimum(g, cfg, mode="bounded")
+        brute_force_optimum(g, cfg, exhaustive_limit=0)
 
 
 @given(connected_graphs(min_n=2, max_n=8))
@@ -279,7 +273,7 @@ def test_bounded_search_solves_63_node_star(alpha):
     cfg = GameConfig(SUM, alpha)
     candidates = [StrategyProfile.of(range(1, k + 1)) for k in range(1, 63)]
     candidates += [StrategyProfile.of(range(k + 1)) for k in range(63)]
-    result = brute_force_optimum(g, cfg, mode="bounded")
+    result = brute_force_optimum(g, cfg, exhaustive_limit=0)
     assert result.best_cost == min(social_cost(d, cfg, s) for s in candidates)
     assert social_cost(d, cfg, result.best_profile) == result.best_cost
 
@@ -293,7 +287,7 @@ def test_optimum_ties_across_gateway_counts_go_to_fewer_gateways(p3):
         lowest = min(social_cost(d, cfg, StrategyProfile.from_mask(m)) for m in range(1, 8))
         for res in (
             brute_force_optimum(p3, cfg, exhaustive_limit=p3.n),
-            brute_force_optimum(p3, cfg, mode="bounded"),
+            brute_force_optimum(p3, cfg, exhaustive_limit=0),
             enumerate_equilibria(p3, cfg).optimum,
         ):
             assert (res.best_profile.ids, res.best_cost) == (ids, lowest)
@@ -565,8 +559,55 @@ def test_bounded_search_breaks_ties_like_full_enumeration(name, variant):
         for alpha in (Fraction(j), j + Fraction(1, 2), j + KNIFE):
             cfg = GameConfig(variant, alpha)
             full = brute_force_optimum(g, cfg, exhaustive_limit=n)
-            bounded = brute_force_optimum(g, cfg, mode="bounded")
+            bounded = brute_force_optimum(g, cfg, exhaustive_limit=0)
             assert (bounded.best_cost, bounded.best_profile) == (full.best_cost, full.best_profile), alpha
+
+
+def twins_with_a_tail():
+    """K_{4,6} with a pendant path on node 0: classes {1, 2, 3} and {4, ..., 9}."""
+    k46 = [(u, v) for u in range(4) for v in range(4, 10)]
+    return build_graph(14, k46 + [(0, 10), (10, 11), (11, 12), (12, 13)])
+
+
+def seeded_22():
+    """A seeded random 22-node graph with 29 edges that is not a reduction."""
+    rnd = random.Random(22)
+    edges = {(rnd.randrange(v), v) for v in range(1, 22)}
+    while len(edges) < 29:
+        edges.add(tuple(sorted(rnd.sample(range(22), 2))))
+    return build_graph(22, sorted(edges))
+
+
+@pytest.mark.parametrize(
+    "make, variant, alpha, profile",
+    [
+        # The full sweep's 16 dense chunks against the bounded search's sparse mask lists.
+        pytest.param(lambda: gen_sum_poa_star(16, 9).graph, SUM, 9, None, id="sum-star-16-9"),
+        # The second twin class is partly open in both optima.
+        pytest.param(twins_with_a_tail, SUM, 40, (0, 4, 12), id="twins-sum-40"),
+        pytest.param(twins_with_a_tail, MAX, 5, (0, 4, 12), id="twins-max-5"),
+        # The level floors admit levels 1-8 and 1-7 of the 15 and 13 the price allows.
+        pytest.param(lambda: path_graph(16), SUM, 30, (0, 3, 6, 9, 12, 15), id="path-16-sum-30"),
+        pytest.param(lambda: path_graph(16), SUM, 40, (0, 3, 6, 9, 12, 15), id="path-16-sum-40"),
+        # The per-profile floors filter what is costed.  SUM at 11 and 7/2
+        # opens every node; at 121 = n^2/4 it does not.
+        *(
+            pytest.param(seeded_22, variant, alpha, None, id=f"random-22-{variant.value}-{alpha}")
+            for variant in (SUM, MAX)
+            for alpha in ("11", "7/2", "121")
+        ),
+    ],
+)
+def test_full_and_bounded_optimum_agree(make, variant, alpha, profile):
+    """Same cost and witness from either method, and the pinned witness where there is one."""
+    g = make()
+    cfg = GameConfig(variant, Fraction(alpha))
+    full = brute_force_optimum(g, cfg, exhaustive_limit=g.n)
+    bounded = brute_force_optimum(g, cfg, exhaustive_limit=0)
+    assert isinstance(full.method, FullEnumeration) and isinstance(bounded.method, BoundedCardinality)
+    assert (bounded.best_cost, bounded.best_profile) == (full.best_cost, full.best_profile)
+    if profile is not None:
+        assert full.best_profile.ids == profile
 
 
 def test_profile_floors_leave_under_one_percent_of_a_cover_to_cost(monkeypatch):
@@ -588,7 +629,7 @@ def test_profile_floors_leave_under_one_percent_of_a_cover_to_cost(monkeypatch):
 
     monkeypatch.setattr(optimization, "_canonical_masks", recording)
     costed = count_calls(monkeypatch, "term_sums_for_masks", "_engine")
-    res = brute_force_optimum(art.graph, GameConfig(SUM, art.alpha), mode="bounded")
+    res = brute_force_optimum(art.graph, GameConfig(SUM, art.alpha), exhaustive_limit=0)
     assert admitted == [([1, 2, 3, 4, 5, 6], 14386)]
     assert 100 * sum(len(args[1]) for args in costed) < admitted[0][1]
     roles = art.roles
