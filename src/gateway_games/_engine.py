@@ -3,70 +3,23 @@
 Gateways are mutually at distance zero, so with ``a(u)`` the hop distance
 from ``u`` to the nearest gateway, node ``v``'s distance term is
 ``agg_u min(d(v, u), a(v) + a(u))``.  ``_terms`` computes it in integer numpy
-arrays, for one profile or a batch of them.
-
-A toggle changes only its mover's term, by an integer ``dv``, so ``alpha``
-is only ever compared with integers: an open improves iff ``alpha + dv < 0``,
-that is ``dv <= -(floor(alpha) + 1)``, and a close iff ``dv - alpha < 0``,
-that is ``dv <= ceil(alpha) - 1``.  ``_thresholds`` states that rule once for
-the per-profile move kernel in ``game`` and for the exhaustive tables here.
+arrays, for one profile or a batch of them, and ``_thresholds`` decides in
+integers whether a toggle improves.  They are the one cost implementation and
+the one improvement rule: the move kernel in ``game``, trace replay, the
+greedy search and the tables here all read them.
 
 The exhaustive tables are node-major: row ``v`` holds node ``v``'s value for
 every mask, shape ``(n, 2^n)``, so every add, min and reduction runs along a
-contiguous row of masks.  The term table keeps the narrow dtype the terms are
-formed in (see below), one or two bytes per cell.
+contiguous row of masks.  The term table keeps the dtype of ``_narrow``, one
+or two bytes per cell.
 
 The move table ``improving_tables`` returns is packed: row ``v`` is a bit
 set over the masks, bit ``m % 64`` of uint64 word ``m // 64``, so the table
 takes ``n / 8`` bytes per profile.  A row shorter than a word (n < 6) is
 padded to one, its pad bits clear.  A toggle of bit ``b < 6`` stays inside a
-word, a shift and a mask, and all six of them are formed at once by
-``_toggled_in_word``; one of bit ``b >= 6`` swaps the halves of each block of
-``2^(b-5)`` words.  The classifier works on such sets whole: a round writes
-every toggled copy ``x[m ^ (1 << b)]`` into the rows of one ``(n, words)``
-buffer, ANDs it with the move table and OR-reduces it, the states with a move
-into ``x``.  Its two fixpoints: the peel, the greatest set ``A`` with
-``A = OR_b(move_b & A[m ^ (1 << b)])``, iterated down from the states with a
-move, holds the states with an endless improving path; the reach, the least
-set ``R`` containing a seed with ``R = R | OR_b(move_b & R[m ^ (1 << b)])``,
-holds the states with a path into the seed.  Each round costs
-``n * 2^n / 64`` word operations in a fixed number of numpy calls plus one
-copy per bit from 6 up.
-
-The sweeps take ``a`` from subset-minimum tables, all built by
-``_subset_minima``: for a block of node ids, entry ``[v, m]`` is the least
-distance from ``v`` to a node of the subset ``m`` of the block, and the sentinel
-``n`` for the empty subset.  A full sweep (``term_table``, ``term_sums``) walks
-the masks in order, in chunks of ``2^lb`` consecutive masks: their low ``lb``
-bits run through every value, the same in every chunk, and their high bits
-hold one value ``h``.  So a chunk's ``a`` is ``min(low, high[:, h])``, with
-``low`` the table over the low ``lb`` nodes and ``high`` the one over the rest,
-each built once; no mask array exists and nothing is gathered.  A list of
-masks in any order (``term_sums_for_masks``, for the bounded search) gathers
-``a`` from one table per byte of node ids instead, as rows of a ``(256, n)``
-table, and transposes the chunk once; ``_mask_tables`` builds those tables,
-and the bounded search builds them once for all its levels.  Its per-profile
-floors (``term_floors``) gather from the same tables, cut to one column per
-twin class, through the same helper, ``_nearest``.
-
-Those masks are canonical: each opens a prefix of every twin class.  Twins
-share every distance outside the pair, so swapping two of them maps the graph
-onto itself, and a profile that opens both, or neither, onto itself: there
-the two have equal terms.  So every open member of a class has its first
-member's term and every closed one its last member's, for SUM and MAX alike,
-since the social cost adds one term per node.  The bounded search forms
-terms on those rows only, ``R = sum_c min(2, |c|)`` of them, and weighs them
-by the members they stand for: ``t_c`` and ``|c| - t_c``, with ``t_c`` the
-popcount of the mask within the class.  With every node alone this is the
-plain sum over all ``n`` rows.
-
-Both form the terms in the narrowest integer dtype that is exact for the
-graph.  Three bounds decide it: a table entry is at most the sentinel ``n``,
-so ``a(v) + a(u) <= 2n``; ``min(d, .) <= d``, so a SUM term never exceeds its
-node's plain distance row sum; and a MAX term is at most ``n - 1``.  So uint8
-is exact when ``2n <= 255`` and, for SUM, every row sum of ``d`` is at most
-255.  Otherwise the oracle's own dtype is, by the rule of
-``graphs._oracle_dtype``: int16 at the sweeps' n <= 63, so no copy is made.
+word, a shift and a mask (``_toggled_in_word``); one of bit ``b >= 6`` swaps
+the halves of each block of ``2^(b-5)`` words.  The classifier's fixpoints
+(``dynamics._fixpoint``) work on such sets whole.
 """
 
 from __future__ import annotations
@@ -146,8 +99,12 @@ def check_sweep_size(
 
 def _thresholds(alpha: Fraction) -> tuple[int, int]:
     """``(open_at, close_at)``: an open improves iff ``dv <= open_at``, a close
-    iff ``dv <= close_at``.  Clamped to int64 (``|dv|`` is at most n * diameter);
-    numpy 2 compares them exactly with a ``dv`` of any oracle dtype."""
+    iff ``dv <= close_at``, with ``dv`` the mover's term after minus before.
+    A toggle changes only its mover's term, so an open improves iff
+    ``alpha + dv < 0``, that is ``dv <= -(floor(alpha) + 1)``, and a close iff
+    ``dv - alpha < 0``, that is ``dv <= ceil(alpha) - 1``.  Clamped to int64
+    (``|dv|`` is at most n * diameter); numpy 2 compares them exactly with a
+    ``dv`` of any oracle dtype."""
     return max(-(math.floor(alpha) + 1), -_CLAMP), min(math.ceil(alpha) - 1, _CLAMP)
 
 
@@ -171,16 +128,22 @@ def _terms(
 
 
 def _narrow(dist: np.ndarray, maximum: bool) -> np.ndarray:
-    """The distances in uint8 where the module docstring's bounds allow it, else
-    in int16, the oracle's dtype at the sweeps' sizes, which is not copied."""
+    """The distances in the narrowest dtype in which the terms are exact.  A
+    subset-minimum entry is at most the sentinel ``n``, so ``a(v) + a(u) <=
+    2n``; ``min(d, .) <= d``, so a SUM term never exceeds its node's distance
+    row sum; and a MAX term is at most ``n - 1``.  So uint8 is exact when
+    ``2n <= 255`` and, for SUM, every row sum is at most 255.  Otherwise
+    int16, the oracle's own dtype (``graphs._oracle_dtype``) at the sweeps'
+    n <= 63, which is not copied."""
     n = dist.shape[0]
     narrow = 2 * n <= 255 and (maximum or int(dist.sum(axis=1).max()) <= 255)
     return dist.astype(np.uint8 if narrow else np.int16, copy=False)
 
 
 def _chunk_masks(dn: np.ndarray) -> int:
-    """The most masks one chunk of ``_terms`` on ``dn`` may hold."""
-    return min(_BATCH_MASKS, max(1, _BATCH_BYTES // (dn.itemsize * dn.shape[0] ** 2)))
+    """The most masks one chunk of ``_terms`` on the distances ``dn`` may
+    hold, at ``n^2`` cells a mask however few rows ``dn`` is cut to."""
+    return min(_BATCH_MASKS, max(1, _BATCH_BYTES // (dn.itemsize * dn.shape[1] ** 2)))
 
 
 def _subset_minima(columns: np.ndarray, sentinel: int) -> np.ndarray:
@@ -196,15 +159,41 @@ def _subset_minima(columns: np.ndarray, sentinel: int) -> np.ndarray:
     return table
 
 
-def _mask_tables(dist: np.ndarray, maximum: bool) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The narrowed distances and the tables ``_twin_rows`` gathers ``a`` from:
-    one ``(256, n)`` subset-minimum table per byte of node ids, entry
-    ``[m, v]`` of table ``g`` the least distance from ``v`` to a node
-    ``8g + j`` with ``j`` a set bit of ``m``.  A caller that costs many mask
-    lists on one oracle builds them once."""
-    n = dist.shape[0]
-    dn = _narrow(dist, maximum)
-    return dn, [_subset_minima(dn[:, first : first + 8], n).T.copy() for first in range(0, n, 8)]
+class _SearchLayout:
+    """What the bounded search reads on every level, built once per search
+    from ``classes``, a partition of the nodes into sorted tuples of mutual
+    twins; with every node alone, any mask may be costed.  The classes are
+    ordered with the nodes alone first, and ``sizes``, ``spans``, the columns
+    of ``last`` and ``floor_rows`` follow that order.  ``rows`` holds the twin
+    rows, each class's first member and then each larger class's last, and
+    ``dist`` their narrowed distances, shaped ``(R, n, 1)``.
+
+    ``minima`` holds ``_subset_minima`` over each byte of node ids,
+    transposed to ``(256, n)``.  ``last`` cuts them to each class's last
+    member ``x``, whose floor row holds ``G_x(r)`` over ``r = 0..n-1`` for SUM
+    and ``D_x(k)`` at entry ``k - 1`` for MAX, both defined in
+    ``optimization``."""
+
+    def __init__(self, dist: np.ndarray, classes: Sequence[tuple[int, ...]], maximum: bool):
+        n = dist.shape[0]
+        dn = _narrow(dist, maximum)
+        ordered = sorted(classes, key=lambda c: len(c) > 1)  # stable: the nodes alone first
+        firsts, lasts = [c[0] for c in ordered], [c[-1] for c in ordered]
+        self.maximum = maximum
+        self.alone = alone = sum(len(c) == 1 for c in ordered)
+        self.rows = np.array(firsts + lasts[alone:], dtype=np.intp)
+        self.dist = dn[self.rows][:, :, None]
+        spans = [sum(1 << v for v in c) for c in ordered[alone:]]
+        self.spans = np.array(spans, dtype=np.int64)[:, None]
+        self.sizes = np.array([len(c) for c in ordered], dtype=np.uint8)
+        self.minima = [_subset_minima(dn[:, g : g + 8], n).T.copy() for g in range(0, n, 8)]
+        self.last = [m[:, lasts].copy() for m in self.minima]
+        far = dn[lasts].astype(np.int32)
+        if maximum:
+            self.floor_rows = -np.sort(-far, axis=1)
+        else:
+            reach = np.arange(1, n + 1, dtype=np.int32)
+            self.floor_rows = np.minimum(far[:, :, None], reach).sum(axis=1, dtype=np.int32)
 
 
 def _nearest(minima: list[np.ndarray], masks: np.ndarray) -> np.ndarray:
@@ -216,34 +205,28 @@ def _nearest(minima: list[np.ndarray], masks: np.ndarray) -> np.ndarray:
     return a
 
 
-def _twin_rows(
-    tables: tuple[np.ndarray, list[np.ndarray]],
-    masks: np.ndarray,
-    classes: Sequence[tuple[int, ...]],
-    maximum: bool,
-):
-    """``(columns, terms, weights)`` per chunk of canonical ``masks``, in any
-    order, from ``tables = _mask_tables(dist, maximum)``.  ``terms`` has one
-    row for each class's first member and, in a class of two or more, one
-    for its last, ``(R, chunk)``; ``weights`` says how many members each row
-    stands for: 1 in a class of one, else ``t`` and ``|c| - t``, with ``t``
-    the class's open count.  ``a`` is gathered from the byte tables and
-    transposed once per chunk."""
-    dn, minima = tables
-    alone = [c[0] for c in classes if len(c) == 1]
-    twins = [c for c in classes if len(c) > 1]
-    rows = np.array(alone + [c[0] for c in twins] + [c[-1] for c in twins], dtype=np.intp)
-    spans = np.array([sum(1 << v for v in c) for c in twins], dtype=np.int64)[:, None]
-    sizes = np.array([len(c) for c in twins], dtype=np.uint8)[:, None]
-    cut = dn[rows][:, :, None]
-    step = _chunk_masks(dn)
+def _twin_rows(layout: _SearchLayout, masks: np.ndarray):
+    """``(columns, terms, weights)`` per chunk of ``masks``, in any order, each
+    opening a prefix of every twin class.  Twins share every distance outside
+    the pair, so swapping two of them maps the graph onto itself, and a
+    profile that opens both, or neither, onto itself: there the two have
+    equal terms.  So every open member of a class has its first member's
+    term and every closed one its last member's, for SUM and MAX alike.
+    ``terms`` has the rows of ``layout.rows``, ``(R, chunk)`` with
+    ``R = sum_c min(2, |c|)``, and ``weights`` the members each stands for: 1
+    in a class of one, else ``t`` and ``|c| - t``, with ``t`` the class's
+    open count.  ``a`` is gathered from the byte tables and transposed once
+    per chunk."""
+    alone, step = layout.alone, _chunk_masks(layout.dist)
+    sizes = layout.sizes[alone:, None]
     for start in range(0, masks.shape[0], step):
         chunk = masks[start : start + step]
-        a = np.ascontiguousarray(_nearest(minima, chunk).T)
-        opened = np.bitwise_count(chunk & spans)
-        ones = np.ones((len(alone), chunk.shape[0]), dtype=np.uint8)
+        a = np.ascontiguousarray(_nearest(layout.minima, chunk).T)
+        opened = np.bitwise_count(chunk & layout.spans)
+        ones = np.ones((alone, chunk.shape[0]), dtype=np.uint8)
         weights = np.concatenate((ones, opened, sizes - opened))
-        yield slice(start, start + chunk.shape[0]), _terms(cut, a, a[rows], maximum), weights
+        terms = _terms(layout.dist, a, a[layout.rows], layout.maximum)
+        yield slice(start, start + chunk.shape[0]), terms, weights
 
 
 def _dense_term_rows(dist: np.ndarray, maximum: bool):
@@ -286,56 +269,19 @@ def term_sums(dist: np.ndarray, *, maximum: bool) -> np.ndarray:
     return out
 
 
-def term_sums_for_masks(
-    dist: np.ndarray,
-    masks: np.ndarray,
-    *,
-    maximum: bool,
-    classes: Sequence[tuple[int, ...]],
-    tables: tuple[np.ndarray, list[np.ndarray]],
-) -> np.ndarray:
-    """Total distance part of the social cost for each mask, shape (P,).
-
-    ``classes`` partitions the nodes into sorted tuples of mutual twins, and
-    every mask must open a prefix of each; with every node alone any mask
-    will do.  ``tables`` is ``_mask_tables(dist, maximum)``."""
+def term_sums_for_masks(layout: _SearchLayout, masks: np.ndarray) -> np.ndarray:
+    """Total distance part of the social cost for each mask, shape (P,); every
+    mask opens a prefix of each twin class of ``layout``."""
     out = np.empty(masks.shape[0], dtype=np.int64)
-    for columns, terms, weights in _twin_rows(tables, masks, classes, maximum):
+    for columns, terms, weights in _twin_rows(layout, masks):
         out[columns] = np.multiply(terms, weights, dtype=np.int32).sum(axis=0, dtype=np.int64)
     return out
 
 
-def _floor_tables(
-    tables: tuple[np.ndarray, list[np.ndarray]],
-    classes: Sequence[tuple[int, ...]],
-    maximum: bool,
-):
-    """What ``term_floors`` reads, from ``tables = _mask_tables(dist, maximum)``;
-    a search builds it once for all its levels.  One row per class, its last
-    member ``x``, the classes of one first: the byte tables cut to those
-    columns, the spans of the larger classes, the class sizes, and a row over
-    ``r = 0..n-1``, for SUM ``G_x(r) = sum_u min(d(x, u), r + 1)`` and for MAX
-    the distances from ``x`` in descending order, so entry ``k - 1`` is
-    ``D_x(k)``, the k-th largest from ``x`` to another node."""
-    dn, minima = tables
-    n = dn.shape[0]
-    ordered = [c for c in classes if len(c) == 1] + [c for c in classes if len(c) > 1]
-    last = np.array([c[-1] for c in ordered], dtype=np.intp)
-    rows = dn[last].astype(np.int32)
-    if maximum:
-        per = -np.sort(-rows, axis=1)
-    else:
-        reach = np.arange(1, n + 1, dtype=np.int32)
-        per = np.minimum(rows[:, :, None], reach).sum(axis=1, dtype=np.int32)
-    spans = np.array([sum(1 << v for v in c) for c in ordered if len(c) > 1], dtype=np.int64)
-    sizes = np.array([len(c) for c in ordered], dtype=np.int32)
-    return [m[:, last].copy() for m in minima], spans[:, None], sizes, per
-
-
-def term_floors(bounds, masks: np.ndarray, k: int, maximum: bool):
+def term_floors(layout: _SearchLayout, masks: np.ndarray, k: int):
     """``(columns, floors)`` per chunk of canonical ``k``-gateway ``masks``:
     an int32 lower bound on each mask's distance part (the bounds are stated
-    and proved in ``optimization``), from ``bounds = _floor_tables(...)``.
+    and proved in ``optimization``).
 
     A class adds ``w * h(a)``, with ``a`` its last member's and ``w`` its
     closed count: closed twins share ``a`` and their row, and open members
@@ -344,10 +290,10 @@ def term_floors(bounds, masks: np.ndarray, k: int, maximum: bool):
     each open count ``t``.  A chunk gathers ``a``, transposes it once, counts
     the open members of the larger classes (a lone node is open iff
     ``a = 0``) and looks every class up in ``T``, along contiguous rows."""
-    minima, spans, sizes, per = bounds
+    per, sizes, alone = layout.floor_rows, layout.sizes, layout.alone
     rows, n = per.shape
     r = np.arange(n, dtype=np.int32)
-    if maximum:
+    if layout.maximum:
         h = np.maximum(r, np.minimum(per[:, k - 1 : k], r + 1))
     else:
         h = k * r + per
@@ -355,16 +301,15 @@ def term_floors(bounds, masks: np.ndarray, k: int, maximum: bool):
     width = int(sizes.max()) + 1
     table = ((sizes[:, None] - np.arange(width, dtype=np.int32))[:, :, None] * h[:, None, :]).ravel()
     base = (np.arange(rows, dtype=np.intp) * (width * n))[:, None]
-    alone = rows - spans.shape[0]
     # The int64 index and open counts and the int32 lookups of a chunk: at most
     # 20 bytes per row and mask, within _BATCH_BYTES and a quarter more.
     step = min(_BATCH_MASKS, max(1, _BATCH_BYTES // (16 * rows)))
     for start in range(0, masks.shape[0], step):
         chunk = masks[start : start + step]
-        index = _nearest(minima, chunk).T.astype(np.intp, order="C")
-        extra = k * index.max(axis=0) if maximum else -(n - k) * (k - 1)
+        index = _nearest(layout.last, chunk).T.astype(np.intp, order="C")
+        extra = k * index.max(axis=0) if layout.maximum else -(n - k) * (k - 1)
         index += base
-        opened = np.bitwise_count(spans & chunk).astype(np.intp)
+        opened = np.bitwise_count(layout.spans & chunk).astype(np.intp)
         opened *= n
         index[alone:] += opened
         low = table.take(index).sum(axis=0, dtype=np.int32)

@@ -51,7 +51,7 @@ from .dynamics import (
 )
 from .errors import GatewayGameError
 from .game import GameConfig, StrategyProfile, Variant, frac_str
-from .graphs import graph_to_json, parse_graph
+from .graphs import _check_oracle, _read_graph, build_graph, graph_to_json
 from .optimization import (
     BoundedCardinality,
     brute_force_optimum,
@@ -228,8 +228,11 @@ def _cmd_reduce(args, argv) -> int:
 
 
 def _load_instance(args, argv, seed=None):
-    """Parse the graph, build the config and emit the manifest."""
-    g = parse_graph(Path(args.graph).read_text())
+    """Read the graph, refuse it unbuilt if the distance oracle every command
+    builds cannot fit, then build it and the config and emit the manifest."""
+    n, edges = _read_graph(Path(args.graph).read_text())
+    _check_oracle(n, 0)
+    g = build_graph(n, edges)
     cfg = GameConfig(Variant(args.variant), args.alpha)
     _emit_manifest(argv, graph_to_json(g), cfg, seed)
     return g, cfg

@@ -5,10 +5,7 @@ the profile before each move together with the move itself, so a run can be
 replayed and re-audited move by move.  The classifier sweeps all ``2^n - 1``
 profiles to decide whether improving paths always terminate (``FIP``), can
 always be steered to an equilibrium (``WEAKLY_ACYCLIC``), or can get trapped
-with no equilibrium reachable at all (``NOT_WEAKLY_ACYCLIC``).  It answers
-both questions with two fixpoints over the packed table of improving moves: a
-peel that drops the states whose every path halts, and a backward reach from
-the dropped states that leaves the trapped ones.
+with no equilibrium reachable at all (``NOT_WEAKLY_ACYCLIC``).
 """
 
 from __future__ import annotations
@@ -237,13 +234,9 @@ def replay_trace(g: Graph, cfg: GameConfig, trace: DynamicsTrace) -> list[Strate
 
     The initial ids and every recorded node are checked before the oracle is
     built.  One state, built from ``trace.initial``, follows the trace in
-    blocks of at most ``n // 4`` steps: the walk records the state's
-    nearest-gateway row and the mover's base before and after its toggle, and
-    at the block's end one pair of ``_terms`` calls, batched over the block's
-    movers with one distance row each, forms every mover's term before and
-    after.  Each recorded move is then checked in integers against
-    ``alpha = p/q``, and the first step that fails raises.  A claimed
-    equilibrium or stall is checked against the scan of the final profile.
+    blocks of at most ``n // 4`` steps, each checked by ``_replay_block``, and
+    the first step that fails raises.  A claimed equilibrium or stall is
+    checked against the scan of the final profile.
     """
     _check_ids(g.n, (*trace.initial.gateways, *(move.node for _, move in trace.steps)))
     d = all_pairs_distances(g)
@@ -274,18 +267,19 @@ def _replay_block(
     states: list[StrategyProfile],
 ) -> None:
     """Walk ``carried`` through ``block``, appending to ``states``, then check
-    its moves from one batched pair of ``_terms`` calls.  ``rows[j]`` holds the
-    state's ``a`` at step ``j``, and ``bases[:, j]`` the mover's base before
+    its moves in integers from one pair of ``_terms`` calls, batched over the
+    block's movers with one distance row each.  ``rows[j]`` holds the state's
+    ``a`` at step ``j``, and ``bases[:, j]`` the mover's base before
     (``a[v]``) and after its toggle.  A state out of order or a close of the
     sole gateway ends the walk, and is reported only after the steps before it
-    pass.  The deltas ``(p + dv*q)/q`` of an open and ``(dv*q - p)/q`` of a
-    close are in lowest terms, so a recorded ``Fraction`` is compared by
+    pass.  Each move must improve by ``_engine._thresholds``, and its recorded
+    delta must equal ``(p + dv*q)/q`` for an open, ``(dv*q - p)/q`` for a
+    close; both are in lowest terms, so a ``Fraction`` is compared by
     numerator and denominator.
     """
     rows = np.empty((len(block), len(carried.a)), dtype=carried.a.dtype)
     bases = np.empty((2, len(block)), dtype=carried.a.dtype)
-    walked, stop = 0, None
-    members = []
+    members, stop = [], None
     for recorded, move in block:
         if recorded != states[-1]:
             stop = "trace states out of order"
@@ -295,21 +289,23 @@ def _replay_block(
         if member and carried.count == 1:
             stop = f"recorded move {move} does not replay"
             break
-        rows[walked] = carried.a
-        bases[0, walked], bases[1, walked] = carried.a[v], carried.base[v]
+        rows[len(members)] = carried.a
+        bases[:, len(members)] = carried.a[v], carried.base[v]
         members.append(member)
         states.append(recorded.toggled(v))
         carried.toggle(v)
-        walked += 1
-    if walked:
+    if members:
+        walked = len(members)
         dist = carried.d.dist[[move.node for _, move in block[:walked]]].T[None]
         a, maximum = rows[:walked].T, cfg.variant is Variant.MAX
         after = _engine._terms(dist, a, bases[1:, :walked], maximum)[0]
         dvs = (after - _engine._terms(dist, a, bases[:1, :walked], maximum)[0]).tolist()
         p, q = cfg.alpha.numerator, cfg.alpha.denominator
+        open_at, close_at = _engine._thresholds(cfg.alpha)
         for (_, move), member, dv in zip(block, members, dvs):
             kind, num = (MoveKind.CLOSE, dv * q - p) if member else (MoveKind.OPEN, dv * q + p)
-            if num >= 0 or (move.kind, move.forbidden) != (kind, False) or not _equals(
+            improves = dv <= (close_at if member else open_at)
+            if not improves or (move.kind, move.forbidden) != (kind, False) or not _equals(
                 move.cost_delta, num, q
             ):
                 raise ValueError(f"recorded move {move} does not replay")
@@ -344,10 +340,9 @@ class StateGraphReport:
 def _round(moves: np.ndarray, x: np.ndarray, toggled: np.ndarray, grow: bool) -> np.ndarray:
     """One round of ``_fixpoint``: the states with a move into ``x``, and for
     the reach (``grow=True``) ``x`` with them.  Row ``b`` of ``toggled``, a
-    buffer shaped as ``moves``, takes ``x[m ^ (1 << b)]``: the bits below 6 at
-    once, by shifts within each word, and each bit from 6 up by one copy of
-    ``x`` with the halves of each block of ``2^(b-5)`` words swapped.  Every
-    bit reads ``x`` as the round found it; one AND and one OR-reduce follow."""
+    buffer shaped as ``moves``, takes ``x[m ^ (1 << b)]`` by the toggles of
+    the packed layout (``_engine``), every bit reading ``x`` as the round
+    found it; one AND and one OR-reduce follow."""
     _engine._toggled_in_word(x, toggled[:6])
     for b in range(6, moves.shape[0]):
         half = 1 << (b - 6)
@@ -387,18 +382,17 @@ def build_ir_state_graph(
     comes with a non-empty ``trapped`` witness: profiles from which no
     equilibrium is reachable at all.
 
-    Both verdicts are fixpoints over the packed move table, each round one
-    batched pass: every toggled copy of the set in one buffer, one AND with
-    the table and one OR-reduce.  The peel starts from the states with a
-    move and keeps those with a move into the kept set until nothing changes;
-    what stays has an endless improving path, so a path into a cycle, and
-    every state it drops halts on every path, so reaches an equilibrium.
-    The reach starts from the dropped states and adds every state with a move
-    into the reached set; what stays unreached is trapped.  The sample cycle
-    starts at the smallest kept mask and follows each state's lowest-bit
-    improving move to a kept state until a state repeats.  The sweep is
-    exponential in ``n`` and refuses to run past ``exhaustive_limit`` nodes
-    (default 20) or when its arrays would not fit in physical memory.
+    Both verdicts are fixpoints of ``_round`` over the packed move table.
+    The peel starts from the states with a move and keeps those with a move
+    into the kept set until nothing changes; what stays has an endless
+    improving path, so a path into a cycle, and every state it drops halts
+    on every path, so reaches an equilibrium.  The reach starts from the
+    dropped states and adds every state with a move into the reached set;
+    what stays unreached is trapped.  The sample cycle starts at the smallest
+    kept mask and follows each state's lowest-bit improving move to a kept
+    state until a state repeats.  The sweep is exponential in ``n`` and
+    refuses to run past ``exhaustive_limit`` nodes (default 20) or when its
+    arrays would not fit in physical memory.
     """
     maximum = cfg.variant is Variant.MAX
     _engine.check_sweep_size(g.n, exhaustive_limit, "profile sweep")

@@ -8,17 +8,11 @@ distance perceived by ``u`` towards ``v`` is
 
 with plain hop distances ``d``.  Every quantity here is exact and no float is
 ever produced.  A toggle changes the mover's distance term by an integer
-``dv``, so whether it improves is decided in integers against ``floor`` and
-``ceil`` of ``alpha``; ``Fraction`` appears only in the returned costs and
-deltas.  That keeps the knife-edge ties the dynamics depend on exact.
-
-Every cost query reads one profile's state: each node's distance to its
-nearest gateway, and each gateway's to its nearest other one, from one
-gather of the gateway columns of the distance oracle.  Improving-response
-dynamics and trace replay carry one state from profile to profile instead of
-gathering again.  An open changes both rows by one elementwise minimum with
-the opener's distance row; a close gathers them again, since the
-second-nearest gateway is not kept.
+``dv``, so whether it improves is decided in integers (``_engine._thresholds``);
+``Fraction`` appears only in the returned costs and deltas.  That keeps the
+knife-edge ties the dynamics depend on exact.  Every cost query reads one
+profile's ``_ProfileState``, which dynamics and trace replay carry from
+profile to profile.
 """
 
 from __future__ import annotations

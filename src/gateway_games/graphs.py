@@ -152,22 +152,27 @@ def all_pairs_distances(g: Graph) -> DistanceOracle:
     dtype ``_oracle_dtype(n)``.
 
     One bit-parallel BFS from every source at once (``_bitset_distances``)
-    builds the matrix at every graph size.  Raises
-    :class:`StateSpaceTooLarge` before any of it exists when the larger of
-    two peaks would not fit in physical memory: ``9 n^2`` bytes, that of the
-    callers that score moves on the oracle (``18 n^2`` above 46,340 nodes,
-    where the oracle and their temporaries are int64), and the build's own,
-    ``_build_bytes``.  The two never coexist, since the build's temporaries
-    are gone when it returns.
+    builds the matrix at every graph size.  ``_check_oracle`` refuses it
+    before any of it exists, on the larger of the callers' peak and the
+    build's own, ``_build_bytes``; the two never coexist, since the build's
+    temporaries are gone when it returns.
     """
     dtype = _oracle_dtype(g.n)
-    callers = g.n * g.n * _ORACLE_CELL_BYTES * max(1, dtype.itemsize // 4)
     widest = 1 + max(map(len, g.adj))
-    need = max(callers, _build_bytes(g.n, 2 * g.edge_count(), widest, dtype))
-    check_memory(need, StateSpaceTooLarge, f"distances on n = {g.n} need")
+    _check_oracle(g.n, _build_bytes(g.n, 2 * g.edge_count(), widest, dtype))
     dist = _bitset_distances(g, dtype)
     dist.setflags(write=False)
     return DistanceOracle(g, dist)
+
+
+def _check_oracle(n: int, build: int) -> None:
+    """Raise :class:`StateSpaceTooLarge` when the larger of ``build`` bytes and
+    the peak of the callers that score moves on an ``n``-node oracle would
+    not fit in physical memory.  That peak needs only ``n``: ``9 n^2`` bytes,
+    or ``18 n^2`` above 46,340 nodes, where the oracle and their temporaries
+    are int64."""
+    callers = n * n * _ORACLE_CELL_BYTES * max(1, _oracle_dtype(n).itemsize // 4)
+    check_memory(max(callers, build), StateSpaceTooLarge, f"distances on n = {n} need")
 
 
 def _build_bytes(n: int, arcs: int, widest: int, dtype: np.dtype) -> int:
@@ -338,6 +343,11 @@ def parse_graph(text: str) -> Graph:
     Edge-list format: first non-blank line is ``n``, every following
     non-blank line is one ``u v`` pair.
     """
+    return build_graph(*_read_graph(text))
+
+
+def _read_graph(text: str) -> tuple[int, list]:
+    """``parse_graph``'s ``(n, edges)``, read but not yet validated as a graph."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -351,7 +361,7 @@ def parse_graph(text: str) -> Graph:
             isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
         ):
             raise ValueError('graph "edges" must be a list of [u, v] integer pairs')
-        return build_graph(payload["n"], edges)
+        return payload["n"], edges
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty graph document")
@@ -366,4 +376,4 @@ def parse_graph(text: str) -> Graph:
         except ValueError:
             raise ValueError(f"malformed edge line: {ln!r}") from None
         edges.append((u, v))
-    return build_graph(n, edges)
+    return n, edges

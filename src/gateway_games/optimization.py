@@ -2,20 +2,18 @@
 
 Two search methods share one tie-break order (cost, gateway count, sorted
 ids).  Full enumeration sweeps every non-empty profile.  The bounded method
-takes the cheapest of its seeds (all nodes open, node 0 alone and the greedy
-profile) as a feasible upper bound U, and exploits ``c(S) >= alpha * |S|`` to
-cap the gateway count at ``bound = floor(U / alpha)``.  It skips a whole
-cardinality level k when ``alpha * k`` plus a lower bound on the distance
-part of every k-gateway profile exceeds the best cost so far; ``_level_floors``
-derives those bounds from the per-profile floor below.
+takes the cheaper of its seeds (all nodes open and the greedy profile) as a
+feasible upper bound U, and exploits ``c(S) >= alpha * |S|`` to cap the
+gateway count at ``bound = floor(U / alpha)``.  It skips a whole cardinality
+level k when ``alpha * k`` plus a lower bound on the distance part of every
+k-gateway profile exceeds the best cost so far; ``_level_floors`` derives
+those bounds from the per-profile floor below.
 
 Levels are admitted before any mask is built: a level whose floor the seed
-already beats is never built, floored, or counted against the cap.  The
-search collapses interchangeable nodes into canonical representatives: a
-profile opens a prefix of each twin class.  One class-by-class pass builds
-the canonical masks of every admitted level, grouped by gateway count, and
-the levels are visited in ascending order, each skipped once a cheaper
-profile beats its floor.
+already beats is never built, floored, or counted against the cap.  Only
+canonical profiles are built (``_canonical_masks``), each opening a prefix
+of every twin class, and the levels are visited in ascending order, each
+skipped once a cheaper profile beats its floor.
 
 Within a level, every profile gets a floor of its own first
 (``_engine.term_floors``), and only those that can still win are costed.
@@ -39,9 +37,9 @@ gateway:
 
 A level keeps the profiles whose floor is at most ``floor(best - alpha * k)``,
 compared in integers, and costs only those exactly, on one row per open and
-one per closed part of each class (see ``_engine``).  The comparison is not
-strict, so every profile tied at the level's least cost survives and the
-tie-break sees it, and the exact costing of the survivors certifies the
+one per closed part of each class (``_engine._twin_rows``).  The comparison
+is not strict, so every profile tied at the level's least cost survives and
+the tie-break sees it, and the exact costing of the survivors certifies the
 optimum.
 
 The search refuses to start when the admitted levels hold more than
@@ -177,16 +175,14 @@ def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def _level_counts(sizes: list[int], kmax: int) -> list[int]:
-    """Number of canonical profiles per cardinality, via polynomial product."""
-    coeffs = [1]
+    """Number of canonical profiles per cardinality ``0..kmax``: the
+    coefficients of the product of ``1 + x + ... + x^s`` over the class sizes
+    ``s``, each at most ``C(63, 31) < 2^63``."""
+    coeffs = np.zeros(kmax + 1, dtype=np.int64)
+    coeffs[0] = 1
     for size in sizes:
-        nxt = [0] * min(len(coeffs) + size, kmax + 1)
-        for i, c in enumerate(coeffs):
-            for t in range(size + 1):
-                if i + t <= kmax:
-                    nxt[i + t] += c
-        coeffs = nxt
-    return coeffs + [0] * (kmax + 1 - len(coeffs))
+        coeffs = np.convolve(coeffs, np.ones(size + 1, dtype=np.int64))[: kmax + 1]
+    return coeffs.tolist()
 
 
 def _canonical_masks(
@@ -274,9 +270,9 @@ def _bounded_search(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
     maximum = cfg.variant is Variant.MAX
     alpha = cfg.alpha
 
-    seeds = [StrategyProfile.of(range(n)), StrategyProfile.of([0]), greedy_gateways(d, cfg)]
+    # Greedy starts at {0} and opens only at a strict gain, so it beats or is {0}.
+    seeds = [StrategyProfile.of(range(n)), greedy_gateways(d, cfg)]
     best_key = min((social_cost(d, cfg, s), len(s), s.ids) for s in seeds)
-    best_profile = StrategyProfile.of(best_key[2])
 
     kmax = min(math.floor(best_key[0] / alpha), n)
     floors = _level_floors(d.dist, kmax, maximum)
@@ -294,28 +290,24 @@ def _bounded_search(d: DistanceOracle, cfg: GameConfig) -> OptimumResult:
     check_memory(space * _PROFILE_BYTES + _SEARCH_BYTES, StateSpaceTooLarge, claim)
 
     by_level = _canonical_masks(classes, levels)
-    tables = _engine._mask_tables(d.dist, maximum)
-    bounds = _engine._floor_tables(tables, classes, maximum)
+    layout = _engine._SearchLayout(d.dist, classes, maximum)
     for k in levels:
         level = by_level.pop(k)
         if alpha * k + floors[k] > best_key[0]:
             continue
         limit = math.floor(best_key[0] - alpha * k)
         keep = np.empty(level.shape[0], dtype=bool)
-        for columns, low in _engine.term_floors(bounds, level, k, maximum):
+        for columns, low in _engine.term_floors(layout, level, k):
             np.less_equal(low, limit, out=keep[columns])
         level = level[keep]
         if not level.shape[0]:
             continue
-        sums = _engine.term_sums_for_masks(
-            d.dist, level, maximum=maximum, classes=classes, tables=tables
-        )
+        sums = _engine.term_sums_for_masks(layout, level)
         low = sums.min()
-        profile = StrategyProfile.from_mask(_least_ids(level[sums == low]))
-        key = (alpha * k + int(low), k, profile.ids)
-        if key < best_key:
-            best_key, best_profile = key, profile
-    return OptimumResult(best_profile, best_key[0], BoundedCardinality(kmax), True)
+        ids = StrategyProfile.from_mask(_least_ids(level[sums == low])).ids
+        best_key = min(best_key, (alpha * k + int(low), k, ids))
+    best = StrategyProfile.of(best_key[2])
+    return OptimumResult(best, best_key[0], BoundedCardinality(kmax), True)
 
 
 def brute_force_optimum(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gateway_games import build_graph, cli, graph_to_json
+from gateway_games import build_graph, cli, graph_to_json, graphs
 
 from conftest import assert_one_error, edge_list_text, path_graph, run_cli
 
@@ -337,8 +337,9 @@ def test_gen_and_oracle_beyond_physical_memory_exit_2(monkeypatch, tmp_path, cap
 def test_work_past_any_memory_and_bad_scheduler_ids_are_refused(monkeypatch, tmp_path):
     """On real physical memory, a max line at 10^12 (about 3e12 edges) and the
     distances of a 200,000-node path are refused from their estimates, gen
-    writing no file; a scheduler's bad node id is refused before the first
-    step, even when the node before it would move and the budget is zero."""
+    writing no file and the path never built as a graph; a scheduler's bad
+    node id is refused before the first step, even when the node before it
+    would move and the budget is zero."""
     monkeypatch.chdir(tmp_path)
     n = 200_000
     Path("long.txt").write_text(f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
@@ -349,8 +350,16 @@ def test_work_past_any_memory_and_bad_scheduler_ids_are_refused(monkeypatch, tmp
         ("dynamics", "--graph", "p5.txt", "--alpha", "1/2", "--init", 4,
          "--scheduler", "fixed:0,99", "--max-steps", 0),
     ]:
-        assert_one_error(run_main(*argv))
+        with monkeypatch.context() as mp:
+            if "long.txt" in argv:
+                mp.setattr(cli, "build_graph", unbuilt)
+                mp.setattr(graphs, "build_graph", unbuilt)
+            assert_one_error(run_main(*argv))
     assert not Path("line.json").exists()
+
+
+def unbuilt(n, edges):
+    raise AssertionError(f"a graph of {n} nodes was built before its oracle was refused")
 
 
 def test_dynamics_rejects_negative_budget(p5_file):

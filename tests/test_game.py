@@ -476,11 +476,14 @@ def test_batched_terms_equal_one_call_per_profile(variant):
             assert batched.tolist() == np.stack(single, axis=1).tolist()
 
 
+def lone_layout(dist, maximum):
+    """The search layout with every node alone, so any mask will do."""
+    return _engine._SearchLayout(dist, [(v,) for v in range(dist.shape[0])], maximum)
+
+
 def sums_for_masks(dist, masks, maximum):
-    """``term_sums_for_masks`` with every node alone, so any mask will do."""
-    singletons = [(v,) for v in range(dist.shape[0])]
-    tables = _engine._mask_tables(dist, maximum)
-    return _engine.term_sums_for_masks(dist, masks, maximum=maximum, classes=singletons, tables=tables)
+    """``term_sums_for_masks`` with every node alone."""
+    return _engine.term_sums_for_masks(lone_layout(dist, maximum), masks)
 
 
 def hub_terms(g, variant, mask):
@@ -533,9 +536,7 @@ def plain_terms(dist, masks, maximum):
 def term_chunks(dist, masks, maximum):
     """``_twin_rows``' chunks with every node alone, so each row is one node's
     and weighs 1: their dtypes, widths, and the terms joined."""
-    singletons = [(v,) for v in range(dist.shape[0])]
-    tables = _engine._mask_tables(dist, maximum)
-    chunks = list(_engine._twin_rows(tables, masks, singletons, maximum))
+    chunks = list(_engine._twin_rows(lone_layout(dist, maximum), masks))
     assert all((weights == 1).all() for _, _, weights in chunks)
     terms = [t for _, t, _ in chunks]
     widths = [t.shape[1] for t in terms]
@@ -671,9 +672,9 @@ def test_no_chunk_exceeds_the_mask_cap():
             assert dtypes == {np.dtype(np.uint8)}
             assert max(widths) == width
             assert sum(widths) == masks.size
-            tables = _engine._mask_tables(dist, maximum)
+            layout = _engine._SearchLayout(dist, classes, maximum)
             shapes = {(terms.shape, weights.shape) for _, terms, weights in
-                      _engine._twin_rows(tables, masks, classes, maximum)}
+                      _engine._twin_rows(layout, masks)}
             assert shapes == {((rows, w), (rows, w)) for w in widths}
             chunks = [(cols, terms.shape) for cols, terms in _engine._dense_term_rows(dist, maximum)]
             assert chunks == [(slice(s, s + dense), (n, dense)) for s in range(0, 1 << n, dense)]

@@ -228,9 +228,9 @@ def test_level_floor_relaxes_the_profile_floor(g):
     near = sorted(sum(min(x, 2) for x in row) for row in d.dist.tolist())
     for maximum in (False, True):
         floors = _level_floors(d.dist, n - 1, maximum)
-        bounds = _engine._floor_tables(_engine._mask_tables(d.dist, maximum), classes, maximum)
+        layout = _engine._SearchLayout(d.dist, classes, maximum)
         for k in range(1, n):
-            lows = [low for _, low in _engine.term_floors(bounds, groups[k], k, maximum)]
+            lows = [low for _, low in _engine.term_floors(layout, groups[k], k)]
             least = int(np.concatenate(lows).min())
             if maximum:
                 assert floors[k] <= least, k
@@ -360,6 +360,22 @@ def test_greedy_matches_the_scalar_loop(g, alpha, variant, per_batch):
         assert greedy_gateways(d, cfg) == expected
 
 
+@given(
+    connected_graphs(min_n=2, max_n=30),
+    st.one_of(alphas(), KNIFE_PRICES),
+    st.sampled_from([SUM, MAX]),
+)
+@settings(max_examples=60, deadline=None)
+def test_greedy_beats_node_zero_alone_unless_it_stays_there(g, alpha, variant):
+    """Greedy starts at {0} and opens a node only at a strict drop in cost, so
+    it costs strictly less than {0} unless it returns {0}, knife-edge prices
+    included: the bounded search needs no {0} seed beside it."""
+    d = all_pairs_distances(g)
+    cfg = GameConfig(variant, alpha)
+    greedy, start = greedy_gateways(d, cfg), StrategyProfile.of([0])
+    assert greedy == start or social_cost(d, cfg, greedy) < social_cost(d, cfg, start)
+
+
 def test_twin_classes_shapes(star5, k4, c4, p4):
     assert twin_classes(star5) == ((0,), (1, 2, 3, 4))
     assert twin_classes(k4) == ((0, 1, 2, 3),)
@@ -464,8 +480,8 @@ def test_twin_rows_sum_to_every_canonical_profile_cost(planted, variant):
     dense = _engine.term_sums(dist, maximum=maximum)
     for partition in (classes, twin_classes(g)):
         masks = np.concatenate(list(_canonical_masks(partition, list(range(g.n + 1))).values()))
-        tables = _engine._mask_tables(dist, maximum)
-        sums = _engine.term_sums_for_masks(dist, masks, maximum=maximum, classes=partition, tables=tables)
+        layout = _engine._SearchLayout(dist, partition, maximum)
+        sums = _engine.term_sums_for_masks(layout, masks)
         assert sums.tolist() == dense[masks].tolist()
 
 
@@ -516,13 +532,10 @@ def test_profile_floor_never_exceeds_the_distance_part(g):
     assert sorted(groups) == list(range(1, g.n + 1))
     hub = {}
     for maximum in (False, True):
-        tables = _engine._mask_tables(d.dist, maximum)
-        bounds = _engine._floor_tables(tables, classes, maximum)
+        layout = _engine._SearchLayout(d.dist, classes, maximum)
         for k, level in groups.items():
-            floors = np.concatenate([low for _, low in _engine.term_floors(bounds, level, k, maximum)])
-            exact = _engine.term_sums_for_masks(
-                d.dist, level, maximum=maximum, classes=classes, tables=tables
-            )
+            floors = np.concatenate([low for _, low in _engine.term_floors(layout, level, k)])
+            exact = _engine.term_sums_for_masks(layout, level)
             assert (floors <= exact).all(), (k, maximum)
             if g.n <= 10:
                 for mask, low in zip(level.tolist(), floors.tolist()):
