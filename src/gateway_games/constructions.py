@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -291,11 +290,10 @@ def _spaced_profile(
             if all(d.dist[v, s] >= radius for s in chosen):
                 chosen.append(v)
     gap = math.ceil(alpha)
-    while True:
-        candidates = np.flatnonzero(d.dist[:, chosen].min(axis=1) == gap)
-        if not candidates.size:
-            break
-        chosen.append(int(candidates[0]))
+    near = d.dist[:, chosen].min(axis=1)
+    while (hits := np.flatnonzero(near == gap)).size:
+        chosen.append(int(hits[0]))
+        np.minimum(near, d.dist[chosen[-1]], out=near)
     return StrategyProfile.of(chosen)
 
 
@@ -306,7 +304,7 @@ def _cover_profile(d: DistanceOracle, radius: int, root: int) -> StrategyProfile
     row = d.dist[root]
     order = sorted(range(g.n), key=lambda v: (-int(row[v]), v))
     chosen: list[int] = []
-    covered = bytearray(g.n)
+    covered = np.zeros(g.n, dtype=bool)
     for v in order:
         if covered[v]:
             continue
@@ -317,46 +315,23 @@ def _cover_profile(d: DistanceOracle, radius: int, root: int) -> StrategyProfile
                 break
             cur = min(closer)
         chosen.append(cur)
-        for u in range(g.n):
-            if d.dist[cur, u] <= radius:
-                covered[u] = 1
+        covered |= d.dist[cur] <= radius
     return StrategyProfile.of(chosen)
 
 
-def _close_repair(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> StrategyProfile:
-    # Shed gateways that would rather close, smallest id first.  Every applied
-    # move shrinks the set, so the loop terminates; opens are the caller's problem.
-    while len(s) > 1:
-        toggles = _ProfileState(d, s).scan(cfg)
-        closers = np.flatnonzero(toggles.improving & toggles.member)
-        if not closers.size:
+def _settle(d: DistanceOracle, cfg: GameConfig, s: StrategyProfile) -> StrategyProfile | None:
+    # Apply the most improving toggle, ties to the smallest id, until none
+    # improves.  A repeated profile, or n*n moves, gives up with None.
+    state, seen = _ProfileState(d, s), {s.ids}
+    for _ in range(d.graph.n ** 2):
+        moves = state.scan(cfg).moves()
+        if not moves:
             return s
-        s = s.toggled(int(closers[0]))
-    return s
-
-
-def _descent(d: DistanceOracle, cfg: GameConfig, start: StrategyProfile, max_steps: int):
-    # Steepest descent on the count of improving moves, tie-broken by the
-    # mover's own gain.  Profiles are never revisited within one run.
-    s = start
-    seen = {s.ids}
-    for _ in range(max_steps):
-        unhappy = _ProfileState(d, s).scan(cfg).moves()
-        if not unhappy:
-            return s
-        unhappy.sort(key=lambda m: (m.cost_delta, m.node))
-        best = None
-        for mv in unhappy[:6]:
-            t = s.toggled(mv.node)
-            if t.ids in seen:
-                continue
-            unhappy_after = int(_ProfileState(d, t).scan(cfg).improving.sum())
-            score = (unhappy_after, mv.cost_delta, mv.node)
-            if best is None or score < best[0]:
-                best = (score, t)
-        if best is None:
+        v = min(moves, key=lambda m: (m.cost_delta, m.node)).node
+        state.toggle(v)
+        s = s.toggled(v)
+        if s.ids in seen:
             return None
-        s = best[1]
         seen.add(s.ids)
     return None
 
@@ -366,13 +341,17 @@ def construct_max_ne(g: Graph, alpha: Fraction | int) -> StrategyProfile:
 
     Requires ``1 <= alpha < diameter`` and girth at least ``4 * alpha``
     (trees have unbounded girth and always qualify).  Candidates are tried
-    in a fixed order: the central singleton and a spaced peripheral profile,
-    then every other singleton, outside-in covering sets at a few radii
-    (raw, and again after shedding gateways that prefer to close), and
-    finally a bounded deterministic local search.  The first profile that
-    passes :func:`is_nash_equilibrium` is returned; if every candidate
-    fails, :class:`ConstructionNotEquilibrium` is raised rather than
-    returning an unverified profile.
+    in a fixed order: the central singleton and a spaced peripheral profile
+    (the spaced one first when ``diameter >= 2 * alpha``), then every
+    singleton, most central first.  Past those, one improving walk runs
+    from four starts in turn: the spaced profile, the outside-in covering
+    sets at radius ``floor(alpha)`` from each end of a peripheral pair, and
+    all nodes open.  Each step of the walk applies the toggle with the most
+    negative cost delta, ties to the smallest id; it stops where no toggle
+    improves, and gives up on a repeated profile or after ``n * n`` moves.
+    The first profile that passes :func:`is_nash_equilibrium` is returned;
+    if every candidate fails, :class:`ConstructionNotEquilibrium` is raised
+    rather than returning an unverified profile.
     """
     alpha = Fraction(alpha)
     d = all_pairs_distances(g)
@@ -385,7 +364,6 @@ def construct_max_ne(g: Graph, alpha: Fraction | int) -> StrategyProfile:
         raise GirthTooSmall(f"girth {met.girth} is below 4*alpha = {4 * alpha}")
     cfg = GameConfig(Variant.MAX, alpha)
     x1, x2 = met.peripheral_pair
-    fa = math.floor(alpha)
     # Nodes by eccentricity, ties by id: the stable sort keeps ids ascending.
     central = np.argsort(d.dist.max(axis=1), kind="stable").tolist()
 
@@ -397,17 +375,10 @@ def construct_max_ne(g: Graph, alpha: Fraction | int) -> StrategyProfile:
         yield from first
         for v in central:
             yield StrategyProfile.of([v])
-        for radius in dict.fromkeys((fa, max(fa - 1, 1), max(fa // 2, 1))):
-            for root in (x1, x2):
-                cover = _cover_profile(d, radius, root)
-                yield cover
-                yield _close_repair(d, cfg, cover)
-        yield _close_repair(d, cfg, spaced)  # a singleton has nothing to shed
-        rng = random.Random(0x5EED)
-        for _ in range(12):
-            size = rng.randrange(1, g.n + 1)
-            start = StrategyProfile.of(rng.sample(range(g.n), size))
-            found = _descent(d, cfg, start, 150)
+        radius = math.floor(alpha)
+        starts = (_cover_profile(d, radius, x1), _cover_profile(d, radius, x2))
+        for start in (spaced, *starts, StrategyProfile.of(range(g.n))):
+            found = _settle(d, cfg, start)
             if found is not None:
                 yield found
 

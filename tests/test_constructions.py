@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import os
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,11 @@ from gateway_games import (
     IrCycleParams,
     ParameterOutOfRange,
     SetCoverInstance,
+    StrategyProfile,
     Variant,
     all_pairs_distances,
     brute_force_optimum,
+    build_graph,
     construct_max_ne,
     gen_ir_cycle,
     gen_max_line,
@@ -32,6 +36,8 @@ from gateway_games import (
     parse_set_cover,
     reduce_set_cover,
 )
+from gateway_games.constructions import _cover_profile, _settle, _spaced_profile
+from gateway_games.game import _ProfileState
 
 from conftest import deep_tree, tree_from_prufer
 
@@ -153,18 +159,102 @@ def test_max_ne_rejects_bad_inputs(p4, c4):
         construct_max_ne(c4, Fraction(3, 2))
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
-def test_max_ne_on_random_trees(seed):
+def random_tree_case(seed):
+    """A Prüfer tree on 4-23 nodes and a MAX price in quarters below its diameter."""
     rnd = random.Random(seed)
     n = rnd.randrange(4, 24)
     seq = [rnd.randrange(n) for _ in range(n - 2)]
     g = tree_from_prufer(seq, n)
     diameter = metrics(all_pairs_distances(g)).diameter
-    alpha = 1 + Fraction(rnd.randrange(4 * (diameter - 1)), 4)
+    return g, 1 + Fraction(rnd.randrange(4 * (diameter - 1)), 4)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_max_ne_on_random_trees(seed):
+    g, alpha = random_tree_case(seed)
     prof = construct_max_ne(g, alpha)
     d = all_pairs_distances(g)
     assert is_nash_equilibrium(d, GameConfig(Variant.MAX, alpha), prof)
+
+
+def cycle_with_pendants(length, pendants):
+    edges = [(i, (i + 1) % length) for i in range(length)] + pendants
+    return build_graph(length + len(pendants), edges)
+
+
+# The start each improving walk of construct_max_ne runs from.
+WALK_STARTS = {
+    "spaced": lambda d, alpha, met: _spaced_profile(d, alpha, *met.peripheral_pair, met.diameter),
+    "cover x1": lambda d, alpha, met: _cover_profile(d, math.floor(alpha), met.peripheral_pair[0]),
+    "cover x2": lambda d, alpha, met: _cover_profile(d, math.floor(alpha), met.peripheral_pair[1]),
+    "all open": lambda d, alpha, met: StrategyProfile.of(range(d.graph.n)),
+}
+# One instance per kind of candidate, with the profile that answers it.  On
+# seeds 274, 39 and 4756 a later candidate would answer differently: the
+# spaced profile, the central singleton and the walk from cover x2.  Seed 3246
+# is the only one of the 10,001 seeds of test_max_ne_on_random_trees that no
+# candidate before the all-open walk answers.
+CANDIDATE_WINS = [
+    ("singleton", lambda: random_tree_case(2), (2,)),
+    ("central", lambda: random_tree_case(31), (0,)),
+    ("central", lambda: random_tree_case(274), (0,)),
+    ("spaced", lambda: random_tree_case(86), (1, 3)),
+    ("spaced", lambda: random_tree_case(39), (3, 4)),
+    ("walk spaced", lambda: random_tree_case(246), (0, 1)),
+    ("walk cover x1", lambda: random_tree_case(273), (1, 4, 9)),
+    ("walk cover x1", lambda: random_tree_case(4756), (6, 10, 11, 12, 15)),
+    (
+        "walk cover x2",
+        lambda: (cycle_with_pendants(11, [(2, 11), (5, 12), (9, 13), (6, 14)]), Fraction(11, 4)),
+        (0, 4, 11),
+    ),
+    (
+        "walk all open",
+        lambda: (cycle_with_pendants(15, [(5, 16), (10, 17), (14, 15)]), Fraction(7, 2)),
+        (15, 16, 17),
+    ),
+    ("walk all open", lambda: random_tree_case(3246), (13, 15, 17, 20, 21, 22)),
+]
+
+
+@pytest.mark.parametrize("kind, case, profile", CANDIDATE_WINS)
+def test_each_candidate_kind_answers_a_pinned_instance(kind, case, profile):
+    """The profile is the named candidate's: the most central singleton, some
+    other singleton, the spaced profile, or the walk from a start that is not
+    itself an equilibrium.  Dropping a candidate changes the answer."""
+    g, alpha = case()
+    d = all_pairs_distances(g)
+    met = metrics(d)
+    cfg = GameConfig(Variant.MAX, alpha)
+    prof = construct_max_ne(g, alpha)
+    assert prof.ids == profile
+    assert is_nash_equilibrium(d, cfg, prof)
+    central = min(range(g.n), key=lambda v: (d.dist[v].max(), v))
+    if kind == "central":
+        assert profile == (central,)
+    elif kind == "singleton":
+        assert len(profile) == 1 and profile != (central,)
+    elif kind == "spaced":
+        assert WALK_STARTS["spaced"](d, alpha, met).ids == profile
+    else:
+        start = WALK_STARTS[kind.removeprefix("walk ")](d, alpha, met)
+        assert not is_nash_equilibrium(d, cfg, start)
+        assert _settle(d, cfg, start).ids == profile
+
+
+def test_settle_gives_up_on_a_repeat_and_keeps_an_equilibrium():
+    """From {1, 4, 5, 7} the walk goes (4, 5, 7), (5, 7), (5, 6, 7),
+    (4, 5, 6, 7) and back to (4, 5, 7): five scans, not its n*n moves."""
+    g = build_graph(9, [(0, 2), (0, 4), (0, 7), (1, 2), (1, 3), (1, 6), (1, 8), (3, 5)])
+    d = all_pairs_distances(g)
+    cfg = GameConfig(Variant.MAX, Fraction(5, 4))
+    with mock.patch.object(_ProfileState, "scan", autospec=True, side_effect=_ProfileState.scan) as spy:
+        assert _settle(d, cfg, StrategyProfile.of([1, 4, 5, 7])) is None
+    assert spy.call_count == 5
+    ne = construct_max_ne(g, cfg.alpha)
+    assert is_nash_equilibrium(d, cfg, ne)
+    assert _settle(d, cfg, ne) == ne
 
 
 def test_parse_set_cover_round_trip():

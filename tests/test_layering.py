@@ -1,4 +1,5 @@
-"""The package's modules import each other only along the layer order.
+"""The package's modules import each other only along the layer order, and
+import nothing they leave unread.
 
 Each module's intra-package imports are read from its source with ``ast``, in
 both the ``from .x import y`` and the ``from . import x`` forms, and must stay
@@ -43,3 +44,24 @@ def test_modules_import_only_lower_layers():
     for name, allowed in ALLOWED.items():
         imported = package_imports(PACKAGE / f"{name}.py")
         assert imported <= allowed, f"{name} imports {sorted(imported - allowed)}"
+
+
+def test_module_imports_are_all_read():
+    """Every name a module other than ``__init__`` imports at module level is
+    read somewhere in it, unless its line is marked ``# noqa: F401``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                marked = "# noqa: F401" in lines[alias.lineno - 1]
+                assert name in read or marked, f"{path.name} imports {name} and never reads it"
