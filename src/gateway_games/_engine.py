@@ -17,9 +17,11 @@ The move table ``improving_tables`` returns is packed: row ``v`` is a bit
 set over the masks, bit ``m % 64`` of uint64 word ``m // 64``, so the table
 takes ``n / 8`` bytes per profile.  A row shorter than a word (n < 6) is
 padded to one, its pad bits clear.  A toggle of bit ``b < 6`` stays inside a
-word, a shift and a mask (``_toggled_in_word``); one of bit ``b >= 6`` swaps
-the halves of each block of ``2^(b-5)`` words.  The classifier's fixpoints
-(``dynamics._fixpoint``) work on such sets whole.
+word, a shift and a mask; one of bit ``b >= 6`` swaps the halves of each
+block of ``2^(b-5)`` words.  This module is the only one that knows the
+layout: the classifier's fixpoints (``_fixpoint``, by rounds of ``_round``)
+work on such sets whole, and the callers read them through ``_sinks``,
+``_has`` and ``_unpack``.
 """
 
 from __future__ import annotations
@@ -370,11 +372,48 @@ def _unpack(words: np.ndarray, total: int) -> np.ndarray:
     return bits.view(bool)
 
 
-def _toggled_in_word(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Row ``b`` of ``out``, for each of its rows (at most 6), becomes the packed
-    set ``x[m ^ (1 << b)]``, which moves a bit within its word by a shift and a mask."""
-    shift, stay = _SHIFT[: out.shape[0]], _STAY[: out.shape[0]]
-    np.right_shift(x, shift, out=out)
-    out &= stay
-    out |= (x & stay) << shift
+def _sinks(moves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(movers, masks)`` of a packed move table: the packed set of the
+    states with an improving move, the OR of the rows, and the ascending
+    masks of the others, the equilibria; mask 0 is no profile and is left out."""
+    movers = np.bitwise_or.reduce(moves, axis=0)
+    return movers, np.flatnonzero(~_unpack(movers, 1 << moves.shape[0])[1:]) + 1
+
+
+def _has(words: np.ndarray, m: int) -> bool:
+    """Bit ``m`` of a packed set."""
+    return int(words[m >> 6]) >> (m & 63) & 1 == 1
+
+
+def _round(moves: np.ndarray, x: np.ndarray, toggled: np.ndarray, grow: bool) -> np.ndarray:
+    """One round of ``_fixpoint``: the states with a move into ``x``, and for
+    the reach (``grow=True``) ``x`` with them.  Row ``b`` of ``toggled``, a
+    buffer shaped as ``moves``, takes ``x[m ^ (1 << b)]``, every bit reading
+    ``x`` as the round found it: the (at most six) in-word rows by one shift
+    and mask per direction, broadcast over the ``(6, 1)`` columns, and each
+    row ``b >= 6`` by a swap of half blocks.  One AND and one OR-reduce follow."""
+    inword = toggled[:6]
+    shift, stay = _SHIFT[: inword.shape[0]], _STAY[: inword.shape[0]]
+    np.right_shift(x, shift, out=inword)
+    inword &= stay
+    inword |= (x & stay) << shift
+    for b in range(6, moves.shape[0]):
+        half = 1 << (b - 6)
+        np.copyto(toggled[b].reshape(-1, 2, half), x.reshape(-1, 2, half)[:, ::-1])
+    toggled &= moves
+    out = np.bitwise_or.reduce(toggled, axis=0)
+    if grow:
+        out |= x
     return out
+
+
+def _fixpoint(moves: np.ndarray, x: np.ndarray, grow: bool) -> np.ndarray:
+    """The fixpoint of the packed set ``x`` under ``_round``, both Jacobi
+    iterations on one toggled buffer: the greatest below ``x`` for the peel
+    (``grow=False``), the least above it for the reach (``grow=True``)."""
+    toggled = np.empty_like(moves)
+    while True:
+        out = _round(moves, x, toggled, grow)
+        if np.array_equal(out, x):
+            return x
+        x = out

@@ -51,7 +51,7 @@ from .dynamics import (
 )
 from .errors import GatewayGameError
 from .game import GameConfig, StrategyProfile, Variant, frac_str
-from .graphs import _check_oracle, _read_graph, build_graph, graph_to_json
+from .graphs import _check_oracle, _is_int, _read_graph, build_graph, graph_to_json
 from .optimization import (
     BoundedCardinality,
     brute_force_optimum,
@@ -114,18 +114,16 @@ def _load_roles(args) -> dict | None:
     if not isinstance(doc.get("roles") or {}, dict):
         raise GatewayGameError(f'roles sidecar {path}: "roles" must be an object')
     initial = doc.get("initial") or []
-    if not isinstance(initial, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in initial
-    ):
+    if not isinstance(initial, list) or not all(map(_is_int, initial)):
         raise GatewayGameError(f'roles sidecar {path}: "initial" must be a list of node ids')
     return doc
 
 
 def _flatten(value) -> list[int]:
-    if isinstance(value, bool) or not isinstance(value, (int, list, tuple)):
-        raise ValueError(f"role value {value!r} is not a node id or id list")
-    if isinstance(value, int):
+    if _is_int(value):
         return [value]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"role value {value!r} is not a node id or id list")
     out: list[int] = []
     for item in value:
         out.extend(_flatten(item))

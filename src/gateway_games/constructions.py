@@ -31,7 +31,6 @@ from .game import (
     Variant,
     _ProfileState,
     evaluate_move,  # noqa: F401  bound only for perfbench/test_tracer.py's rebinding check
-    floor_sqrt,
     is_nash_equilibrium,
 )
 from .graphs import (
@@ -215,21 +214,19 @@ def gen_sum_poa_star(n: int, alpha: Fraction | int) -> GeneratedGame:
 
     The center feeds ``floor((n-1)/L)`` paths of ``L = floor(sqrt(alpha)) - 1``
     nodes plus one shorter remainder path; the designated gateway is the leaf
-    of the first path, at distance exactly ``L`` from the center.
+    of the first path, at distance exactly ``L`` from the center.  ``L`` is
+    computed as ``isqrt(floor(alpha)) - 1``, exact since ``floor(sqrt(x)) =
+    isqrt(floor(x))`` for ``x >= 0``; ``4 <= alpha <= n - 1`` gives
+    ``1 <= L < n - 1``, so there is at least one full path.
     """
     alpha = Fraction(alpha)
     if not 4 <= alpha <= n - 1:
         raise ParameterOutOfRange(
             f"alpha must satisfy 4 <= alpha <= n - 1 = {n - 1}; got {alpha}"
         )
-    length = floor_sqrt(alpha) - 1
-    full_paths = (n - 1) // length
-    if full_paths < 1:
-        raise ParameterOutOfRange(
-            f"need at least one full path: (n - 1) // {length} >= 1 fails for n = {n}"
-        )
+    length = math.isqrt(math.floor(alpha)) - 1
     _check_edges(n - 1, _GEN_EDGE_BYTES, f"sum-poa-star at n = {n}")
-    sizes = [length] * full_paths + [(n - 1) % length]
+    sizes = [length] * ((n - 1) // length) + [(n - 1) % length]
     edges, path_leaves = _star_of_paths(sizes)
     graph = build_graph(n, edges)
     gateway = path_leaves[0]
@@ -453,23 +450,6 @@ def min_cover_size(inst: SetCoverInstance) -> int:
 _REDUCTION_EDGE_BYTES = 512
 
 
-def _check_reduction_size(inst: SetCoverInstance, variant: Variant) -> None:
-    """Refuse a reduction whose graph would not fit in physical memory, counting
-    its edges in O(n_sets + sum |S|) before any edge list exists.  Call it after
-    the variant's parameter checks: MAX needs ``1 <= m <= 2 * n_sets``."""
-    n_sets = inst.n_sets
-    if variant is Variant.SUM:
-        k = inst.m - 1
-        links = n_sets * sum(len(s) for s in inst.sets)  # n_sets copies of each element
-    else:
-        k, target_m = 3 * n_sets, 2 * n_sets
-        # Element i < m stands for itself and for the (target_m - 1 - i) // m
-        # padding elements e with e % m == i.
-        links = sum(1 + (target_m - 1 - i) // inst.m for s in inst.sets for i in s)
-    edges = k * (k - 1) // 2 + n_sets + links
-    _check_edges(edges, _REDUCTION_EDGE_BYTES, f"{variant.name} reduction")
-
-
 def _check_covered(inst: SetCoverInstance) -> None:
     covered = set().union(*inst.sets)  # never all of [0, m): a header may claim millions
     missing = inst.m - sum(1 for e in covered if 0 <= e < inst.m)
@@ -500,7 +480,8 @@ def reduce_set_cover(inst: SetCoverInstance, variant: Variant) -> GeneratedGame:
         k = m - 1
         if k < 1:
             raise ParameterOutOfRange(f"need m >= 2 elements; got {m}")
-        _check_reduction_size(inst, variant)
+        links = n_sets * sum(len(s) for s in inst.sets)  # n_sets copies of each element
+        _check_edges(k * (k - 1) // 2 + n_sets + links, _REDUCTION_EDGE_BYTES, "SUM reduction")
         graph, roles = _reduction_graph(k, inst.sets, m, n_sets)
         alpha = Fraction(4 * n_sets * (m - 1))
         return GeneratedGame(graph, roles, None, variant, alpha, {"w": n_sets, "k": k})
@@ -511,11 +492,14 @@ def reduce_set_cover(inst: SetCoverInstance, variant: Variant) -> GeneratedGame:
         raise ParameterOutOfRange(
             f"MAX reduction needs m <= 2 * n_sets = {target_m}; got m = {m}"
         )
-    _check_reduction_size(inst, variant)
-    # Element e >= m copies the memberships of element e % m.
+    k = 3 * n_sets
+    # Element e >= m copies the memberships of element e % m, so element i < m
+    # stands for itself and for the (target_m - 1 - i) // m padding elements.
+    links = sum(1 + (target_m - 1 - i) // m for s in inst.sets for i in s)
+    _check_edges(k * (k - 1) // 2 + n_sets + links, _REDUCTION_EDGE_BYTES, "MAX reduction")
     padded = [s.union(*(range(i + m, target_m, m) for i in s)) for s in inst.sets]
-    graph, roles = _reduction_graph(3 * n_sets, padded, target_m, 1)
-    params = {"w": 1, "k": 3 * n_sets, "padded_m": target_m}
+    graph, roles = _reduction_graph(k, padded, target_m, 1)
+    params = {"w": 1, "k": k, "padded_m": target_m}
     return GeneratedGame(graph, roles, None, variant, Fraction(3), params)
 
 

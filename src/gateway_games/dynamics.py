@@ -337,40 +337,6 @@ class StateGraphReport:
     trapped: tuple[StrategyProfile, ...] | None
 
 
-def _round(moves: np.ndarray, x: np.ndarray, toggled: np.ndarray, grow: bool) -> np.ndarray:
-    """One round of ``_fixpoint``: the states with a move into ``x``, and for
-    the reach (``grow=True``) ``x`` with them.  Row ``b`` of ``toggled``, a
-    buffer shaped as ``moves``, takes ``x[m ^ (1 << b)]`` by the toggles of
-    the packed layout (``_engine``), every bit reading ``x`` as the round
-    found it; one AND and one OR-reduce follow."""
-    _engine._toggled_in_word(x, toggled[:6])
-    for b in range(6, moves.shape[0]):
-        half = 1 << (b - 6)
-        np.copyto(toggled[b].reshape(-1, 2, half), x.reshape(-1, 2, half)[:, ::-1])
-    toggled &= moves
-    out = np.bitwise_or.reduce(toggled, axis=0)
-    if grow:
-        out |= x
-    return out
-
-
-def _fixpoint(moves: np.ndarray, x: np.ndarray, grow: bool) -> np.ndarray:
-    """The fixpoint of the packed set ``x`` under ``_round``, both Jacobi
-    iterations on one toggled buffer: the greatest below ``x`` for the peel
-    (``grow=False``), the least above it for the reach (``grow=True``)."""
-    toggled = np.empty_like(moves)
-    while True:
-        out = _round(moves, x, toggled, grow)
-        if np.array_equal(out, x):
-            return x
-        x = out
-
-
-def _has(words: np.ndarray, m: int) -> bool:
-    """Bit ``m`` of a packed set."""
-    return int(words[m >> 6]) >> (m & 63) & 1 == 1
-
-
 def build_ir_state_graph(
     g: Graph, cfg: GameConfig, exhaustive_limit: int | None = None
 ) -> StateGraphReport:
@@ -382,7 +348,8 @@ def build_ir_state_graph(
     comes with a non-empty ``trapped`` witness: profiles from which no
     equilibrium is reachable at all.
 
-    Both verdicts are fixpoints of ``_round`` over the packed move table.
+    Both verdicts are fixpoints (``_engine._fixpoint``) over the packed move
+    table, whose layout the ``_engine`` module docstring describes.
     The peel starts from the states with a move and keeps those with a move
     into the kept set until nothing changes; what stays has an endless
     improving path, so a path into a cycle, and every state it drops halts
@@ -401,22 +368,21 @@ def build_ir_state_graph(
     _engine.check_sweep_size(g.n, exhaustive_limit, "profile sweep", bytes_each)
     moves = _engine.improving_tables(_engine.term_table(d.dist, maximum=maximum), cfg.alpha)
     total = 1 << g.n
-    movers = np.bitwise_or.reduce(moves, axis=0)
-    sinks = np.flatnonzero(~_engine._unpack(movers, total)[1:]) + 1  # mask 0 is no profile
+    movers, sinks = _engine._sinks(moves)
 
-    alive = _fixpoint(moves, movers, grow=False)
+    alive = _engine._fixpoint(moves, movers, grow=False)
     trapped: list[int] = []
     cycle = None
     if alive.any():
         # Every dropped state reaches an equilibrium.  Mask 0, no profile,
         # is dropped, so it is never trapped.
-        reached = _fixpoint(moves, ~alive, grow=True)
+        reached = _engine._fixpoint(moves, ~alive, grow=True)
         trapped = np.flatnonzero(~_engine._unpack(reached, total)).tolist()
         path = [int(_engine._unpack(alive, total).argmax())]
-        positions = {path[0]: 0}
+        positions, has = {path[0]: 0}, _engine._has
         while True:
             s = path[-1]
-            onward = [v for v in range(g.n) if _has(moves[v], s) and _has(alive, s ^ (1 << v))]
+            onward = [v for v in range(g.n) if has(moves[v], s) and has(alive, s ^ (1 << v))]
             if not onward:
                 raise AssertionError("a kept state must have a kept successor")
             nxt = s ^ (1 << onward[0])

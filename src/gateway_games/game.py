@@ -17,7 +17,6 @@ profile to profile.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
@@ -253,10 +252,3 @@ def frac_str(x: Fraction | int) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
-
-def floor_sqrt(x: Fraction | int) -> int:
-    """Largest integer ``k`` with ``k*k <= x``, exact for rationals."""
-    f = Fraction(x)
-    if f < 0:
-        raise ValueError("square root of a negative value")
-    return math.isqrt(f.numerator // f.denominator)

@@ -373,17 +373,14 @@ def enumerate_equilibria(
     bytes_each = _engine._table_bytes(d.dist, maximum)
     _engine.check_sweep_size(g.n, exhaustive_limit, "equilibrium enumeration", bytes_each)
     table = _engine.term_table(d.dist, maximum=maximum)
-    movers = np.bitwise_or.reduce(_engine.improving_tables(table, cfg.alpha), axis=0)
+    _, masks = _engine._sinks(_engine.improving_tables(table, cfg.alpha))
     totals = table.sum(axis=0, dtype=np.int32)  # at most n^2 (n - 1)
     del table  # before the optimum's temporaries
     optimum = _full_optimum(totals, cfg.alpha)
-    ne = ~_engine._unpack(movers, 1 << g.n)
-    ne[0] = False  # mask 0 is no profile
 
     # With alpha = num / den, a cost times den is the integer num * k + den * T,
     # so the order is exact in integers; each Fraction is formed once, for the catalogue.
     num, den = cfg.alpha.numerator, cfg.alpha.denominator
-    masks = np.flatnonzero(ne)
     keyed = []
     for mask, total in zip(masks.tolist(), totals[masks].tolist()):
         profile = StrategyProfile.from_mask(mask)

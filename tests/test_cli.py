@@ -362,6 +362,53 @@ def unbuilt(n, edges):
     raise AssertionError(f"a graph of {n} nodes was built before its oracle was refused")
 
 
+P5 = ("--graph", "p5.txt", "--alpha", 1)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("dynamics", *P5, "--scheduler", "nope"), "unknown scheduler 'nope'"),
+        (("dynamics", *P5, "--init", ","), "at least one node is required"),
+        (("dynamics", *P5, "--scheduler", "fixed:"), "at least one node is required"),
+        (("dynamics", *P5, "--roles", "deep.json"), "roles sidecar deep.json nests too deeply"),
+        (("dynamics", *P5, "--roles", "missing.json"), "No such file or directory"),
+        (("optimum", "--graph", "deep.json", "--alpha", 1), "graph document nests too deeply"),
+        (("gen", "ir-cycle", "--n", 10, "--c", 0, "--r", 2, "--alpha", 5, "--out", "g.json"),
+         "c must satisfy c >= 1"),
+        (("gen", "ir-cycle", "--n", 10, "--c", 1, "--r", -1, "--alpha", 5, "--out", "g.json"),
+         "r must satisfy r >= 0"),
+        (("reduce", "--setcover", "empty.txt", "--variant", "max", "--out", "g.json"),
+         "MAX reduction needs m >= 1 element"),
+    ],
+    ids=["unknown-scheduler", "empty-init", "empty-fixed", "deep-roles", "missing-roles",
+         "deep-graph", "ir-cycle-c", "ir-cycle-r", "max-reduction-m"],
+)
+def test_refusals_exit_2_with_one_error_line(monkeypatch, tmp_path, argv, error):
+    """Each refusal exits 2 with one ``error:`` line that names it, and no
+    traceback; a document nested 100,000 deep is refused as a sidecar and as
+    a graph."""
+    monkeypatch.chdir(tmp_path)
+    Path("p5.txt").write_text(edge_list_text(path_graph(5)))
+    Path("deep.json").write_text('{"n":' + "[" * 100_000 + "]" * 100_000 + "}")
+    Path("empty.txt").write_text("0 2\n\n\n")
+    proc = run_main(*argv)
+    assert_one_error(proc)
+    assert error in proc.stderr.splitlines()[-1]
+    assert not Path("g.json").exists()
+
+
+@pytest.mark.parametrize("scheduler, first", [("best-gain", 4), ("opens-only", 3)])
+def test_best_gain_and_opens_only_schedulers_converge(p5_file, scheduler, first):
+    """On the 5-node path at 2 from node 0, best-gain opens the far end first
+    and opens-only the lowest id that gains; both converge."""
+    proc = run_main("dynamics", "--graph", p5_file, "--alpha", 2, "--scheduler", scheduler)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert lines[0]["node"] == first
+    assert lines[-1]["outcome"] == "converged"
+
+
 def test_dynamics_rejects_negative_budget(p5_file):
     proc = run_cli("dynamics", "--graph", p5_file, "--alpha", 1, "--max-steps", -1)
     assert_one_error(proc)

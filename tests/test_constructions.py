@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gateway_games import (
+    ConstructionNotEquilibrium,
     ElementUncovered,
     GameConfig,
     GirthTooSmall,
@@ -36,6 +37,7 @@ from gateway_games import (
     parse_set_cover,
     reduce_set_cover,
 )
+from gateway_games import constructions
 from gateway_games.constructions import _cover_profile, _settle, _spaced_profile
 from gateway_games.game import _ProfileState
 
@@ -112,6 +114,15 @@ def test_sum_poa_star_shape():
         gen_sum_poa_star(13, 13)
 
 
+def test_sum_poa_star_path_length_is_floor_sqrt_minus_one():
+    """The gateway sits ``L = floor(sqrt(alpha)) - 1`` hops from the center,
+    at square prices and at prices just past and short of one."""
+    for alpha, length in [(8, 1), (Fraction(35, 4), 1), (9, 2), (24, 3), (25, 4)]:
+        game = gen_sum_poa_star(30, alpha)
+        assert (length + 1) ** 2 <= alpha < (length + 2) ** 2
+        assert all_pairs_distances(game.graph).dist[0, game.roles["gateway"]] == length
+
+
 def test_max_line_shape():
     game = gen_max_line(Fraction(5, 2))
     g, roles, initial = game.graph, game.roles, game.initial
@@ -148,6 +159,14 @@ def test_max_ne_on_a_deep_tree_is_pinned():
     assert prof.ids == (
         1, 5, 6, 9, 11, 16, 19, 21, 22, 27, 32, 33, 35, 38, 41, 43, 47, 53, 55, 56, 59, 62, 65, 67
     )
+
+
+def test_max_ne_refuses_when_no_candidate_is_stable(monkeypatch, p4):
+    """Every candidate goes through the equilibrium check: with all refused,
+    no unverified profile comes back."""
+    monkeypatch.setattr(constructions, "is_nash_equilibrium", lambda d, cfg, s: False)
+    with pytest.raises(ConstructionNotEquilibrium, match="no candidate profile is stable at"):
+        construct_max_ne(p4, 1)
 
 
 def test_max_ne_rejects_bad_inputs(p4, c4):
@@ -368,7 +387,8 @@ def test_reduction_size_check_counts_the_edges_it_builds(monkeypatch):
                 with monkeypatch.context() as mp:
                     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 512 * edges - 1}
                     mp.setattr(os, "sysconf", memory.__getitem__)
-                    with pytest.raises(ParameterOutOfRange, match=rf"builds {edges} edges,"):
+                    claim = rf"{variant.name} reduction builds {edges} edges,"
+                    with pytest.raises(ParameterOutOfRange, match=claim):
                         reduce_set_cover(inst, variant)
                     memory["SC_PHYS_PAGES"] += 1
                     reduce_set_cover(inst, variant)

@@ -274,6 +274,22 @@ def test_replay_rejects_forged_cycle_period_and_entry():
     for forged in (CycleDetected(0, 3), CycleDetected(-1, 5)):
         with pytest.raises(ValueError, match="does not match a trace of 4 steps"):
             replay_trace(game.graph, cfg, replace(trace, outcome=forged))
+    with pytest.raises(ValueError, match="cycle does not close on its entry state"):
+        replay_trace(game.graph, cfg, replace(trace, outcome=CycleDetected(1, 3)))
+
+
+def test_replay_accepts_integer_deltas(p4):
+    """A recorded delta may be an ``int`` rather than a ``Fraction``; it is
+    compared by value, and one off by one is refused."""
+    cfg = GameConfig(SUM, Fraction(1))
+    trace = run_dynamics(p4, cfg, StrategyProfile.of([0]), RoundRobin())
+    assert trace.steps and all(move.cost_delta.denominator == 1 for _, move in trace.steps)
+    steps = tuple((s, replace(move, cost_delta=int(move.cost_delta))) for s, move in trace.steps)
+    assert replay_trace(p4, cfg, replace(trace, steps=steps)) == trace.states()
+    state, move = steps[-1]
+    forged = steps[:-1] + ((state, replace(move, cost_delta=move.cost_delta + 1)),)
+    with pytest.raises(ValueError, match="does not replay"):
+        replay_trace(p4, cfg, replace(trace, steps=forged))
 
 
 @pytest.mark.parametrize("node", [-1, 5])
@@ -790,7 +806,7 @@ def _assert_walks_agree(g, variant, price):
     table = _engine.term_table(all_pairs_distances(g).dist, maximum=variant is MAX)
     packed = _engine.improving_tables(table, price)
     sinks, alive, trapped, cycle = _frontier_walk(_engine._unpack(packed, 1 << g.n))
-    kept = _dynamics._fixpoint(packed, np.bitwise_or.reduce(packed, axis=0), grow=False)
+    kept = _engine._fixpoint(packed, _engine._sinks(packed)[0], grow=False)
     assert _engine._unpack(kept, 1 << g.n).tolist() == alive.tolist()
     report = build_ir_state_graph(g, GameConfig(variant, price))
     assert [mask_of(s) for s in report.ne_states] == sinks
@@ -837,7 +853,7 @@ def test_peel_round_counts_on_the_golden_instances(monkeypatch, make, cfg, round
     improving path of at least i + 1 moves, so its round count is a property
     of the move graph, not of how a round is computed, and is pinned here."""
     g = make()
-    calls = count_calls(monkeypatch, "_round", "dynamics")
+    calls = count_calls(monkeypatch, "_round", "_engine")
     build_ir_state_graph(g, cfg)
     assert sum(1 for args in calls if not args[-1]) == rounds
 

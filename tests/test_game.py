@@ -29,8 +29,7 @@ from gateway_games import (
     twin_classes,
 )
 from gateway_games import _engine
-from gateway_games import dynamics as _dynamics
-from gateway_games.game import _ProfileState, floor_sqrt
+from gateway_games.game import _ProfileState
 
 from conftest import (
     KNIFE,
@@ -62,6 +61,8 @@ def test_profile_mask_round_trip():
     assert StrategyProfile.from_mask(mask_of(s)) == s
     assert s.toggled(1).ids == (2, 4)
     assert s.toggled(0).ids == (0, 1, 2, 4)
+    with pytest.raises(ValueError, match="non-zero"):
+        StrategyProfile.from_mask(0)
 
 
 def test_config_requires_positive_alpha():
@@ -402,19 +403,20 @@ def _dirty_toggled(n: int) -> np.ndarray:
 def test_packed_toggle_step_matches_a_gather(n, data):
     """A round of the classifier's fixpoints on packed sets equals the boolean
     round, every bit reading ``x`` as the round found it, whatever the toggled
-    buffer held before.  ``_toggled_in_word`` gives each in-word toggle and
-    the pad bits stay clear."""
+    buffer held before.  On a full move table the buffer is left holding each
+    toggle, and the pad bits stay clear."""
     rnd = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     masks = np.arange(1 << n)
     density = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
     moves, x = rnd.random((n, 1 << n)) < density, rnd.random(1 << n) < density
     words = max(1, (1 << n) // 64)
-    toggled = _engine._toggled_in_word(_pack(x), _dirty_toggled(n)[:6])
+    toggled = _dirty_toggled(n)
+    _engine._round(_pack(np.ones_like(moves)), _pack(x), toggled, False)
     toggled = _engine._unpack(toggled, 64 * words)
-    for b in range(min(n, 6)):
+    for b in range(n):
         assert toggled[b, : 1 << n].tolist() == x[masks ^ (1 << b)].tolist()
     for grow in (False, True):
-        packed = _dynamics._round(_pack(moves), _pack(x), _dirty_toggled(n), grow)
+        packed = _engine._round(_pack(moves), _pack(x), _dirty_toggled(n), grow)
         assert packed.shape == (words,)
         bits = _engine._unpack(packed, 64 * words)
         assert bits[: 1 << n].tolist() == _boolean_round(moves, x, grow).tolist()
@@ -431,8 +433,8 @@ def _assert_fixpoints_match(n: int, rnd: np.random.Generator, density: float) ->
     seeds = [(False, moves.any(axis=0)), (True, rnd.random(1 << n) < density / 4), (True, ~kept)]
     for grow, x in seeds:
         expected, rounds = _boolean_fixpoint(moves, x, grow)
-        with mock.patch.object(_dynamics, "_round", wraps=_dynamics._round) as spy:
-            got = _dynamics._fixpoint(packed, _pack(x), grow)
+        with mock.patch.object(_engine, "_round", wraps=_engine._round) as spy:
+            got = _engine._fixpoint(packed, _pack(x), grow)
         bits = _engine._unpack(got, 64 * got.shape[0])
         assert bits[: 1 << n].tolist() == expected.tolist(), (grow, density)
         assert not bits[1 << n :].any()
@@ -750,11 +752,4 @@ def test_frac_str_always_has_denominator():
     assert frac_str(Fraction(15)) == "15/1"
     assert frac_str(Fraction(-7, 2)) == "-7/2"
     assert frac_str(3) == "3/1"
-
-
-@given(st.fractions(min_value=0, max_value=Fraction(10**9)))
-@settings(max_examples=200, deadline=None)
-def test_sqrt_helpers(x):
-    f = floor_sqrt(x)
-    assert Fraction(f * f) <= x < Fraction((f + 1) * (f + 1))
 

@@ -65,3 +65,16 @@ def test_module_imports_are_all_read():
                 name = alias.asname or alias.name.split(".")[0]
                 marked = "# noqa: F401" in lines[alias.lineno - 1]
                 assert name in read or marked, f"{path.name} imports {name} and never reads it"
+
+
+def test_only_the_engine_reads_the_packed_layout():
+    """The word of a packed set and its in-word toggle masks are read only in
+    ``_engine``, which owns the layout: by name or as an ``_engine`` attribute."""
+    layout = {"_STAY", "_SHIFT", "_WORD"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "_engine":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not read & layout, f"{path.name} reads {sorted(read & layout)}"
